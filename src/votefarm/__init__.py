@@ -50,8 +50,6 @@ from .transport import (
     MessageArrived,
     Outbox,
     TimedOut,
-    connect,
-    link_census,
     receive_any,
 )
 from .voter import (

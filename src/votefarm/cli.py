@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from .client import World
@@ -171,6 +172,8 @@ def _cmd_bench(args) -> int:
         raise SpecError([f"--n-values {args.n_values!r} is not an int list"])
     if not n_values or any(n < 1 for n in n_values):
         raise SpecError(["--n-values needs positive farm sizes"])
+    if not (0 < args.delta_t < math.inf):
+        raise SpecError([f"--delta-t must be > 0 and finite, got {args.delta_t}"])
     rows = bench(
         n_values=n_values,
         repetitions=args.repetitions,

@@ -24,14 +24,13 @@ from .core import (
     ErrorCode,
     FarmDescriptor,
     FarmState,
-    FrameError,
     Message,
     Tag,
     TransportDownError,
     VoteKind,
     VoteValue,
     advance_state,
-    decode_message,
+    decode_message,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
     descriptor_add,
     encode_message,
 )
@@ -229,12 +228,8 @@ class FarmHandle:
             got = yield Wait((self.endpoint,), 0.0)
             if got is TIMED_OUT:
                 return refused
-            # got is (source, frame); stale pushes are dropped here.
-            try:
-                msg = decode_message(got[1])
-            except FrameError:
-                continue
-            if msg.tag == Tag.REFUSED:
+            # got is (source, message); stale pushes are dropped here.
+            if got[1].tag == Tag.REFUSED:
                 refused = True
 
     # -- remote operations (generators: run inside a user activity) -------------

@@ -121,6 +121,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"stage {k}: n must be >= 1, got {s.n}")
         if not (s.delta_t > 0):
             bad.append(f"stage {k}: delta_t must be > 0, got {s.delta_t}")
+        elif s.delta_t == math.inf:
+            bad.append(f"stage {k}: delta_t must be finite, got {s.delta_t}")
         if not (s.epsilon >= 0):
             bad.append(f"stage {k}: epsilon must be >= 0, got {s.epsilon}")
         if math.isnan(s.scaling):
@@ -148,6 +150,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"fault message index must be >= 0, got {f.index}")
         if f.delay is not None and not (f.delay >= 0):
             bad.append(f"fault delay must be >= 0, got {f.delay}")
+        elif f.delay == math.inf:
+            bad.append(f"fault delay must be finite, got {f.delay}")
     try:
         resolve_metric(spec.metric)
     except KeyError:

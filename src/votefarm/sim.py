@@ -6,7 +6,10 @@ message waits, sleeps, and timeouts.  Ready activities run FIFO and all
 ties on the timer heap break by a global sequence number, which makes
 virtual-time runs fully deterministic.  A timer only fires once every
 runnable activity has blocked, so in virtual time a timeout means genuine
-silence, not scheduling luck.
+silence, not scheduling luck.  Timers are cancelled lazily: a timer whose
+wait has already ended stays on the heap until it reaches the top, and is
+then retired without advancing the clock (or, on the real clock, sleeping
+until it is due), so a run ends when its last live work ends.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class WaitSource:
     def put(self, item) -> None:
         self.queue.append((self.scheduler._next_seq(), item))
         if self.waiter is not None:
-            self.scheduler._wake(self.waiter, "msg")
+            self.scheduler._wake(self.waiter, self)
 
 
 class DeadlockError(RuntimeError):
@@ -150,7 +153,7 @@ class Scheduler:
         if name in self.kill_names:
             act.halted = True
         else:
-            self._make_ready(act, None)
+            self._make_ready(act)
         return act
 
     def halt(self, name: str) -> None:
@@ -161,17 +164,23 @@ class Scheduler:
     def live_activities(self) -> list[Activity]:
         return [a for a in self.activities.values() if a.live]
 
-    def _make_ready(self, act: Activity, resume) -> None:
-        act._resume = resume
+    def _make_ready(self, act: Activity) -> None:
         if not act.in_ready:
             act.in_ready = True
             self._ready.append(act)
 
-    def _wake(self, act: Activity, reason: str) -> None:
+    def _wake(self, act: Activity, reason) -> None:
+        """Make a blocked activity runnable; `reason` is TIMED_OUT or the
+        source an item was just put on."""
         if not act.live:
             return
         act.wait_seq += 1  # invalidates any pending timer for this wait
-        self._make_ready(act, reason)
+        # An activity blocks only once all its sources are empty, so the
+        # first source put to holds the earliest item among them; a queued
+        # item also beats a timeout that fired before the activity ran.
+        if act._resume is None or act._resume is TIMED_OUT:
+            act._resume = reason
+        self._make_ready(act)
 
     def _clear_wait(self, act: Activity) -> None:
         if act.waiting_on is not None:
@@ -206,19 +215,11 @@ class Scheduler:
         if not act.live:
             return
         reason, act._resume = act._resume, None
-        if reason == "timeout":
+        value = reason  # None on the first step
+        if reason is not None:
             self._clear_wait(act)
-            value = TIMED_OUT
-        elif act.waiting_on is not None:
-            src = self._pick(act.waiting_on)
-            if src is None:
-                # Sources are single-consumer, so a message wake implies a
-                # queued item; anything else is a kernel bug.
-                raise RuntimeError(f"spurious wake of {act.name}")
-            self._clear_wait(act)
-            value = (src, src.queue.popleft()[1])
-        else:
-            value = None  # first step
+            if reason is not TIMED_OUT:
+                value = (reason, reason.queue.popleft()[1])
 
         while True:
             try:
@@ -245,14 +246,19 @@ class Scheduler:
                 self._arm_timer(act, eff.timeout)
             return
 
+    @staticmethod
+    def _stale(entry) -> bool:
+        """A timer whose activity no longer waits on the wait that armed it."""
+        _, _, kind, act, wait_seq = entry
+        return kind == _T_TIMER and not (
+            act.live and act.waiting_on is not None and act.wait_seq == wait_seq
+        )
+
     def _fire(self, entry) -> None:
-        _, _, kind, payload, extra = entry
-        if kind == _T_CALL:
-            payload()
-        else:
-            act = payload
-            if act.live and act.waiting_on is not None and act.wait_seq == extra:
-                self._wake(act, "timeout")
+        if entry[2] == _T_CALL:
+            entry[3]()
+        elif not self._stale(entry):
+            self._wake(entry[3], TIMED_OUT)
 
     def run(
         self,
@@ -261,9 +267,11 @@ class Scheduler:
     ) -> None:
         """Step activities until quiescence (or `until` turns true).
 
-        Quiescence: no activity is runnable and no timer or delayed call is
-        pending, i.e. every surviving activity is blocked without timeout.
+        Quiescence: no activity is runnable and no live timer or delayed
+        call is pending, i.e. every surviving activity is blocked without
+        timeout.
         """
+        heap = self._heap
         steps = 0
         while True:
             while self._ready:
@@ -277,10 +285,11 @@ class Scheduler:
                     return
             if until is not None and until():
                 return
-            if not self._heap:
+            while heap and self._stale(heap[0]):
+                heapq.heappop(heap)
+            if not heap:
                 return
-            t = self._heap[0][0]
-            self._advance_to(t)
+            self._advance_to(heap[0][0])
             now = self.now
-            while self._heap and self._heap[0][0] <= now:
-                self._fire(heapq.heappop(self._heap))
+            while heap and heap[0][0] <= now:
+                self._fire(heapq.heappop(heap))

@@ -3,9 +3,10 @@
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
 Fault hooks intercept deliveries per link, direction, and message index,
-and may drop, corrupt, or delay the frame; a frame corrupted beyond
-parseability is silently discarded, so the receiver only ever notices the
-resulting silence through its timeout.
+and may drop, corrupt, or delay the frame.  Each frame is then decoded
+exactly once: a frame corrupted beyond parseability is silently discarded,
+so the receiver only ever notices the resulting silence through its
+timeout, and a parseable one lands on the receiver's queue as a Message.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ class Link:
     a: Endpoint = None
     b: Endpoint = None
     closed: bool = False
-    # delivered-frame counters keyed by destination endpoint name
-    delivered: dict = field(default_factory=dict)
+    # sent-frame counters keyed by destination endpoint name
     sent: dict = field(default_factory=dict)
 
     def endpoint_for(self, name: str) -> Endpoint:
@@ -147,7 +147,6 @@ class Fabric:
         link = Link(kind)
         link.a = Endpoint(self.scheduler, link, a)
         link.b = Endpoint(self.scheduler, link, b)
-        link.delivered = {a: 0, b: 0}
         link.sent = {a: 0, b: 0}
         self.links[key] = link
         return link
@@ -191,19 +190,18 @@ class Fabric:
         # A frame mangled beyond parsing is dropped here: the receiver can
         # only ever observe the loss as silence.
         try:
-            decode_message(d.frame)
+            msg = decode_message(d.frame)
         except FrameError:
             self.dropped += 1
             return
         if d.delay > 0:
-            self.scheduler.call_later(d.delay, lambda: self._land(dst, d.frame))
+            self.scheduler.call_later(d.delay, lambda: self._land(dst, msg))
         else:
-            self._land(dst, d.frame)
+            self._land(dst, msg)
 
-    def _land(self, dst: Endpoint, frame: bytes) -> None:
-        dst.link.delivered[dst.name] += 1
+    def _land(self, dst: Endpoint, msg: Message) -> None:
         self.delivered_total += 1
-        dst.put(frame)
+        dst.put(msg)
 
     def census(self) -> LinkCensus:
         virtual = sum(1 for l in self.links.values() if l.kind is LinkKind.VIRTUAL)
@@ -222,14 +220,6 @@ class Fabric:
         )
 
 
-def connect(fabric: Fabric, a: str, b: str) -> Link:
-    return fabric.connect(a, b)
-
-
-def link_census(fabric: Fabric) -> LinkCensus:
-    return fabric.census()
-
-
 class Outbox(WaitSource):
     """Per-voter send queue drained by a dedicated sender activity, so the
     owner never blocks on a send."""
@@ -244,13 +234,27 @@ class Outbox(WaitSource):
 
     def send(self, endpoint: Endpoint, msg: Message) -> None:
         """Enqueue a message for delivery; returns immediately."""
-        if self.closed:
-            raise TransportDownError(f"outbox of {self.owner} is closed")
-        if endpoint.link.closed:
+        if self.send_to((endpoint,), msg):
             raise TransportDownError(
-                f"link {endpoint.name} <-> {endpoint.peer_name} is closed"
+                f"outbox of {self.owner} is closed"
+                if self.closed
+                else f"link {endpoint.name} <-> {endpoint.peer_name} is closed"
             )
-        self.put((endpoint, encode_message(msg)))
+
+    def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> int:
+        """Encode `msg` once and enqueue that frame for every endpoint, in
+        order; returns how many endpoints were refused (closed outbox or
+        closed link)."""
+        if self.closed:
+            return len(endpoints)
+        frame = encode_message(msg)
+        refused = 0
+        for endpoint in endpoints:
+            if endpoint.link.closed:
+                refused += 1
+            else:
+                self.put((endpoint, frame))
+        return refused
 
     def close(self) -> None:
         self.closed = True
@@ -269,20 +273,12 @@ class Outbox(WaitSource):
 
 
 def _recv_message(endpoints: Sequence[Endpoint], timeout: float | None):
-    """Wait for the earliest parseable frame on any endpoint (generator).
-
-    Frames that fail to parse are skipped; with a timeout the wait restarts,
-    so garbled traffic looks exactly like silence.
-    """
-    while True:
-        got = yield Wait(tuple(endpoints), timeout)
-        if got is TIMED_OUT:
-            return TimedOut()
-        endpoint, frame = got
-        try:
-            return MessageArrived(endpoint, decode_message(frame))
-        except FrameError:
-            continue
+    """Wait for the earliest message on any endpoint (generator).  Frames
+    that fail to parse never land, so garbled traffic is silence here."""
+    got = yield Wait(tuple(endpoints), timeout)
+    if got is TIMED_OUT:
+        return TimedOut()
+    return MessageArrived(*got)
 
 
 def receive_any(endpoints: Sequence[Endpoint], timeout: float):
@@ -295,8 +291,7 @@ def receive_any(endpoints: Sequence[Endpoint], timeout: float):
         raise ValueError("timeout must be > 0")
     if all(ep.link.closed for ep in endpoints):
         raise TransportDownError("all links are closed")
-    result = yield from _recv_message(endpoints, timeout)
-    return result
+    return (yield from _recv_message(endpoints, timeout))
 
 
 # -- fault hook constructors --------------------------------------------------

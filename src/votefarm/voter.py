@@ -23,7 +23,6 @@ from .core import (
     FarmState,
     Message,
     Tag,
-    TransportDownError,
     ValueSlot,
     VoteKind,
     VoteOutcome,
@@ -145,9 +144,10 @@ class Voter:
         self.state = state
         self.fabric = fabric
         self.user_ep = user_ep
-        self.fellow_eps = fellow_eps
         self.outbox = outbox
         self.all_eps = (user_ep, *fellow_eps.values())
+        # broadcast order: fellows by ascending voter id
+        self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
 
     # -- small helpers --------------------------------------------------------
 
@@ -155,13 +155,13 @@ class Voter:
     def cfg(self) -> VoterConfig:
         return self.state.config
 
+    def _send(self, endpoints, msg: Message) -> None:
+        """Queue `msg` toward each endpoint; a copy refused by a closed
+        outbox or link counts as undeliverable."""
+        self.state.undeliverable += self.outbox.send_to(endpoints, msg)
+
     def _reply(self, tag: Tag, payload=None) -> None:
-        try:
-            self.outbox.send(
-                self.user_ep, Message(tag, self.cfg.voter_id, payload)
-            )
-        except TransportDownError:
-            self.state.undeliverable += 1
+        self._send((self.user_ep,), Message(tag, self.cfg.voter_id, payload))
 
     def _refuse(self) -> None:
         self.state.refusals += 1
@@ -174,14 +174,10 @@ class Voter:
             self.state.config = replace(self.cfg, output_target=msg.payload)
 
     def _broadcast(self, msg_for: Message) -> None:
-        if not self.fellow_eps:
+        if not self.fellows_by_id:
             return
         self.state.broadcasts_sent += 1
-        for vid in sorted(self.fellow_eps):
-            try:
-                self.outbox.send(self.fellow_eps[vid], msg_for)
-            except TransportDownError:
-                self.state.undeliverable += 1
+        self._send(self.fellows_by_id, msg_for)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
         target = self.cfg.output_target
@@ -191,13 +187,10 @@ class Voter:
         if link is None:
             self.state.undeliverable += 1
             return
-        try:
-            self.outbox.send(
-                link.endpoint_for(self.name),
-                Message(Tag.VOTED_VALUE, self.cfg.voter_id, outcome),
-            )
-        except TransportDownError:
-            self.state.undeliverable += 1
+        self._send(
+            (link.endpoint_for(self.name),),
+            Message(Tag.VOTED_VALUE, self.cfg.voter_id, outcome),
+        )
 
     # -- round machinery -------------------------------------------------------
 

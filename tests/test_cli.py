@@ -178,6 +178,19 @@ def test_spec_violations_reach_stderr(capsys):
     assert "votefarm: stage 1: delta_t must be > 0, got -1.0" in err
 
 
+@pytest.mark.parametrize(
+    "command,needle",
+    [
+        ("run", "votefarm: stage 1: delta_t must be finite, got inf"),
+        ("bench", "votefarm: --delta-t must be > 0 and finite, got inf"),
+    ],
+)
+def test_infinite_delta_t_flag_exits_two(capsys, command, needle):
+    code, _, err = run_cli(capsys, command, "--delta-t", "inf")
+    assert code == 2
+    assert needle in err
+
+
 def test_bad_input_flag(capsys):
     code, _, err = run_cli(capsys, "run", "--input", "abc")
     assert code == 2

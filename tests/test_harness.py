@@ -105,6 +105,26 @@ def test_valid_spec_has_no_violations():
     assert validate_spec(tmr()) == []
 
 
+def test_infinite_delta_t_is_a_spec_error():
+    """A real-clock run would overflow its timer arithmetic on a crashed
+    voter's silence; validation must reject the spec first."""
+    spec = tmr(
+        delta_t=math.inf,
+        clock="real",
+        faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=2),),
+    )
+    assert validate_spec(spec) == ["stage 1: delta_t must be finite, got inf"]
+    with pytest.raises(SpecError):
+        run_experiment(spec)
+
+
+def test_infinite_fault_delay_is_a_spec_error():
+    spec = tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=1, delay=math.inf),))
+    assert validate_spec(spec) == ["fault delay must be finite, got inf"]
+    with pytest.raises(SpecError):
+        run_experiment(spec)
+
+
 def test_run_pipeline_requires_a_chain():
     with pytest.raises(SpecError) as err:
         run_pipeline(tmr())
