@@ -8,10 +8,9 @@ relative to a single-node farm.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-from votefarm.harness import bench
+from votefarm.harness import SpecError, bench, bench_to_csv
 
 
 def main() -> int:
@@ -21,14 +20,12 @@ def main() -> int:
     parser.add_argument("--csv", action="store_true", help="machine readable output")
     args = parser.parse_args()
 
-    rows = bench(tuple(args.sizes), repetitions=args.repetitions)
+    try:
+        rows = bench(tuple(args.sizes), repetitions=args.repetitions)
+    except SpecError as exc:
+        parser.error("; ".join(exc.violations))
     if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "repetitions", "mean_duration", "stddev_duration"])
-        for row in rows:
-            writer.writerow(
-                [row.n, row.repetitions, row.mean_duration, row.stddev_duration]
-            )
+        sys.stdout.write(bench_to_csv(rows))
         return 0
 
     base = rows[0].mean_duration

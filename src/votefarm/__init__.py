@@ -59,7 +59,6 @@ from .voter import (
     Voter,
     VoterConfig,
     VoterState,
-    spawn_farm,
     user_name,
     voter_name,
 )
@@ -84,9 +83,10 @@ from .harness import (
     SpecError,
     StageSpec,
     bench,
+    bench_to_csv,
+    bench_to_json,
     census_check,
     check_spec,
-    farm_census,
     oracle_vote,
     run_experiment,
     run_pipeline,

@@ -24,6 +24,8 @@ from .harness import (
     SpecError,
     StageSpec,
     bench,
+    bench_to_csv,
+    bench_to_json,
     census_check,
     oracle_vote,
     run_experiment,
@@ -127,8 +129,7 @@ def _spec_from_args(args, stage_count: int) -> ExperimentSpec:
     )
 
 
-def _emit(report: Report, args) -> None:
-    text = report.to_csv() if args.output == "csv" else report.to_json()
+def _emit(text: str, args) -> None:
     if args.output_path is None:
         sys.stdout.write(text)
     else:
@@ -157,7 +158,7 @@ def _cmd_run(args, stage_count_flag: bool) -> int:
     stage_count = getattr(args, "stages", 1) if stage_count_flag else 1
     spec = _spec_from_args(args, stage_count)
     report = run_pipeline(spec) if stage_count_flag else run_experiment(spec)
-    _emit(report, args)
+    _emit(report.to_csv() if args.output == "csv" else report.to_json(), args)
     if not _agreement_holds(report):
         print("assertion failed: final stage did not agree on one value",
               file=sys.stderr)
@@ -180,32 +181,7 @@ def _cmd_bench(args) -> int:
         delta_t=args.delta_t,
         include_warmup=args.include_warmup,
     )
-    if args.output == "csv":
-        lines = ["n,repetitions,mean_duration,stddev_duration"]
-        lines += [
-            f"{r.n},{r.repetitions},{r.mean_duration!r},{r.stddev_duration!r}"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(
-            [
-                {
-                    "n": r.n,
-                    "repetitions": r.repetitions,
-                    "mean_duration": r.mean_duration,
-                    "stddev_duration": r.stddev_duration,
-                }
-                for r in rows
-            ],
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    if args.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(bench_to_csv(rows) if args.output == "csv" else bench_to_json(rows), args)
     return 0
 
 

@@ -35,9 +35,17 @@ from .core import (
     encode_message,
 )
 from .sim import TIMED_OUT, VIRTUAL, Scheduler, Wait
-from .transport import Fabric, TimedOut, _recv_message
+from .transport import Endpoint, Fabric, Outbox, TimedOut, _recv_message
 from .voting import Metric, resolve_metric
-from .voter import FarmRuntime, spawn_farm, user_name
+from .voter import (
+    FarmRuntime,
+    Voter,
+    VoterConfig,
+    VoterState,
+    sender_name,
+    user_name,
+    voter_name,
+)
 
 
 class World:
@@ -66,23 +74,80 @@ class World:
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
         output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
-        """Spawn a farm directly (no client handle), e.g. before starting
-        user activities that will merely attach to it."""
+        """Bring a farm to life: place and start one voter plus one sender
+        per node, wire every user to its voter on the same node and every
+        voter pair across nodes.  The first FarmHandle.run of a farm lands
+        here; an experiment may also call it before starting user
+        activities that will merely attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         descriptor = FarmDescriptor()
         for node in nodes:
             descriptor = descriptor_add(descriptor, node)
-        runtime = spawn_farm(
-            self.fabric,
-            descriptor,
-            metric=metric,
+        metric_fn, metric_id = resolve_metric(metric)
+        descriptor = replace(
+            advance_state(descriptor, FarmState.RUNNING), metric_id=metric_id
+        )
+        n = descriptor.cardinality
+        fabric = self.fabric
+
+        for vid, node in enumerate(descriptor.nodes, start=1):
+            fabric.place(voter_name(farm, vid), node)
+            fabric.place(sender_name(farm, vid), node)
+            fabric.place(user_name(farm, vid), node)
+
+        user_links = {
+            vid: fabric.connect(user_name(farm, vid), voter_name(farm, vid))
+            for vid in range(1, n + 1)
+        }
+        fellow_links: dict[tuple[int, int], object] = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                fellow_links[(i, j)] = fabric.connect(
+                    voter_name(farm, i), voter_name(farm, j)
+                )
+
+        states: dict[int, VoterState] = {}
+        user_eps: dict[int, Endpoint] = {}
+        for vid in range(1, n + 1):
+            vname = voter_name(farm, vid)
+            cfg = VoterConfig(
+                voter_id=vid,
+                n=n,
+                delta_t=delta_t,
+                metric=metric_fn,
+                algorithm=algorithm,
+                output_target=(output_targets or {}).get(vid),
+            )
+            state = VoterState(cfg)
+            fellow_eps = {}
+            for other in range(1, n + 1):
+                if other == vid:
+                    continue
+                pair = (min(vid, other), max(vid, other))
+                fellow_eps[other] = fellow_links[pair].endpoint_for(vname)
+            outbox = Outbox(fabric, vname)
+            voter = Voter(
+                name=vname,
+                state=state,
+                fabric=fabric,
+                user_ep=user_links[vid].endpoint_for(vname),
+                fellow_eps=fellow_eps,
+                outbox=outbox,
+            )
+            self.scheduler.spawn(vname, voter.main(), role="voter")
+            self.scheduler.spawn(sender_name(farm, vid), outbox.pump(), role="sender")
+            states[vid] = state
+            user_eps[vid] = user_links[vid].endpoint_for(user_name(farm, vid))
+
+        runtime = self.farms[farm] = FarmRuntime(
+            farm=farm,
+            descriptor=descriptor,
             delta_t=delta_t,
             algorithm=algorithm,
-            farm=farm,
-            output_targets=output_targets,
+            states=states,
+            user_endpoints=user_eps,
         )
-        self.farms[farm] = runtime
         return runtime
 
 
@@ -168,23 +233,16 @@ class FarmHandle:
             return False
         runtime = self.world.farms.get(self.farm)
         if runtime is None:
-            try:
-                runtime = spawn_farm(
-                    self.world.fabric,
-                    self.descriptor,
-                    metric=self.metric,
-                    delta_t=self.delta_t,
-                    algorithm=self.algorithm,
-                    farm=self.farm,
-                )
-            except (BadStateError, TransportDownError) as exc:
-                self.last_error = exc.code
-                return False
-            self.world.farms[self.farm] = runtime
-        else:
-            if not self._matches(runtime):
-                self.last_error = ErrorCode.BAD_STATE
-                return False
+            runtime = self.world.activate_farm(
+                self.farm,
+                self.descriptor.nodes,
+                metric=self.metric,
+                delta_t=self.delta_t,
+                algorithm=self.algorithm,
+            )
+        elif not self._matches(runtime):
+            self.last_error = ErrorCode.BAD_STATE
+            return False
         if self.user_id > runtime.n:
             self.last_error = ErrorCode.BAD_STATE
             return False

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 
 from .client import FarmHandle, Input, World, open_farm
@@ -224,7 +224,25 @@ _ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
 _FAULT_NAMES = {k.value: k for k in FaultKind}
 
 
+def _int_field(obj: dict, key: str, default: int, bad: list[str]) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    bad.append(f"'{key}' must be an integer, got {value!r}")
+    return default
+
+
+def _list_field(obj: dict, key: str, bad: list[str]) -> list | None:
+    value = obj.get(key)
+    if value is None or isinstance(value, list):
+        return value
+    bad.append(f"'{key}' must be a list, got {type(value).__name__}")
+    return None
+
+
 def spec_from_json(obj: dict) -> ExperimentSpec:
+    if not isinstance(obj, dict):
+        raise SpecError([f"spec must be a JSON object, got {type(obj).__name__}"])
     bad: list[str] = []
     stages = []
     raw_stages = obj.get("stages")
@@ -232,6 +250,9 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         bad.append("spec needs a non-empty 'stages' list")
         raw_stages = []
     for k, raw in enumerate(raw_stages, start=1):
+        if not isinstance(raw, dict):
+            bad.append(f"stage {k}: must be an object, got {type(raw).__name__}")
+            continue
         name = str(raw.get("algorithm", "majority")).lower()
         kind = _ALGO_NAMES.get(name)
         if kind is None:
@@ -250,7 +271,10 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             bad.append(f"stage {k}: {exc}")
     faults = []
-    for i, raw in enumerate(obj.get("faults", []) or [], start=1):
+    for i, raw in enumerate(_list_field(obj, "faults", bad) or [], start=1):
+        if not isinstance(raw, dict):
+            bad.append(f"fault {i}: must be an object, got {type(raw).__name__}")
+            continue
         kind = _FAULT_NAMES.get(str(raw.get("kind", "")).lower())
         if kind is None:
             bad.append(f"fault {i}: unknown kind {raw.get('kind')!r}")
@@ -268,24 +292,26 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             bad.append(f"fault {i}: {exc!r}")
-    inputs = obj.get("inputs")
+    inputs = _list_field(obj, "inputs", bad)
     values = None
     if inputs is not None:
         values = []
         for i, raw in enumerate(inputs, start=1):
             try:
                 values.append(value_from_json(raw))
-            except (SpecError, ValueError) as exc:
+            except (SpecError, TypeError, ValueError) as exc:
                 bad.append(f"input {i}: {exc}")
+    seed = _int_field(obj, "seed", 0, bad)
+    repetitions = _int_field(obj, "repetitions", 1, bad)
     if bad:
         raise SpecError(bad)
     spec = ExperimentSpec(
         pipeline=PipelineSpec(tuple(stages)),
         inputs=None if values is None else tuple(values),
         faults=tuple(faults),
-        seed=int(obj.get("seed", 0)),
+        seed=seed,
         clock=str(obj.get("clock", VIRTUAL)),
-        repetitions=int(obj.get("repetitions", 1)),
+        repetitions=repetitions,
         metric=str(obj.get("metric", "default")),
     )
     check_spec(spec)
@@ -417,28 +443,6 @@ class StageCensus:
     voters: int
 
 
-def farm_census(runtime: FarmRuntime) -> StageCensus:
-    """Link and activity counts restricted to one farm's own wiring."""
-    fabric = runtime.fabric
-    n = runtime.n
-    members = {voter_name(runtime.farm, v) for v in range(1, n + 1)}
-    members |= {user_name(runtime.farm, v) for v in range(1, n + 1)}
-    virtual = local = 0
-    for key, link in fabric.links.items():
-        if key <= members:
-            if link.kind.value == "virtual":
-                virtual += 1
-            else:
-                local += 1
-    voters = sum(
-        1
-        for v in range(1, n + 1)
-        if (act := fabric.scheduler.activities.get(voter_name(runtime.farm, v)))
-        and act.live
-    )
-    return StageCensus(0, virtual, local, voters)
-
-
 @dataclass
 class CensusCheck:
     n: int
@@ -482,7 +486,7 @@ def census_check(fabric: Fabric, n: int) -> CensusCheck:
         expected_voters=n,
         found_virtual=c.virtual,
         found_local=c.local,
-        found_voters=fabric.live_count("voter"),
+        found_voters=c.voters,
     )
 
 
@@ -690,9 +694,8 @@ def _run_single_repetition(
 
     census = []
     for k, rt in enumerate(runtimes, start=1):
-        c = farm_census(rt)
-        c.stage = k
-        census.append(c)
+        c = world.fabric.census(rt.members)
+        census.append(StageCensus(k, c.virtual, c.local, c.voters))
 
     world.run()
 
@@ -782,6 +785,16 @@ class BenchRow:
     stddev_duration: float
 
 
+def bench_to_json(rows: list[BenchRow]) -> str:
+    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+
+
+def bench_to_csv(rows: list[BenchRow]) -> str:
+    lines = [",".join(f.name for f in fields(BenchRow))]
+    lines += [",".join(map(repr, astuple(r))) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _bench_user(world, handle, nodes, go, done, delta_t):
     for node in nodes:
         if not handle.add(node):
@@ -826,6 +839,8 @@ def bench(
     wave w+1 input goes in) so repetitions never overlap.  The first wave
     warms caches and is dropped unless asked for.
     """
+    if repetitions < 1:
+        raise SpecError([f"repetitions must be >= 1, got {repetitions}"])
     rows = []
     for n in n_values:
         world = World(REAL)

@@ -156,11 +156,6 @@ class Scheduler:
             self._make_ready(act)
         return act
 
-    def halt(self, name: str) -> None:
-        act = self.activities[name]
-        act.halted = True
-        self._clear_wait(act)
-
     def live_activities(self) -> list[Activity]:
         return [a for a in self.activities.values() if a.live]
 

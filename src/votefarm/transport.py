@@ -78,7 +78,7 @@ class Link:
 class LinkCensus:
     virtual: int
     local: int
-    activities: int
+    voters: int
 
 
 @dataclass
@@ -114,21 +114,17 @@ class Fabric:
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
-        self.roles: dict[str, str] = {}
         self.links: dict[frozenset, Link] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
 
-    def place(self, name: str, node: int, role: str = "activity") -> None:
+    def place(self, name: str, node: int) -> None:
         if node < 1:
             raise ValueError("node id must be >= 1")
-        if name in self.placements and (
-            self.placements[name] != node or self.roles[name] != role
-        ):
+        if self.placements.get(name, node) != node:
             raise ValueError(f"{name!r} already placed elsewhere")
         self.placements[name] = node
-        self.roles[name] = role
 
     def connect(self, a: str, b: str) -> Link:
         if a == b:
@@ -203,21 +199,23 @@ class Fabric:
         self.delivered_total += 1
         dst.put(msg)
 
-    def census(self) -> LinkCensus:
-        virtual = sum(1 for l in self.links.values() if l.kind is LinkKind.VIRTUAL)
-        local = sum(1 for l in self.links.values() if l.kind is LinkKind.LOCAL)
-        return LinkCensus(
-            virtual=virtual,
-            local=local,
-            activities=len(self.scheduler.live_activities()),
-        )
-
-    def live_count(self, role: str) -> int:
-        return sum(
+    def census(self, names=None) -> LinkCensus:
+        """Links by kind and live voter activities, over the whole fabric or
+        only among `names` (a link counts when both its ends are named)."""
+        names = None if names is None else frozenset(names)
+        virtual = local = 0
+        for key, link in self.links.items():
+            if names is None or key <= names:
+                if link.kind is LinkKind.VIRTUAL:
+                    virtual += 1
+                else:
+                    local += 1
+        voters = sum(
             1
-            for a in self.scheduler.live_activities()
-            if self.roles.get(a.name) == role
+            for act in self.scheduler.live_activities()
+            if act.role == "voter" and (names is None or act.name in names)
         )
+        return LinkCensus(virtual=virtual, local=local, voters=voters)
 
 
 class Outbox(WaitSource):

@@ -18,19 +18,15 @@ from enum import IntEnum
 
 from .core import (
     AlgorithmId,
-    BadStateError,
     FarmDescriptor,
-    FarmState,
     Message,
     Tag,
     ValueSlot,
-    VoteKind,
     VoteOutcome,
     VoteValue,
-    advance_state,
 )
 from .transport import Endpoint, Fabric, Outbox, TimedOut, _recv_message
-from .voting import Metric, resolve_metric, vote
+from .voting import Metric, vote
 
 
 class Phase(IntEnum):
@@ -67,7 +63,6 @@ class RoundState:
     """
 
     n: int
-    phase: Phase = Phase.COLLECTING
     slots: list = field(default_factory=list)
     input_messages: int = 0
     u: VoteValue | None = None
@@ -276,7 +271,6 @@ class Voter:
             else:
                 st.stray_messages += 1
 
-        rnd.phase = Phase.BROADCAST_DONE
         st.phase = Phase.BROADCAST_DONE
         st.round_finished_at = self.outbox.scheduler.now
         self._reply(Tag.DONE)
@@ -286,7 +280,6 @@ class Voter:
         st.last_slots = slots
         st.rounds_completed += 1
         self._push_outcome(outcome)
-        rnd.phase = Phase.VOTED
         st.phase = Phase.VOTED
 
     # -- main loop ---------------------------------------------------------------
@@ -319,7 +312,7 @@ class Voter:
                 st.stray_messages += 1
 
 
-# -- farm construction -----------------------------------------------------------
+# -- farm names and runtime -------------------------------------------------------
 
 
 def voter_name(farm: str, voter_id: int) -> str:
@@ -340,9 +333,7 @@ class FarmRuntime:
 
     farm: str
     descriptor: FarmDescriptor
-    fabric: Fabric
     delta_t: float
-    metric: Metric
     algorithm: AlgorithmId
     states: dict[int, VoterState]
     user_endpoints: dict[int, Endpoint]
@@ -351,93 +342,8 @@ class FarmRuntime:
     def n(self) -> int:
         return self.descriptor.cardinality
 
-    def live_voters(self) -> list[int]:
-        sched = self.fabric.scheduler
-        out = []
-        for vid in range(1, self.n + 1):
-            act = sched.activities.get(voter_name(self.farm, vid))
-            if act is not None and act.live:
-                out.append(vid)
-        return out
-
-
-def spawn_farm(
-    fabric: Fabric,
-    descriptor: FarmDescriptor,
-    metric: Metric | str | None = None,
-    delta_t: float = 1.0,
-    algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
-    farm: str = "farm",
-    output_targets: dict[int, str] | None = None,
-) -> FarmRuntime:
-    """Bring a described farm to life: place and start one voter plus one
-    sender per descriptor entry, wire every user to its voter on the same
-    node and every voter pair across nodes."""
-    if descriptor.state != FarmState.DESCRIBED:
-        raise BadStateError(
-            f"farm must be DESCRIBED to run, not {descriptor.state.name}"
-        )
-    metric_fn, metric_id = resolve_metric(metric)
-    descriptor = replace(descriptor, metric_id=metric_id)
-    descriptor = advance_state(descriptor, FarmState.RUNNING)
-    n = descriptor.cardinality
-
-    for vid, node in enumerate(descriptor.nodes, start=1):
-        fabric.place(voter_name(farm, vid), node, role="voter")
-        fabric.place(sender_name(farm, vid), node, role="sender")
-        fabric.place(user_name(farm, vid), node, role="user")
-
-    user_links = {
-        vid: fabric.connect(user_name(farm, vid), voter_name(farm, vid))
-        for vid in range(1, n + 1)
-    }
-    fellow_links: dict[tuple[int, int], object] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            fellow_links[(i, j)] = fabric.connect(
-                voter_name(farm, i), voter_name(farm, j)
-            )
-
-    states: dict[int, VoterState] = {}
-    user_eps: dict[int, Endpoint] = {}
-    for vid in range(1, n + 1):
-        vname = voter_name(farm, vid)
-        cfg = VoterConfig(
-            voter_id=vid,
-            n=n,
-            delta_t=delta_t,
-            metric=metric_fn,
-            algorithm=algorithm,
-            output_target=(output_targets or {}).get(vid),
-        )
-        state = VoterState(cfg)
-        fellow_eps = {}
-        for other in range(1, n + 1):
-            if other == vid:
-                continue
-            pair = (min(vid, other), max(vid, other))
-            fellow_eps[other] = fellow_links[pair].endpoint_for(vname)
-        outbox = Outbox(fabric, vname)
-        voter = Voter(
-            name=vname,
-            state=state,
-            fabric=fabric,
-            user_ep=user_links[vid].endpoint_for(vname),
-            fellow_eps=fellow_eps,
-            outbox=outbox,
-        )
-        fabric.scheduler.spawn(vname, voter.main(), role="voter")
-        fabric.scheduler.spawn(sender_name(farm, vid), outbox.pump(), role="sender")
-        states[vid] = state
-        user_eps[vid] = user_links[vid].endpoint_for(user_name(farm, vid))
-
-    return FarmRuntime(
-        farm=farm,
-        descriptor=descriptor,
-        fabric=fabric,
-        delta_t=delta_t,
-        metric=metric_fn,
-        algorithm=algorithm,
-        states=states,
-        user_endpoints=user_eps,
-    )
+    @property
+    def members(self) -> set[str]:
+        """The farm's own voters and users, the ends of all its links."""
+        ids = range(1, self.n + 1)
+        return {name(self.farm, v) for name in (voter_name, user_name) for v in ids}

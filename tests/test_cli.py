@@ -256,6 +256,51 @@ def test_bench_rejects_bad_sizes(capsys):
     assert "positive farm sizes" in err
 
 
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_bench_rejects_too_few_repetitions(capsys, repetitions):
+    code, out, err = run_cli(
+        capsys, "bench", "--n-values", "1", "--repetitions", repetitions
+    )
+    assert code == 2
+    assert out == ""
+    assert f"votefarm: repetitions must be >= 1, got {repetitions}" in err
+
+
+def test_bench_json_to_a_file(capsys, tmp_path):
+    path = tmp_path / "bench.json"
+    code, out, _ = run_cli(
+        capsys,
+        "bench",
+        "--n-values",
+        "1",
+        "--repetitions",
+        "2",
+        "--delta-t",
+        "0.01",
+        "--output-path",
+        str(path),
+    )
+    assert code == 0
+    assert out == ""
+    (row,) = json.loads(path.read_text())
+    assert sorted(row) == ["mean_duration", "n", "repetitions", "stddev_duration"]
+    assert (row["n"], row["repetitions"]) == (1, 2)
+
+
+def test_badly_shaped_spec_file_exits_two(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"stages": [3], "repetitions": "x"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "votefarm.cli", "run", "--spec", str(spec_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "votefarm: stage 1: must be an object, got int" in proc.stderr
+    assert "votefarm: 'repetitions' must be an integer, got 'x'" in proc.stderr
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

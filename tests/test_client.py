@@ -21,6 +21,7 @@ from votefarm.core import (
     VoteKind,
     VoteValue,
 )
+from votefarm.harness import census_check
 from votefarm.sim import VIRTUAL, sleep
 from votefarm.voter import user_name, voter_name
 
@@ -146,6 +147,19 @@ def test_control_rejects_foreign_requests():
     assert handle.run()
     with pytest.raises(TypeError):
         next(handle.control([object()]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_first_handle_run_activates_a_farm_that_passes_the_census(n):
+    """No activate_farm call here: the first run() brings the farm up and
+    the rest attach, and the result is one correctly wired farm."""
+    world = World(VIRTUAL)
+    handles = [described_handle(world, "hc", uid, n=n) for uid in range(1, n + 1)]
+    assert all(handle.run() for handle in handles)
+    assert list(world.farms) == ["hc"]
+    world.run()
+    check = census_check(world.fabric, n)
+    assert check.passed, check.detail()
 
 
 # -- remote operations, driven inside user activities -------------------------

@@ -1,0 +1,74 @@
+"""Golden report digests: a refactor must leave virtual-clock reports
+byte-identical.
+
+Each digest is sha256 over `run_experiment(spec).to_json()`.  The digests
+were recorded from the program before the farm-wiring paths were merged
+into one, and must never be regenerated to make this test pass: a changed
+digest means a changed report, which is a behaviour change.
+"""
+
+import hashlib
+
+import pytest
+
+from votefarm.core import VoteKind, VoteValue
+from votefarm.harness import (
+    ExperimentSpec,
+    FaultKind,
+    FaultSpec,
+    PipelineSpec,
+    StageSpec,
+    run_experiment,
+)
+
+
+def floats(*xs) -> tuple[VoteValue, ...]:
+    return tuple(VoteValue.from_floats([x]) for x in xs)
+
+
+SPECS = {
+    "tmr_fault_free": ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3),))),
+    "median_then_majority": ExperimentSpec(
+        pipeline=PipelineSpec(
+            (
+                StageSpec(n=5, algorithm=VoteKind.MEDIAN),
+                StageSpec(n=5, algorithm=VoteKind.MAJORITY, epsilon=0.5),
+            )
+        ),
+        inputs=floats(10.0, 10.2, 9.9, 1e6, -1e6),
+        metric="euclidean",
+    ),
+    "every_fault_kind": ExperimentSpec(
+        pipeline=PipelineSpec((StageSpec(n=5),) * 3),
+        faults=(
+            FaultSpec(FaultKind.CRASH_USER, voter=2, stage=1),
+            FaultSpec(FaultKind.CORRUPT_INPUT, voter=4, stage=1),
+            FaultSpec(FaultKind.CRASH_VOTER, voter=1, stage=2),
+            FaultSpec(FaultKind.DROP_MESSAGE, voter=3, stage=2),
+            FaultSpec(FaultKind.DELAY_MESSAGE, voter=5, stage=3),
+        ),
+        seed=3,
+        metric="default",
+    ),
+    "three_repetitions": ExperimentSpec(
+        pipeline=PipelineSpec((StageSpec(n=3, delta_t=0.5),)),
+        faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=2),),
+        seed=11,
+        repetitions=3,
+        metric="euclidean",
+    ),
+}
+
+DIGESTS = {
+    "tmr_fault_free": "ed7a07ef2d4a9445d43023478b4ab0098ba32c78666ee356a31824c3e14c98f6",
+    "median_then_majority": "d97edf40fd26bc5fbc386750c67a33b77740a736b7ff3efc442e130cb9237df7",
+    "every_fault_kind": "6e673935e5376745d096efeec8d166ae5a4f7664f494432a5f73ee400ad751e7",
+    "three_repetitions": "d2e83548aa71695541f27689192c4635a30699c08aa5fb7c985da0fc234fdb6d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_report_digest_is_unchanged(name):
+    report = run_experiment(SPECS[name])
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == DIGESTS[name]

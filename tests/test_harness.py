@@ -19,7 +19,6 @@ from votefarm.harness import (
     StageSpec,
     bench,
     census_check,
-    farm_census,
     outcome_hash,
     run_experiment,
     run_pipeline,
@@ -206,6 +205,34 @@ def test_spec_from_json_accumulates_errors():
     assert "fault 2" in text  # no voter given
     assert "input 1" in text
     assert len(err.value.violations) == 4
+
+
+STAGE = {"n": 3}
+
+
+@pytest.mark.parametrize(
+    "obj,needle",
+    [
+        ([STAGE], "spec must be a JSON object, got list"),
+        ({"stages": [STAGE, 3]}, "stage 2: must be an object, got int"),
+        ({"stages": [STAGE], "faults": ["crash_user"]}, "fault 1: must be an object"),
+        ({"stages": [STAGE], "inputs": 5}, "'inputs' must be a list, got int"),
+        ({"stages": [STAGE], "faults": {"kind": "crash_user"}}, "'faults' must be a list"),
+        ({"stages": [STAGE], "repetitions": "two"}, "'repetitions' must be an integer"),
+        ({"stages": [STAGE], "seed": [1]}, "'seed' must be an integer, got [1]"),
+    ],
+)
+def test_spec_from_json_reports_bad_shapes(obj, needle):
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert needle in "\n".join(err.value.violations)
+
+
+def test_spec_from_json_lists_every_shape_error():
+    obj = {"stages": [7], "faults": "x", "inputs": {}, "seed": 1.5, "repetitions": None}
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert len(err.value.violations) == 5
 
 
 def test_spec_from_json_requires_stages():
@@ -422,7 +449,7 @@ def test_outcome_hash_forms():
 def test_farm_census_counts_only_the_farm_itself():
     world = World(VIRTUAL)
     rt = world.activate_farm("a", (1, 2, 3, 4), metric="euclidean")
-    c = farm_census(rt)
+    c = world.fabric.census(rt.members)
     assert (c.virtual, c.local, c.voters) == (6, 4, 4)
 
 

@@ -1,0 +1,58 @@
+"""Every experiment script runs to completion on small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run scripts/<script> against this checkout's sources; output is
+    left as bytes so line endings stay visible."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("masking_sweep.py", ["--sizes", "3"]),
+        ("overhead_bench.py", ["--sizes", "1", "2", "--repetitions", "2"]),
+        ("overhead_bench.py", ["--sizes", "1", "2", "--repetitions", "2", "--csv"]),
+        ("pipeline_demo.py", []),
+        ("timeout_cost.py", ["--n", "3"]),
+    ],
+)
+def test_script_exits_zero(script, args):
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout
+
+
+def test_overhead_bench_csv_matches_the_cli_format():
+    proc = run_script("overhead_bench.py", "--sizes", "1", "--repetitions", "2", "--csv")
+    assert proc.returncode == 0, proc.stderr.decode()
+    header, row, tail = proc.stdout.decode().split("\n")
+    assert header == "n,repetitions,mean_duration,stddev_duration"
+    assert row.startswith("1,2,")
+    assert tail == ""
+
+
+def test_overhead_bench_rejects_zero_repetitions():
+    proc = run_script("overhead_bench.py", "--repetitions", "0")
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "repetitions must be >= 1, got 0" in err
+    assert "Traceback" not in err
