@@ -115,9 +115,7 @@ class VoteValue:
     def floats(self) -> tuple[float, ...]:
         if not self.numeric:
             raise ValueError("VoteValue has no numeric view")
-        return tuple(
-            _F64.unpack_from(self.data, off)[0] for off in range(0, len(self.data), 8)
-        )
+        return struct.unpack(f"<{len(self.data) >> 3}d", self.data)
 
     @property
     def dimension(self) -> int:

@@ -224,12 +224,20 @@ _ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
 _FAULT_NAMES = {k.value: k for k in FaultKind}
 
 
-def _int_field(obj: dict, key: str, default: int, bad: list[str]) -> int:
+def _int_field(
+    obj: dict, key: str, default: int | None, bad: list[str], where: str = ""
+) -> int:
+    """`obj[key]` as a JSON integer (never a float, string or bool), or
+    `default` when the key is absent; a default of None makes the key
+    required.  Each violation is appended to `bad`, prefixed by `where`."""
+    if key not in obj and default is None:
+        bad.append(f"{where}'{key}' is required")
+        return 0
     value = obj.get(key, default)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    bad.append(f"'{key}' must be an integer, got {value!r}")
-    return default
+    bad.append(f"{where}'{key}' must be an integer, got {value!r}")
+    return 0 if default is None else default
 
 
 def _list_field(obj: dict, key: str, bad: list[str]) -> list | None:
@@ -258,10 +266,11 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         if kind is None:
             bad.append(f"stage {k}: unknown algorithm {name!r}")
             kind = VoteKind.MAJORITY
+        n = _int_field(raw, "n", 0, bad, f"stage {k}: ")
         try:
             stages.append(
                 StageSpec(
-                    n=int(raw.get("n", 0)),
+                    n=n,
                     algorithm=kind,
                     epsilon=float(raw.get("epsilon", 0.0)),
                     scaling=float(raw.get("scaling", 1.0)),
@@ -279,18 +288,22 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         if kind is None:
             bad.append(f"fault {i}: unknown kind {raw.get('kind')!r}")
             continue
+        where = f"fault {i}: "
+        voter = _int_field(raw, "voter", None, bad, where)
+        stage = _int_field(raw, "stage", 1, bad, where)
+        index = _int_field(raw, "index", 0, bad, where)
         try:
             faults.append(
                 FaultSpec(
                     kind=kind,
-                    voter=int(raw["voter"]),
-                    stage=int(raw.get("stage", 1)),
+                    voter=voter,
+                    stage=stage,
                     pattern=bytes.fromhex(raw.get("pattern", "ff")),
                     delay=None if raw.get("delay") is None else float(raw["delay"]),
-                    index=int(raw.get("index", 0)),
+                    index=index,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             bad.append(f"fault {i}: {exc!r}")
     inputs = _list_field(obj, "inputs", bad)
     values = None

@@ -22,6 +22,9 @@ from .core import (
     VoteValue,
 )
 
+# Voting assumes d(a, a) == 0 and d(a, b) == d(b, a): it measures each
+# unordered pair once and never a value against itself.  `default_metric`
+# meets both exactly, `euclidean_metric` on values without inf or NaN.
 Metric = Callable[[VoteValue, VoteValue], float]
 
 
@@ -45,6 +48,8 @@ _METRICS: dict[str, Metric] = {
 
 
 def register_metric(name: str, fn: Metric) -> None:
+    """Make `fn` resolvable by `name`.  Voting assumes d(a, a) == 0 and
+    d(a, b) == d(b, a) of it (see `Metric`)."""
     _METRICS[name] = fn
 
 
@@ -97,16 +102,26 @@ def cluster(
     )
 
 
+def _distance_totals(values: Sequence[VoteValue], metric: Metric) -> list[float]:
+    """Each value's summed distance to the others, measuring each unordered
+    pair once.  Every total takes its terms in ascending index order, as a
+    scan of its row of the distance matrix would."""
+    totals = [0.0] * len(values)
+    for a, va in enumerate(values):
+        for b in range(a + 1, len(values)):
+            d = metric(va, values[b])
+            totals[a] += d
+            totals[b] += d
+    return totals
+
+
 def _representative(slots: Sequence[ValueSlot], cls: EqClass, metric: Metric) -> int:
     """Class member minimizing total distance to the other members; ties go
     to the lowest slot index."""
-    best_index = cls.members[0]
-    best_total = None
-    for i in cls.members:
-        total = sum(metric(slots[i].value, slots[j].value) for j in cls.members)
-        if best_total is None or total < best_total:
-            best_index, best_total = i, total
-    return best_index
+    totals = _distance_totals([slots[i].value for i in cls.members], metric)
+    # min() replaces its pick only on a strict `<`: the lowest index wins a
+    # tie, and a NaN first total is never displaced.
+    return cls.members[min(range(len(totals)), key=totals.__getitem__)]
 
 
 def vote_majority(
@@ -127,20 +142,30 @@ def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
     """Generalized median: repeatedly discard the two remaining values at
     maximum pairwise distance (ties: lexicographically smallest index pair)
     until one or two remain; of two, the lower slot index wins."""
-    remaining = [i for i, s in enumerate(slots) if s.valid]
-    if not remaining:
+    values = [s.value for s in slots if s.valid]
+    if not values:
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
+    if len(values) <= 2:
+        return VoteOutcome(value=values[0])
+    # Every pair is measured once, up front, in the order of the first
+    # discard scan; dist[a][b] holds the distance for a < b.
+    dist = [
+        [0.0] * (a + 1) + [metric(va, values[b]) for b in range(a + 1, len(values))]
+        for a, va in enumerate(values)
+    ]
+    remaining = list(range(len(values)))
     while len(remaining) > 2:
         best_pair = None
         best_dist = -1.0
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                d = metric(slots[remaining[a]].value, slots[remaining[b]].value)
+        for x, a in enumerate(remaining):
+            row = dist[a]
+            for b in remaining[x + 1 :]:
+                d = row[b]
                 if d > best_dist:
                     best_dist = d
-                    best_pair = (remaining[a], remaining[b])
+                    best_pair = (a, b)
         remaining = [i for i in remaining if i not in best_pair]
-    return VoteOutcome(value=slots[remaining[0]].value)
+    return VoteOutcome(value=values[remaining[0]])
 
 
 def vote_plurality(
@@ -179,11 +204,8 @@ def vote_weighted_average(
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
 
     raw = [0.0] * len(slots)
-    for i in valid:
-        total = 0.0
-        for j in valid:
-            if j != i:
-                total += metric(slots[i].value, slots[j].value)
+    totals = _distance_totals([slots[i].value for i in valid], metric)
+    for i, total in zip(valid, totals):
         raw[i] = 1.0 / (1.0 + scaling_factor * total)
     z = sum(raw[i] for i in valid)
     if not (z > 0.0) or math.isinf(z) or math.isnan(z):

@@ -1,6 +1,8 @@
 """Voting algorithms against frozen examples and their invariants."""
 
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -262,3 +264,202 @@ def test_register_metric_roundtrip():
     register_metric("taxicab-test", taxicab)
     fn, name = resolve_metric("taxicab-test")
     assert fn is taxicab and name == "taxicab-test"
+
+
+# -- work counts: each unordered pair measured once ------------------------------
+
+
+class CountingMetric:
+    """euclidean_metric that records the slot indices of every pair it is
+    passed; `index` maps each payload object back to its slot."""
+
+    def __init__(self, sv):
+        self.index = {id(s.value): i for i, s in enumerate(sv) if s.valid}
+        self.pairs = []
+
+    def __call__(self, a, b):
+        self.pairs.append((self.index[id(a)], self.index[id(b)]))
+        return euclidean_metric(a, b)
+
+    def assert_each_pair_once(self, pairs):
+        assert all(i != j for i, j in pairs)  # d(a, a) = 0 is never measured
+        unordered = [frozenset(p) for p in pairs]
+        assert len(set(unordered)) == len(unordered)
+
+
+def spread_slots(n_valid, seed, invalid_every=4):
+    """n_valid distinct valid slots with an invalid one after every few."""
+    rng = random.Random(seed)
+    xs = []
+    for k in range(n_valid):
+        if k and k % invalid_every == 0:
+            xs.append(None)
+        xs.append(rng.uniform(-100.0, 100.0))
+    return slots(*xs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 15, 31])
+def test_median_measures_each_valid_pair_once(n):
+    sv = spread_slots(n, seed=n)
+    metric = CountingMetric(sv)
+    assert vote_median(sv, metric).ok
+    assert len(metric.pairs) == n * (n - 1) // 2
+    metric.assert_each_pair_once(metric.pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_median_of_two_or_fewer_measures_nothing(n):
+    sv = spread_slots(n, seed=n)
+    metric = CountingMetric(sv)
+    assert vote_median(sv, metric).ok
+    assert metric.pairs == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15, 31])
+def test_weighted_average_measures_each_valid_pair_once(n):
+    sv = spread_slots(n, seed=n)
+    metric = CountingMetric(sv)
+    assert vote_weighted_average(sv, 0.5, metric).ok
+    assert len(metric.pairs) == n * (n - 1) // 2
+    metric.assert_each_pair_once(metric.pairs)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 15, 31])
+def test_unanimous_majority_work_count(k):
+    sv = slots(*([42.0] * k))
+    metric = CountingMetric(sv)
+    assert first_float(vote_majority(sv, 0.0, metric)) == 42.0
+    # the leader scan compares each later slot with the leader, then the
+    # representative measures every pair of the class once
+    assert len(metric.pairs) == (k - 1) + k * (k - 1) // 2
+    assert metric.pairs[: k - 1] == [(i, 0) for i in range(1, k)]
+    metric.assert_each_pair_once(metric.pairs[k - 1 :])
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4),
+       st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4))
+def test_builtin_metrics_meet_the_axioms(xs, ys):
+    """Voting relies on d(a, a) == 0 and d(a, b) == d(b, a), bit for bit."""
+    ys = (ys * len(xs))[: len(xs)]
+    a, b = VoteValue.from_floats(xs), VoteValue.from_floats(ys)
+    for metric in (default_metric, euclidean_metric):
+        try:
+            ab = metric(a, b)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                metric(b, a)
+            continue
+        assert struct.pack("<d", ab) == struct.pack("<d", metric(b, a))
+        if all(math.isfinite(x) for x in xs):
+            assert metric(a, a) == 0.0
+
+
+# -- exactness beyond the oracle's size limit ----------------------------------------
+
+
+def reference_median(xs):
+    """Slot index the median rule picks over scalars (None: invalid),
+    written from its definition: discard the farthest-apart pair (ties:
+    smallest index pair) until at most two remain; of two, the lower index."""
+    left = [i for i, x in enumerate(xs) if x is not None]
+    while len(left) > 2:
+        best, pair = -1.0, None
+        for a in range(len(left)):
+            for b in range(a + 1, len(left)):
+                d = math.sqrt((xs[left[a]] - xs[left[b]]) ** 2)
+                if d > best:
+                    best, pair = d, (left[a], left[b])
+        left = [i for i in left if i not in pair]
+    return left[0]
+
+
+def reference_majority(sv, epsilon):
+    """Slot index the majority rule picks, or None: first-fit classes by
+    distance to the leader, a class of more than N/2 slots wins, and its
+    representative minimizes the full row sum of the k x k distance matrix
+    (ties: lowest slot index)."""
+    classes = []
+    for i, s in enumerate(sv):
+        if not s.valid:
+            continue
+        for cls in classes:
+            if euclidean_metric(s.value, sv[cls[0]].value) <= epsilon:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    for cls in classes:
+        if 2 * len(cls) > len(sv):
+            rows = [
+                sum(euclidean_metric(sv[i].value, sv[j].value) for j in cls) for i in cls
+            ]
+            best = 0
+            for k in range(1, len(cls)):
+                if rows[k] < rows[best]:
+                    best = k
+            return cls[best]
+    return None
+
+
+def reference_weights(sv, scaling):
+    """Raw weight of each valid slot from a full row scan of the distance
+    matrix: 1 / (1 + s * sum of its distances to the other valid slots)."""
+    valid = [i for i, s in enumerate(sv) if s.valid]
+    raw = {}
+    for i in valid:
+        total = 0.0
+        for j in valid:
+            if j != i:
+                total += euclidean_metric(sv[i].value, sv[j].value)
+        raw[i] = 1.0 / (1.0 + scaling * total)
+    return raw
+
+
+def noisy_replicas(n, seed):
+    """n scalar replica values: an honest cluster near 42 on a coarse grid
+    (so equal values and distance ties occur), a minority of far outliers
+    and a few invalid slots."""
+    rng = random.Random(f"noisy_replicas:{n}:{seed}")
+    xs = [42.0 + rng.choice([-0.2, -0.1, 0.0, 0.0, 0.1, 0.3]) for _ in range(n)]
+    for i in rng.sample(range(n), rng.randrange(n // 2)):
+        roll = rng.random()
+        if roll < 0.2:
+            xs[i] = None
+        elif roll < 0.6:
+            xs[i] = rng.choice([-1.0, 1.0]) * rng.uniform(1e3, 1e6)
+        else:
+            xs[i] = 42.0 + rng.choice([-1.0, 1.0]) * rng.choice([0.5, 0.7, 2.0])
+    return xs
+
+
+EXACT_CASES = [(n, seed) for n in (15, 31) for seed in range(50)]
+
+
+@pytest.mark.parametrize("n,seed", EXACT_CASES)
+def test_median_matches_reference_beyond_oracle(n, seed):
+    xs = noisy_replicas(n, seed)
+    out = vote_median(slots(*xs), euclidean_metric)
+    assert out.value.data == struct.pack("<d", xs[reference_median(xs)])
+
+
+@pytest.mark.parametrize("n,seed", EXACT_CASES)
+def test_majority_matches_reference_beyond_oracle(n, seed):
+    xs = noisy_replicas(n, seed)
+    sv = slots(*xs)
+    for epsilon in (0.0, 0.1, 0.25, 0.5, 1.0):
+        out = vote_majority(sv, epsilon, euclidean_metric)
+        want = reference_majority(sv, epsilon)
+        if want is None:
+            assert out.failure == ErrorCode.NO_MAJORITY
+        else:
+            assert out.value is sv[want].value
+
+
+@pytest.mark.parametrize("n,seed", EXACT_CASES)
+def test_weighted_average_matches_reference_beyond_oracle(n, seed):
+    sv = slots(*noisy_replicas(n, seed))
+    for scaling in (0.0, 0.01, 1.0):
+        raw = reference_weights(sv, scaling)
+        z = sum(raw.values())
+        out = vote_weighted_average(sv, scaling, euclidean_metric)
+        assert out.weights == tuple(raw.get(i, 0.0) / z for i in range(len(sv)))

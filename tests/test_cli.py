@@ -301,6 +301,28 @@ def test_badly_shaped_spec_file_exits_two(tmp_path):
     assert "votefarm: 'repetitions' must be an integer, got 'x'" in proc.stderr
 
 
+def test_non_integer_stage_and_fault_fields_exit_two(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps(
+            {
+                "stages": [{"n": 3.9}],
+                "faults": [{"kind": "crash_user", "voter": 1.7, "index": "0"}],
+            }
+        )
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "votefarm.cli", "run", "--spec", str(spec_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "votefarm: stage 1: 'n' must be an integer, got 3.9" in proc.stderr
+    assert "votefarm: fault 1: 'voter' must be an integer, got 1.7" in proc.stderr
+    assert "votefarm: fault 1: 'index' must be an integer, got '0'" in proc.stderr
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -241,6 +241,59 @@ def test_spec_from_json_requires_stages():
     assert "non-empty 'stages' list" in str(err.value)
 
 
+CRASH = {"kind": "crash_user", "voter": 1}
+
+
+@pytest.mark.parametrize(
+    "obj,needle",
+    [
+        ({"stages": [{"n": 3.9}]}, "stage 1: 'n' must be an integer, got 3.9"),
+        ({"stages": [{"n": "3"}]}, "stage 1: 'n' must be an integer, got '3'"),
+        ({"stages": [STAGE, {"n": True}]}, "stage 2: 'n' must be an integer, got True"),
+        ({"stages": [STAGE], "faults": [{**CRASH, "voter": 1.7}]},
+         "fault 1: 'voter' must be an integer, got 1.7"),
+        ({"stages": [STAGE], "faults": [{**CRASH, "voter": "1"}]},
+         "fault 1: 'voter' must be an integer, got '1'"),
+        ({"stages": [STAGE], "faults": [{"kind": "crash_user"}]},
+         "fault 1: 'voter' is required"),
+        ({"stages": [STAGE], "faults": [{**CRASH, "stage": 1.0}]},
+         "fault 1: 'stage' must be an integer, got 1.0"),
+        ({"stages": [STAGE], "faults": [{**CRASH, "index": 0.5}]},
+         "fault 1: 'index' must be an integer, got 0.5"),
+        ({"stages": [STAGE], "faults": [CRASH, {**CRASH, "index": False}]},
+         "fault 2: 'index' must be an integer, got False"),
+        ({"stages": [STAGE], "faults": [{**CRASH, "voter": None}]},
+         "fault 1: 'voter' must be an integer, got None"),
+    ],
+)
+def test_spec_from_json_rejects_non_integer_fields(obj, needle):
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert err.value.violations == [needle]
+
+
+def test_spec_from_json_lists_every_non_integer_field():
+    obj = {
+        "stages": [{"n": 3.9}, {"n": "3"}],
+        "faults": [{"kind": "crash_user", "voter": 1.7, "stage": "1", "index": 0.5}],
+        "seed": True,
+    }
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert len(err.value.violations) == 6
+
+
+def test_spec_from_json_keeps_integer_fields():
+    obj = {
+        "stages": [{"n": 5}, {"n": 5}],
+        "faults": [{"kind": "drop_message", "voter": 2, "stage": 2, "index": 1}],
+    }
+    spec = spec_from_json(obj)
+    assert [s.n for s in spec.pipeline.stages] == [5, 5]
+    (fault,) = spec.faults
+    assert (fault.voter, fault.stage, fault.index) == (2, 2, 1)
+
+
 # -- single-farm experiments ---------------------------------------------------
 
 

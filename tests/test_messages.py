@@ -212,6 +212,39 @@ def test_vote_value_float_view(xs):
     assert list(v.floats()) == [struct.unpack("<d", struct.pack("<d", x))[0] for x in xs]
 
 
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# -0.0, both infinities, a NaN with a payload, a negative NaN, a subnormal
+SPECIAL_FLOATS = [
+    -0.0,
+    math.inf,
+    -math.inf,
+    _from_bits(0x7FF8_0000_0000_0123),
+    _from_bits(0xFFF8_0000_0000_0000),
+    5e-324,
+    1.0,
+    -1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_float_view_round_trips_bit_for_bit(dim):
+    for start in range(len(SPECIAL_FLOATS)):
+        xs = [SPECIAL_FLOATS[(start + k) % len(SPECIAL_FLOATS)] for k in range(dim)]
+        v = VoteValue.from_floats(xs)
+        got = v.floats()
+        assert type(got) is tuple and len(got) == dim
+        # NaN != NaN, so equality is checked on the bits
+        assert struct.pack(f"<{dim}d", *got) == struct.pack(f"<{dim}d", *xs) == v.data
+
+
+def test_float_view_needs_a_numeric_value():
+    with pytest.raises(ValueError, match="no numeric view"):
+        VoteValue.from_bytes(bytes(8)).floats()
+
+
 # -- descriptor lifecycle -----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Every experiment script runs to completion on small arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
         ("overhead_bench.py", ["--sizes", "1", "2", "--repetitions", "2", "--csv"]),
         ("pipeline_demo.py", []),
         ("timeout_cost.py", ["--n", "3"]),
+        ("vote_bench.py", ["--sizes", "3", "7"]),
     ],
 )
 def test_script_exits_zero(script, args):
@@ -56,3 +58,17 @@ def test_overhead_bench_rejects_zero_repetitions():
     err = proc.stderr.decode()
     assert "repetitions must be >= 1, got 0" in err
     assert "Traceback" not in err
+
+
+def test_vote_bench_writes_its_file_only_with_out(tmp_path):
+    out = tmp_path / "BENCH_voting.json"
+    proc = run_script(
+        "vote_bench.py", "--sizes", "7", "--rounds", "1", "--calls", "1", "--out", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 8  # four algorithms under two metrics
+    calls = {(r["algorithm"], r["metric"]): r["metric_calls_per_vote"] for r in rows}
+    # six valid slots: the median and the weighted average measure 6 * 5 / 2 pairs
+    assert calls["median", "euclidean"] == calls["weighted_average", "euclidean"] == 15
