@@ -25,6 +25,8 @@ from votefarm.voting import resolve_metric, vote
 
 METRICS = ("default", "euclidean")
 SEED = 1
+ROUNDS = 7  # timed rounds per cell
+CALLS_PER_ROUND = 5  # vote() calls per round
 
 
 def make_slots(n: int, metric: str) -> tuple[ValueSlot, ...]:
@@ -53,18 +55,18 @@ def count_metric_calls(algorithm: AlgorithmId, slots, metric) -> tuple[int, bool
     return calls, outcome.ok
 
 
-def time_vote(algorithm: AlgorithmId, slots, metric, rounds: int, calls: int) -> float:
+def time_vote(algorithm: AlgorithmId, slots, metric) -> float:
     """Median over rounds of the mean microseconds per vote()."""
     per_round = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         t0 = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(CALLS_PER_ROUND):
             vote(algorithm, slots, metric)
-        per_round.append((time.perf_counter() - t0) / calls * 1e6)
+        per_round.append((time.perf_counter() - t0) / CALLS_PER_ROUND * 1e6)
     return statistics.median(per_round)
 
 
-def bench_rows(sizes, rounds: int, calls: int) -> list[dict]:
+def bench_rows(sizes) -> list[dict]:
     rows = []
     for metric_name in METRICS:
         metric, _ = resolve_metric(metric_name)
@@ -81,7 +83,7 @@ def bench_rows(sizes, rounds: int, calls: int) -> list[dict]:
                         "n": n,
                         "ok": ok,
                         "metric_calls_per_vote": metric_calls,
-                        "us_per_vote_p50": time_vote(algorithm, slots, metric, rounds, calls),
+                        "us_per_vote_p50": time_vote(algorithm, slots, metric),
                     }
                 )
     return rows
@@ -90,20 +92,18 @@ def bench_rows(sizes, rounds: int, calls: int) -> list[dict]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 7, 15, 31, 63])
-    parser.add_argument("--rounds", type=int, default=7, help="timed rounds per cell")
-    parser.add_argument("--calls", type=int, default=5, help="vote() calls per round")
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     args = parser.parse_args()
-    if min(args.sizes) < 1 or args.rounds < 1 or args.calls < 1:
-        parser.error("--sizes, --rounds and --calls must be >= 1")
+    if min(args.sizes) < 1:
+        parser.error("--sizes must be >= 1")
 
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "rounds": args.rounds,
-        "calls_per_round": args.calls,
+        "rounds": ROUNDS,
+        "calls_per_round": CALLS_PER_ROUND,
         "seed": SEED,
-        "rows": bench_rows(args.sizes, args.rounds, args.calls),
+        "rows": bench_rows(args.sizes),
     }
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:

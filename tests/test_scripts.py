@@ -62,9 +62,7 @@ def test_overhead_bench_rejects_zero_repetitions():
 
 def test_vote_bench_writes_its_file_only_with_out(tmp_path):
     out = tmp_path / "BENCH_voting.json"
-    proc = run_script(
-        "vote_bench.py", "--sizes", "7", "--rounds", "1", "--calls", "1", "--out", str(out)
-    )
+    proc = run_script("vote_bench.py", "--sizes", "7", "--out", str(out))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b""
     rows = json.loads(out.read_text())["rows"]
