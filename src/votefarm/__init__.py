@@ -47,9 +47,7 @@ from .transport import (
     Fabric,
     LinkCensus,
     LinkKind,
-    MessageArrived,
     Outbox,
-    TimedOut,
     receive_any,
 )
 from .voter import (

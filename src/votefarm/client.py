@@ -35,7 +35,7 @@ from .core import (
     encode_message,
 )
 from .sim import TIMED_OUT, VIRTUAL, Scheduler, Wait
-from .transport import Endpoint, Fabric, Outbox, TimedOut, _recv_message
+from .transport import Endpoint, Fabric, Outbox
 from .voting import Metric, resolve_metric
 from .voter import (
     FarmRuntime,
@@ -62,8 +62,8 @@ class World:
     def spawn(self, name: str, gen, role: str = "activity") -> None:
         self.scheduler.spawn(name, gen, role)
 
-    def run(self, until=None, max_steps: int = 20_000_000) -> None:
-        self.scheduler.run(until=until, max_steps=max_steps)
+    def run(self) -> None:
+        self.scheduler.run()
 
     def activate_farm(
         self,
@@ -290,6 +290,33 @@ class FarmHandle:
             if got[1].tag == Tag.REFUSED:
                 refused = True
 
+    def _request(self, tag: Tag, replies: tuple[Tag, ...], timeout: float | None):
+        """Drain the link, send a `tag` request, and wait for a reply whose
+        tag is in `replies`, skipping stale pushes (generator).  Returns
+        that message, or None with last_error set when the handle is not
+        running, the send fails, or `timeout` (None: no limit) runs out."""
+        self.last_error = ErrorCode.NONE
+        if not self._require_running():
+            return None
+        yield from self._drain()
+        if not self._send(Message(tag, USER)):
+            return None
+        sched = self.world.scheduler
+        deadline = None if timeout is None else sched.now + timeout
+        while True:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - sched.now
+                if remaining <= 0:
+                    break
+            got = yield Wait((self.endpoint,), remaining)
+            if got is TIMED_OUT:
+                break
+            if got[1].tag in replies:
+                return got[1]
+        self.last_error = ErrorCode.TIMEOUT
+        return None
+
     # -- remote operations (generators: run inside a user activity) -------------
 
     def control(self, requests) -> bool:
@@ -329,70 +356,30 @@ class FarmHandle:
 
         Returns the VoteOutcome after a completed round; None when the
         voter refuses (round still open, last_error stays NONE) or when
-        nothing arrives within `timeout` (last_error = TIMEOUT).
+        nothing arrives within `timeout` (last_error = TIMEOUT).  Stale
+        DONE pushes are skipped.
         """
-        self.last_error = ErrorCode.NONE
-        if not self._require_running():
+        msg = yield from self._request(Tag.GET, (Tag.VOTED_VALUE, Tag.REFUSED), timeout)
+        if msg is None or msg.tag == Tag.REFUSED:
             return None
-        yield from self._drain()
-        if not self._send(Message(Tag.GET, USER)):
-            return None
-        deadline = self.world.scheduler.now + timeout
-        while True:
-            remaining = deadline - self.world.scheduler.now
-            if remaining <= 0:
-                self.last_error = ErrorCode.TIMEOUT
-                return None
-            got = yield from _recv_message((self.endpoint,), remaining)
-            if isinstance(got, TimedOut):
-                self.last_error = ErrorCode.TIMEOUT
-                return None
-            msg = got.message
-            if msg.tag == Tag.VOTED_VALUE:
-                return msg.payload
-            if msg.tag == Tag.REFUSED:
-                return None
-            # DONE pushes and anything else stale: keep waiting.
+        return msg.payload
 
     def close(self, timeout: float | None = None):
         """Shut down this handle's voter (generator).
 
         On DONE the handle moves to CLOSED; a REFUSED (round still open)
         or a timeout leaves it RUNNING with last_error set so the caller
-        can poll and retry.
+        can poll and retry.  Stale VOTED_VALUE pushes are skipped.
         """
-        self.last_error = ErrorCode.NONE
-        if not self._require_running():
+        msg = yield from self._request(Tag.CLOSE, (Tag.DONE, Tag.REFUSED), timeout)
+        if msg is None:
             return False
-        yield from self._drain()
-        if not self._send(Message(Tag.CLOSE, USER)):
+        if msg.tag == Tag.REFUSED:
+            self.last_error = ErrorCode.REFUSED
             return False
-        deadline = (
-            None if timeout is None else self.world.scheduler.now + timeout
-        )
-        while True:
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = deadline - self.world.scheduler.now
-                if remaining <= 0:
-                    self.last_error = ErrorCode.TIMEOUT
-                    return False
-            got = yield from _recv_message((self.endpoint,), remaining)
-            if isinstance(got, TimedOut):
-                self.last_error = ErrorCode.TIMEOUT
-                return False
-            msg = got.message
-            if msg.tag == Tag.DONE:
-                self.descriptor = advance_state(
-                    self.descriptor, FarmState.CLOSED
-                )
-                self.endpoint = None
-                return True
-            if msg.tag == Tag.REFUSED:
-                self.last_error = ErrorCode.REFUSED
-                return False
-            # Stale VOTED_VALUE pushes: keep waiting for the reply.
+        self.descriptor = advance_state(self.descriptor, FarmState.CLOSED)
+        self.endpoint = None
+        return True
 
 
 def open_farm(

@@ -32,15 +32,8 @@ from .core import (
     VoteOutcome,
     VoteValue,
 )
-from .sim import REAL, VIRTUAL, Wait, WaitSource, sleep
-from .transport import (
-    Fabric,
-    TimedOut,
-    _recv_message,
-    corrupt_hook,
-    delay_hook,
-    drop_hook,
-)
+from .sim import REAL, TIMED_OUT, VIRTUAL, Wait, WaitSource, sleep
+from .transport import Fabric, corrupt_hook, delay_hook, drop_hook
 from .voter import FarmRuntime, user_name, voter_name
 from .voting import resolve_metric
 
@@ -240,6 +233,26 @@ def _int_field(
     return 0 if default is None else default
 
 
+def _float_field(
+    obj: dict, key: str, default: float | None, bad: list[str], where: str = ""
+) -> float | None:
+    """`obj[key]` as a float read from a JSON number (an int or a float,
+    never a string or bool), or `default` when the key is absent; a default
+    of None lets the key also be null.  Each violation is appended to
+    `bad`, prefixed by `where`."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            bad.append(f"{where}'{key}' is too large for a float")
+            return default
+    bad.append(f"{where}'{key}' must be a number, got {value!r}")
+    return default
+
+
 def _list_field(obj: dict, key: str, bad: list[str]) -> list | None:
     value = obj.get(key)
     if value is None or isinstance(value, list):
@@ -266,19 +279,16 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         if kind is None:
             bad.append(f"stage {k}: unknown algorithm {name!r}")
             kind = VoteKind.MAJORITY
-        n = _int_field(raw, "n", 0, bad, f"stage {k}: ")
-        try:
-            stages.append(
-                StageSpec(
-                    n=n,
-                    algorithm=kind,
-                    epsilon=float(raw.get("epsilon", 0.0)),
-                    scaling=float(raw.get("scaling", 1.0)),
-                    delta_t=float(raw.get("delta_t", 1.0)),
-                )
+        where = f"stage {k}: "
+        stages.append(
+            StageSpec(
+                n=_int_field(raw, "n", 0, bad, where),
+                algorithm=kind,
+                epsilon=_float_field(raw, "epsilon", 0.0, bad, where),
+                scaling=_float_field(raw, "scaling", 1.0, bad, where),
+                delta_t=_float_field(raw, "delta_t", 1.0, bad, where),
             )
-        except (TypeError, ValueError) as exc:
-            bad.append(f"stage {k}: {exc}")
+        )
     faults = []
     for i, raw in enumerate(_list_field(obj, "faults", bad) or [], start=1):
         if not isinstance(raw, dict):
@@ -292,6 +302,7 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         voter = _int_field(raw, "voter", None, bad, where)
         stage = _int_field(raw, "stage", 1, bad, where)
         index = _int_field(raw, "index", 0, bad, where)
+        delay = _float_field(raw, "delay", None, bad, where)
         try:
             faults.append(
                 FaultSpec(
@@ -299,7 +310,7 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
                     voter=voter,
                     stage=stage,
                     pattern=bytes.fromhex(raw.get("pattern", "ff")),
-                    delay=None if raw.get("delay") is None else float(raw["delay"]),
+                    delay=delay,
                     index=index,
                 )
             )
@@ -341,11 +352,8 @@ def _stage_farm(stage_index: int) -> str:
 @dataclass
 class _UserRecord:
     injected_at: float | None = None
-    outcome: VoteOutcome | None = None
-    got_outcome_at: float | None = None
     messages_sent: int = 0
     closed: bool = False
-    last_error: ErrorCode = ErrorCode.NONE
 
 
 def _stage_user(
@@ -360,45 +368,33 @@ def _stage_user(
     poll_limit: int,
 ):
     """One user module's whole life: obtain an input (given directly or
-    pushed by the previous stage), drive the client sequence, record the
+    pushed by the previous stage), drive the client sequence, poll for the
     outcome, close."""
     if source_ep is not None:
-        got = yield from _recv_message((source_ep,), source_budget)
-        if not isinstance(got, TimedOut):
-            msg = got.message
+        got = yield Wait((source_ep,), source_budget)
+        if got is not TIMED_OUT:
+            msg = got[1]
             if msg.tag == Tag.VOTED_VALUE and msg.payload.ok:
                 value = msg.payload.value
     for node in nodes:
         if not handle.add(node):
-            rec.last_error = handle.last_error
             return
     if not handle.run():
-        rec.last_error = handle.last_error
         return
     if value is not None:
         rec.injected_at = world.scheduler.now
-        ok = yield from handle.control([Input(value)])
-        if not ok:
-            rec.last_error = handle.last_error
+        yield from handle.control([Input(value)])
         for _ in range(poll_limit):
             out = yield from handle.get(timeout=(2 * delta_t))
-            if out is not None:
-                rec.outcome = out
-                rec.got_outcome_at = world.scheduler.now
-                break
-            if handle.last_error == ErrorCode.TIMEOUT:
+            if out is not None or handle.last_error == ErrorCode.TIMEOUT:
                 break
             yield from sleep(delta_t)  # refused: round still open
-        else:
-            rec.last_error = ErrorCode.REFUSED
     rec.messages_sent = handle.messages_sent
     for _ in range(poll_limit):
         rec.closed = yield from handle.close(timeout=(2 * delta_t))
         if rec.closed or handle.last_error == ErrorCode.TIMEOUT:
             break
         yield from sleep(delta_t)  # refused: retry once the round is over
-    if not rec.closed and rec.last_error == ErrorCode.NONE:
-        rec.last_error = handle.last_error
 
 
 def _install_faults(world: World, spec: ExperimentSpec, rng: random.Random) -> None:

@@ -34,11 +34,15 @@ TIMED_OUT = _TimedOut()
 VIRTUAL = "virtual"
 REAL = "real"
 
+MAX_STEPS = 20_000_000  # per Scheduler.run; a livelocked world ends here
+
 
 @dataclass(frozen=True)
 class Wait:
-    """Yielded by an activity: wait for an item on any source, or for
-    `timeout` time units (None blocks indefinitely, 0 yields the floor)."""
+    """The one way an activity blocks: `got = yield Wait(sources, timeout)`
+    resumes with `(source, item)` for the earliest item queued on any of
+    `sources`, or with TIMED_OUT once `timeout` time units pass without
+    one (None blocks indefinitely, 0 yields the floor)."""
 
     sources: tuple
     timeout: float | None
@@ -78,7 +82,6 @@ class Activity:
         "role",
         "finished",
         "halted",
-        "result",
         "waiting_on",
         "wait_seq",
         "in_ready",
@@ -91,7 +94,6 @@ class Activity:
         self.role = role
         self.finished = False
         self.halted = False
-        self.result = None
         self.waiting_on: tuple | None = None
         self.wait_seq = 0
         self.in_ready = False
@@ -219,9 +221,8 @@ class Scheduler:
         while True:
             try:
                 eff = act.gen.send(value)
-            except StopIteration as stop:
+            except StopIteration:
                 act.finished = True
-                act.result = stop.value
                 return
             if not isinstance(eff, Wait):
                 raise TypeError(f"{act.name} yielded {eff!r}, expected Wait")
@@ -255,16 +256,11 @@ class Scheduler:
         elif not self._stale(entry):
             self._wake(entry[3], TIMED_OUT)
 
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        max_steps: int = 20_000_000,
-    ) -> None:
-        """Step activities until quiescence (or `until` turns true).
-
-        Quiescence: no activity is runnable and no live timer or delayed
-        call is pending, i.e. every surviving activity is blocked without
-        timeout.
+    def run(self) -> None:
+        """Step activities until quiescence: no activity is runnable and no
+        live timer or delayed call is pending, i.e. every surviving
+        activity is blocked without timeout.  More than MAX_STEPS steps
+        raise RuntimeError.
         """
         heap = self._heap
         steps = 0
@@ -274,12 +270,8 @@ class Scheduler:
                 act.in_ready = False
                 self._step(act)
                 steps += 1
-                if steps > max_steps:
+                if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")
-                if until is not None and until():
-                    return
-            if until is not None and until():
-                return
             while heap and self._stale(heap[0]):
                 heapq.heappop(heap)
             if not heap:

@@ -24,7 +24,7 @@ from .core import (
     decode_message,
     encode_message,
 )
-from .sim import TIMED_OUT, Scheduler, Wait, WaitSource
+from .sim import Scheduler, Wait, WaitSource
 
 
 class LinkKind(Enum):
@@ -95,17 +95,6 @@ class Delivery:
 
 
 FaultHook = Callable[[Delivery], None]
-
-
-@dataclass(frozen=True)
-class MessageArrived:
-    endpoint: Endpoint
-    message: Message
-
-
-@dataclass(frozen=True)
-class TimedOut:
-    pass
 
 
 class Fabric:
@@ -270,18 +259,11 @@ class Outbox(WaitSource):
             self.fabric.send_from(endpoint, frame)
 
 
-def _recv_message(endpoints: Sequence[Endpoint], timeout: float | None):
-    """Wait for the earliest message on any endpoint (generator).  Frames
-    that fail to parse never land, so garbled traffic is silence here."""
-    got = yield Wait(tuple(endpoints), timeout)
-    if got is TIMED_OUT:
-        return TimedOut()
-    return MessageArrived(*got)
-
-
 def receive_any(endpoints: Sequence[Endpoint], timeout: float):
-    """Generator: earliest message across `endpoints`, or TimedOut after at
-    least `timeout` time units (never earlier)."""
+    """Generator: `(endpoint, message)` for the earliest message across
+    `endpoints`, or TIMED_OUT after at least `timeout` time units (never
+    earlier).  Frames that fail to parse never land, so garbled traffic is
+    silence here."""
     endpoints = tuple(endpoints)
     if not endpoints:
         raise ValueError("receive_any needs at least one link")
@@ -289,7 +271,7 @@ def receive_any(endpoints: Sequence[Endpoint], timeout: float):
         raise ValueError("timeout must be > 0")
     if all(ep.link.closed for ep in endpoints):
         raise TransportDownError("all links are closed")
-    return (yield from _recv_message(endpoints, timeout))
+    return (yield Wait(endpoints, timeout))
 
 
 # -- fault hook constructors --------------------------------------------------
@@ -339,17 +321,10 @@ def corrupt_raw(frame: bytes, pattern: bytes, offset: int = 0) -> bytes:
 
 
 def corrupt_hook(
-    link: Link,
-    dst: str,
-    pattern: bytes,
-    index: int | None = None,
-    payload_only: bool = True,
+    link: Link, dst: str, pattern: bytes, index: int | None = None
 ) -> FaultHook:
     def hook(d: Delivery) -> None:
         if _match(d, link, dst, index):
-            if payload_only:
-                d.frame = corrupt_value_payload(d.frame, pattern)
-            else:
-                d.frame = corrupt_raw(d.frame, pattern)
+            d.frame = corrupt_value_payload(d.frame, pattern)
 
     return hook

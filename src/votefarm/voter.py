@@ -25,7 +25,8 @@ from .core import (
     VoteOutcome,
     VoteValue,
 )
-from .transport import Endpoint, Fabric, Outbox, TimedOut, _recv_message
+from .sim import TIMED_OUT, Wait
+from .transport import Endpoint, Fabric, Outbox
 from .voting import Metric, vote
 
 
@@ -108,7 +109,6 @@ class VoterState:
 
     config: VoterConfig
     phase: Phase = Phase.IDLE
-    round: RoundState | None = None
     last_outcome: VoteOutcome | None = None
     last_slots: tuple | None = None
     rounds_completed: int = 0
@@ -243,7 +243,6 @@ class Voter:
         invalidates the lowest unresolved slot."""
         st = self.state
         rnd = RoundState(self.cfg.n)
-        st.round = rnd
         st.phase = Phase.COLLECTING
         st.round_started_at = self.outbox.scheduler.now
         self._round_feed(first, rnd)
@@ -254,13 +253,13 @@ class Voter:
                 while not rnd.complete:
                     rnd.resolve(ValueSlot.invalidated(rnd.lowest_unresolved()))
                 break
-            got = yield from _recv_message(self.all_eps, self.cfg.delta_t)
-            if isinstance(got, TimedOut):
+            got = yield Wait(self.all_eps, self.cfg.delta_t)
+            if got is TIMED_OUT:
                 st.timeouts += 1
                 rnd.resolve(ValueSlot.invalidated(rnd.lowest_unresolved()))
                 self._take_turn_if_due(rnd)
                 continue
-            msg = got.message
+            msg = got[1]
             st.messages_received += 1
             if msg.tag in (Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID):
                 self._round_feed(msg, rnd)
@@ -287,8 +286,7 @@ class Voter:
     def main(self):
         st = self.state
         while True:
-            got = yield from _recv_message(self.all_eps, None)
-            msg = got.message
+            _, msg = yield Wait(self.all_eps, None)
             st.messages_received += 1
             if msg.tag == Tag.INPUT or msg.tag == Tag.BROADCAST_VALUE:
                 yield from self._run_round(msg)

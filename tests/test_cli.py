@@ -323,6 +323,28 @@ def test_non_integer_stage_and_fault_fields_exit_two(tmp_path):
     assert "votefarm: fault 1: 'index' must be an integer, got '0'" in proc.stderr
 
 
+def test_non_number_stage_and_fault_fields_exit_two(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps(
+            {
+                "stages": [{"n": 3, "delta_t": "0.5", "epsilon": True}],
+                "faults": [{"kind": "delay_message", "voter": 1, "delay": "0.3"}],
+            }
+        )
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "votefarm.cli", "run", "--spec", str(spec_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "votefarm: stage 1: 'epsilon' must be a number, got True" in proc.stderr
+    assert "votefarm: stage 1: 'delta_t' must be a number, got '0.5'" in proc.stderr
+    assert "votefarm: fault 1: 'delay' must be a number, got '0.3'" in proc.stderr
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -18,11 +18,15 @@ from votefarm.core import (
     AlgorithmId,
     ErrorCode,
     FarmState,
+    Message,
+    Tag,
     VoteKind,
+    VoteOutcome,
     VoteValue,
+    encode_message,
 )
 from votefarm.harness import census_check
-from votefarm.sim import VIRTUAL, sleep
+from votefarm.sim import VIRTUAL, Wait, sleep
 from votefarm.voter import user_name, voter_name
 
 V42 = VoteValue.from_floats([42.0])
@@ -332,3 +336,47 @@ def test_scaling_factor_updates_the_running_algorithm():
     world.run()
     cfg = world.farms["s"].states[1].config
     assert cfg.algorithm == AlgorithmId(VoteKind.MAJORITY, scaling_factor=0.25)
+
+
+def test_get_and_close_skip_stale_replies():
+    """A scripted voter answers each request with a stale push first: GET
+    with DONE, then VOTED_VALUE; CLOSE with VOTED_VALUE, then DONE.  Each
+    request takes only its own reply and leaves nothing queued."""
+    world = World(VIRTUAL)
+    world.scheduler.kill_names.add(voter_name("sv", 1))
+    rt = world.activate_farm("sv", (1,))
+    link = world.fabric.link_between(user_name("sv", 1), voter_name("sv", 1))
+    voter_end = link.endpoint_for(voter_name("sv", 1))
+    voted = VoteOutcome(value=V42)
+    requests, log = [], {}
+
+    def reply(tag, payload=None):
+        world.fabric.send_from(voter_end, encode_message(Message(tag, 1, payload)))
+
+    def scripted_voter():
+        _, msg = yield Wait((voter_end,), None)
+        requests.append(msg.tag)
+        reply(Tag.DONE)
+        reply(Tag.VOTED_VALUE, voted)
+        _, msg = yield Wait((voter_end,), None)
+        requests.append(msg.tag)
+        reply(Tag.VOTED_VALUE, voted)
+        reply(Tag.DONE)
+
+    def user():
+        handle = open_farm(world, "sv", 1)
+        assert handle.add(1) and handle.run()
+        outcome = yield from handle.get(5.0)
+        log["get"] = (outcome, handle.last_error)
+        closed = yield from handle.close(5.0)
+        log["close"] = (closed, handle.last_error, handle.state)
+
+    world.spawn("scripted-voter", scripted_voter())
+    world.spawn_user("sv", 1, user())
+    world.run()
+    assert requests == [Tag.GET, Tag.CLOSE]
+    outcome, err = log["get"]
+    assert outcome == voted and err == ErrorCode.NONE
+    assert log["close"] == (True, ErrorCode.NONE, FarmState.CLOSED)
+    assert not rt.user_endpoints[1].queue
+    assert world.scheduler.now == 0.0

@@ -294,6 +294,63 @@ def test_spec_from_json_keeps_integer_fields():
     assert (fault.voter, fault.stage, fault.index) == (2, 2, 1)
 
 
+DELAY = {"kind": "delay_message", "voter": 1}
+
+
+@pytest.mark.parametrize(
+    "obj,needle",
+    [
+        ({"stages": [{"n": 3, "delta_t": "0.5"}]},
+         "stage 1: 'delta_t' must be a number, got '0.5'"),
+        ({"stages": [{"n": 3, "delta_t": False}]},
+         "stage 1: 'delta_t' must be a number, got False"),
+        ({"stages": [{"n": 3, "epsilon": True}]},
+         "stage 1: 'epsilon' must be a number, got True"),
+        ({"stages": [STAGE, {"n": 3, "epsilon": "0"}]},
+         "stage 2: 'epsilon' must be a number, got '0'"),
+        ({"stages": [{"n": 3, "scaling": "2"}]},
+         "stage 1: 'scaling' must be a number, got '2'"),
+        ({"stages": [{"n": 3, "scaling": None}]},
+         "stage 1: 'scaling' must be a number, got None"),
+        ({"stages": [{"n": 3, "epsilon": [1.0]}]},
+         "stage 1: 'epsilon' must be a number, got [1.0]"),
+        ({"stages": [{"n": 3, "delta_t": 10**400}]},
+         "stage 1: 'delta_t' is too large for a float"),
+        ({"stages": [STAGE], "faults": [{**DELAY, "delay": "0.3"}]},
+         "fault 1: 'delay' must be a number, got '0.3'"),
+        ({"stages": [STAGE], "faults": [DELAY, {**DELAY, "delay": True}]},
+         "fault 2: 'delay' must be a number, got True"),
+    ],
+)
+def test_spec_from_json_rejects_non_number_fields(obj, needle):
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert err.value.violations == [needle]
+
+
+def test_spec_from_json_lists_every_non_number_field():
+    obj = {
+        "stages": [{"n": 3, "epsilon": True, "scaling": "1", "delta_t": "0.5"}],
+        "faults": [{**DELAY, "delay": "0.3"}],
+    }
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert len(err.value.violations) == 4
+
+
+def test_spec_from_json_keeps_number_fields():
+    obj = {
+        "stages": [{"n": 3, "epsilon": 1, "scaling": 0.5, "delta_t": 2}],
+        "faults": [{**DELAY, "delay": 0}, {**DELAY, "delay": 0.25}, {**DELAY, "delay": None}],
+    }
+    spec = spec_from_json(obj)
+    (stage,) = spec.pipeline.stages
+    assert (stage.epsilon, stage.scaling, stage.delta_t) == (1.0, 0.5, 2.0)
+    assert all(type(x) is float for x in (stage.epsilon, stage.scaling, stage.delta_t))
+    assert [f.delay for f in spec.faults] == [0.0, 0.25, None]
+    assert type(spec.faults[0].delay) is float
+
+
 # -- single-farm experiments ---------------------------------------------------
 
 

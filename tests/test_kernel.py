@@ -2,13 +2,14 @@
 
 import time
 
-from votefarm import harness, transport
+import pytest
+
+from votefarm import harness, sim, transport
 from votefarm.client import Input, World, open_farm
 from votefarm.core import Message, Tag, VoteValue, encode_message
-from votefarm.sim import REAL, VIRTUAL, Scheduler, Wait, WaitSource
+from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
 from votefarm.transport import (
     Fabric,
-    MessageArrived,
     Outbox,
     delay_hook,
     receive_any,
@@ -181,7 +182,26 @@ def test_message_landing_after_the_timeout_fired_still_wins():
     sched.spawn("recv", receiver())  # arms its timer first: it fires first
     sched.spawn("send", sender())
     sched.run()
-    assert isinstance(seen["got"], MessageArrived)
-    assert seen["got"].message.payload == V7
+    assert seen["got"] is not TIMED_OUT
+    assert seen["got"][1].payload == V7
     assert seen["at"] == 1.0
 
+
+def test_step_budget_ends_a_run_that_never_blocks(monkeypatch):
+    """An activity looping on sleep(0) never lets the run go quiescent;
+    the run stops once it has taken MAX_STEPS steps, read when run() is
+    called."""
+    monkeypatch.setattr(sim, "MAX_STEPS", 50)
+    sched = Scheduler(VIRTUAL)
+    resumed = []
+
+    def spinner():
+        while True:
+            yield from sim.sleep(0)
+            resumed.append(sched.now)
+
+    sched.spawn("spin", spinner())
+    with pytest.raises(RuntimeError, match="^scheduler step budget exhausted$"):
+        sched.run()
+    assert len(resumed) == 50  # the first step only starts the generator
+    assert sched.now == 0.0

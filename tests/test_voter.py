@@ -13,8 +13,8 @@ from votefarm.core import (
     VoteValue,
     encode_message,
 )
-from votefarm.sim import VIRTUAL, sleep
-from votefarm.transport import TimedOut, delay_hook, receive_any
+from votefarm.sim import TIMED_OUT, VIRTUAL, sleep
+from votefarm.transport import delay_hook, receive_any
 from votefarm.voter import Phase, user_name, voter_name
 
 
@@ -33,15 +33,15 @@ def plain_user(world, rt, uid, value, rec):
     rec["sent_at"] = world.scheduler.now
     for _ in range(12):
         got = yield from receive_any((ep,), timeout=3 * rt.delta_t)
-        if isinstance(got, TimedOut):
+        if got is TIMED_OUT:
             return
-        if got.message.tag == Tag.DONE:
+        if got[1].tag == Tag.DONE:
             rec["done_at"] = world.scheduler.now
             break
     send(Message(Tag.GET, USER))
     got = yield from receive_any((ep,), timeout=3 * rt.delta_t)
-    if not isinstance(got, TimedOut) and got.message.tag == Tag.VOTED_VALUE:
-        rec["outcome"] = got.message.payload
+    if got is not TIMED_OUT and got[1].tag == Tag.VOTED_VALUE:
+        rec["outcome"] = got[1].payload
 
 
 def launch(n, crashed=(), inputs=None, delta_t=1.0, kind=VoteKind.MAJORITY):
@@ -175,7 +175,7 @@ def asking_user(world, rt, uid, log):
 
     def recv():
         got = yield from receive_any((ep,), timeout=6 * rt.delta_t)
-        return None if isinstance(got, TimedOut) else got.message
+        return None if got is TIMED_OUT else got[1]
 
     send(Message(Tag.GET, USER))
     msg = yield from recv()
