@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Wall time of whole experiments: two-stage virtual-clock pipelines.
+
+For each N and each of the `default` and `euclidean` metrics, runs a
+fault-free two-stage majority pipeline through `run_experiment` and
+records the median and best milliseconds per run over several timed runs.
+Beside each time it records the deterministic work of one run, counted
+in a separate untimed run: the vote() calls the voters make, the distinct
+(farm, algorithm, slot vector) triples among them, and the metric calls
+(each metric is wrapped in a counter, as scripts/vote_bench.py does).
+Prints the rows as JSON, or writes them to the file named by --out
+(e.g. BENCH_e2e.json).
+
+    PYTHONPATH=src python3 scripts/e2e_bench.py --sizes 3 7 15 31 63
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+
+from votefarm import voter, voting
+from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
+
+METRICS = ("default", "euclidean")
+RUNS = 5  # timed runs per cell
+
+
+def make_spec(n: int, metric: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        pipeline=PipelineSpec((StageSpec(n=n), StageSpec(n=n))), metric=metric
+    )
+
+
+def count_work(spec: ExperimentSpec) -> dict:
+    """vote() calls, distinct votes per farm and metric calls of one run."""
+    votes: list = []
+    metric_calls = 0
+    metric, _ = voting.resolve_metric(spec.metric)
+
+    def counted_metric(a, b):
+        nonlocal metric_calls
+        metric_calls += 1
+        return metric(a, b)
+
+    def counted_vote(algorithm, slots, fn):
+        # the caller is a Voter method; its name is "<farm>/voter<id>"
+        farm = sys._getframe(1).f_locals["self"].name.rpartition("/")[0]
+        votes.append((farm, algorithm, tuple(slots)))
+        return vote(algorithm, slots, fn)
+
+    vote = voter.vote
+    voter.vote = counted_vote
+    voting.register_metric(spec.metric, counted_metric)
+    try:
+        report = run_experiment(spec)
+    finally:
+        voter.vote = vote
+        voting.register_metric(spec.metric, metric)
+    return {
+        "ok": all(v.outcome is not None and v.outcome.ok for v in report.repetitions[0].voters),
+        "vote_calls": len(votes),
+        "distinct_votes": len(set(votes)),
+        "metric_calls": metric_calls,
+    }
+
+
+def time_runs(spec: ExperimentSpec) -> list[float]:
+    times = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        run_experiment(spec)
+        times.append((time.perf_counter() - t0) * 1e3)
+    return times
+
+
+def bench_rows(sizes) -> list[dict]:
+    rows = []
+    for metric in METRICS:
+        for n in sizes:
+            spec = make_spec(n, metric)
+            times = time_runs(spec)
+            rows.append(
+                {
+                    "metric": metric,
+                    "n": n,
+                    **count_work(spec),
+                    "ms_p50": statistics.median(times),
+                    "ms_min": min(times),
+                }
+            )
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[3, 7, 15, 31, 63])
+    parser.add_argument("--out", help="write the JSON here instead of stdout")
+    args = parser.parse_args()
+    if min(args.sizes) < 1:
+        parser.error("--sizes must be >= 1")
+
+    doc = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "runs": RUNS,
+        "stages": 2,
+        "algorithm": "majority",
+        "rows": bench_rows(args.sizes),
+    }
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

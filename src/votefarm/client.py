@@ -109,6 +109,7 @@ class World:
 
         states: dict[int, VoterState] = {}
         user_eps: dict[int, Endpoint] = {}
+        memo: dict = {}  # one vote memo per farm, see Voter._vote
         for vid in range(1, n + 1):
             vname = voter_name(farm, vid)
             cfg = VoterConfig(
@@ -134,6 +135,7 @@ class World:
                 user_ep=user_links[vid].endpoint_for(vname),
                 fellow_eps=fellow_eps,
                 outbox=outbox,
+                memo=memo,
             )
             self.scheduler.spawn(vname, voter.main(), role="voter")
             self.scheduler.spawn(sender_name(farm, vid), outbox.pump(), role="sender")

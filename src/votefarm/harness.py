@@ -167,14 +167,31 @@ def value_to_json(value: VoteValue):
     return {"hex": value.data.hex()}
 
 
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def value_from_json(obj) -> VoteValue:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return VoteValue.from_floats([obj])
-    if isinstance(obj, list):
-        return VoteValue.from_floats(obj)
+    """A JSON number, a list of JSON numbers, or {"hex": ...}.  A list
+    with components that are not JSON numbers (bools, strings) raises one
+    SpecError naming each of them."""
     if isinstance(obj, dict) and "hex" in obj:
         return VoteValue.from_bytes(bytes.fromhex(obj["hex"]))
-    raise SpecError([f"cannot read a vote value from {obj!r}"])
+    if _is_number(obj):
+        obj = [obj]
+    if not isinstance(obj, list):
+        raise SpecError([f"cannot read a vote value from {obj!r}"])
+    bad = [
+        f"component {k} must be a number, got {c!r}"
+        for k, c in enumerate(obj, start=1)
+        if not _is_number(c)
+    ]
+    if bad:
+        raise SpecError(bad)
+    try:
+        return VoteValue.from_floats(obj)
+    except OverflowError:
+        raise SpecError(["a component is too large for a float"]) from None
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -243,7 +260,7 @@ def _float_field(
     value = obj.get(key, default)
     if value is None and default is None:
         return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         try:
             return float(value)
         except OverflowError:
@@ -323,7 +340,9 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         for i, raw in enumerate(inputs, start=1):
             try:
                 values.append(value_from_json(raw))
-            except (SpecError, TypeError, ValueError) as exc:
+            except SpecError as exc:
+                bad.extend(f"input {i}: {v}" for v in exc.violations)
+            except (TypeError, ValueError) as exc:
                 bad.append(f"input {i}: {exc}")
     seed = _int_field(obj, "seed", 0, bad)
     repetitions = _int_field(obj, "repetitions", 1, bad)

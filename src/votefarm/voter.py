@@ -134,12 +134,14 @@ class Voter:
         user_ep: Endpoint,
         fellow_eps: dict[int, Endpoint],
         outbox: Outbox,
+        memo: dict,
     ):
         self.name = name
         self.state = state
         self.fabric = fabric
         self.user_ep = user_ep
         self.outbox = outbox
+        self.memo = memo
         self.all_eps = (user_ep, *fellow_eps.values())
         # broadcast order: fellows by ascending voter id
         self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
@@ -274,12 +276,29 @@ class Voter:
         st.round_finished_at = self.outbox.scheduler.now
         self._reply(Tag.DONE)
         slots = rnd.slot_vector()
-        outcome = vote(self.cfg.algorithm, slots, self.cfg.metric)
+        outcome = self._vote(slots)
         st.last_outcome = outcome
         st.last_slots = slots
         st.rounds_completed += 1
         self._push_outcome(outcome)
         st.phase = Phase.VOTED
+
+    def _vote(self, slots: tuple[ValueSlot, ...]) -> VoteOutcome:
+        """Vote on `slots`, sharing the outcome with the farm's other voters.
+
+        Voting is a pure function of the algorithm, the slot vector and the
+        farm's fixed metric, so voters that saw equal vectors get one
+        outcome.  The memo keeps the last N vectors, oldest evicted first;
+        an exception is never stored, so every voter raises it.
+        """
+        key = (self.cfg.algorithm, slots)
+        outcome = self.memo.get(key)
+        if outcome is None:
+            outcome = vote(self.cfg.algorithm, slots, self.cfg.metric)
+            if len(self.memo) >= self.cfg.n:
+                del self.memo[next(iter(self.memo))]
+            self.memo[key] = outcome
+        return outcome
 
     # -- main loop ---------------------------------------------------------------
 

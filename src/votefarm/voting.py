@@ -25,6 +25,9 @@ from .core import (
 # Voting assumes d(a, a) == 0 and d(a, b) == d(b, a): it measures each
 # unordered pair once and never a value against itself.  `default_metric`
 # meets both exactly, `euclidean_metric` on values without inf or NaN.
+# A metric must also be pure: the same values give the same distance (or
+# the same exception), with no side effects.  The voters of a farm share
+# one outcome per distinct slot vector, which is sound only under this.
 Metric = Callable[[VoteValue, VoteValue], float]
 
 
@@ -48,8 +51,9 @@ _METRICS: dict[str, Metric] = {
 
 
 def register_metric(name: str, fn: Metric) -> None:
-    """Make `fn` resolvable by `name`.  Voting assumes d(a, a) == 0 and
-    d(a, b) == d(b, a) of it (see `Metric`)."""
+    """Make `fn` resolvable by `name`.  Voting assumes d(a, a) == 0,
+    d(a, b) == d(b, a), and purity (same values, same distance, no side
+    effects) of it (see `Metric`)."""
     _METRICS[name] = fn
 
 

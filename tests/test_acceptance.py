@@ -10,7 +10,7 @@ import struct
 import sys
 import time
 
-from votefarm.client import World
+from votefarm.client import Input, World, open_farm
 from votefarm.core import (
     AlgorithmId,
     ErrorCode,
@@ -31,7 +31,7 @@ from votefarm.harness import (
     run_experiment,
     run_pipeline,
 )
-from votefarm.sim import VIRTUAL
+from votefarm.sim import VIRTUAL, sleep
 from votefarm.voting import euclidean_metric, vote
 
 
@@ -325,6 +325,38 @@ def test_criterion_08_overhead_scaling():
     ratio = means[-1] / means[0]
     assert ratio > 1.5, means
     passed(8, f"means {['%.6f' % m for m in means]} non-decreasing, ratio {ratio:.2f}")
+
+
+def test_criterion_08_frames_per_round_grow_with_n():
+    """The deterministic side of criterion 8: the work of a round, counted
+    in delivered frames, grows strictly with the farm size."""
+    rounds = 3
+    per_round = []
+    for n in (1, 2, 3, 4):
+        world = World(VIRTUAL)
+        farm = f"f{n}"
+
+        def user(uid):
+            handle = open_farm(world, farm, uid)
+            for node in range(1, n + 1):
+                assert handle.add(node)
+            assert handle.run()
+            for r in range(rounds):
+                assert (yield from handle.control([Input(VoteValue.from_floats([r]))]))
+                yield from sleep(5.0)
+                outcome = yield from handle.get(5.0)
+                assert outcome.value.floats() == (float(r),)
+                yield from sleep(5.0)
+
+        for uid in range(1, n + 1):
+            world.spawn_user(farm, uid, user(uid))
+        world.run()
+        states = world.farms[farm].states.values()
+        assert {s.rounds_completed for s in states} == {rounds}
+        per_round.append(world.fabric.delivered_total / rounds)
+    assert all(b > a for a, b in zip(per_round, per_round[1:])), per_round
+    # each voter: its input, N - 1 broadcasts, DONE, GET and VOTED_VALUE
+    assert per_round == [n * n + 3 * n for n in (1, 2, 3, 4)]
 
 
 # -- criterion 9: replication transparency ----------------------------------------------

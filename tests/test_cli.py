@@ -345,6 +345,20 @@ def test_non_number_stage_and_fault_fields_exit_two(tmp_path):
     assert "votefarm: fault 1: 'delay' must be a number, got '0.3'" in proc.stderr
 
 
+def test_non_number_vector_input_components_exit_two(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"stages": [{"n": 2}], "inputs": [[True], ["1"]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "votefarm.cli", "run", "--spec", str(spec_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "votefarm: input 1: component 1 must be a number, got True" in proc.stderr
+    assert "votefarm: input 2: component 1 must be a number, got '1'" in proc.stderr
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -228,6 +228,27 @@ def test_spec_from_json_reports_bad_shapes(obj, needle):
     assert needle in "\n".join(err.value.violations)
 
 
+@pytest.mark.parametrize(
+    "inputs,violations",
+    [
+        ([[True]], ["input 1: component 1 must be a number, got True"]),
+        ([["1"]], ["input 1: component 1 must be a number, got '1'"]),
+        (
+            [[1.0], [2.0, False, "x"]],
+            [
+                "input 2: component 2 must be a number, got False",
+                "input 2: component 3 must be a number, got 'x'",
+            ],
+        ),
+        ([[1.0, 10**400]], ["input 1: a component is too large for a float"]),
+    ],
+)
+def test_vector_input_components_must_be_json_numbers(inputs, violations):
+    with pytest.raises(SpecError) as err:
+        spec_from_json({"stages": [{"n": len(inputs)}], "inputs": inputs})
+    assert err.value.violations == violations
+
+
 def test_spec_from_json_lists_every_shape_error():
     obj = {"stages": [7], "faults": "x", "inputs": {}, "seed": 1.5, "repetitions": None}
     with pytest.raises(SpecError) as err:

@@ -35,6 +35,7 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
         ("pipeline_demo.py", []),
         ("timeout_cost.py", ["--n", "3"]),
         ("vote_bench.py", ["--sizes", "3", "7"]),
+        ("e2e_bench.py", ["--sizes", "3"]),
     ],
 )
 def test_script_exits_zero(script, args):
@@ -70,3 +71,22 @@ def test_vote_bench_writes_its_file_only_with_out(tmp_path):
     calls = {(r["algorithm"], r["metric"]): r["metric_calls_per_vote"] for r in rows}
     # six valid slots: the median and the weighted average measure 6 * 5 / 2 pairs
     assert calls["median", "euclidean"] == calls["weighted_average", "euclidean"] == 15
+
+
+def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
+    out = tmp_path / "BENCH_e2e.json"
+    proc = run_script("e2e_bench.py", "--sizes", "3", "7", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["metric"], r["n"]) for r in rows] == [
+        ("default", 3), ("default", 7), ("euclidean", 3), ("euclidean", 7)
+    ]
+    for r in rows:
+        assert r["ok"]
+        # one vote per stage: every voter of a fault-free farm sees one vector
+        assert r["vote_calls"] == r["distinct_votes"] == 2
+        # a unanimous majority over n slots: (n - 1) leader checks and
+        # n (n - 1) / 2 representative pairs, once per stage
+        n = r["n"]
+        assert r["metric_calls"] == 2 * ((n - 1) + n * (n - 1) // 2)

@@ -2,6 +2,9 @@
 
 import itertools
 
+import pytest
+
+import votefarm.voter
 from votefarm.client import World
 from votefarm.core import (
     USER,
@@ -9,13 +12,15 @@ from votefarm.core import (
     ErrorCode,
     Message,
     Tag,
+    ValueSlot,
     VoteKind,
     VoteValue,
     encode_message,
 )
 from votefarm.sim import TIMED_OUT, VIRTUAL, sleep
-from votefarm.transport import delay_hook, receive_any
-from votefarm.voter import Phase, user_name, voter_name
+from votefarm.transport import delay_hook, drop_hook, receive_any
+from votefarm.voter import Phase, Voter, user_name, voter_name
+from votefarm.voting import vote
 
 
 V42 = VoteValue.from_floats([42.0])
@@ -279,3 +284,127 @@ def test_slot_vectors_agree_across_voters():
             rt.states[vid].last_outcome.value.data for vid in range(1, 6)
         }
         assert len(outcomes) == 1, crashed
+
+
+# -- the farm's shared vote memo -----------------------------------------------
+
+
+@pytest.fixture
+def vote_calls(monkeypatch):
+    """Every (algorithm, slots) the voters hand to `vote`."""
+    calls = []
+
+    def counted(algorithm, slots, metric):
+        calls.append((algorithm, slots))
+        return vote(algorithm, slots, metric)
+
+    monkeypatch.setattr(votefarm.voter, "vote", counted)
+    return calls
+
+
+@pytest.fixture
+def voters(monkeypatch):
+    """Every Voter built while the test runs, in build order."""
+    built = []
+    init = Voter.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Voter, "__init__", recording_init)
+    return built
+
+
+def rounds_user(world, rt, uid, values, set_before=None):
+    """One round per value, ten time units apart; with `set_before`, send
+    that SET_ALGORITHM five units before the last round."""
+    ep = rt.user_endpoints[uid]
+    send = lambda m: world.fabric.send_from(ep, encode_message(m))
+    for r, value in enumerate(values):
+        if r:
+            yield from sleep(5.0)
+            if set_before is not None and r == len(values) - 1:
+                send(Message(Tag.SET_ALGORITHM, USER, set_before))
+            yield from sleep(5.0)
+        send(Message(Tag.INPUT, USER, VoteValue.from_floats([value])))
+        while True:
+            got = yield from receive_any((ep,), timeout=3 * rt.delta_t)
+            if got is TIMED_OUT or got[1].tag == Tag.DONE:
+                break
+
+
+def run_rounds(n, values_of, set_before=None):
+    """A majority farm of n; user uid feeds the values `values_of(uid)`."""
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", tuple(range(1, n + 1)), metric="euclidean")
+    for uid in range(1, n + 1):
+        world.spawn_user("f", uid, rounds_user(world, rt, uid, values_of(uid), set_before))
+    world.run()
+    return rt
+
+
+def test_fault_free_farm_votes_once_per_round(vote_calls):
+    rt = run_rounds(7, lambda uid: [1.0, 2.0, 3.0])
+    assert [slots[0].value.floats() for _, slots in vote_calls] == [(1.0,), (2.0,), (3.0,)]
+    first = rt.states[1].last_outcome
+    for state in rt.states.values():
+        assert state.rounds_completed == 3
+        assert state.last_outcome is first  # one outcome, shared
+    assert first.value.floats() == (3.0,)
+
+
+def test_split_vectors_get_one_vote_each(vote_calls):
+    world, rt, _ = launch(5, inputs=[1, 2, 2, 2, 3])
+    for dst in (2, 4):
+        link = world.fabric.link_between(voter_name("f", 1), voter_name("f", dst))
+        world.fabric.add_hook(drop_hook(link, voter_name("f", dst)))
+    world.run()
+    seen = {(st.config.algorithm, st.last_slots) for st in rt.states.values()}
+    assert len(seen) == 2  # the drops split the voters in two
+    assert len(vote_calls) == len(seen)
+    assert set(vote_calls) == seen
+    for state in rt.states.values():
+        assert state.last_outcome == vote(
+            state.config.algorithm, state.last_slots, state.config.metric
+        )
+
+
+def test_set_algorithm_between_rounds_votes_afresh(vote_calls):
+    rt = run_rounds(
+        3, lambda uid: [float(uid)] * 2, set_before=AlgorithmId(VoteKind.MEDIAN)
+    )
+    assert [alg.kind for alg, _ in vote_calls] == [VoteKind.MAJORITY, VoteKind.MEDIAN]
+    assert vote_calls[0][1] == vote_calls[1][1]  # same vector both rounds
+    for state in rt.states.values():
+        assert state.last_outcome.value.floats() == (2.0,)  # not NO_MAJORITY
+
+
+def test_memo_keeps_at_most_n_vectors(vote_calls, voters):
+    values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    rt = run_rounds(3, lambda uid: values)
+    assert len(vote_calls) == len(values)
+    memo = voters[0].memo
+    assert all(v.memo is memo for v in voters)
+    # the oldest vectors went first
+    assert [slots[0].value.floats() for _, slots in memo] == [(3.0,), (4.0,), (5.0,)]
+    assert list(memo.values())[-1] is rt.states[1].last_outcome
+
+
+def test_a_raising_metric_leaves_no_memo_entry(voters):
+    def broken(a, b):
+        raise ValueError("broken metric")
+
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", (1, 2, 3), metric=broken)
+    for uid in (1, 2, 3):
+        world.spawn_user("f", uid, plain_user(world, rt, uid, V42, {}))
+    with pytest.raises(ValueError, match="broken metric"):
+        world.run()
+    assert voters[0].memo == {}
+    # every later voter on the same vector raises too
+    slots = tuple(ValueSlot.arrived(v, V42) for v in (1, 2, 3))
+    for voter in voters:
+        with pytest.raises(ValueError, match="broken metric"):
+            voter._vote(slots)
+    assert voters[0].memo == {}
