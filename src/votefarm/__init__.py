@@ -30,7 +30,6 @@ from .core import (
     encode_message,
 )
 from .voting import (
-    Clustering,
     cluster,
     default_metric,
     euclidean_metric,
@@ -43,16 +42,9 @@ from .voting import (
     vote_weighted_average,
 )
 from .sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource, sleep
-from .transport import (
-    Fabric,
-    LinkCensus,
-    LinkKind,
-    Outbox,
-    receive_any,
-)
+from .transport import Fabric, LinkCensus, LinkKind, Outbox
 from .voter import (
     FarmRuntime,
-    Phase,
     RoundState,
     Voter,
     VoterConfig,
@@ -72,7 +64,6 @@ from .client import (
 )
 from .harness import (
     BenchRow,
-    CensusCheck,
     ExperimentSpec,
     FaultKind,
     FaultSpec,
@@ -83,11 +74,9 @@ from .harness import (
     bench,
     bench_to_csv,
     bench_to_json,
-    census_check,
     check_spec,
     oracle_vote,
     run_experiment,
-    run_pipeline,
     spec_from_json,
     spec_to_json,
     validate_spec,

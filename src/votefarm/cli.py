@@ -16,6 +16,7 @@ import sys
 from .client import World
 from .core import AlgorithmId, ValueSlot, VoteKind, VoteValue
 from .harness import (
+    _ALGO_NAMES,
     ExperimentSpec,
     FaultKind,
     FaultSpec,
@@ -26,21 +27,30 @@ from .harness import (
     bench,
     bench_to_csv,
     bench_to_json,
-    census_check,
     oracle_vote,
     run_experiment,
-    run_pipeline,
     spec_from_json,
 )
 from .sim import REAL, VIRTUAL
+from .transport import LinkCensus
 from .voting import euclidean_metric, vote
 
-_ALGORITHMS = {
-    "majority": VoteKind.MAJORITY,
-    "median": VoteKind.MEDIAN,
-    "plurality": VoteKind.PLURALITY,
-    "weighted-average": VoteKind.WEIGHTED_AVERAGE,
-    "weighted_average": VoteKind.WEIGHTED_AVERAGE,
+# Each inline experiment flag, by its argparse dest, and the value it takes
+# when absent.  The parser defaults them to None (or [] when repeatable), so
+# a flag given next to --spec can be told apart from one left out.
+_INLINE_DEFAULTS = {
+    "n": 3,
+    "algorithm": "majority",
+    "epsilon": 0.0,
+    "scaling": 1.0,
+    "delta_t": 1.0,
+    "metric": "default",
+    "input": [],
+    "fault": [],
+    "seed": 0,
+    "repetitions": 1,
+    "clock": VIRTUAL,
+    "stages": 2,
 }
 
 
@@ -86,20 +96,28 @@ def _parse_input(text: str) -> VoteValue:
         raise SpecError([f"input {text!r} is not a comma-separated float list"])
 
 
-def _spec_from_args(args, stage_count: int) -> ExperimentSpec:
-    inline_used = (
-        args.n is not None
-        or args.inputs
-        or args.faults
-        or args.algorithm != "majority"
-        or args.epsilon != 0.0
-        or args.scaling != 1.0
-        or args.delta_t != 1.0
-        or args.metric != "default"
-    )
+def _parse_each(parse, texts, bad: list[str]) -> tuple:
+    """`parse` applied to every text; each SpecError's violations go to `bad`."""
+    out = []
+    for text in texts:
+        try:
+            out.append(parse(text))
+        except SpecError as exc:
+            bad.extend(exc.violations)
+    return tuple(out)
+
+
+def _spec_from_args(args) -> ExperimentSpec:
+    given = {
+        dest: value
+        for dest in _INLINE_DEFAULTS
+        if (value := getattr(args, dest, None)) not in (None, [])
+    }
     if args.spec is not None:
-        if inline_used:
-            raise SpecError(["--spec excludes the inline experiment flags"])
+        if given:
+            raise SpecError(
+                [f"--spec excludes the inline flag --{d.replace('_', '-')}" for d in given]
+            )
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -109,23 +127,28 @@ def _spec_from_args(args, stage_count: int) -> ExperimentSpec:
             raise SpecError([f"{args.spec} is not JSON: {exc}"])
         return spec_from_json(obj)
 
-    n = 3 if args.n is None else args.n
+    flag = {**_INLINE_DEFAULTS, **given}
+    bad: list[str] = []
+    inputs = _parse_each(_parse_input, flag["input"], bad)
+    faults = _parse_each(_parse_fault, flag["fault"], bad)
+    if bad:
+        raise SpecError(bad)
     stage = StageSpec(
-        n=n,
-        algorithm=_ALGORITHMS[args.algorithm],
-        epsilon=args.epsilon,
-        scaling=args.scaling,
-        delta_t=args.delta_t,
+        n=flag["n"],
+        algorithm=_ALGO_NAMES[flag["algorithm"]],
+        epsilon=flag["epsilon"],
+        scaling=flag["scaling"],
+        delta_t=flag["delta_t"],
     )
-    stages = tuple(stage for _ in range(stage_count))
+    stage_count = flag["stages"] if args.command == "pipeline" else 1
     return ExperimentSpec(
-        pipeline=PipelineSpec(stages),
-        inputs=tuple(_parse_input(t) for t in args.inputs) or None,
-        faults=tuple(_parse_fault(t) for t in args.faults),
-        seed=args.seed,
-        clock=args.clock,
-        repetitions=args.repetitions,
-        metric=args.metric,
+        pipeline=PipelineSpec((stage,) * stage_count),
+        inputs=inputs or None,
+        faults=faults,
+        seed=flag["seed"],
+        clock=flag["clock"],
+        repetitions=flag["repetitions"],
+        metric=flag["metric"],
     )
 
 
@@ -154,10 +177,11 @@ def _agreement_holds(report: Report) -> bool:
     return True
 
 
-def _cmd_run(args, stage_count_flag: bool) -> int:
-    stage_count = getattr(args, "stages", 1) if stage_count_flag else 1
-    spec = _spec_from_args(args, stage_count)
-    report = run_pipeline(spec) if stage_count_flag else run_experiment(spec)
+def _cmd_run(args) -> int:
+    spec = _spec_from_args(args)
+    if args.command == "pipeline" and len(spec.pipeline.stages) < 2:
+        raise SpecError(["a pipeline needs at least two stages"])
+    report = run_experiment(spec)
     _emit(report.to_csv() if args.output == "csv" else report.to_json(), args)
     if not _agreement_holds(report):
         print("assertion failed: final stage did not agree on one value",
@@ -214,11 +238,12 @@ def _selftest_census() -> tuple[int, int]:
     for n in range(1, 9):
         world = World(VIRTUAL)
         world.activate_farm(f"farm{n}", tuple(range(1, n + 1)))
-        result = census_check(world.fabric, n)
+        want = LinkCensus(virtual=n * (n - 1) // 2, local=n, voters=n)
+        got = world.fabric.census()
         checked += 1
-        if not result.passed:
+        if got != want:
             failed += 1
-            print(result.detail(), file=sys.stderr)
+            print(f"census n={n}: expected {want}, found {got}", file=sys.stderr)
     return checked, failed
 
 
@@ -231,23 +256,15 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None, help="voters per stage")
-    p.add_argument(
-        "--algorithm",
-        choices=sorted(_ALGORITHMS),
-        default="majority",
-    )
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--scaling", type=float, default=1.0)
-    p.add_argument("--delta-t", dest="delta_t", type=float, default=1.0)
-    p.add_argument(
-        "--metric",
-        default="default",
-        help="registered distance name (default: byte equality)",
-    )
+    """Inline flags; their values without --spec are in _INLINE_DEFAULTS."""
+    p.add_argument("--n", type=int, help="voters per stage")
+    p.add_argument("--algorithm", choices=sorted(_ALGO_NAMES))
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--scaling", type=float)
+    p.add_argument("--delta-t", type=float)
+    p.add_argument("--metric", help="registered distance name (default: byte equality)")
     p.add_argument(
         "--input",
-        dest="inputs",
         action="append",
         default=[],
         metavar="V[,V...]",
@@ -256,16 +273,15 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fault",
         "--faults",
-        dest="faults",
         action="append",
         default=[],
         metavar="KIND:TARGET[:PARAM]",
         help="inject a fault, e.g. crash_user:2 or corrupt_input:1.3:ff",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--clock", choices=(VIRTUAL, REAL), default=VIRTUAL)
-    p.add_argument("--spec", default=None, help="JSON spec path (excludes inline flags)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--repetitions", type=int)
+    p.add_argument("--clock", choices=(VIRTUAL, REAL))
+    p.add_argument("--spec", help="JSON spec path (excludes inline flags)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -285,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(run_p)
 
     pipe_p = sub.add_parser("pipeline", help="chained farm stages")
-    pipe_p.add_argument("--stages", type=int, default=2)
+    pipe_p.add_argument("--stages", type=int)
     _add_experiment_flags(pipe_p)
     _add_output_flags(pipe_p)
 
@@ -312,10 +328,8 @@ def main(argv=None) -> int:
         # argparse already printed its message; normalize the code
         return 0 if exc.code == 0 else 2
     try:
-        if args.command == "run":
-            return _cmd_run(args, stage_count_flag=False)
-        if args.command == "pipeline":
-            return _cmd_run(args, stage_count_flag=True)
+        if args.command in ("run", "pipeline"):
+            return _cmd_run(args)
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_selftest(args)

@@ -127,7 +127,7 @@ class World:
                     continue
                 pair = (min(vid, other), max(vid, other))
                 fellow_eps[other] = fellow_links[pair].endpoint_for(vname)
-            outbox = Outbox(fabric, vname)
+            outbox = Outbox(fabric)
             voter = Voter(
                 name=vname,
                 state=state,
@@ -203,11 +203,6 @@ class FarmHandle:
         self.last_error = ErrorCode.NONE
         self.endpoint = None
         self.messages_sent = 0
-
-    @property
-    def own_name(self) -> str:
-        """The activity name this handle's user module runs under."""
-        return user_name(self.farm, self.user_id)
 
     @property
     def state(self) -> FarmState:

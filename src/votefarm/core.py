@@ -178,13 +178,12 @@ class EqClass:
 class VoteOutcome:
     """Result of one vote: exactly one of value / failure is set.
 
-    winning_class and weights are voter-local detail; they are dropped when
-    an outcome travels over a link.
+    weights are voter-local detail; they are dropped when an outcome
+    travels over a link.
     """
 
     value: VoteValue | None = None
     failure: ErrorCode | None = None
-    winning_class: EqClass | None = None
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:

@@ -33,7 +33,7 @@ from .core import (
     VoteValue,
 )
 from .sim import REAL, TIMED_OUT, VIRTUAL, Wait, WaitSource, sleep
-from .transport import Fabric, corrupt_hook, delay_hook, drop_hook
+from .transport import LinkCensus, corrupt_hook, delay_hook, drop_hook
 from .voter import FarmRuntime, user_name, voter_name
 from .voting import resolve_metric
 
@@ -464,61 +464,6 @@ def _crash_names(spec: ExperimentSpec) -> set[str]:
 
 
 @dataclass
-class StageCensus:
-    stage: int
-    virtual: int
-    local: int
-    voters: int
-
-
-@dataclass
-class CensusCheck:
-    n: int
-    expected_virtual: int
-    expected_local: int
-    expected_voters: int
-    found_virtual: int
-    found_local: int
-    found_voters: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.found_virtual == self.expected_virtual
-            and self.found_local == self.expected_local
-            and self.found_voters == self.expected_voters
-        )
-
-    def detail(self) -> str:
-        rows = [
-            ("virtual links", self.expected_virtual, self.found_virtual),
-            ("local links", self.expected_local, self.found_local),
-            ("voter activities", self.expected_voters, self.found_voters),
-        ]
-        parts = [
-            f"{name}: expected {want}, found {got}"
-            + ("" if want == got else " (MISMATCH)")
-            for name, want, got in rows
-        ]
-        return f"census n={self.n}: " + "; ".join(parts)
-
-
-def census_check(fabric: Fabric, n: int) -> CensusCheck:
-    """Check one fully wired farm of cardinality n against the counting
-    rules: n local user links, n(n-1)/2 voter cross links, n voters."""
-    c = fabric.census()
-    return CensusCheck(
-        n=n,
-        expected_virtual=n * (n - 1) // 2,
-        expected_local=n,
-        expected_voters=n,
-        found_virtual=c.virtual,
-        found_local=c.local,
-        found_voters=c.voters,
-    )
-
-
-@dataclass
 class VoterResult:
     stage: int
     voter: int
@@ -544,7 +489,7 @@ class RepetitionResult:
 @dataclass
 class Report:
     spec: dict
-    census: list[StageCensus]
+    census: list[LinkCensus]  # one per stage, in stage order
     repetitions: list[RepetitionResult]
     mean_duration: float | None
     stddev_duration: float | None
@@ -553,13 +498,8 @@ class Report:
         return {
             "spec": self.spec,
             "census": [
-                {
-                    "stage": c.stage,
-                    "virtual": c.virtual,
-                    "local": c.local,
-                    "voters": c.voters,
-                }
-                for c in self.census
+                {"stage": k, "virtual": c.virtual, "local": c.local, "voters": c.voters}
+                for k, c in enumerate(self.census, start=1)
             ],
             "repetitions": [
                 {
@@ -651,7 +591,7 @@ def _push_budget(spec: ExperimentSpec, k: int) -> float:
 
 def _run_single_repetition(
     spec: ExperimentSpec, rep: int
-) -> tuple[list[StageCensus], RepetitionResult]:
+) -> tuple[list[LinkCensus], RepetitionResult]:
     rng = random.Random(f"{spec.seed}:{rep}")
     world = World(spec.clock)
     world.scheduler.kill_names |= _crash_names(spec)
@@ -720,10 +660,7 @@ def _run_single_repetition(
                 ),
             )
 
-    census = []
-    for k, rt in enumerate(runtimes, start=1):
-        c = world.fabric.census(rt.members)
-        census.append(StageCensus(k, c.virtual, c.local, c.voters))
+    census = [world.fabric.census(rt.members) for rt in runtimes]
 
     world.run()
 
@@ -776,7 +713,7 @@ def _run_single_repetition(
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Validate, run every repetition in a fresh world, aggregate."""
     check_spec(spec)
-    census: list[StageCensus] = []
+    census: list[LinkCensus] = []
     reps: list[RepetitionResult] = []
     for rep in range(spec.repetitions):
         census, result = _run_single_repetition(spec, rep)
@@ -793,13 +730,6 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         mean_duration=mean,
         stddev_duration=stddev,
     )
-
-
-def run_pipeline(spec: ExperimentSpec) -> Report:
-    """run_experiment, but insisting on an actual chain of stages."""
-    if len(spec.pipeline.stages) < 2:
-        raise SpecError(["a pipeline needs at least two stages"])
-    return run_experiment(spec)
 
 
 # -- timing bench -----------------------------------------------------------------

@@ -139,15 +139,6 @@ class Fabric:
     def link_between(self, a: str, b: str) -> Link | None:
         return self.links.get(frozenset((a, b)))
 
-    def links_of(self, name: str) -> list[tuple[str, Link]]:
-        """(peer name, link) pairs involving `name`, in creation order."""
-        out = []
-        for key, link in self.links.items():
-            if name in key:
-                (peer,) = key - {name}
-                out.append((peer, link))
-        return out
-
     def add_hook(self, hook: FaultHook) -> None:
         self.hooks.append(hook)
 
@@ -213,20 +204,10 @@ class Outbox(WaitSource):
 
     _POISON = object()
 
-    def __init__(self, fabric: Fabric, owner: str):
+    def __init__(self, fabric: Fabric):
         super().__init__(fabric.scheduler)
         self.fabric = fabric
-        self.owner = owner
         self.closed = False
-
-    def send(self, endpoint: Endpoint, msg: Message) -> None:
-        """Enqueue a message for delivery; returns immediately."""
-        if self.send_to((endpoint,), msg):
-            raise TransportDownError(
-                f"outbox of {self.owner} is closed"
-                if self.closed
-                else f"link {endpoint.name} <-> {endpoint.peer_name} is closed"
-            )
 
     def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> int:
         """Encode `msg` once and enqueue that frame for every endpoint, in
@@ -257,21 +238,6 @@ class Outbox(WaitSource):
             if endpoint.link.closed:
                 continue
             self.fabric.send_from(endpoint, frame)
-
-
-def receive_any(endpoints: Sequence[Endpoint], timeout: float):
-    """Generator: `(endpoint, message)` for the earliest message across
-    `endpoints`, or TIMED_OUT after at least `timeout` time units (never
-    earlier).  Frames that fail to parse never land, so garbled traffic is
-    silence here."""
-    endpoints = tuple(endpoints)
-    if not endpoints:
-        raise ValueError("receive_any needs at least one link")
-    if timeout is None or not (timeout > 0):
-        raise ValueError("timeout must be > 0")
-    if all(ep.link.closed for ep in endpoints):
-        raise TransportDownError("all links are closed")
-    return (yield Wait(endpoints, timeout))
 
 
 # -- fault hook constructors --------------------------------------------------

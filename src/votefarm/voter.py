@@ -14,7 +14,6 @@ user, votes on the slot vector, and keeps the outcome for queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 
 from .core import (
     AlgorithmId,
@@ -28,13 +27,6 @@ from .core import (
 from .sim import TIMED_OUT, Wait
 from .transport import Endpoint, Fabric, Outbox
 from .voting import Metric, vote
-
-
-class Phase(IntEnum):
-    IDLE = 1
-    COLLECTING = 2
-    BROADCAST_DONE = 3
-    VOTED = 4
 
 
 @dataclass
@@ -108,7 +100,6 @@ class VoterState:
     """
 
     config: VoterConfig
-    phase: Phase = Phase.IDLE
     last_outcome: VoteOutcome | None = None
     last_slots: tuple | None = None
     rounds_completed: int = 0
@@ -245,7 +236,6 @@ class Voter:
         invalidates the lowest unresolved slot."""
         st = self.state
         rnd = RoundState(self.cfg.n)
-        st.phase = Phase.COLLECTING
         st.round_started_at = self.outbox.scheduler.now
         self._round_feed(first, rnd)
         while not rnd.complete:
@@ -272,7 +262,6 @@ class Voter:
             else:
                 st.stray_messages += 1
 
-        st.phase = Phase.BROADCAST_DONE
         st.round_finished_at = self.outbox.scheduler.now
         self._reply(Tag.DONE)
         slots = rnd.slot_vector()
@@ -281,7 +270,6 @@ class Voter:
         st.last_slots = slots
         st.rounds_completed += 1
         self._push_outcome(outcome)
-        st.phase = Phase.VOTED
 
     def _vote(self, slots: tuple[ValueSlot, ...]) -> VoteOutcome:
         """Vote on `slots`, sharing the outcome with the farm's other voters.
@@ -323,7 +311,6 @@ class Voter:
             elif msg.tag == Tag.CLOSE:
                 self._reply(Tag.DONE)
                 self.outbox.close()
-                st.phase = Phase.IDLE
                 return
             else:
                 st.stray_messages += 1

@@ -9,7 +9,6 @@ algorithms operate on the valid slots only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -73,14 +72,9 @@ def resolve_metric(metric: Metric | str | None) -> tuple[Metric, str]:
     return metric, f"fn:{getattr(metric, '__qualname__', repr(metric))}"
 
 
-@dataclass(frozen=True)
-class Clustering:
-    classes: tuple[EqClass, ...]
-
-
 def cluster(
     slots: Sequence[ValueSlot], epsilon: float, metric: Metric
-) -> Clustering:
+) -> tuple[EqClass, ...]:
     """Leader-scan clustering of the valid slots.
 
     Scanning in slot order, each value joins the first existing class whose
@@ -101,9 +95,7 @@ def cluster(
         else:
             leaders.append(i)
             members.append([i])
-    return Clustering(
-        tuple(EqClass(l, tuple(m)) for l, m in zip(leaders, members))
-    )
+    return tuple(EqClass(l, tuple(m)) for l, m in zip(leaders, members))
 
 
 def _distance_totals(values: Sequence[VoteValue], metric: Metric) -> list[float]:
@@ -134,11 +126,10 @@ def vote_majority(
     """Strict majority over all N slots: a class must hold more than N/2
     members.  Invalid slots count toward N, never toward a class."""
     n = len(slots)
-    clustering = cluster(slots, epsilon, metric)
-    for cls in clustering.classes:
+    for cls in cluster(slots, epsilon, metric):
         if len(cls.members) * 2 > n:
             rep = _representative(slots, cls, metric)
-            return VoteOutcome(value=slots[rep].value, winning_class=cls)
+            return VoteOutcome(value=slots[rep].value)
     return VoteOutcome(failure=ErrorCode.NO_MAJORITY)
 
 
@@ -177,15 +168,15 @@ def vote_plurality(
 ) -> VoteOutcome:
     """Largest class wins; ties between classes go to the lowest leader
     slot index (the scan order makes that the earliest-formed class)."""
-    clustering = cluster(slots, epsilon, metric)
-    if not clustering.classes:
+    classes = cluster(slots, epsilon, metric)
+    if not classes:
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
-    best = clustering.classes[0]
-    for cls in clustering.classes[1:]:
+    best = classes[0]
+    for cls in classes[1:]:
         if len(cls.members) > len(best.members):
             best = cls
     rep = _representative(slots, best, metric)
-    return VoteOutcome(value=slots[rep].value, winning_class=best)
+    return VoteOutcome(value=slots[rep].value)
 
 
 def vote_weighted_average(

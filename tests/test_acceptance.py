@@ -26,12 +26,11 @@ from votefarm.harness import (
     PipelineSpec,
     StageSpec,
     bench,
-    census_check,
     oracle_vote,
     run_experiment,
-    run_pipeline,
 )
-from votefarm.sim import VIRTUAL, sleep
+from votefarm.sim import VIRTUAL, Scheduler, sleep
+from votefarm.transport import LinkCensus
 from votefarm.voting import euclidean_metric, vote
 
 
@@ -77,7 +76,7 @@ def test_criterion_01_masking_bound():
                 faults = tuple(
                     observed_stage_fault(k, p) for k, p in zip(kinds, positions)
                 )
-                report = run_pipeline(chained(n, faults))
+                report = run_experiment(chained(n, faults))
                 runs += 1
                 voters = report.repetitions[0].voters
                 finals = [v for v in voters if v.stage == 2]
@@ -165,7 +164,7 @@ def test_criterion_03_timeout_cost_bound():
 
 
 def test_criterion_04_pipeline_restoration():
-    baseline = run_pipeline(chained(3))
+    baseline = run_experiment(chained(3))
     wanted = {
         v.outcome.value.data
         for v in baseline.repetitions[0].voters
@@ -173,7 +172,7 @@ def test_criterion_04_pipeline_restoration():
     }
     assert wanted == {DEFAULT_INPUT.data}
     for position in (1, 2, 3):
-        report = run_pipeline(
+        report = run_experiment(
             chained(3, (FaultSpec(FaultKind.CRASH_VOTER, voter=position),))
         )
         finals = [v for v in report.repetitions[0].voters if v.stage == 2]
@@ -191,8 +190,7 @@ def test_criterion_05_resource_census():
     for n in range(1, 7):
         world = World(VIRTUAL)
         world.activate_farm("farm", tuple(range(1, n + 1)))
-        check = census_check(world.fabric, n)
-        assert check.passed, check.detail()
+        assert world.fabric.census() == LinkCensus(n * (n - 1) // 2, n, n)
     passed(5, "n(n-1)/2 virtual links, n local links, n voters for n in 1..6")
 
 
@@ -327,36 +325,66 @@ def test_criterion_08_overhead_scaling():
     passed(8, f"means {['%.6f' % m for m in means]} non-decreasing, ratio {ratio:.2f}")
 
 
+def client_farm(n: int, rounds: int) -> World:
+    """A virtual world, not yet run, in which n users drive one farm of n
+    through the client API for `rounds` rounds; every round must vote the
+    round number."""
+    world = World(VIRTUAL)
+
+    def user(uid):
+        handle = open_farm(world, "f", uid)
+        for node in range(1, n + 1):
+            assert handle.add(node)
+        assert handle.run()
+        for r in range(rounds):
+            assert (yield from handle.control([Input(VoteValue.from_floats([r]))]))
+            yield from sleep(5.0)
+            outcome = yield from handle.get(5.0)
+            assert outcome.value.floats() == (float(r),)
+            yield from sleep(5.0)
+
+    for uid in range(1, n + 1):
+        world.spawn_user("f", uid, user(uid))
+    return world
+
+
 def test_criterion_08_frames_per_round_grow_with_n():
     """The deterministic side of criterion 8: the work of a round, counted
     in delivered frames, grows strictly with the farm size."""
     rounds = 3
     per_round = []
     for n in (1, 2, 3, 4):
-        world = World(VIRTUAL)
-        farm = f"f{n}"
-
-        def user(uid):
-            handle = open_farm(world, farm, uid)
-            for node in range(1, n + 1):
-                assert handle.add(node)
-            assert handle.run()
-            for r in range(rounds):
-                assert (yield from handle.control([Input(VoteValue.from_floats([r]))]))
-                yield from sleep(5.0)
-                outcome = yield from handle.get(5.0)
-                assert outcome.value.floats() == (float(r),)
-                yield from sleep(5.0)
-
-        for uid in range(1, n + 1):
-            world.spawn_user(farm, uid, user(uid))
+        world = client_farm(n, rounds)
         world.run()
-        states = world.farms[farm].states.values()
+        states = world.farms["f"].states.values()
         assert {s.rounds_completed for s in states} == {rounds}
         per_round.append(world.fabric.delivered_total / rounds)
     assert all(b > a for a, b in zip(per_round, per_round[1:])), per_round
     # each voter: its input, N - 1 broadcasts, DONE, GET and VOTED_VALUE
     assert per_round == [n * n + 3 * n for n in (1, 2, 3, 4)]
+
+
+def test_criterion_08_scheduler_steps_per_round(monkeypatch):
+    """Scheduler steps of one round: a 4-round run minus a 3-round run of
+    the same farm, so the steps of starting and ending the world cancel."""
+    steps = 0
+    step = Scheduler._step
+
+    def counted_step(self, act):
+        nonlocal steps
+        steps += 1
+        return step(self, act)
+
+    monkeypatch.setattr(Scheduler, "_step", counted_step)
+    per_round = []
+    for n in (1, 2, 3, 4):
+        counts = []
+        for rounds in (3, 4):
+            steps = 0
+            client_farm(n, rounds).run()
+            counts.append(steps)
+        per_round.append(counts[1] - counts[0])
+    assert per_round == [n * n + 10 * n - 1 for n in (1, 2, 3, 4)]  # 10, 23, 38, 55
 
 
 # -- criterion 9: replication transparency ----------------------------------------------
@@ -399,7 +427,7 @@ def test_criterion_10_determinism():
     for spec, runner in (
         (jitter, run_experiment),
         (crashes, run_experiment),
-        (mixed, run_pipeline),
+        (mixed, run_experiment),
     ):
         first = runner(spec).to_json()
         again = runner(spec).to_json()

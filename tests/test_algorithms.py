@@ -162,10 +162,10 @@ slot_lists = st.lists(st.one_of(st.none(), finite), min_size=1, max_size=6).map(
 
 @given(slot_lists, st.floats(min_value=0, max_value=10))
 def test_cluster_partitions_valid_slots(sv, eps):
-    clustering = cluster(sv, eps, euclidean_metric)
-    seen = [i for c in clustering.classes for i in c.members]
+    classes = cluster(sv, eps, euclidean_metric)
+    seen = [i for c in classes for i in c.members]
     assert sorted(seen) == [i for i, s in enumerate(sv) if s.valid]
-    for c in clustering.classes:
+    for c in classes:
         assert c.members[0] == c.leader
         for m in c.members:
             assert euclidean_metric(sv[m].value, sv[c.leader].value) <= eps
@@ -173,8 +173,7 @@ def test_cluster_partitions_valid_slots(sv, eps):
 
 @given(slot_lists, st.floats(min_value=0, max_value=10))
 def test_cluster_leaders_break_new_ground(sv, eps):
-    clustering = cluster(sv, eps, euclidean_metric)
-    leaders = [c.leader for c in clustering.classes]
+    leaders = [c.leader for c in cluster(sv, eps, euclidean_metric)]
     for i, lead in enumerate(leaders):
         for earlier in leaders[:i]:
             assert euclidean_metric(sv[lead].value, sv[earlier].value) > eps

@@ -141,6 +141,57 @@ def test_spec_file_excludes_inline_flags(capsys, tmp_path):
     assert "excludes the inline" in err
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("run", ["--n", "4"]),
+        ("run", ["--algorithm", "median"]),
+        ("run", ["--epsilon", "0"]),
+        ("run", ["--scaling", "2"]),
+        ("run", ["--delta-t", "1"]),
+        ("run", ["--metric", "euclidean"]),
+        ("run", ["--input", "1"]),
+        ("run", ["--fault", "crash_user:1"]),
+        ("run", ["--seed", "7"]),
+        ("run", ["--repetitions", "3"]),
+        ("run", ["--clock", "real"]),
+        ("pipeline", ["--stages", "3"]),
+    ],
+)
+def test_spec_file_refuses_each_inline_flag(capsys, tmp_path, command, flag):
+    """A flag next to --spec is refused even when it repeats the default."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"stages": [{"n": 3}, {"n": 3}]}))
+    code, out, err = run_cli(capsys, command, "--spec", str(spec_path), *flag)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("votefarm: ")] == [
+        f"votefarm: --spec excludes the inline flag {flag[0]}"
+    ]
+
+
+def test_spec_file_names_every_conflicting_flag(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "run", "--spec", str(tmp_path / "s.json"), "--seed", "7", "--clock", "real"
+    )
+    assert code == 2
+    assert "votefarm: --spec excludes the inline flag --seed" in err
+    assert "votefarm: --spec excludes the inline flag --clock" in err
+
+
+def test_every_bad_input_and_fault_flag_is_reported(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--input", "x", "--input", "y", "--fault", "bogus:1"
+    )
+    assert code == 2
+    kinds = "crash_user, crash_voter, corrupt_input, drop_message, delay_message"
+    assert [line for line in err.splitlines() if line.startswith("votefarm: ")] == [
+        "votefarm: input 'x' is not a comma-separated float list",
+        "votefarm: input 'y' is not a comma-separated float list",
+        f"votefarm: unknown fault kind 'bogus' (one of {kinds})",
+    ]
+
+
 def test_unreadable_and_unparseable_spec_files(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--spec", str(tmp_path / "absent.json"))
     assert code == 2
@@ -222,6 +273,14 @@ def test_pipeline_rejects_a_single_stage(capsys):
     code, _, err = run_cli(capsys, "pipeline", "--stages", "1")
     assert code == 2
     assert "at least two stages" in err
+
+
+def test_pipeline_spec_file_needs_two_stages(capsys, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"stages": [{"n": 3}]}))
+    code, _, err = run_cli(capsys, "pipeline", "--spec", str(spec_path))
+    assert code == 2
+    assert "votefarm: a pipeline needs at least two stages" in err
 
 
 def test_bench_csv(capsys):

@@ -25,8 +25,8 @@ from votefarm.core import (
     VoteValue,
     encode_message,
 )
-from votefarm.harness import census_check
 from votefarm.sim import VIRTUAL, Wait, sleep
+from votefarm.transport import LinkCensus
 from votefarm.voter import user_name, voter_name
 
 V42 = VoteValue.from_floats([42.0])
@@ -162,8 +162,7 @@ def test_first_handle_run_activates_a_farm_that_passes_the_census(n):
     assert all(handle.run() for handle in handles)
     assert list(world.farms) == ["hc"]
     world.run()
-    check = census_check(world.fabric, n)
-    assert check.passed, check.detail()
+    assert world.fabric.census() == LinkCensus(n * (n - 1) // 2, n, n)
 
 
 # -- remote operations, driven inside user activities -------------------------
@@ -182,7 +181,7 @@ def test_full_lifecycle():
         ok = yield from handle.control(
             [
                 Input(V42),
-                Output(handle.own_name),
+                Output(user_name("lc", uid)),
                 Algorithm(AlgorithmId(VoteKind.PLURALITY)),
                 ScalingFactor(7.5),
             ]

@@ -18,10 +18,8 @@ from votefarm.harness import (
     SpecError,
     StageSpec,
     bench,
-    census_check,
     outcome_hash,
     run_experiment,
-    run_pipeline,
     spec_from_json,
     spec_to_json,
     validate_spec,
@@ -30,6 +28,7 @@ from votefarm.harness import (
 )
 from votefarm.client import World
 from votefarm.sim import VIRTUAL
+from votefarm.transport import LinkCensus
 
 
 def tmr(**kw) -> ExperimentSpec:
@@ -122,12 +121,6 @@ def test_infinite_fault_delay_is_a_spec_error():
     assert validate_spec(spec) == ["fault delay must be finite, got inf"]
     with pytest.raises(SpecError):
         run_experiment(spec)
-
-
-def test_run_pipeline_requires_a_chain():
-    with pytest.raises(SpecError) as err:
-        run_pipeline(tmr())
-    assert err.value.violations == ["a pipeline needs at least two stages"]
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -379,9 +372,7 @@ def test_fault_free_report():
     report = run_experiment(tmr())
     assert report.mean_duration == 0.0
     assert report.stddev_duration == 0.0
-    assert [(c.stage, c.virtual, c.local, c.voters) for c in report.census] == [
-        (1, 3, 3, 3)
-    ]
+    assert report.census == [LinkCensus(virtual=3, local=3, voters=3)]
     (rep,) = report.repetitions
     assert rep.duration == 0.0
     assert len(rep.voters) == 3
@@ -480,7 +471,7 @@ def two_stage(faults=()) -> ExperimentSpec:
 @pytest.mark.parametrize("crashed", [1, 2, 3])
 def test_pipeline_restores_a_crashed_voter(crashed):
     """Losing any one first-stage voter must not show downstream."""
-    report = run_pipeline(
+    report = run_experiment(
         two_stage(faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=crashed),))
     )
     assert [c.voters for c in report.census] == [2, 3]
@@ -496,11 +487,8 @@ def test_pipeline_restores_a_crashed_voter(crashed):
 
 
 def test_pipeline_census_counts_both_stages():
-    report = run_pipeline(two_stage())
-    assert [(c.stage, c.virtual, c.local, c.voters) for c in report.census] == [
-        (1, 3, 3, 3),
-        (2, 3, 3, 3),
-    ]
+    report = run_experiment(two_stage())
+    assert report.census == [LinkCensus(virtual=3, local=3, voters=3)] * 2
     # makespan spans both stages: 1.0 to ferry the values, 0 faults
     assert report.repetitions[0].duration == report.mean_duration
 
@@ -582,17 +570,6 @@ def test_farm_census_counts_only_the_farm_itself():
     rt = world.activate_farm("a", (1, 2, 3, 4), metric="euclidean")
     c = world.fabric.census(rt.members)
     assert (c.virtual, c.local, c.voters) == (6, 4, 4)
-
-
-def test_census_check_verdicts():
-    world = World(VIRTUAL)
-    world.activate_farm("a", (1, 2, 3), metric="euclidean")
-    good = census_check(world.fabric, 3)
-    assert good.passed
-    assert "MISMATCH" not in good.detail()
-    bad = census_check(world.fabric, 4)
-    assert not bad.passed
-    assert "MISMATCH" in bad.detail()
 
 
 # -- bench ------------------------------------------------------------------------

@@ -8,12 +8,7 @@ from votefarm import harness, sim, transport
 from votefarm.client import Input, World, open_farm
 from votefarm.core import Message, Tag, VoteValue, encode_message
 from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
-from votefarm.transport import (
-    Fabric,
-    Outbox,
-    delay_hook,
-    receive_any,
-)
+from votefarm.transport import Fabric, Outbox, delay_hook
 
 V7 = VoteValue.from_floats([7.0])
 
@@ -121,7 +116,7 @@ def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
         fabric.place(name, node)
     links = [fabric.connect("a", peer) for peer in "bcd"]
     links[1].close()
-    outbox = Outbox(fabric, "a")
+    outbox = Outbox(fabric)
     sched.spawn("pump", outbox.pump())
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
     assert outbox.send_to([link.endpoint_for("a") for link in links], msg) == 1
@@ -170,7 +165,7 @@ def test_message_landing_after_the_timeout_fired_still_wins():
     seen = {}
 
     def receiver():
-        seen["got"] = yield from receive_any((link.endpoint_for("b"),), timeout=1.0)
+        seen["got"] = yield Wait((link.endpoint_for("b"),), 1.0)
         seen["at"] = sched.now
 
     def sender():

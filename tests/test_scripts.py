@@ -30,8 +30,8 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     "script,args",
     [
         ("masking_sweep.py", ["--sizes", "3"]),
-        ("overhead_bench.py", ["--sizes", "1", "2", "--repetitions", "2"]),
-        ("overhead_bench.py", ["--sizes", "1", "2", "--repetitions", "2", "--csv"]),
+        ("masking_sweep.py", ["--sizes", "3", "--seed", "5"]),
+        ("pipeline_demo.py", ["--n", "5", "--crash", "4", "--input", "7"]),
         ("pipeline_demo.py", []),
         ("timeout_cost.py", ["--n", "3"]),
         ("vote_bench.py", ["--sizes", "3", "7"]),
@@ -42,23 +42,6 @@ def test_script_exits_zero(script, args):
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
-
-
-def test_overhead_bench_csv_matches_the_cli_format():
-    proc = run_script("overhead_bench.py", "--sizes", "1", "--repetitions", "2", "--csv")
-    assert proc.returncode == 0, proc.stderr.decode()
-    header, row, tail = proc.stdout.decode().split("\n")
-    assert header == "n,repetitions,mean_duration,stddev_duration"
-    assert row.startswith("1,2,")
-    assert tail == ""
-
-
-def test_overhead_bench_rejects_zero_repetitions():
-    proc = run_script("overhead_bench.py", "--repetitions", "0")
-    assert proc.returncode == 2
-    err = proc.stderr.decode()
-    assert "repetitions must be >= 1, got 0" in err
-    assert "Traceback" not in err
 
 
 def test_vote_bench_writes_its_file_only_with_out(tmp_path):

@@ -1,0 +1,31 @@
+"""The library has no runtime dependencies: each of its modules imports
+only the standard library and its own package."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "votefarm"
+
+
+def absolute_imports(path: Path) -> list[str]:
+    """Top-level module names of every absolute import in one source file."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_library_imports_only_the_standard_library():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    outside = [
+        (path.name, name)
+        for path in paths
+        for name in absolute_imports(path)
+        if name != "__future__" and name not in sys.stdlib_module_names
+    ]
+    assert outside == []

@@ -10,7 +10,7 @@ from votefarm.core import (
     decode_message,
     encode_message,
 )
-from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL
+from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL, Wait
 from votefarm.transport import (
     Fabric,
     LinkKind,
@@ -20,7 +20,6 @@ from votefarm.transport import (
     corrupt_value_payload,
     delay_hook,
     drop_hook,
-    receive_any,
 )
 
 
@@ -81,7 +80,7 @@ def test_fifo_per_link():
     def receiver():
         eps = (link.endpoint_for("b"),)
         for _ in range(5):
-            arrived = yield from receive_any(eps, timeout=10.0)
+            arrived = yield Wait(eps, 10.0)
             got.append(arrived[1].payload.floats()[0])
 
     sched.spawn("send", sender())
@@ -95,31 +94,13 @@ def test_receive_timeout_advances_virtual_clock():
     seen = {}
 
     def receiver():
-        arrived = yield from receive_any((link.endpoint_for("b"),), timeout=2.5)
+        arrived = yield Wait((link.endpoint_for("b"),), 2.5)
         seen["timed_out"] = arrived is TIMED_OUT
         seen["at"] = sched.now
 
     sched.spawn("recv", receiver())
     sched.run()
     assert seen == {"timed_out": True, "at": 2.5}
-
-
-def test_receive_needs_positive_timeout_and_endpoints():
-    sched, fabric, link = make_pair()
-
-    def bad_timeout():
-        yield from receive_any((link.endpoint_for("b"),), timeout=0.0)
-
-    def no_endpoints():
-        yield from receive_any((), timeout=1.0)
-
-    sched.spawn("r1", bad_timeout())
-    with pytest.raises(ValueError):
-        sched.run()
-    sched2 = Scheduler(VIRTUAL)
-    sched2.spawn("r2", no_endpoints())
-    with pytest.raises(ValueError):
-        sched2.run()
 
 
 def test_send_on_closed_link_raises():
@@ -129,18 +110,6 @@ def test_send_on_closed_link_raises():
         fabric.send_from(link.endpoint_for("a"), encode_message(value_msg(1.0)))
 
 
-def test_receive_all_closed_raises():
-    sched, fabric, link = make_pair()
-
-    def receiver():
-        yield from receive_any((link.endpoint_for("b"),), timeout=1.0)
-
-    link.close()
-    sched.spawn("recv", receiver())
-    with pytest.raises(TransportDownError):
-        sched.run()
-
-
 def test_unparseable_frame_dropped_at_send():
     """A mangled frame never reaches the wire; the receiver sees silence."""
     sched, fabric, link = make_pair()
@@ -148,7 +117,7 @@ def test_unparseable_frame_dropped_at_send():
     outcome = {}
 
     def receiver():
-        got = yield from receive_any((link.endpoint_for("b"),), timeout=1.0)
+        got = yield Wait((link.endpoint_for("b"),), 1.0)
         outcome["got"] = got
 
     fabric.send_from(link.endpoint_for("a"), frame)
@@ -177,7 +146,7 @@ def test_corrupt_hook_hits_chosen_frame_only():
     def receiver():
         eps = (link.endpoint_for("b"),)
         for _ in range(3):
-            arrived = yield from receive_any(eps, timeout=5.0)
+            arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
 
     for x in (1.0, 2.0, 3.0):
@@ -195,7 +164,7 @@ def test_drop_hook_by_index():
     def receiver():
         eps = (link.endpoint_for("b"),)
         while True:
-            arrived = yield from receive_any(eps, timeout=1.0)
+            arrived = yield Wait(eps, 1.0)
             if arrived is TIMED_OUT:
                 return
             got.append(arrived[1].payload.floats()[0])
@@ -213,7 +182,7 @@ def test_delay_hook_shifts_arrival_time():
     seen = {}
 
     def receiver():
-        arrived = yield from receive_any((link.endpoint_for("b"),), timeout=5.0)
+        arrived = yield Wait((link.endpoint_for("b"),), 5.0)
         seen["at"] = sched.now
         seen["x"] = arrived[1].payload.floats()[0]
 
@@ -230,7 +199,7 @@ def test_hooks_are_direction_scoped():
     got = []
 
     def receiver_a():
-        arrived = yield from receive_any((link.endpoint_for("a"),), timeout=2.0)
+        arrived = yield Wait((link.endpoint_for("a"),), 2.0)
         got.append(arrived is not TIMED_OUT)
 
     fabric.send_from(link.endpoint_for("b"), encode_message(value_msg(1.0)))
@@ -242,12 +211,13 @@ def test_hooks_are_direction_scoped():
 def test_outbox_decouples_sender():
     """Queueing into the outbox never blocks; the pump does the sending."""
     sched, fabric, link = make_pair()
-    outbox = Outbox(fabric, "a")
+    outbox = Outbox(fabric)
     got = []
 
     def producer():
         for i in range(3):
-            outbox.send(link.endpoint_for("a"), value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE))
+            msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
+            assert outbox.send_to((link.endpoint_for("a"),), msg) == 0
         outbox.close()
         return
         yield
@@ -255,7 +225,7 @@ def test_outbox_decouples_sender():
     def receiver():
         eps = (link.endpoint_for("b"),)
         for _ in range(3):
-            arrived = yield from receive_any(eps, timeout=5.0)
+            arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
 
     sched.spawn("producer", producer())
@@ -267,19 +237,18 @@ def test_outbox_decouples_sender():
 
 def test_outbox_close_stops_pump_and_rejects_sends():
     sched, fabric, link = make_pair()
-    outbox = Outbox(fabric, "a")
+    outbox = Outbox(fabric)
     sched.spawn("pump", outbox.pump())
     outbox.close()
     sched.run()
     assert not sched.activities["pump"].live
-    with pytest.raises(TransportDownError):
-        outbox.send(link.endpoint_for("a"), value_msg(1.0))
+    assert outbox.send_to((link.endpoint_for("a"),), value_msg(1.0)) == 1
 
 
 def test_outbox_pump_skips_closed_links():
     sched, fabric, link = make_pair()
-    outbox = Outbox(fabric, "a")
-    outbox.send(link.endpoint_for("a"), value_msg(1.0))
+    outbox = Outbox(fabric)
+    assert outbox.send_to((link.endpoint_for("a"),), value_msg(1.0)) == 0
     link.close()
     outbox.close()
     sched.spawn("pump", outbox.pump())
