@@ -6,8 +6,10 @@ fault-free two-stage majority pipeline through `run_experiment` and
 records the median and best milliseconds per run over several timed runs.
 Beside each time it records the deterministic work of one run, counted
 in a separate untimed run: the vote() calls the voters make, the distinct
-(farm, algorithm, slot vector) triples among them, and the metric calls
-(each metric is wrapped in a counter, as scripts/vote_bench.py does).
+(farm, algorithm, slot vector) triples among them, the metric calls
+(each metric is wrapped in a counter, as scripts/vote_bench.py does),
+the scheduler steps, the frames sent through the fabric and the frames
+it decoded.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
@@ -22,7 +24,7 @@ import statistics
 import sys
 import time
 
-from votefarm import voter, voting
+from votefarm import sim, transport, voter, voting
 from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
 
 METRICS = ("default", "euclidean")
@@ -35,11 +37,27 @@ def make_spec(n: int, metric: str) -> ExperimentSpec:
     )
 
 
+def counted(owner, attr: str, counts: dict, key: str):
+    """Replace owner.attr by a wrapper that counts its calls in counts[key];
+    returns the original."""
+    fn = getattr(owner, attr)
+    counts[key] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    setattr(owner, attr, wrapper)
+    return fn
+
+
 def count_work(spec: ExperimentSpec) -> dict:
-    """vote() calls, distinct votes per farm and metric calls of one run."""
+    """vote() calls, distinct votes per farm, metric calls, scheduler steps,
+    frames sent and frame decodes of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
+    kernel: dict = {}
 
     def counted_metric(a, b):
         nonlocal metric_calls
@@ -55,16 +73,25 @@ def count_work(spec: ExperimentSpec) -> dict:
     vote = voter.vote
     voter.vote = counted_vote
     voting.register_metric(spec.metric, counted_metric)
+    wrapped = [
+        (sim.Scheduler, "_step", "scheduler_steps"),
+        (transport.Fabric, "send_from", "frames_sent"),
+        (transport, "decode_message", "decodes"),
+    ]
+    originals = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
     try:
         report = run_experiment(spec)
     finally:
         voter.vote = vote
         voting.register_metric(spec.metric, metric)
+        for (owner, attr, _), fn in zip(wrapped, originals):
+            setattr(owner, attr, fn)
     return {
         "ok": all(v.outcome is not None and v.outcome.ok for v in report.repetitions[0].voters),
         "vote_calls": len(votes),
         "distinct_votes": len(set(votes)),
         "metric_calls": metric_calls,
+        **kernel,
     }
 
 

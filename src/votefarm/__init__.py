@@ -13,7 +13,6 @@ from .core import (
     AlgorithmId,
     BadStateError,
     ErrorCode,
-    FarmDescriptor,
     FarmState,
     FrameError,
     Message,
@@ -24,9 +23,7 @@ from .core import (
     VoteOutcome,
     VoteValue,
     VotingError,
-    advance_state,
     decode_message,
-    descriptor_add,
     encode_message,
 )
 from .voting import (
@@ -43,15 +40,7 @@ from .voting import (
 )
 from .sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource, sleep
 from .transport import Fabric, LinkCensus, LinkKind, Outbox
-from .voter import (
-    FarmRuntime,
-    RoundState,
-    Voter,
-    VoterConfig,
-    VoterState,
-    user_name,
-    voter_name,
-)
+from .voter import FarmRuntime, Voter, user_name, voter_name
 from .client import (
     Algorithm,
     ControlRequest,

@@ -22,30 +22,24 @@ from .core import (
     AlgorithmId,
     BadStateError,
     ErrorCode,
-    FarmDescriptor,
     FarmState,
     Message,
     Tag,
     TransportDownError,
     VoteKind,
     VoteValue,
-    advance_state,
     decode_message,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
-    descriptor_add,
     encode_message,
 )
 from .sim import TIMED_OUT, VIRTUAL, Scheduler, Wait
-from .transport import Endpoint, Fabric, Outbox
+from .transport import Endpoint, Fabric
 from .voting import Metric, resolve_metric
-from .voter import (
-    FarmRuntime,
-    Voter,
-    VoterConfig,
-    VoterState,
-    sender_name,
-    user_name,
-    voter_name,
-)
+from .voter import FarmRuntime, Voter, sender_name, user_name, voter_name
+
+
+def _is_node(node) -> bool:
+    """A node id is a positive integer; a bool is not one."""
+    return isinstance(node, int) and not isinstance(node, bool) and node >= 1
 
 
 class World:
@@ -74,26 +68,27 @@ class World:
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
         output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
-        """Bring a farm to life: place and start one voter plus one sender
-        per node, wire every user to its voter on the same node and every
-        voter pair across nodes.  The first FarmHandle.run of a farm lands
-        here; an experiment may also call it before starting user
-        activities that will merely attach."""
+        """Bring a farm to life: place and start one voter, with the
+        activity that sends its frames, per node, wire every user to its
+        voter on the same node and every voter pair across nodes.  Nodes
+        may repeat; a farm needs at least one.  The first FarmHandle.run
+        of a farm lands here; an experiment may also call it before
+        starting user activities that will merely attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
-        descriptor = FarmDescriptor()
-        for node in nodes:
-            descriptor = descriptor_add(descriptor, node)
+        nodes = tuple(nodes)
+        if not all(_is_node(node) for node in nodes):
+            raise ValueError("node id must be a positive integer")
+        if not nodes:
+            raise BadStateError("cannot run a farm with no nodes")
+        if not (delta_t > 0):
+            raise ValueError("delta_t must be > 0")
         metric_fn, metric_id = resolve_metric(metric)
-        descriptor = replace(
-            advance_state(descriptor, FarmState.RUNNING), metric_id=metric_id
-        )
-        n = descriptor.cardinality
+        n = len(nodes)
         fabric = self.fabric
 
-        for vid, node in enumerate(descriptor.nodes, start=1):
+        for vid, node in enumerate(nodes, start=1):
             fabric.place(voter_name(farm, vid), node)
-            fabric.place(sender_name(farm, vid), node)
             fabric.place(user_name(farm, vid), node)
 
         user_links = {
@@ -107,47 +102,39 @@ class World:
                     voter_name(farm, i), voter_name(farm, j)
                 )
 
-        states: dict[int, VoterState] = {}
+        voters: dict[int, Voter] = {}
         user_eps: dict[int, Endpoint] = {}
         memo: dict = {}  # one vote memo per farm, see Voter._vote
         for vid in range(1, n + 1):
             vname = voter_name(farm, vid)
-            cfg = VoterConfig(
-                voter_id=vid,
-                n=n,
+            fellow_eps = {
+                other: fellow_links[min(vid, other), max(vid, other)].endpoint_for(vname)
+                for other in range(1, n + 1)
+                if other != vid
+            }
+            voter = voters[vid] = Voter(
+                vname,
+                vid,
+                fabric,
+                user_links[vid].endpoint_for(vname),
+                fellow_eps,
+                memo,
                 delta_t=delta_t,
                 metric=metric_fn,
                 algorithm=algorithm,
                 output_target=(output_targets or {}).get(vid),
             )
-            state = VoterState(cfg)
-            fellow_eps = {}
-            for other in range(1, n + 1):
-                if other == vid:
-                    continue
-                pair = (min(vid, other), max(vid, other))
-                fellow_eps[other] = fellow_links[pair].endpoint_for(vname)
-            outbox = Outbox(fabric)
-            voter = Voter(
-                name=vname,
-                state=state,
-                fabric=fabric,
-                user_ep=user_links[vid].endpoint_for(vname),
-                fellow_eps=fellow_eps,
-                outbox=outbox,
-                memo=memo,
-            )
             self.scheduler.spawn(vname, voter.main(), role="voter")
-            self.scheduler.spawn(sender_name(farm, vid), outbox.pump(), role="sender")
-            states[vid] = state
+            self.scheduler.spawn(sender_name(farm, vid), voter.outbox.pump(), role="sender")
             user_eps[vid] = user_links[vid].endpoint_for(user_name(farm, vid))
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,
-            descriptor=descriptor,
+            nodes=nodes,
+            metric_id=metric_id,
             delta_t=delta_t,
             algorithm=algorithm,
-            states=states,
+            states=voters,
             user_endpoints=user_eps,
         )
         return runtime
@@ -199,40 +186,37 @@ class FarmHandle:
         self.metric = metric
         self.delta_t = delta_t
         self.algorithm = algorithm
-        self.descriptor = FarmDescriptor()
+        self.nodes: list[int] = []
+        self.state = FarmState.DECLARED
         self.last_error = ErrorCode.NONE
         self.endpoint = None
         self.messages_sent = 0
 
-    @property
-    def state(self) -> FarmState:
-        return self.descriptor.state
-
     # -- local lifecycle -----------------------------------------------------
 
     def add(self, node: int) -> bool:
+        """Append a node to the farm description (DECLARED or DESCRIBED
+        only).  Duplicates are permitted; whether a node may host several
+        voters is decided by whoever activates the farm."""
         self.last_error = ErrorCode.NONE
-        try:
-            self.descriptor = descriptor_add(self.descriptor, node)
-        except BadStateError as exc:
-            self.last_error = exc.code
-            return False
-        except ValueError:
+        if self.state not in (FarmState.DECLARED, FarmState.DESCRIBED) or not _is_node(node):
             self.last_error = ErrorCode.BAD_STATE
             return False
+        self.nodes.append(node)
+        self.state = FarmState.DESCRIBED
         return True
 
     def run(self) -> bool:
         """Activate the farm (first caller) or attach to it (the rest)."""
         self.last_error = ErrorCode.NONE
-        if self.descriptor.state != FarmState.DESCRIBED:
+        if self.state != FarmState.DESCRIBED:
             self.last_error = ErrorCode.BAD_STATE
             return False
         runtime = self.world.farms.get(self.farm)
         if runtime is None:
             runtime = self.world.activate_farm(
                 self.farm,
-                self.descriptor.nodes,
+                self.nodes,
                 metric=self.metric,
                 delta_t=self.delta_t,
                 algorithm=self.algorithm,
@@ -243,7 +227,7 @@ class FarmHandle:
         if self.user_id > runtime.n:
             self.last_error = ErrorCode.BAD_STATE
             return False
-        self.descriptor = advance_state(self.descriptor, FarmState.RUNNING)
+        self.state = FarmState.RUNNING
         self.algorithm = runtime.algorithm
         self.endpoint = runtime.user_endpoints[self.user_id]
         return True
@@ -252,8 +236,8 @@ class FarmHandle:
         """A handle may only attach to a farm its own lifecycle described."""
         _, metric_id = resolve_metric(self.metric)
         return (
-            self.descriptor.nodes == runtime.descriptor.nodes
-            and metric_id == runtime.descriptor.metric_id
+            tuple(self.nodes) == runtime.nodes
+            and metric_id == runtime.metric_id
             and self.delta_t == runtime.delta_t
             and self.algorithm == runtime.algorithm
         )
@@ -261,7 +245,7 @@ class FarmHandle:
     # -- messaging helpers ------------------------------------------------------
 
     def _require_running(self) -> bool:
-        if self.descriptor.state != FarmState.RUNNING or self.endpoint is None:
+        if self.state != FarmState.RUNNING or self.endpoint is None:
             self.last_error = ErrorCode.NOT_RUNNING
             return False
         return True
@@ -374,7 +358,7 @@ class FarmHandle:
         if msg.tag == Tag.REFUSED:
             self.last_error = ErrorCode.REFUSED
             return False
-        self.descriptor = advance_state(self.descriptor, FarmState.CLOSED)
+        self.state = FarmState.CLOSED
         self.endpoint = None
         return True
 

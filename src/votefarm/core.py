@@ -1,15 +1,14 @@
 """Shared domain types for voter farms.
 
-Identifiers, vote payloads, farm descriptors, protocol messages, error
+Identifiers, vote payloads, farm lifecycle states, protocol messages, error
 codes, and the binary frame codec used on every link.  Everything here is
 an immutable value; behaviour lives in the other modules.
 """
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 # Sender id reserved for user modules; voter ids start at 1.
@@ -158,8 +157,8 @@ class AlgorithmId:
             raise TypeError("kind must be a VoteKind")
         if not (self.epsilon >= 0.0):
             raise ValueError("epsilon must be >= 0")
-        if math.isnan(self.scaling_factor):
-            raise ValueError("scaling_factor must not be NaN")
+        if not (self.scaling_factor >= 0.0):
+            raise ValueError("scaling_factor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,10 @@ class EqClass:
 
 @dataclass(frozen=True)
 class VoteOutcome:
-    """Result of one vote: exactly one of value / failure is set.
-
-    weights are voter-local detail; they are dropped when an outcome
-    travels over a link.
-    """
+    """Result of one vote: exactly one of value / failure is set."""
 
     value: VoteValue | None = None
     failure: ErrorCode | None = None
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if (self.value is None) == (self.failure is None):
@@ -195,42 +189,6 @@ class VoteOutcome:
     @property
     def ok(self) -> bool:
         return self.value is not None
-
-
-@dataclass(frozen=True)
-class FarmDescriptor:
-    """Static description of a farm: node placement and comparison metric."""
-
-    nodes: tuple[int, ...] = ()
-    metric_id: str = "default"
-    state: FarmState = FarmState.DECLARED
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.nodes)
-
-
-def descriptor_add(descriptor: FarmDescriptor, node: int) -> FarmDescriptor:
-    """Append a node to the descriptor. Duplicates are permitted; whether a
-    node may host several voters is decided by whoever activates the farm."""
-    if descriptor.state not in (FarmState.DECLARED, FarmState.DESCRIBED):
-        raise BadStateError(f"cannot add nodes in state {descriptor.state.name}")
-    if not isinstance(node, int) or isinstance(node, bool) or node < 1:
-        raise ValueError("node id must be a positive integer")
-    return replace(
-        descriptor, nodes=descriptor.nodes + (node,), state=FarmState.DESCRIBED
-    )
-
-
-def advance_state(descriptor: FarmDescriptor, new_state: FarmState) -> FarmDescriptor:
-    """Move the descriptor one step forward; no skips, no going back."""
-    if new_state.value != descriptor.state.value + 1:
-        raise BadStateError(
-            f"illegal transition {descriptor.state.name} -> {new_state.name}"
-        )
-    if new_state == FarmState.RUNNING and not descriptor.nodes:
-        raise BadStateError("cannot run a farm with no nodes")
-    return replace(descriptor, state=new_state)
 
 
 # --- wire format -----------------------------------------------------------
@@ -361,7 +319,7 @@ def decode_message(frame: bytes) -> Message:
             vkind = VoteKind(raw_kind)
         except ValueError as exc:
             raise FrameError(f"unknown algorithm kind {raw_kind}") from exc
-        if not (epsilon >= 0.0) or math.isnan(scaling):
+        if not (epsilon >= 0.0) or not (scaling >= 0.0):
             raise FrameError("bad algorithm parameters")
         payload = AlgorithmId(vkind, epsilon, scaling)
     elif kind == _P_TARGET:

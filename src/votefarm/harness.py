@@ -120,6 +120,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"stage {k}: epsilon must be >= 0, got {s.epsilon}")
         if math.isnan(s.scaling):
             bad.append(f"stage {k}: scaling must not be NaN")
+        elif s.scaling < 0:
+            bad.append(f"stage {k}: scaling must be >= 0, got {s.scaling}")
     if spec.repetitions < 1:
         bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
     if spec.clock not in (VIRTUAL, REAL):

@@ -13,262 +13,179 @@ user, votes on the slot vector, and keeps the outcome for queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from .core import (
-    AlgorithmId,
-    FarmDescriptor,
-    Message,
-    Tag,
-    ValueSlot,
-    VoteOutcome,
-    VoteValue,
-)
+from .core import AlgorithmId, Message, Tag, ValueSlot, VoteOutcome, VoteValue
 from .sim import TIMED_OUT, Wait
 from .transport import Endpoint, Fabric, Outbox
 from .voting import Metric, vote
 
 
-@dataclass
-class VoterConfig:
-    """Per-voter settings; algorithm and output_target move with SET_*."""
-
-    voter_id: int
-    n: int
-    delta_t: float
-    metric: Metric
-    algorithm: AlgorithmId
-    output_target: str | None = None
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.voter_id <= self.n):
-            raise ValueError("voter_id must lie in 1..n")
-        if not (self.delta_t > 0):
-            raise ValueError("delta_t must be > 0")
-
-
-@dataclass
-class RoundState:
-    """One voting round as seen by one voter.
-
-    slots[i-1] holds participant i's entry once resolved (None before);
-    input_messages counts resolved slots, so the two stay in lockstep.
-    """
-
-    n: int
-    slots: list = field(default_factory=list)
-    input_messages: int = 0
-    u: VoteValue | None = None
-    turn_done: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.slots:
-            self.slots = [None] * self.n
-
-    def resolved(self, origin: int) -> bool:
-        return self.slots[origin - 1] is not None
-
-    def resolve(self, slot: ValueSlot) -> None:
-        if self.slots[slot.origin - 1] is not None:
-            raise AssertionError(f"slot {slot.origin} resolved twice")
-        self.slots[slot.origin - 1] = slot
-        self.input_messages += 1
-
-    def lowest_unresolved(self) -> int:
-        for i in range(1, self.n + 1):
-            if self.slots[i - 1] is None:
-                return i
-        raise AssertionError("no unresolved slot left")
-
-    @property
-    def complete(self) -> bool:
-        return self.input_messages == self.n
-
-    def slot_vector(self) -> tuple[ValueSlot, ...]:
-        if not self.complete:
-            raise AssertionError("round not complete")
-        return tuple(self.slots)
-
-
-@dataclass
-class VoterState:
-    """Mutable voter status, written only by the voter activity itself.
-
-    Kept outside the generator so experiments can read results and
-    counters after the run without sending messages (a crashed user has
-    nobody left to ask on its behalf).
-    """
-
-    config: VoterConfig
-    last_outcome: VoteOutcome | None = None
-    last_slots: tuple | None = None
-    rounds_completed: int = 0
-    broadcasts_sent: int = 0
-    timeouts: int = 0
-    refusals: int = 0
-    late_arrivals: int = 0
-    stray_messages: int = 0
-    undeliverable: int = 0
-    messages_received: int = 0
-    round_started_at: float | None = None
-    round_finished_at: float | None = None
-
-
 class Voter:
-    """Wiring and behaviour of one voter; `main()` is the activity body."""
+    """One voter: its settings, counters, results and open round; `main()`
+    is the activity body.
+
+    Everything is written only by the voter activity itself and kept
+    outside the generator, so experiments can read results and counters
+    after the run without sending messages (a crashed user has nobody
+    left to ask on its behalf).  `algorithm` and `output_target` move
+    with SET_*.  Between rounds `slots` is None; in a round, slots[i-1]
+    holds participant i's entry once resolved (None before) and
+    `resolved` counts the resolved entries.
+    """
 
     def __init__(
         self,
         name: str,
-        state: VoterState,
+        voter_id: int,
         fabric: Fabric,
         user_ep: Endpoint,
         fellow_eps: dict[int, Endpoint],
-        outbox: Outbox,
         memo: dict,
+        delta_t: float,
+        metric: Metric,
+        algorithm: AlgorithmId,
+        output_target: str | None = None,
     ):
         self.name = name
-        self.state = state
+        self.voter_id = voter_id
+        self.n = len(fellow_eps) + 1
+        self.delta_t = delta_t
+        self.metric = metric
+        self.algorithm = algorithm
+        self.output_target = output_target
         self.fabric = fabric
         self.user_ep = user_ep
-        self.outbox = outbox
+        self.outbox = Outbox(fabric)
         self.memo = memo
         self.all_eps = (user_ep, *fellow_eps.values())
         # broadcast order: fellows by ascending voter id
         self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
 
-    # -- small helpers --------------------------------------------------------
+        self.last_outcome: VoteOutcome | None = None
+        self.last_slots: tuple | None = None
+        self.rounds_completed = 0
+        self.broadcasts_sent = 0
+        self.timeouts = 0
+        self.refusals = 0
+        self.late_arrivals = 0
+        self.stray_messages = 0
+        self.undeliverable = 0
+        self.messages_received = 0
+        self.round_started_at: float | None = None
+        self.round_finished_at: float | None = None
 
-    @property
-    def cfg(self) -> VoterConfig:
-        return self.state.config
+        self.slots: list | None = None
+        self.resolved = 0
+        self.own_value: VoteValue | None = None  # our user's input this round
+        self.turn_done = False
+
+    # -- small helpers --------------------------------------------------------
 
     def _send(self, endpoints, msg: Message) -> None:
         """Queue `msg` toward each endpoint; a copy refused by a closed
         outbox or link counts as undeliverable."""
-        self.state.undeliverable += self.outbox.send_to(endpoints, msg)
+        self.undeliverable += self.outbox.send_to(endpoints, msg)
 
     def _reply(self, tag: Tag, payload=None) -> None:
-        self._send((self.user_ep,), Message(tag, self.cfg.voter_id, payload))
+        self._send((self.user_ep,), Message(tag, self.voter_id, payload))
 
     def _refuse(self) -> None:
-        self.state.refusals += 1
+        self.refusals += 1
         self._reply(Tag.REFUSED)
-
-    def _apply_control(self, msg: Message) -> None:
-        if msg.tag == Tag.SET_ALGORITHM:
-            self.state.config = replace(self.cfg, algorithm=msg.payload)
-        else:  # SET_OUTPUT
-            self.state.config = replace(self.cfg, output_target=msg.payload)
 
     def _broadcast(self, msg_for: Message) -> None:
         if not self.fellows_by_id:
             return
-        self.state.broadcasts_sent += 1
+        self.broadcasts_sent += 1
         self._send(self.fellows_by_id, msg_for)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
-        target = self.cfg.output_target
+        target = self.output_target
         if target is None:
             return
         link = self.fabric.link_between(self.name, target)
         if link is None:
-            self.state.undeliverable += 1
+            self.undeliverable += 1
             return
         self._send(
             (link.endpoint_for(self.name),),
-            Message(Tag.VOTED_VALUE, self.cfg.voter_id, outcome),
+            Message(Tag.VOTED_VALUE, self.voter_id, outcome),
         )
 
     # -- round machinery -------------------------------------------------------
 
-    def _take_turn_if_due(self, rnd: RoundState) -> None:
+    def _resolve(self, slot: ValueSlot) -> None:
+        self.slots[slot.origin - 1] = slot
+        self.resolved += 1
+
+    def _take_turn_if_due(self) -> None:
         """Broadcast once the counter equals our id (the turn rule)."""
-        if rnd.turn_done or rnd.input_messages != self.cfg.voter_id:
+        me = self.voter_id
+        if self.turn_done or self.resolved != me:
             return
-        rnd.turn_done = True
-        me = self.cfg.voter_id
-        if rnd.u is not None:
-            self._broadcast(Message(Tag.BROADCAST_VALUE, me, rnd.u))
+        self.turn_done = True
+        if self.own_value is not None:
+            self._broadcast(Message(Tag.BROADCAST_VALUE, me, self.own_value))
         else:
             # Our user has said nothing by our turn: tell fellows to
             # invalidate our slot now instead of waiting a full timeout,
             # and mirror that invalidation locally.
             self._broadcast(Message(Tag.BROADCAST_INVALID, me))
-            if not rnd.resolved(me):
-                rnd.resolve(ValueSlot.invalidated(me))
+            if self.slots[me - 1] is None:
+                self._resolve(ValueSlot.invalidated(me))
 
-    def _round_feed(self, msg: Message, rnd: RoundState) -> None:
-        """Apply one in-round arrival to the slot vector."""
-        me = self.cfg.voter_id
+    def _feed(self, msg: Message) -> None:
+        """Apply one INPUT or broadcast: with no round open it opens one,
+        then it fills a slot of the open round."""
+        me = self.voter_id
+        if self.slots is None:
+            if msg.tag == Tag.BROADCAST_INVALID:
+                # A straggler from a round that already closed here; a
+                # fresh round never starts with an invalidation.
+                self.stray_messages += 1
+                return
+            self.slots = [None] * self.n
+            self.resolved = 0
+            self.own_value = None
+            self.turn_done = False
+            self.round_started_at = self.outbox.scheduler.now
         if msg.tag == Tag.INPUT:
-            if rnd.u is not None:
+            if self.own_value is not None:
                 # A second input during an open round is a protocol
                 # violation by the user, not a late arrival.
                 self._refuse()
                 return
-            if rnd.resolved(me):
+            if self.slots[me - 1] is not None:
                 # Own slot already went invalid (timeout or own turn
                 # passed); the value is useless for this round.
-                self.state.late_arrivals += 1
+                self.late_arrivals += 1
                 return
-            rnd.u = msg.payload
-            rnd.resolve(ValueSlot.arrived(me, msg.payload))
-        elif msg.tag in (Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID):
+            self.own_value = msg.payload
+            self._resolve(ValueSlot.arrived(me, msg.payload))
+        else:
             origin = msg.sender
-            if origin == me or not (1 <= origin <= rnd.n):
-                self.state.stray_messages += 1
+            if origin == me or not (1 <= origin <= self.n):
+                self.stray_messages += 1
                 return
-            if rnd.resolved(origin):
-                self.state.late_arrivals += 1
+            if self.slots[origin - 1] is not None:
+                self.late_arrivals += 1
                 return
             if msg.tag == Tag.BROADCAST_VALUE:
-                rnd.resolve(ValueSlot.arrived(origin, msg.payload))
+                self._resolve(ValueSlot.arrived(origin, msg.payload))
             else:
-                rnd.resolve(ValueSlot.invalidated(origin))
-        else:
-            raise AssertionError(f"not a round message: {msg.tag.name}")
-        self._take_turn_if_due(rnd)
+                self._resolve(ValueSlot.invalidated(origin))
+        self._take_turn_if_due()
 
-    def _run_round(self, first: Message):
-        """Collect all N slots starting from the arrival that opened the
-        round; every receive gets a fresh delta_t timeout and silence
-        invalidates the lowest unresolved slot."""
-        st = self.state
-        rnd = RoundState(self.cfg.n)
-        st.round_started_at = self.outbox.scheduler.now
-        self._round_feed(first, rnd)
-        while not rnd.complete:
-            if all(ep.link.closed for ep in self.all_eps):
-                # transport gone: no frame or timeout can settle anything,
-                # so write the round off in one stroke
-                while not rnd.complete:
-                    rnd.resolve(ValueSlot.invalidated(rnd.lowest_unresolved()))
-                break
-            got = yield Wait(self.all_eps, self.cfg.delta_t)
-            if got is TIMED_OUT:
-                st.timeouts += 1
-                rnd.resolve(ValueSlot.invalidated(rnd.lowest_unresolved()))
-                self._take_turn_if_due(rnd)
-                continue
-            msg = got[1]
-            st.messages_received += 1
-            if msg.tag in (Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID):
-                self._round_feed(msg, rnd)
-            elif msg.tag in (Tag.SET_ALGORITHM, Tag.SET_OUTPUT):
-                self._apply_control(msg)
-            elif msg.tag in (Tag.GET, Tag.CLOSE):
-                self._refuse()
-            else:
-                st.stray_messages += 1
-
-        st.round_finished_at = self.outbox.scheduler.now
+    def _finish_round(self) -> None:
+        self.round_finished_at = self.outbox.scheduler.now
         self._reply(Tag.DONE)
-        slots = rnd.slot_vector()
+        slots = tuple(self.slots)
+        self.slots = None
         outcome = self._vote(slots)
-        st.last_outcome = outcome
-        st.last_slots = slots
-        st.rounds_completed += 1
+        self.last_outcome = outcome
+        self.last_slots = slots
+        self.rounds_completed += 1
         self._push_outcome(outcome)
 
     def _vote(self, slots: tuple[ValueSlot, ...]) -> VoteOutcome:
@@ -279,11 +196,11 @@ class Voter:
         outcome.  The memo keeps the last N vectors, oldest evicted first;
         an exception is never stored, so every voter raises it.
         """
-        key = (self.cfg.algorithm, slots)
+        key = (self.algorithm, slots)
         outcome = self.memo.get(key)
         if outcome is None:
-            outcome = vote(self.cfg.algorithm, slots, self.cfg.metric)
-            if len(self.memo) >= self.cfg.n:
+            outcome = vote(self.algorithm, slots, self.metric)
+            if len(self.memo) >= self.n:
                 del self.memo[next(iter(self.memo))]
             self.memo[key] = outcome
         return outcome
@@ -291,29 +208,49 @@ class Voter:
     # -- main loop ---------------------------------------------------------------
 
     def main(self):
-        st = self.state
+        """Receive without a time limit between rounds and with a fresh
+        delta_t limit for every receive inside one; silence invalidates
+        the lowest unresolved slot."""
         while True:
-            _, msg = yield Wait(self.all_eps, None)
-            st.messages_received += 1
-            if msg.tag == Tag.INPUT or msg.tag == Tag.BROADCAST_VALUE:
-                yield from self._run_round(msg)
-            elif msg.tag == Tag.BROADCAST_INVALID:
-                # A straggler from a round that already closed here; a
-                # fresh round never starts with an invalidation.
-                st.stray_messages += 1
-            elif msg.tag in (Tag.SET_ALGORITHM, Tag.SET_OUTPUT):
-                self._apply_control(msg)
-            elif msg.tag == Tag.GET:
-                if st.last_outcome is None:
-                    self._refuse()
-                else:
-                    self._reply(Tag.VOTED_VALUE, st.last_outcome)
-            elif msg.tag == Tag.CLOSE:
-                self._reply(Tag.DONE)
-                self.outbox.close()
-                return
+            if self.slots is not None and all(ep.link.closed for ep in self.all_eps):
+                # transport gone: no frame or timeout can settle anything,
+                # so write the round off in one stroke
+                for origin, slot in enumerate(self.slots, start=1):
+                    if slot is None:
+                        self._resolve(ValueSlot.invalidated(origin))
+                self._finish_round()
+                continue
+            got = yield Wait(self.all_eps, None if self.slots is None else self.delta_t)
+            if got is TIMED_OUT:
+                self.timeouts += 1
+                self._resolve(ValueSlot.invalidated(self.slots.index(None) + 1))
+                self._take_turn_if_due()
             else:
-                st.stray_messages += 1
+                msg = got[1]
+                tag = msg.tag
+                self.messages_received += 1
+                if tag in (Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID):
+                    self._feed(msg)
+                elif tag == Tag.SET_ALGORITHM:
+                    self.algorithm = msg.payload
+                elif tag == Tag.SET_OUTPUT:
+                    self.output_target = msg.payload
+                elif tag == Tag.GET:
+                    if self.slots is None and self.last_outcome is not None:
+                        self._reply(Tag.VOTED_VALUE, self.last_outcome)
+                    else:
+                        self._refuse()
+                elif tag == Tag.CLOSE:
+                    if self.slots is not None:
+                        self._refuse()
+                    else:
+                        self._reply(Tag.DONE)
+                        self.outbox.close()
+                        return
+                else:
+                    self.stray_messages += 1
+            if self.slots is not None and self.resolved == self.n:
+                self._finish_round()
 
 
 # -- farm names and runtime -------------------------------------------------------
@@ -336,15 +273,16 @@ class FarmRuntime:
     """Handle to a live farm: wiring, per-voter status, and parameters."""
 
     farm: str
-    descriptor: FarmDescriptor
+    nodes: tuple[int, ...]
+    metric_id: str
     delta_t: float
     algorithm: AlgorithmId
-    states: dict[int, VoterState]
+    states: dict[int, Voter]
     user_endpoints: dict[int, Endpoint]
 
     @property
     def n(self) -> int:
-        return self.descriptor.cardinality
+        return len(self.nodes)
 
     @property
     def members(self) -> set[str]:

@@ -205,14 +205,13 @@ def vote_weighted_average(
     z = sum(raw[i] for i in valid)
     if not (z > 0.0) or math.isinf(z) or math.isnan(z):
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
-    weights = tuple(w / z for w in raw)
-
     out = [0.0] * dim
     for i in valid:
+        weight = raw[i] / z
         comps = slots[i].value.floats()
         for c in range(dim):
-            out[c] += weights[i] * comps[c]
-    return VoteOutcome(value=VoteValue.from_floats(out), weights=weights)
+            out[c] += weight * comps[c]
+    return VoteOutcome(value=VoteValue.from_floats(out))
 
 
 def vote(

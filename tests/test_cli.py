@@ -229,6 +229,17 @@ def test_spec_violations_reach_stderr(capsys):
     assert "votefarm: stage 1: delta_t must be > 0, got -1.0" in err
 
 
+def test_negative_scaling_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--n", "2", "--algorithm", "weighted-average", "--scaling", "-1",
+        "--input", "0", "--input", "1", "--metric", "euclidean",
+    )
+    assert code == 2
+    assert out == ""
+    assert "votefarm: stage 1: scaling must be >= 0, got -1.0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command,needle",
     [

@@ -219,8 +219,8 @@ def test_full_lifecycle():
             VoteKind.PLURALITY, scaling_factor=7.5
         )
         state = runtime.states[uid]
-        assert state.config.algorithm == handle.algorithm
-        assert state.config.output_target == user_name("lc", uid)
+        assert state.algorithm == handle.algorithm
+        assert state.output_target == user_name("lc", uid)
         assert state.rounds_completed == 1
         assert not world.scheduler.activities[voter_name("lc", uid)].live
 
@@ -333,8 +333,8 @@ def test_scaling_factor_updates_the_running_algorithm():
 
     world.spawn_user("s", 1, script())
     world.run()
-    cfg = world.farms["s"].states[1].config
-    assert cfg.algorithm == AlgorithmId(VoteKind.MAJORITY, scaling_factor=0.25)
+    voter = world.farms["s"].states[1]
+    assert voter.algorithm == AlgorithmId(VoteKind.MAJORITY, scaling_factor=0.25)
 
 
 def test_get_and_close_skip_stale_replies():

@@ -1,4 +1,4 @@
-"""Wire format and farm descriptor state machine."""
+"""Wire format and the farm description lifecycle of a handle."""
 
 import math
 import struct
@@ -6,12 +6,12 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from votefarm.client import World, open_farm
 from votefarm.core import (
     HEADER_SIZE,
     AlgorithmId,
     BadStateError,
     ErrorCode,
-    FarmDescriptor,
     FarmState,
     FrameError,
     Message,
@@ -20,11 +20,10 @@ from votefarm.core import (
     VoteKind,
     VoteOutcome,
     VoteValue,
-    advance_state,
     decode_message,
-    descriptor_add,
     encode_message,
 )
+from votefarm.sim import VIRTUAL
 
 
 def roundtrip(msg):
@@ -88,7 +87,7 @@ def test_bare_roundtrip(sender):
     senders,
     st.sampled_from(list(VoteKind)),
     st.floats(min_value=0, max_value=1e9),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0, allow_infinity=False),
 )
 def test_algorithm_roundtrip(sender, kind, eps, scaling):
     msg = roundtrip(Message(Tag.SET_ALGORITHM, sender, AlgorithmId(kind, eps, scaling)))
@@ -156,6 +155,16 @@ def test_ragged_numeric_value_rejected():
         decode_message(frame)
 
 
+@pytest.mark.parametrize(
+    "epsilon,scaling", [(-1.0, 1.0), (math.nan, 1.0), (0.0, -1.0), (0.0, math.nan)]
+)
+def test_bad_algorithm_parameters_rejected(epsilon, scaling):
+    body = struct.pack("<Bdd", VoteKind.WEIGHTED_AVERAGE.value, epsilon, scaling)
+    frame = struct.pack("<BHBI", Tag.SET_ALGORITHM.value, 0, 2, len(body)) + body
+    with pytest.raises(FrameError, match="bad algorithm parameters"):
+        decode_message(frame)
+
+
 def test_unknown_failure_code_rejected():
     frame = struct.pack("<BHBI", Tag.VOTED_VALUE.value, 1, 4, 1) + b"\xee"
     with pytest.raises(FrameError):
@@ -196,6 +205,9 @@ def test_algorithm_id_validation():
         AlgorithmId(VoteKind.MAJORITY, epsilon=-0.1)
     with pytest.raises(ValueError):
         AlgorithmId(VoteKind.MAJORITY, scaling_factor=math.nan)
+    with pytest.raises(ValueError, match="scaling_factor must be >= 0"):
+        AlgorithmId(VoteKind.WEIGHTED_AVERAGE, scaling_factor=-1.0)
+    assert AlgorithmId(VoteKind.WEIGHTED_AVERAGE, scaling_factor=0.0).scaling_factor == 0.0
 
 
 def test_value_slot_origin():
@@ -245,44 +257,67 @@ def test_float_view_needs_a_numeric_value():
         VoteValue.from_bytes(bytes(8)).floats()
 
 
-# -- descriptor lifecycle -----------------------------------------------------------
+# -- farm description lifecycle ---------------------------------------------------
 
 
 def test_descriptor_grows_and_describes():
-    d = FarmDescriptor()
-    assert d.state == FarmState.DECLARED
-    d = descriptor_add(d, 4)
-    assert d.state == FarmState.DESCRIBED
-    d = descriptor_add(d, 4)  # same node twice is a legal farm
-    assert d.nodes == (4, 4)
+    handle = open_farm(World(VIRTUAL), "a", 1)
+    assert handle.state == FarmState.DECLARED
+    assert handle.add(4)
+    assert handle.state == FarmState.DESCRIBED
+    assert handle.add(4)  # same node twice is a legal farm
+    assert handle.nodes == [4, 4]
 
 
 def test_descriptor_rejects_bad_nodes():
-    d = FarmDescriptor()
-    with pytest.raises(ValueError):
-        descriptor_add(d, 0)
-    with pytest.raises(ValueError):
-        descriptor_add(d, True)
-    with pytest.raises(ValueError):
-        descriptor_add(d, "n1")
+    world = World(VIRTUAL)
+    for bad in (0, True, "n1"):
+        with pytest.raises(ValueError):
+            world.activate_farm("a", (1, bad))
+    assert world.farms == {}
 
 
 def test_descriptor_add_needs_declared_or_described():
-    d = descriptor_add(FarmDescriptor(), 1)
-    d = advance_state(d, FarmState.RUNNING)
-    with pytest.raises(BadStateError):
-        descriptor_add(d, 2)
+    world = World(VIRTUAL)
+    handle = open_farm(world, "a", 1)
+    assert handle.add(1)
+    assert handle.run()
+
+    def closer():
+        assert not handle.add(2)  # RUNNING
+        assert (yield from handle.close(1.0))
+        assert not handle.add(2)  # CLOSED
+        assert handle.last_error == ErrorCode.BAD_STATE
+
+    world.spawn_user("a", 1, closer())
+    world.run()
+    assert handle.nodes == [1]
+    assert handle.state == FarmState.CLOSED
 
 
 def test_advance_state_single_steps_only():
-    d = descriptor_add(FarmDescriptor(), 1)
-    with pytest.raises(BadStateError):
-        advance_state(d, FarmState.CLOSED)
-    d = advance_state(d, FarmState.RUNNING)
-    d = advance_state(d, FarmState.CLOSED)
-    assert d.state == FarmState.CLOSED
+    world = World(VIRTUAL)
+    handle = open_farm(world, "a", 1)
+    assert not handle.run()  # DECLARED cannot skip to RUNNING
+    assert handle.state == FarmState.DECLARED
+    assert handle.add(1) and handle.run()
+    assert handle.state == FarmState.RUNNING
+
+    def closer():
+        assert (yield from handle.close(1.0))
+        assert handle.state == FarmState.CLOSED
+        assert not handle.run()  # no way back
+        assert handle.last_error == ErrorCode.BAD_STATE
+        assert not (yield from handle.close(1.0))
+        assert handle.last_error == ErrorCode.NOT_RUNNING
+
+    world.spawn_user("a", 1, closer())
+    world.run()
+    assert handle.state == FarmState.CLOSED
 
 
 def test_running_needs_nodes():
+    world = World(VIRTUAL)
     with pytest.raises(BadStateError):
-        advance_state(FarmDescriptor(), FarmState.RUNNING)
+        world.activate_farm("a", ())
+    assert world.farms == {}

@@ -73,3 +73,6 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # n (n - 1) / 2 representative pairs, once per stage
         n = r["n"]
         assert r["metric_calls"] == 2 * ((n - 1) + n * (n - 1) // 2)
+        # fault-free: every frame sent is decoded exactly once
+        assert r["decodes"] == r["frames_sent"] > 0
+        assert r["scheduler_steps"] > 0

@@ -14,6 +14,7 @@ from votefarm.core import (
     Tag,
     ValueSlot,
     VoteKind,
+    VoteOutcome,
     VoteValue,
     encode_message,
 )
@@ -286,6 +287,100 @@ def test_slot_vectors_agree_across_voters():
         assert len(outcomes) == 1, crashed
 
 
+# -- stray messages and arrival counts -------------------------------------------
+
+
+def quiet_farm(sends):
+    """A farm of three where only voter 1 runs and no user speaks; a feeder
+    activity sends each (at, (src, dst), message) from party `src` to party
+    `dst` at virtual time `at`.  A party is a voter id, or ("user", uid)."""
+    world = World(VIRTUAL)
+    world.scheduler.kill_names.update(voter_name("f", vid) for vid in (2, 3))
+    rt = world.activate_farm("f", (1, 2, 3), metric="euclidean")
+
+    def name(party):
+        return user_name("f", party[1]) if isinstance(party, tuple) else voter_name("f", party)
+
+    def feeder():
+        for at, (src, dst), msg in sends:
+            yield from sleep(at - world.scheduler.now)
+            link = world.fabric.link_between(name(src), name(dst))
+            world.fabric.send_from(link.endpoint_for(name(src)), encode_message(msg))
+
+    world.spawn("feeder", feeder())
+    world.run()
+    return rt
+
+
+USER1 = (("user", 1), 1)  # user 1 to voter 1
+FELLOW = (2, 1)  # voter 2 to voter 1
+
+
+def test_invalid_broadcast_between_rounds_is_a_stray():
+    rt = quiet_farm([(0.0, FELLOW, Message(Tag.BROADCAST_INVALID, 2))])
+    v1 = rt.states[1]
+    assert (v1.stray_messages, v1.messages_received) == (1, 1)
+    assert v1.round_started_at is None
+    assert v1.rounds_completed == v1.timeouts == 0
+
+
+@pytest.mark.parametrize("sender", [1, 4])
+def test_broadcast_from_own_or_unknown_id_is_a_stray(sender):
+    """Voter 1 of three: its own id and an id above N own no slot."""
+    strays = [
+        Message(Tag.BROADCAST_VALUE, sender, V42),
+        Message(Tag.BROADCAST_INVALID, sender),
+    ]
+    # between rounds the value broadcast is the first arrival
+    rt = quiet_farm([(0.0, FELLOW, strays[0])])
+    assert rt.states[1].stray_messages == 1
+    assert rt.states[1].late_arrivals == 0
+    # in a round, opened by user 1's input
+    rt = quiet_farm(
+        [(0.0, USER1, Message(Tag.INPUT, USER, V42))]
+        + [(0.5, FELLOW, msg) for msg in strays]
+    )
+    v1 = rt.states[1]
+    assert (v1.stray_messages, v1.late_arrivals) == (2, 0)
+    assert v1.rounds_completed == 1
+    assert slot_flags(v1) == (True, False, False)
+
+
+REPLIES = [
+    Message(Tag.DONE, 2),
+    Message(Tag.REFUSED, 2),
+    Message(Tag.VOTED_VALUE, 2, VoteOutcome(value=V42)),
+]
+
+
+@pytest.mark.parametrize("in_round", [False, True])
+def test_replies_sent_to_a_voter_are_strays(in_round):
+    opener = [(0.0, USER1, Message(Tag.INPUT, USER, V42))] if in_round else []
+    replies = [(0.5, route, msg) for route in (USER1, FELLOW) for msg in REPLIES]
+    rt = quiet_farm(opener + replies)
+    v1 = rt.states[1]
+    assert v1.stray_messages == 6
+    assert v1.refusals == 0
+    assert v1.rounds_completed == int(in_round)
+    assert v1.round_started_at == (0.0 if in_round else None)
+
+
+def test_messages_received_counts_arrivals_not_timeouts():
+    world, rt, _ = launch(4, crashed=(2, 3))
+    landed = {vid: 0 for vid in range(1, 5)}
+
+    def count(d):
+        for vid in landed:
+            if d.dst == voter_name("f", vid):
+                landed[vid] += 1
+
+    world.fabric.add_hook(count)
+    world.run()
+    assert sum(rt.states[vid].timeouts for vid in landed) > 0
+    for vid in landed:
+        assert rt.states[vid].messages_received == landed[vid], vid
+
+
 # -- the farm's shared vote memo -----------------------------------------------
 
 
@@ -360,13 +455,13 @@ def test_split_vectors_get_one_vote_each(vote_calls):
         link = world.fabric.link_between(voter_name("f", 1), voter_name("f", dst))
         world.fabric.add_hook(drop_hook(link, voter_name("f", dst)))
     world.run()
-    seen = {(st.config.algorithm, st.last_slots) for st in rt.states.values()}
+    seen = {(st.algorithm, st.last_slots) for st in rt.states.values()}
     assert len(seen) == 2  # the drops split the voters in two
     assert len(vote_calls) == len(seen)
     assert set(vote_calls) == seen
     for state in rt.states.values():
         assert state.last_outcome == vote(
-            state.config.algorithm, state.last_slots, state.config.metric
+            state.algorithm, state.last_slots, state.metric
         )
 
 
