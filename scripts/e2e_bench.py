@@ -9,7 +9,10 @@ in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
 the scheduler steps, the frames sent through the fabric and the frames
-it decoded.
+it decoded.  One more untimed run, made with the garbage collector
+disabled, gives `cyclic_garbage`: the objects a full collection then
+finds, which reference counting alone could not free (0 when a finished
+world holds no reference cycle).
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
@@ -18,6 +21,7 @@ Prints the rows as JSON, or writes them to the file named by --out
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import statistics
@@ -95,6 +99,17 @@ def count_work(spec: ExperimentSpec) -> dict:
     }
 
 
+def cyclic_garbage(spec: ExperimentSpec) -> int:
+    """Objects of one run that only the cycle collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(spec)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
 def time_runs(spec: ExperimentSpec) -> list[float]:
     times = []
     for _ in range(RUNS):
@@ -115,6 +130,7 @@ def bench_rows(sizes) -> list[dict]:
                     "metric": metric,
                     "n": n,
                     **count_work(spec),
+                    "cyclic_garbage": cyclic_garbage(spec),
                     "ms_p50": statistics.median(times),
                     "ms_min": min(times),
                 }

@@ -91,24 +91,19 @@ class World:
             fabric.place(voter_name(farm, vid), node)
             fabric.place(user_name(farm, vid), node)
 
-        user_links = {
-            vid: fabric.connect(user_name(farm, vid), voter_name(farm, vid))
-            for vid in range(1, n + 1)
-        }
-        fellow_links: dict[tuple[int, int], object] = {}
+        for vid in range(1, n + 1):
+            fabric.connect(user_name(farm, vid), voter_name(farm, vid))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                fellow_links[(i, j)] = fabric.connect(
-                    voter_name(farm, i), voter_name(farm, j)
-                )
+                fabric.connect(voter_name(farm, i), voter_name(farm, j))
 
         voters: dict[int, Voter] = {}
         user_eps: dict[int, Endpoint] = {}
         memo: dict = {}  # one vote memo per farm, see Voter._vote
         for vid in range(1, n + 1):
-            vname = voter_name(farm, vid)
+            vname, uname = voter_name(farm, vid), user_name(farm, vid)
             fellow_eps = {
-                other: fellow_links[min(vid, other), max(vid, other)].endpoint_for(vname)
+                other: fabric.endpoint(vname, voter_name(farm, other))
                 for other in range(1, n + 1)
                 if other != vid
             }
@@ -116,7 +111,7 @@ class World:
                 vname,
                 vid,
                 fabric,
-                user_links[vid].endpoint_for(vname),
+                fabric.endpoint(vname, uname),
                 fellow_eps,
                 memo,
                 delta_t=delta_t,
@@ -126,7 +121,7 @@ class World:
             )
             self.scheduler.spawn(vname, voter.main(), role="voter")
             self.scheduler.spawn(sender_name(farm, vid), voter.outbox.pump(), role="sender")
-            user_eps[vid] = user_links[vid].endpoint_for(user_name(farm, vid))
+            user_eps[vid] = fabric.endpoint(uname, vname)
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,

@@ -419,50 +419,33 @@ def _stage_user(
 
 
 def _install_faults(world: World, spec: ExperimentSpec, rng: random.Random) -> None:
-    """Pre-halt crash targets and register per-link hooks.  Must run with
-    farms activated (links exist) but users not yet started."""
+    """Pre-halt crash targets and register a hook per faulty sender and
+    receiver, by name.  Must run before any farm is activated."""
+    fabric = world.fabric
     for f in spec.faults:
         farm = _stage_farm(f.stage)
-        stage = spec.pipeline.stages[f.stage - 1]
-        if f.kind is FaultKind.CRASH_USER:
-            continue  # handled before farm activation
-        if f.kind is FaultKind.CRASH_VOTER:
-            continue  # handled before farm activation
         vname = voter_name(farm, f.voter)
         uname = user_name(farm, f.voter)
-        if f.kind is FaultKind.CORRUPT_INPUT:
-            link = world.fabric.link_between(uname, vname)
-            world.fabric.add_hook(
-                corrupt_hook(link, vname, f.pattern, index=f.index)
-            )
-            continue
-        # DROP/DELAY: the target voter's broadcast frames, every fellow link.
-        n = stage.n
-        for other in range(1, n + 1):
-            if other == f.voter:
-                continue
-            peer = voter_name(farm, other)
-            link = world.fabric.link_between(vname, peer)
-            if f.kind is FaultKind.DROP_MESSAGE:
-                world.fabric.add_hook(drop_hook(link, peer, index=f.index))
-            else:
-                delay = f.delay
-                if delay is None:
-                    delay = rng.uniform(0.1, 0.9) * stage.delta_t
-                world.fabric.add_hook(
-                    delay_hook(link, peer, delay, index=f.index)
-                )
-
-
-def _crash_names(spec: ExperimentSpec) -> set[str]:
-    names = set()
-    for f in spec.faults:
-        farm = _stage_farm(f.stage)
         if f.kind is FaultKind.CRASH_USER:
-            names.add(user_name(farm, f.voter))
+            world.scheduler.kill_names.add(uname)
         elif f.kind is FaultKind.CRASH_VOTER:
-            names.add(voter_name(farm, f.voter))
-    return names
+            world.scheduler.kill_names.add(vname)
+        elif f.kind is FaultKind.CORRUPT_INPUT:
+            fabric.add_hook(corrupt_hook(uname, vname, f.pattern, index=f.index))
+        else:
+            # DROP/DELAY: the target voter's broadcast frames to every fellow.
+            stage = spec.pipeline.stages[f.stage - 1]
+            for other in range(1, stage.n + 1):
+                if other == f.voter:
+                    continue
+                peer = voter_name(farm, other)
+                if f.kind is FaultKind.DROP_MESSAGE:
+                    fabric.add_hook(drop_hook(vname, peer, index=f.index))
+                else:
+                    delay = f.delay
+                    if delay is None:
+                        delay = rng.uniform(0.1, 0.9) * stage.delta_t
+                    fabric.add_hook(delay_hook(vname, peer, delay, index=f.index))
 
 
 @dataclass
@@ -596,7 +579,7 @@ def _run_single_repetition(
 ) -> tuple[list[LinkCensus], RepetitionResult]:
     rng = random.Random(f"{spec.seed}:{rep}")
     world = World(spec.clock)
-    world.scheduler.kill_names |= _crash_names(spec)
+    _install_faults(world, spec, rng)
     stages = spec.pipeline.stages
     last = len(stages)
 
@@ -620,10 +603,9 @@ def _run_single_repetition(
     cross_eps = {}
     for k in range(1, last):
         for i in range(1, stages[k - 1].n + 1):
-            uname = user_name(_stage_farm(k + 1), i)
-            link = world.fabric.connect(voter_name(_stage_farm(k), i), uname)
-            cross_eps[(k + 1, i)] = link.endpoint_for(uname)
-    _install_faults(world, spec, rng)
+            _, cross_eps[(k + 1, i)] = world.fabric.connect(
+                voter_name(_stage_farm(k), i), user_name(_stage_farm(k + 1), i)
+            )
 
     records: dict[tuple[int, int], _UserRecord] = {}
     for k, st in enumerate(stages, start=1):
@@ -872,10 +854,15 @@ def oracle_vote(
     if kind == VoteKind.MEDIAN:
         if not valid:
             return VoteOutcome(failure=ErrorCode.BAD_STATE)
+
+        def far(a, b):  # a NaN distance counts as +inf
+            x = d(values[a], values[b])
+            return math.inf if math.isnan(x) else x
+
         left = list(valid)
         while len(left) > 2:
             worst = max(
-                (d(values[a], values[b]), (a, b))
+                (far(a, b), (a, b))
                 for ai, a in enumerate(left)
                 for b in left[ai + 1 :]
             )
@@ -886,7 +873,7 @@ def oracle_vote(
                 (a, b)
                 for ai, a in enumerate(left)
                 for b in left[ai + 1 :]
-                if d(values[a], values[b]) == worst_d
+                if far(a, b) == worst_d
             )
             left = [i for i in left if i not in pair]
         return VoteOutcome(value=values[min(left)])

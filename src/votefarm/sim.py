@@ -64,10 +64,6 @@ class WaitSource:
             self.scheduler._wake(self.waiter, self)
 
 
-class DeadlockError(RuntimeError):
-    pass
-
-
 def sleep(duration: float):
     """Generator helper: block the calling activity for `duration`."""
     got = yield Wait((), duration)

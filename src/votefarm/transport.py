@@ -2,8 +2,8 @@
 
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
-Fault hooks intercept deliveries per link, direction, and message index,
-and may drop, corrupt, or delay the frame.  Each frame is then decoded
+Fault hooks intercept deliveries by sender name, receiver name and message
+index, and may drop, corrupt, or delay the frame.  Each frame is then decoded
 exactly once: a frame corrupted beyond parseability is silently discarded,
 so the receiver only ever notices the resulting silence through its
 timeout, and a parseable one lands on the receiver's queue as a Message.
@@ -33,42 +33,27 @@ class LinkKind(Enum):
 
 
 class Endpoint(WaitSource):
-    """One side of a link; frames sent here land on the peer's queue."""
+    """One side of a link: frames sent from here land on the queue of the
+    peer's endpoint, which the fabric finds by name."""
 
-    __slots__ = ("link", "name")
+    __slots__ = ("name", "peer_name", "link")
 
-    def __init__(self, scheduler: Scheduler, link: "Link", name: str):
+    def __init__(self, scheduler: Scheduler, name: str, peer_name: str, link: "Link"):
         super().__init__(scheduler)
-        self.link = link
         self.name = name
-
-    @property
-    def peer(self) -> "Endpoint":
-        return self.link.b if self is self.link.a else self.link.a
+        self.peer_name = peer_name
+        self.link = link
 
     def __repr__(self) -> str:
         return f"Endpoint({self.name}->{self.peer_name})"
-
-    @property
-    def peer_name(self) -> str:
-        return self.link.b.name if self is self.link.a else self.link.a.name
 
 
 @dataclass
 class Link:
     kind: LinkKind
-    a: Endpoint = None
-    b: Endpoint = None
     closed: bool = False
     # sent-frame counters keyed by destination endpoint name
     sent: dict = field(default_factory=dict)
-
-    def endpoint_for(self, name: str) -> Endpoint:
-        if self.a.name == name:
-            return self.a
-        if self.b.name == name:
-            return self.b
-        raise KeyError(name)
 
     def close(self) -> None:
         self.closed = True
@@ -85,7 +70,6 @@ class LinkCensus:
 class Delivery:
     """A frame in flight, shown to fault hooks before it lands."""
 
-    link: Link
     src: str
     dst: str
     frame: bytes
@@ -98,12 +82,14 @@ FaultHook = Callable[[Delivery], None]
 
 
 class Fabric:
-    """Owns placements, links, and delivery (including fault injection)."""
+    """Owns placements, link ends, and delivery (including fault
+    injection).  `ends[(owner, peer)]` is `owner`'s end of the link it
+    shares with `peer`; frames are routed by those names."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
-        self.links: dict[frozenset, Link] = {}
+        self.ends: dict[tuple[str, str], Endpoint] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
@@ -115,29 +101,28 @@ class Fabric:
             raise ValueError(f"{name!r} already placed elsewhere")
         self.placements[name] = node
 
-    def connect(self, a: str, b: str) -> Link:
+    def connect(self, a: str, b: str) -> tuple[Endpoint, Endpoint]:
+        """Link two placed activities; returns (a's end, b's end)."""
         if a == b:
             raise ValueError("cannot connect an activity to itself")
         for name in (a, b):
             if name not in self.placements:
                 raise ValueError(f"{name!r} is not placed on any node")
-        key = frozenset((a, b))
-        if key in self.links:
+        if (a, b) in self.ends:
             raise ValueError(f"link {a!r} <-> {b!r} already exists")
         kind = (
             LinkKind.LOCAL
             if self.placements[a] == self.placements[b]
             else LinkKind.VIRTUAL
         )
-        link = Link(kind)
-        link.a = Endpoint(self.scheduler, link, a)
-        link.b = Endpoint(self.scheduler, link, b)
-        link.sent = {a: 0, b: 0}
-        self.links[key] = link
-        return link
+        link = Link(kind, sent={a: 0, b: 0})
+        a_end = self.ends[(a, b)] = Endpoint(self.scheduler, a, b, link)
+        b_end = self.ends[(b, a)] = Endpoint(self.scheduler, b, a, link)
+        return a_end, b_end
 
-    def link_between(self, a: str, b: str) -> Link | None:
-        return self.links.get(frozenset((a, b)))
+    def endpoint(self, owner: str, peer: str) -> Endpoint | None:
+        """`owner`'s end of its link with `peer`, or None when unlinked."""
+        return self.ends.get((owner, peer))
 
     def add_hook(self, hook: FaultHook) -> None:
         self.hooks.append(hook)
@@ -145,19 +130,11 @@ class Fabric:
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
         """Ship one frame toward the peer endpoint; never blocks."""
         link = endpoint.link
+        src, dst = endpoint.name, endpoint.peer_name
         if link.closed:
-            raise TransportDownError(
-                f"link {endpoint.name} <-> {endpoint.peer_name} is closed"
-            )
-        dst = endpoint.peer
-        d = Delivery(
-            link=link,
-            src=endpoint.name,
-            dst=dst.name,
-            frame=frame,
-            index=link.sent[dst.name],
-        )
-        link.sent[dst.name] += 1
+            raise TransportDownError(f"link {src} <-> {dst} is closed")
+        d = Delivery(src=src, dst=dst, frame=frame, index=link.sent[dst])
+        link.sent[dst] += 1
         for hook in self.hooks:
             hook(d)
             if d.drop:
@@ -170,10 +147,11 @@ class Fabric:
         except FrameError:
             self.dropped += 1
             return
+        dst_end = self.ends[(dst, src)]
         if d.delay > 0:
-            self.scheduler.call_later(d.delay, lambda: self._land(dst, msg))
+            self.scheduler.call_later(d.delay, lambda: self._land(dst_end, msg))
         else:
-            self._land(dst, msg)
+            self._land(dst_end, msg)
 
     def _land(self, dst: Endpoint, msg: Message) -> None:
         self.delivered_total += 1
@@ -184,9 +162,10 @@ class Fabric:
         only among `names` (a link counts when both its ends are named)."""
         names = None if names is None else frozenset(names)
         virtual = local = 0
-        for key, link in self.links.items():
-            if names is None or key <= names:
-                if link.kind is LinkKind.VIRTUAL:
+        for (owner, peer), end in self.ends.items():
+            # every link has two ends; count it at the one whose owner sorts first
+            if owner < peer and (names is None or (owner in names and peer in names)):
+                if end.link.kind is LinkKind.VIRTUAL:
                     virtual += 1
                 else:
                     local += 1
@@ -243,21 +222,21 @@ class Outbox(WaitSource):
 # -- fault hook constructors --------------------------------------------------
 
 
-def _match(d: Delivery, link: Link, dst: str, index: int | None) -> bool:
-    return d.link is link and d.dst == dst and (index is None or d.index == index)
+def _match(d: Delivery, src: str, dst: str, index: int | None) -> bool:
+    return d.src == src and d.dst == dst and (index is None or d.index == index)
 
 
-def drop_hook(link: Link, dst: str, index: int | None = None) -> FaultHook:
+def drop_hook(src: str, dst: str, index: int | None = None) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, link, dst, index):
+        if _match(d, src, dst, index):
             d.drop = True
 
     return hook
 
 
-def delay_hook(link: Link, dst: str, delay: float, index: int | None = None) -> FaultHook:
+def delay_hook(src: str, dst: str, delay: float, index: int | None = None) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, link, dst, index):
+        if _match(d, src, dst, index):
             d.delay += delay
 
     return hook
@@ -276,21 +255,11 @@ def corrupt_value_payload(frame: bytes, pattern: bytes) -> bytes:
     return bytes(body)
 
 
-def corrupt_raw(frame: bytes, pattern: bytes, offset: int = 0) -> bytes:
-    """XOR `pattern` into the frame starting at `offset`; may well produce
-    an unparseable frame, which the fabric then drops."""
-    body = bytearray(frame)
-    for i, p in enumerate(pattern):
-        if offset + i < len(body):
-            body[offset + i] ^= p
-    return bytes(body)
-
-
 def corrupt_hook(
-    link: Link, dst: str, pattern: bytes, index: int | None = None
+    src: str, dst: str, pattern: bytes, index: int | None = None
 ) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, link, dst, index):
+        if _match(d, src, dst, index):
             d.frame = corrupt_value_payload(d.frame, pattern)
 
     return hook

@@ -104,14 +104,11 @@ class Voter:
         target = self.output_target
         if target is None:
             return
-        link = self.fabric.link_between(self.name, target)
-        if link is None:
+        endpoint = self.fabric.endpoint(self.name, target)
+        if endpoint is None:
             self.undeliverable += 1
             return
-        self._send(
-            (link.endpoint_for(self.name),),
-            Message(Tag.VOTED_VALUE, self.voter_id, outcome),
-        )
+        self._send((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
 
     # -- round machinery -------------------------------------------------------
 
@@ -139,6 +136,11 @@ class Voter:
         """Apply one INPUT or broadcast: with no round open it opens one,
         then it fills a slot of the open round."""
         me = self.voter_id
+        origin = msg.sender
+        if msg.tag != Tag.INPUT and (origin == me or not (1 <= origin <= self.n)):
+            # a broadcast that names no fellow fills no slot and opens no round
+            self.stray_messages += 1
+            return
         if self.slots is None:
             if msg.tag == Tag.BROADCAST_INVALID:
                 # A straggler from a round that already closed here; a
@@ -164,10 +166,6 @@ class Voter:
             self.own_value = msg.payload
             self._resolve(ValueSlot.arrived(me, msg.payload))
         else:
-            origin = msg.sender
-            if origin == me or not (1 <= origin <= self.n):
-                self.stray_messages += 1
-                return
             if self.slots[origin - 1] is not None:
                 self.late_arrivals += 1
                 return

@@ -133,6 +133,10 @@ def vote_majority(
     return VoteOutcome(failure=ErrorCode.NO_MAJORITY)
 
 
+def _nan_far(d: float) -> float:
+    return math.inf if d != d else d
+
+
 def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
     """Generalized median: repeatedly discard the two remaining values at
     maximum pairwise distance (ties: lexicographically smallest index pair)
@@ -143,9 +147,11 @@ def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
     if len(values) <= 2:
         return VoteOutcome(value=values[0])
     # Every pair is measured once, up front, in the order of the first
-    # discard scan; dist[a][b] holds the distance for a < b.
+    # discard scan; dist[a][b] holds the distance for a < b.  A NaN
+    # distance ranks as +inf, so a faulty value is far from every other.
     dist = [
-        [0.0] * (a + 1) + [metric(va, values[b]) for b in range(a + 1, len(values))]
+        [0.0] * (a + 1)
+        + [_nan_far(metric(va, values[b])) for b in range(a + 1, len(values))]
         for a, va in enumerate(values)
     ]
     remaining = list(range(len(values)))

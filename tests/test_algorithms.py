@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from votefarm.core import AlgorithmId, ErrorCode, ValueSlot, VoteKind, VoteValue
+from votefarm.harness import oracle_vote
 from votefarm.voting import (
     cluster,
     default_metric,
@@ -91,6 +92,31 @@ def test_median_two_left_takes_lower_index():
 def test_median_nothing_valid():
     out = vote_median(slots(None, None), euclidean_metric)
     assert out.failure == ErrorCode.BAD_STATE
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "xs, want",
+    [
+        ((1, 1, NAN), 1.0),
+        ((1, NAN, 2), 2.0),
+        ((NAN, 1, 2, 3), 2.0),
+        ((1, NAN, NAN), None),  # no usable distance left: any pick will do
+        ((NAN, NAN, NAN), None),
+    ],
+)
+def test_median_ranks_a_nan_distance_farthest(xs, want):
+    """A NaN distance counts as +inf (ties still to the smallest index
+    pair), so a NaN value is discarded first and never crashes the vote;
+    the oracle follows the same rule."""
+    sv = slots(*xs)
+    out = vote_median(sv, euclidean_metric)
+    assert out.ok
+    assert out == oracle_vote(VoteKind.MEDIAN, [s.value for s in sv], metric="euclidean")
+    if want is not None:
+        assert first_float(out) == want
 
 
 # -- plurality ------------------------------------------------------------------

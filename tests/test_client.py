@@ -4,6 +4,9 @@ Handles never raise for protocol failures; every test here pins down the
 (return value, last_error) pair an operation leaves behind.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from votefarm.client import (
@@ -344,8 +347,7 @@ def test_get_and_close_skip_stale_replies():
     world = World(VIRTUAL)
     world.scheduler.kill_names.add(voter_name("sv", 1))
     rt = world.activate_farm("sv", (1,))
-    link = world.fabric.link_between(user_name("sv", 1), voter_name("sv", 1))
-    voter_end = link.endpoint_for(voter_name("sv", 1))
+    voter_end = world.fabric.endpoint(voter_name("sv", 1), user_name("sv", 1))
     voted = VoteOutcome(value=V42)
     requests, log = [], {}
 
@@ -379,3 +381,31 @@ def test_get_and_close_skip_stale_replies():
     assert log["close"] == (True, ErrorCode.NONE, FarmState.CLOSED)
     assert not rt.user_endpoints[1].queue
     assert world.scheduler.now == 0.0
+
+
+def test_a_finished_fault_free_world_is_freed_by_reference_counting():
+    """No link end points back at its peer, so a world whose run has ended
+    holds no reference cycle: dropping the last outside reference frees it
+    with the cyclic garbage collector switched off."""
+    results = []
+
+    def user(world, uid):
+        handle = described_handle(world, "rc", uid)
+        assert handle.run()
+        sent = yield from handle.control([Input(V42)])
+        got = yield from handle.get(10.0)
+        closed = yield from handle.close(10.0)
+        results.append((sent, got.value.data, closed))
+
+    gc.disable()
+    try:
+        world = World(VIRTUAL)
+        for uid in (1, 2, 3):
+            world.spawn_user("rc", uid, user(world, uid))
+        world.run()
+        scheduler = weakref.ref(world.scheduler)
+        del world
+        assert scheduler() is None
+    finally:
+        gc.enable()
+    assert results == [(True, V42.data, True)] * 3

@@ -114,19 +114,19 @@ def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
     fabric = Fabric(sched)
     for name, node in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
         fabric.place(name, node)
-    links = [fabric.connect("a", peer) for peer in "bcd"]
-    links[1].close()
+    ends = [fabric.connect("a", peer) for peer in "bcd"]
+    ends[1][0].link.close()
     outbox = Outbox(fabric)
     sched.spawn("pump", outbox.pump())
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
-    assert outbox.send_to([link.endpoint_for("a") for link in links], msg) == 1
+    assert outbox.send_to([a_end for a_end, _ in ends], msg) == 1
     outbox.close()
-    assert outbox.send_to([links[0].endpoint_for("a")], msg) == 1
+    assert outbox.send_to([ends[0][0]], msg) == 1
     sched.run()
     assert encodes == [msg]
     assert fabric.delivered_total == 2
-    for link, peer in ((links[0], "b"), (links[2], "d")):
-        (_, got), = link.endpoint_for(peer).queue
+    for _, peer_end in (ends[0], ends[2]):
+        (_, got), = peer_end.queue
         assert got == msg
 
 
@@ -160,17 +160,17 @@ def test_message_landing_after_the_timeout_fired_still_wins():
     fabric = Fabric(sched)
     fabric.place("a", 1)
     fabric.place("b", 2)
-    link = fabric.connect("a", "b")
-    fabric.add_hook(delay_hook(link, "b", delay=1.0))
+    a_end, b_end = fabric.connect("a", "b")
+    fabric.add_hook(delay_hook("a", "b", delay=1.0))
     seen = {}
 
     def receiver():
-        seen["got"] = yield Wait((link.endpoint_for("b"),), 1.0)
+        seen["got"] = yield Wait((b_end,), 1.0)
         seen["at"] = sched.now
 
     def sender():
         msg = Message(Tag.INPUT, 0, V7)
-        fabric.send_from(link.endpoint_for("a"), encode_message(msg))
+        fabric.send_from(a_end, encode_message(msg))
         return
         yield
 

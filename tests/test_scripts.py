@@ -76,3 +76,5 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # fault-free: every frame sent is decoded exactly once
         assert r["decodes"] == r["frames_sent"] > 0
         assert r["scheduler_steps"] > 0
+        # a finished fault-free world is freed by reference counting alone
+        assert r["cyclic_garbage"] == 0

@@ -16,7 +16,6 @@ from votefarm.transport import (
     LinkKind,
     Outbox,
     corrupt_hook,
-    corrupt_raw,
     corrupt_value_payload,
     delay_hook,
     drop_hook,
@@ -28,8 +27,18 @@ def make_pair(same_node=False):
     fabric = Fabric(sched)
     fabric.place("a", 1)
     fabric.place("b", 1 if same_node else 2)
-    link = fabric.connect("a", "b")
-    return sched, fabric, link
+    a_end, b_end = fabric.connect("a", "b")
+    return sched, fabric, a_end, b_end
+
+
+def corrupt_raw(frame: bytes, pattern: bytes, offset: int = 0) -> bytes:
+    """XOR `pattern` into the frame starting at `offset`; may well produce
+    an unparseable frame, which the fabric then drops."""
+    body = bytearray(frame)
+    for i, p in enumerate(pattern):
+        if offset + i < len(body):
+            body[offset + i] ^= p
+    return bytes(body)
 
 
 def value_msg(x, sender=0, tag=Tag.INPUT):
@@ -37,10 +46,10 @@ def value_msg(x, sender=0, tag=Tag.INPUT):
 
 
 def test_link_kind_follows_placement():
-    _, _, local = make_pair(same_node=True)
-    assert local.kind == LinkKind.LOCAL
-    _, _, remote = make_pair(same_node=False)
-    assert remote.kind == LinkKind.VIRTUAL
+    _, _, local, _ = make_pair(same_node=True)
+    assert local.link.kind == LinkKind.LOCAL
+    _, _, remote, _ = make_pair(same_node=False)
+    assert remote.link.kind == LinkKind.VIRTUAL
 
 
 def test_connect_validation():
@@ -57,6 +66,18 @@ def test_connect_validation():
         fabric.connect("a", "b")
 
 
+def test_connect_returns_both_ends_and_fabric_finds_them_by_name():
+    _, fabric, a_end, b_end = make_pair()
+    assert (a_end.name, a_end.peer_name) == ("a", "b")
+    assert (b_end.name, b_end.peer_name) == ("b", "a")
+    assert a_end.link is b_end.link
+    assert fabric.endpoint("a", "b") is a_end
+    assert fabric.endpoint("b", "a") is b_end
+    assert fabric.endpoint("a", "ghost") is None
+    with pytest.raises(ValueError):
+        fabric.connect("b", "a")
+
+
 def test_place_is_idempotent_for_same_node():
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
@@ -67,18 +88,17 @@ def test_place_is_idempotent_for_same_node():
 
 
 def test_fifo_per_link():
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     got = []
 
     def sender():
-        ep = link.endpoint_for("a")
         for i in range(5):
-            fabric.send_from(ep, encode_message(value_msg(float(i))))
+            fabric.send_from(a_end, encode_message(value_msg(float(i))))
         return
         yield
 
     def receiver():
-        eps = (link.endpoint_for("b"),)
+        eps = (b_end,)
         for _ in range(5):
             arrived = yield Wait(eps, 10.0)
             got.append(arrived[1].payload.floats()[0])
@@ -90,11 +110,11 @@ def test_fifo_per_link():
 
 
 def test_receive_timeout_advances_virtual_clock():
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     seen = {}
 
     def receiver():
-        arrived = yield Wait((link.endpoint_for("b"),), 2.5)
+        arrived = yield Wait((b_end,), 2.5)
         seen["timed_out"] = arrived is TIMED_OUT
         seen["at"] = sched.now
 
@@ -104,23 +124,23 @@ def test_receive_timeout_advances_virtual_clock():
 
 
 def test_send_on_closed_link_raises():
-    sched, fabric, link = make_pair()
-    link.close()
+    sched, fabric, a_end, b_end = make_pair()
+    a_end.link.close()
     with pytest.raises(TransportDownError):
-        fabric.send_from(link.endpoint_for("a"), encode_message(value_msg(1.0)))
+        fabric.send_from(a_end, encode_message(value_msg(1.0)))
 
 
 def test_unparseable_frame_dropped_at_send():
     """A mangled frame never reaches the wire; the receiver sees silence."""
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     frame = corrupt_raw(encode_message(value_msg(3.0)), b"\xff", offset=0)
     outcome = {}
 
     def receiver():
-        got = yield Wait((link.endpoint_for("b"),), 1.0)
+        got = yield Wait((b_end,), 1.0)
         outcome["got"] = got
 
-    fabric.send_from(link.endpoint_for("a"), frame)
+    fabric.send_from(a_end, frame)
     sched.spawn("recv", receiver())
     sched.run()
     assert outcome["got"] is TIMED_OUT
@@ -139,30 +159,30 @@ def test_corrupt_value_payload_stays_parseable():
 
 
 def test_corrupt_hook_hits_chosen_frame_only():
-    sched, fabric, link = make_pair()
-    fabric.add_hook(corrupt_hook(link, "b", b"\xff", index=1))
+    sched, fabric, a_end, b_end = make_pair()
+    fabric.add_hook(corrupt_hook("a", "b", b"\xff", index=1))
     got = []
 
     def receiver():
-        eps = (link.endpoint_for("b"),)
+        eps = (b_end,)
         for _ in range(3):
             arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
 
     for x in (1.0, 2.0, 3.0):
-        fabric.send_from(link.endpoint_for("a"), encode_message(value_msg(x)))
+        fabric.send_from(a_end, encode_message(value_msg(x)))
     sched.spawn("recv", receiver())
     sched.run()
     assert got[0] == 1.0 and got[2] == 3.0 and got[1] != 2.0
 
 
 def test_drop_hook_by_index():
-    sched, fabric, link = make_pair()
-    fabric.add_hook(drop_hook(link, "b", index=0))
+    sched, fabric, a_end, b_end = make_pair()
+    fabric.add_hook(drop_hook("a", "b", index=0))
     got = []
 
     def receiver():
-        eps = (link.endpoint_for("b"),)
+        eps = (b_end,)
         while True:
             arrived = yield Wait(eps, 1.0)
             if arrived is TIMED_OUT:
@@ -170,23 +190,23 @@ def test_drop_hook_by_index():
             got.append(arrived[1].payload.floats()[0])
 
     for x in (1.0, 2.0):
-        fabric.send_from(link.endpoint_for("a"), encode_message(value_msg(x)))
+        fabric.send_from(a_end, encode_message(value_msg(x)))
     sched.spawn("recv", receiver())
     sched.run()
     assert got == [2.0]
 
 
 def test_delay_hook_shifts_arrival_time():
-    sched, fabric, link = make_pair()
-    fabric.add_hook(delay_hook(link, "b", delay=1.25))
+    sched, fabric, a_end, b_end = make_pair()
+    fabric.add_hook(delay_hook("a", "b", delay=1.25))
     seen = {}
 
     def receiver():
-        arrived = yield Wait((link.endpoint_for("b"),), 5.0)
+        arrived = yield Wait((b_end,), 5.0)
         seen["at"] = sched.now
         seen["x"] = arrived[1].payload.floats()[0]
 
-    fabric.send_from(link.endpoint_for("a"), encode_message(value_msg(9.0)))
+    fabric.send_from(a_end, encode_message(value_msg(9.0)))
     sched.spawn("recv", receiver())
     sched.run()
     assert seen == {"at": 1.25, "x": 9.0}
@@ -194,15 +214,15 @@ def test_delay_hook_shifts_arrival_time():
 
 def test_hooks_are_direction_scoped():
     """A hook keyed on frames toward b must leave the a-bound flow alone."""
-    sched, fabric, link = make_pair()
-    fabric.add_hook(drop_hook(link, "b"))
+    sched, fabric, a_end, b_end = make_pair()
+    fabric.add_hook(drop_hook("a", "b"))
     got = []
 
     def receiver_a():
-        arrived = yield Wait((link.endpoint_for("a"),), 2.0)
+        arrived = yield Wait((a_end,), 2.0)
         got.append(arrived is not TIMED_OUT)
 
-    fabric.send_from(link.endpoint_for("b"), encode_message(value_msg(1.0)))
+    fabric.send_from(b_end, encode_message(value_msg(1.0)))
     sched.spawn("recv", receiver_a())
     sched.run()
     assert got == [True]
@@ -210,20 +230,20 @@ def test_hooks_are_direction_scoped():
 
 def test_outbox_decouples_sender():
     """Queueing into the outbox never blocks; the pump does the sending."""
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     outbox = Outbox(fabric)
     got = []
 
     def producer():
         for i in range(3):
             msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
-            assert outbox.send_to((link.endpoint_for("a"),), msg) == 0
+            assert outbox.send_to((a_end,), msg) == 0
         outbox.close()
         return
         yield
 
     def receiver():
-        eps = (link.endpoint_for("b"),)
+        eps = (b_end,)
         for _ in range(3):
             arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
@@ -236,20 +256,20 @@ def test_outbox_decouples_sender():
 
 
 def test_outbox_close_stops_pump_and_rejects_sends():
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     outbox = Outbox(fabric)
     sched.spawn("pump", outbox.pump())
     outbox.close()
     sched.run()
     assert not sched.activities["pump"].live
-    assert outbox.send_to((link.endpoint_for("a"),), value_msg(1.0)) == 1
+    assert outbox.send_to((a_end,), value_msg(1.0)) == 1
 
 
 def test_outbox_pump_skips_closed_links():
-    sched, fabric, link = make_pair()
+    sched, fabric, a_end, b_end = make_pair()
     outbox = Outbox(fabric)
-    assert outbox.send_to((link.endpoint_for("a"),), value_msg(1.0)) == 0
-    link.close()
+    assert outbox.send_to((a_end,), value_msg(1.0)) == 0
+    a_end.link.close()
     outbox.close()
     sched.spawn("pump", outbox.pump())
     sched.run()  # no TransportDownError out of the pump

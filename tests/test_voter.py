@@ -160,8 +160,7 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     must agree it did.
     """
     world, rt, recs = launch(3, crashed=(3,))
-    link = world.fabric.link_between(voter_name("f", 1), voter_name("f", 2))
-    world.fabric.add_hook(delay_hook(link, voter_name("f", 2), delay=1.2))
+    world.fabric.add_hook(delay_hook(voter_name("f", 1), voter_name("f", 2), delay=1.2))
     world.run()
     v1, v2, v3 = (rt.states[i] for i in (1, 2, 3))
     assert v2.late_arrivals == 1
@@ -258,9 +257,9 @@ def test_transport_collapse_aborts_the_round():
 
     def cutter():
         yield from sleep(0.5)  # voter 1 is now blocked on voter 2's slot
-        for ends, link in world.fabric.links.items():
-            if voter_name("f", 1) in ends:
-                link.close()
+        for (owner, _), end in world.fabric.ends.items():
+            if owner == voter_name("f", 1):
+                end.link.close()
 
     world.spawn_user("f", 1, plain_user(world, rt, 1, V42, {}))
     world.spawn("cutter", cutter())
@@ -304,8 +303,8 @@ def quiet_farm(sends):
     def feeder():
         for at, (src, dst), msg in sends:
             yield from sleep(at - world.scheduler.now)
-            link = world.fabric.link_between(name(src), name(dst))
-            world.fabric.send_from(link.endpoint_for(name(src)), encode_message(msg))
+            src_end = world.fabric.endpoint(name(src), name(dst))
+            world.fabric.send_from(src_end, encode_message(msg))
 
     world.spawn("feeder", feeder())
     world.run()
@@ -333,8 +332,12 @@ def test_broadcast_from_own_or_unknown_id_is_a_stray(sender):
     ]
     # between rounds the value broadcast is the first arrival
     rt = quiet_farm([(0.0, FELLOW, strays[0])])
-    assert rt.states[1].stray_messages == 1
-    assert rt.states[1].late_arrivals == 0
+    v1 = rt.states[1]
+    assert (v1.stray_messages, v1.late_arrivals) == (1, 0)
+    # ... and opens no round
+    assert v1.rounds_completed == v1.timeouts == 0
+    assert v1.round_started_at is None
+    assert v1.last_outcome is None
     # in a round, opened by user 1's input
     rt = quiet_farm(
         [(0.0, USER1, Message(Tag.INPUT, USER, V42))]
@@ -452,8 +455,7 @@ def test_fault_free_farm_votes_once_per_round(vote_calls):
 def test_split_vectors_get_one_vote_each(vote_calls):
     world, rt, _ = launch(5, inputs=[1, 2, 2, 2, 3])
     for dst in (2, 4):
-        link = world.fabric.link_between(voter_name("f", 1), voter_name("f", dst))
-        world.fabric.add_hook(drop_hook(link, voter_name("f", dst)))
+        world.fabric.add_hook(drop_hook(voter_name("f", 1), voter_name("f", dst)))
     world.run()
     seen = {(st.algorithm, st.last_slots) for st in rt.states.values()}
     assert len(seen) == 2  # the drops split the voters in two
