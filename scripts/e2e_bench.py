@@ -17,22 +17,37 @@ Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
     PYTHONPATH=src python3 scripts/e2e_bench.py --sizes 3 7 15 31 63
+
+With --against SRC (the src/ directory of another checkout, such as the
+parent commit's), the script instead runs itself PAIRS times on each
+source tree, in child processes that alternate between SRC and the
+sources it imported, and writes each row side by side: `before` (SRC) and
+`after`, each with its work counts, the median of the children's ms_p50
+and the best ms_min, and `after_faster`, the pairs whose `after` ms_p50
+was the lower.
+
+    PYTHONPATH=src python3 scripts/e2e_bench.py --against ../parent/src
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import votefarm
 from votefarm import sim, transport, voter, voting
 from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
 
 METRICS = ("default", "euclidean")
 RUNS = 5  # timed runs per cell
+PAIRS = 5  # child runs per source tree under --against
 
 
 def make_spec(n: int, metric: str) -> ExperimentSpec:
@@ -138,13 +153,54 @@ def bench_rows(sizes) -> list[dict]:
     return rows
 
 
+def child_rows(src: str, sizes) -> list[dict]:
+    """The rows of this script run in a child process on the sources in
+    `src`."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--sizes", *map(str, sizes)],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(proc.stdout)["rows"]
+
+
+def paired_rows(before_src: str, sizes) -> list[dict]:
+    after_src = str(Path(votefarm.__file__).resolve().parent.parent)
+    runs: dict[str, list[list[dict]]] = {"before": [], "after": []}
+    for i in range(PAIRS):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(child_rows(before_src if side == "before" else after_src, sizes))
+    rows = []
+    for i, first in enumerate(runs["before"][0]):
+        row = {"metric": first["metric"], "n": first["n"]}
+        cells = {side: [child[i] for child in runs[side]] for side in runs}
+        for side, side_cells in cells.items():
+            row[side] = {
+                **{k: v for k, v in side_cells[0].items() if k not in row},
+                "ms_p50": statistics.median(c["ms_p50"] for c in side_cells),
+                "ms_min": min(c["ms_min"] for c in side_cells),
+            }
+        row["after_faster"] = sum(
+            a["ms_p50"] < b["ms_p50"] for a, b in zip(cells["after"], cells["before"])
+        )
+        rows.append(row)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 7, 15, 31, 63])
     parser.add_argument("--out", help="write the JSON here instead of stdout")
+    parser.add_argument(
+        "--against", metavar="SRC", help="pair each cell with the sources in SRC"
+    )
     args = parser.parse_args()
     if min(args.sizes) < 1:
         parser.error("--sizes must be >= 1")
+    if args.against and not (Path(args.against) / "votefarm").is_dir():
+        parser.error(f"--against {args.against}: no votefarm package there")
 
     doc = {
         "python": platform.python_version(),
@@ -152,8 +208,12 @@ def main() -> int:
         "runs": RUNS,
         "stages": 2,
         "algorithm": "majority",
-        "rows": bench_rows(args.sizes),
     }
+    if args.against:
+        doc["pairs"] = PAIRS
+        doc["rows"] = paired_rows(args.against, args.sizes)
+    else:
+        doc["rows"] = bench_rows(args.sizes)
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -10,6 +10,15 @@ silence, not scheduling luck.  Timers are cancelled lazily: a timer whose
 wait has already ended stays on the heap until it reaches the top, and is
 then retired without advancing the clock (or, on the real clock, sleeping
 until it is due), so a run ends when its last live work ends.
+
+Each activity has one mailbox.  The first time it waits on a source, the
+source is bound to it, and from then on every item put on that source
+also appends the source to the activity's mailbox, in put order.  So
+blocking, waking and resuming cost O(1) however many sources an activity
+waits on: resuming pops the mailbox head, whose queue holds the earliest
+item, and an empty mailbox means the wait timed out.  Only a wait on a
+different set of sources rebinds, rebuilding the mailbox from the queued
+items in O(k); a finished activity unbinds all its sources.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from operator import itemgetter
+from typing import Callable, Generator
 
 
 class _TimedOut:
@@ -49,7 +59,8 @@ class Wait:
 
 
 class WaitSource:
-    """A FIFO an activity can block on.  At most one waiter at a time."""
+    """A FIFO an activity can block on.  It is bound to at most one live
+    activity at a time, the last one that waited on it."""
 
     __slots__ = ("scheduler", "queue", "waiter")
 
@@ -60,8 +71,11 @@ class WaitSource:
 
     def put(self, item) -> None:
         self.queue.append((self.scheduler._next_seq(), item))
-        if self.waiter is not None:
-            self.scheduler._wake(self.waiter, self)
+        act = self.waiter
+        if act is not None:
+            act.mailbox.append(self)
+            if act.blocked:
+                self.scheduler._wake(act)
 
 
 def sleep(duration: float):
@@ -81,7 +95,8 @@ class Activity:
         "waiting_on",
         "wait_seq",
         "in_ready",
-        "_resume",
+        "blocked",
+        "mailbox",
     )
 
     def __init__(self, name: str, gen: Generator, role: str):
@@ -90,10 +105,13 @@ class Activity:
         self.role = role
         self.finished = False
         self.halted = False
+        # The bound sources, None until the first wait and once finished.
         self.waiting_on: tuple | None = None
         self.wait_seq = 0
         self.in_ready = False
-        self._resume = None
+        self.blocked = False
+        # One bound source per item queued on it, in put order.
+        self.mailbox: deque[WaitSource] = deque()
 
     @property
     def live(self) -> bool:
@@ -162,25 +180,39 @@ class Scheduler:
             act.in_ready = True
             self._ready.append(act)
 
-    def _wake(self, act: Activity, reason) -> None:
-        """Make a blocked activity runnable; `reason` is TIMED_OUT or the
-        source an item was just put on."""
-        if not act.live:
-            return
+    def _wake(self, act: Activity) -> None:
+        """Make a blocked activity runnable, on a put or its timer."""
+        act.blocked = False
         act.wait_seq += 1  # invalidates any pending timer for this wait
-        # An activity blocks only once all its sources are empty, so the
-        # first source put to holds the earliest item among them; a queued
-        # item also beats a timeout that fired before the activity ran.
-        if act._resume is None or act._resume is TIMED_OUT:
-            act._resume = reason
         self._make_ready(act)
 
-    def _clear_wait(self, act: Activity) -> None:
-        if act.waiting_on is not None:
-            for src in act.waiting_on:
-                if src.waiter is act:
-                    src.waiter = None
-            act.waiting_on = None
+    def _bind(self, act: Activity, sources) -> None:
+        """Bind `sources` to `act` in place of its old ones, and rebuild its
+        mailbox from the items already queued on them, in put order.  Only
+        a live activity is bound: a finished one has unbound, and a halted
+        one never ran."""
+        sources = tuple(sources)
+        for src in sources:
+            other = src.waiter
+            if other is not None and other is not act:
+                raise RuntimeError(
+                    f"{other.name} and {act.name} both wait on one source"
+                )
+        self._unbind(act)
+        queued = []
+        for src in dict.fromkeys(sources):
+            src.waiter = act
+            queued.extend((seq, src) for seq, _ in src.queue)
+        queued.sort(key=itemgetter(0))
+        act.mailbox.extend(src for _, src in queued)
+        act.waiting_on = sources
+
+    @staticmethod
+    def _unbind(act: Activity) -> None:
+        for src in act.waiting_on or ():
+            src.waiter = None
+        act.waiting_on = None
+        act.mailbox.clear()
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
@@ -197,42 +229,35 @@ class Scheduler:
 
     # -- stepping -------------------------------------------------------------
 
-    def _pick(self, sources: Iterable[WaitSource]):
-        best = None
-        for src in sources:
-            if src.queue and (best is None or src.queue[0][0] < best.queue[0][0]):
-                best = src
-        return best
-
     def _step(self, act: Activity) -> None:
         if not act.live:
             return
-        reason, act._resume = act._resume, None
-        value = reason  # None on the first step
-        if reason is not None:
-            self._clear_wait(act)
-            if reason is not TIMED_OUT:
-                value = (reason, reason.queue.popleft()[1])
+        mailbox = act.mailbox
+        if act.waiting_on is None:
+            value = None  # the first step starts the generator
+        elif mailbox:
+            src = mailbox.popleft()
+            value = (src, src.queue.popleft()[1])
+        else:
+            value = TIMED_OUT
 
         while True:
             try:
                 eff = act.gen.send(value)
             except StopIteration:
                 act.finished = True
+                self._unbind(act)
                 return
             if not isinstance(eff, Wait):
                 raise TypeError(f"{act.name} yielded {eff!r}, expected Wait")
-            src = self._pick(eff.sources)
-            if src is not None:
+            sources = eff.sources
+            if sources is not act.waiting_on and sources != act.waiting_on:
+                self._bind(act, sources)
+            if mailbox:
+                src = mailbox.popleft()
                 value = (src, src.queue.popleft()[1])
                 continue
-            act.waiting_on = tuple(eff.sources)
-            for s in act.waiting_on:
-                if s.waiter is not None and s.waiter is not act:
-                    raise RuntimeError(
-                        f"{s.waiter.name} and {act.name} both wait on one source"
-                    )
-                s.waiter = act
+            act.blocked = True
             act.wait_seq += 1
             if eff.timeout is not None:
                 self._arm_timer(act, eff.timeout)
@@ -250,7 +275,7 @@ class Scheduler:
         if entry[2] == _T_CALL:
             entry[3]()
         elif not self._stale(entry):
-            self._wake(entry[3], TIMED_OUT)
+            self._wake(entry[3])
 
     def run(self) -> None:
         """Step activities until quiescence: no activity is runnable and no

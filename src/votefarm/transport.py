@@ -3,10 +3,13 @@
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
 Fault hooks intercept deliveries by sender name, receiver name and message
-index, and may drop, corrupt, or delay the frame.  Each frame is then decoded
-exactly once: a frame corrupted beyond parseability is silently discarded,
-so the receiver only ever notices the resulting silence through its
-timeout, and a parseable one lands on the receiver's queue as a Message.
+index, and may drop, corrupt, or delay the frame.  Each distinct frame is
+then decoded once, and the copies of one broadcast share it: the outbox
+queues one frame object for every fellow, and the fabric keeps the last
+frame it decoded with its Message.  A frame corrupted beyond parseability
+is silently discarded, so the receiver only ever notices the resulting
+silence through its timeout, and a parseable one lands on the receiver's
+queue as a Message.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ class Fabric:
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
+        # The last frame decoded and its Message: decoding is pure and a
+        # Message is frozen, so an identical frame object reuses it.
+        self._decoded: tuple[bytes | None, Message | None] = (None, None)
 
     def place(self, name: str, node: int) -> None:
         if node < 1:
@@ -140,13 +146,16 @@ class Fabric:
             if d.drop:
                 self.dropped += 1
                 return
-        # A frame mangled beyond parsing is dropped here: the receiver can
-        # only ever observe the loss as silence.
-        try:
-            msg = decode_message(d.frame)
-        except FrameError:
-            self.dropped += 1
-            return
+        frame, msg = self._decoded
+        if d.frame is not frame:
+            # A frame mangled beyond parsing is dropped here: the receiver
+            # can only ever observe the loss as silence.
+            try:
+                msg = decode_message(d.frame)
+            except FrameError:
+                self.dropped += 1
+                return
+            self._decoded = (d.frame, msg)
         dst_end = self.ends[(dst, src)]
         if d.delay > 0:
             self.scheduler.call_later(d.delay, lambda: self._land(dst_end, msg))

@@ -102,7 +102,8 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
     assert broadcasts == n
     assert counts["broadcast_encodes"] == broadcasts
     assert counts["frames"] == world.fabric.delivered_total > n * (n - 1)
-    assert counts["decode"] == counts["frames"]
+    # the n - 1 copies of a broadcast are one frame object, decoded once
+    assert counts["decode"] == counts["frames"] - broadcasts * (n - 2)
 
 
 def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
@@ -151,6 +152,87 @@ def test_items_on_two_sources_arrive_in_put_order():
     a.put(4)
     sched.run()
     assert got == [("b", 1), ("a", 2), ("b", 3), ("a", 4)]
+
+
+def test_items_queued_before_the_wait_arrive_in_put_order():
+    """Items already queued on three sources when their consumer first
+    waits are received in global put order."""
+    sched = Scheduler(VIRTUAL)
+    a, b, c = (WaitSource(sched) for _ in range(3))
+    for src, item in ((c, 1), (a, 2), (b, 3), (c, 4), (a, 5)):
+        src.put(item)
+    got = []
+
+    def consumer():
+        for _ in range(5):
+            _, item = yield Wait((a, b, c), None)
+            got.append(item)
+
+    sched.spawn("consumer", consumer())
+    sched.run()
+    assert got == [1, 2, 3, 4, 5]
+
+
+def test_a_wait_on_other_sources_rebinds_the_mailbox():
+    """Narrowing the wait to a subset leaves the other items queued; the
+    next wait on the full set gets them, still in put order."""
+    sched = Scheduler(VIRTUAL)
+    a, b, c = (WaitSource(sched) for _ in range(3))
+    got = []
+
+    def consumer():
+        got.append((yield Wait((a, b, c), None))[1])
+        got.append((yield Wait((b,), None))[1])
+        got.append((yield Wait((b,), 0.0)))
+        while True:
+            got.append((yield Wait((a, b, c), 0.0)))
+            if got[-1] is TIMED_OUT:
+                return
+
+    for src, item in ((a, 1), (c, 2), (b, 3), (a, 4), (c, 5)):
+        src.put(item)
+    sched.spawn("consumer", consumer())
+    sched.run()
+    assert got[:3] == [1, 3, TIMED_OUT]
+    assert [item for _, item in got[3:-1]] == [2, 4, 5]
+    assert got[-1] is TIMED_OUT
+    assert sched.activities["consumer"].finished
+
+
+def test_a_finished_waiter_unbinds_so_its_sources_can_be_reused():
+    sched = Scheduler(VIRTUAL)
+    a, b = WaitSource(sched), WaitSource(sched)
+    got = []
+
+    def consumer(name):
+        _, item = yield Wait((a, b), None)
+        got.append((name, item))
+
+    sched.spawn("first", consumer("first"))
+    sched.run()
+    assert a.waiter is b.waiter is sched.activities["first"]
+    a.put(1)
+    sched.run()
+    assert a.waiter is b.waiter is None
+    assert sched.activities["first"].waiting_on is None
+    b.put(2)
+    sched.spawn("second", consumer("second"))
+    sched.run()
+    assert got == [("first", 1), ("second", 2)]
+    assert a.waiter is b.waiter is None
+
+
+def test_two_live_activities_blocked_on_one_source_raise():
+    sched = Scheduler(VIRTUAL)
+    shared, own = WaitSource(sched), WaitSource(sched)
+
+    def consumer(sources):
+        yield Wait(sources, None)
+
+    sched.spawn("first", consumer((shared,)))
+    sched.spawn("second", consumer((own, shared)))
+    with pytest.raises(RuntimeError, match="^first and second both wait on one source$"):
+        sched.run()
 
 
 def test_message_landing_after_the_timeout_fired_still_wins():

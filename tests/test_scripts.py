@@ -56,12 +56,35 @@ def test_vote_bench_writes_its_file_only_with_out(tmp_path):
     assert calls["median", "euclidean"] == calls["weighted_average", "euclidean"] == 15
 
 
+def test_e2e_bench_pairs_two_source_trees_side_by_side():
+    proc = run_script("e2e_bench.py", "--sizes", "1", "--against", str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(proc.stdout)
+    pairs = doc["pairs"]
+    assert [(r["metric"], r["n"]) for r in doc["rows"]] == [("default", 1), ("euclidean", 1)]
+    for r in doc["rows"]:
+        before, after = r["before"], r["after"]
+        # the same sources on both sides do the same work
+        assert {k: v for k, v in before.items() if not k.startswith("ms_")} == {
+            k: v for k, v in after.items() if not k.startswith("ms_")
+        }
+        assert before["ok"] and before["ms_min"] <= before["ms_p50"]
+        assert 0 <= r["after_faster"] <= pairs
+
+
+def test_e2e_bench_refuses_a_tree_without_the_package(tmp_path):
+    proc = run_script("e2e_bench.py", "--against", str(tmp_path))
+    assert proc.returncode == 2
+    assert b"no votefarm package there" in proc.stderr
+
+
 def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
     out = tmp_path / "BENCH_e2e.json"
     proc = run_script("e2e_bench.py", "--sizes", "3", "7", "--out", str(out))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b""
-    rows = json.loads(out.read_text())["rows"]
+    doc = json.loads(out.read_text())
+    rows = doc["rows"]
     assert [(r["metric"], r["n"]) for r in rows] == [
         ("default", 3), ("default", 7), ("euclidean", 3), ("euclidean", 7)
     ]
@@ -73,8 +96,10 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # n (n - 1) / 2 representative pairs, once per stage
         n = r["n"]
         assert r["metric_calls"] == 2 * ((n - 1) + n * (n - 1) // 2)
-        # fault-free: every frame sent is decoded exactly once
-        assert r["decodes"] == r["frames_sent"] > 0
+        # fault-free: every frame sent is decoded once, except that the
+        # n - 1 copies of each voter's broadcast share one decode
+        broadcasts = doc["stages"] * n
+        assert r["decodes"] == r["frames_sent"] - broadcasts * (n - 2) > 0
         assert r["scheduler_steps"] > 0
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0

@@ -176,6 +176,39 @@ def test_corrupt_hook_hits_chosen_frame_only():
     assert got[0] == 1.0 and got[2] == 3.0 and got[1] != 2.0
 
 
+def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
+    """The copies of one broadcast share a frame and its decode; a copy a
+    hook bends is decoded on its own, and one bent past parsing is dropped
+    alone."""
+    sched = Scheduler(VIRTUAL)
+    fabric = Fabric(sched)
+    fabric.place("a", 1)
+    ends = {}
+    for peer, node in (("b", 2), ("c", 3), ("d", 4), ("e", 5)):
+        fabric.place(peer, node)
+        ends[peer] = fabric.connect("a", peer)
+    fabric.add_hook(corrupt_hook("a", "c", b"\xff"))
+
+    def mangle(d):
+        if d.dst == "d":
+            d.frame = corrupt_raw(d.frame, b"\xff", offset=0)
+
+    fabric.add_hook(mangle)
+    outbox = Outbox(fabric)
+    sched.spawn("pump", outbox.pump())
+    msg = value_msg(5.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    assert outbox.send_to([a_end for a_end, _ in ends.values()], msg) == 0
+    outbox.close()
+    sched.run()
+    got = {peer: [item for _, item in peer_end.queue] for peer, (_, peer_end) in ends.items()}
+    assert got["b"] == got["e"] == [msg]
+    (bent,) = got["c"]
+    assert bent.tag == Tag.BROADCAST_VALUE and bent.payload.floats()[0] != 5.0
+    assert got["d"] == []
+    assert fabric.dropped == 1
+    assert fabric.delivered_total == 3
+
+
 def test_drop_hook_by_index():
     sched, fabric, a_end, b_end = make_pair()
     fabric.add_hook(drop_hook("a", "b", index=0))
