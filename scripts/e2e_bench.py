@@ -8,11 +8,15 @@ Beside each time it records the deterministic work of one run, counted
 in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
-the scheduler steps, the frames sent through the fabric and the frames
-it decoded.  One more untimed run, made with the garbage collector
-disabled, gives `cyclic_garbage`: the objects a full collection then
-finds, which reference counting alone could not free (0 when a finished
-world holds no reference cycle).
+the scheduler steps, the items the voters' outboxes queued (one per send,
+however many fellows a broadcast goes to), the frames sent through the
+fabric and the frames it decoded.  One more untimed run, made with the
+garbage collector disabled, gives `cyclic_garbage`: the objects a full
+collection then finds, which reference counting alone could not free (0
+when a finished world holds no reference cycle).  Beside the `rows`, the
+`crash_heavy` row gives the same columns for one two-stage N = 7 farm in
+which two voters and a user never start, so its worlds end with
+activities left blocked or never run.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
@@ -21,10 +25,10 @@ Prints the rows as JSON, or writes them to the file named by --out
 With --against SRC (the src/ directory of another checkout, such as the
 parent commit's), the script instead runs itself PAIRS times on each
 source tree, in child processes that alternate between SRC and the
-sources it imported, and writes each row side by side: `before` (SRC) and
-`after`, each with its work counts, the median of the children's ms_p50
-and the best ms_min, and `after_faster`, the pairs whose `after` ms_p50
-was the lower.
+sources it imported, and writes each row, `crash_heavy` included, side
+by side: `before` (SRC) and `after`, each with its work counts, the
+median of the children's ms_p50 and the best ms_min, and `after_faster`,
+the pairs whose `after` ms_p50 was the lower.
 
     PYTHONPATH=src python3 scripts/e2e_bench.py --against ../parent/src
 """
@@ -43,22 +47,40 @@ from pathlib import Path
 
 import votefarm
 from votefarm import sim, transport, voter, voting
-from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
+from votefarm.harness import (
+    ExperimentSpec,
+    FaultKind,
+    FaultSpec,
+    PipelineSpec,
+    StageSpec,
+    run_experiment,
+)
 
 METRICS = ("default", "euclidean")
 RUNS = 5  # timed runs per cell
 PAIRS = 5  # child runs per source tree under --against
+CRASH_N = 7
+# two crashed voters and one crashed user across the two stages
+CRASH_FAULTS = (
+    FaultSpec(FaultKind.CRASH_VOTER, 2),
+    FaultSpec(FaultKind.CRASH_USER, 5),
+    FaultSpec(FaultKind.CRASH_VOTER, 3, stage=2),
+)
 
 
-def make_spec(n: int, metric: str) -> ExperimentSpec:
+def make_spec(n: int, metric: str, faults=()) -> ExperimentSpec:
     return ExperimentSpec(
-        pipeline=PipelineSpec((StageSpec(n=n), StageSpec(n=n))), metric=metric
+        pipeline=PipelineSpec((StageSpec(n=n), StageSpec(n=n))),
+        metric=metric,
+        faults=faults,
     )
 
 
 def counted(owner, attr: str, counts: dict, key: str):
     """Replace owner.attr by a wrapper that counts its calls in counts[key];
-    returns the original."""
+    returns a function that puts the original back (an inherited method is
+    restored by deleting the wrapper, not by shadowing the base class's)."""
+    own = attr in vars(owner)
     fn = getattr(owner, attr)
     counts[key] = 0
 
@@ -67,12 +89,19 @@ def counted(owner, attr: str, counts: dict, key: str):
         return fn(*args, **kwargs)
 
     setattr(owner, attr, wrapper)
-    return fn
+
+    def restore():
+        if own:
+            setattr(owner, attr, fn)
+        else:
+            delattr(owner, attr)
+
+    return restore
 
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    frames sent and frame decodes of one run."""
+    outbox items, frames sent and frame decodes of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
@@ -94,19 +123,21 @@ def count_work(spec: ExperimentSpec) -> dict:
     voting.register_metric(spec.metric, counted_metric)
     wrapped = [
         (sim.Scheduler, "_step", "scheduler_steps"),
+        (transport.Outbox, "put", "outbox_items"),
         (transport.Fabric, "send_from", "frames_sent"),
         (transport, "decode_message", "decodes"),
     ]
-    originals = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
+    restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
     try:
         report = run_experiment(spec)
     finally:
         voter.vote = vote
         voting.register_metric(spec.metric, metric)
-        for (owner, attr, _), fn in zip(wrapped, originals):
-            setattr(owner, attr, fn)
+        for restore in restores:
+            restore()
+    live = [v for v in report.repetitions[0].voters if v.live]
     return {
-        "ok": all(v.outcome is not None and v.outcome.ok for v in report.repetitions[0].voters),
+        "ok": all(v.outcome is not None and v.outcome.ok for v in live),
         "vote_calls": len(votes),
         "distinct_votes": len(set(votes)),
         "metric_calls": metric_calls,
@@ -134,27 +165,28 @@ def time_runs(spec: ExperimentSpec) -> list[float]:
     return times
 
 
-def bench_rows(sizes) -> list[dict]:
-    rows = []
-    for metric in METRICS:
-        for n in sizes:
-            spec = make_spec(n, metric)
-            times = time_runs(spec)
-            rows.append(
-                {
-                    "metric": metric,
-                    "n": n,
-                    **count_work(spec),
-                    "cyclic_garbage": cyclic_garbage(spec),
-                    "ms_p50": statistics.median(times),
-                    "ms_min": min(times),
-                }
-            )
-    return rows
+def bench_row(metric: str, n: int, faults=()) -> dict:
+    spec = make_spec(n, metric, faults)
+    times = time_runs(spec)
+    return {
+        "metric": metric,
+        "n": n,
+        **count_work(spec),
+        "cyclic_garbage": cyclic_garbage(spec),
+        "ms_p50": statistics.median(times),
+        "ms_min": min(times),
+    }
 
 
-def child_rows(src: str, sizes) -> list[dict]:
-    """The rows of this script run in a child process on the sources in
+def crash_heavy_row() -> dict:
+    return {
+        "faults": [f"{f.kind.value}:{f.stage}.{f.voter}" for f in CRASH_FAULTS],
+        **bench_row("default", CRASH_N, CRASH_FAULTS),
+    }
+
+
+def child_doc(src: str, sizes) -> dict:
+    """The output of this script run in a child process on the sources in
     `src`."""
     proc = subprocess.run(
         [sys.executable, __file__, "--sizes", *map(str, sizes)],
@@ -162,31 +194,39 @@ def child_rows(src: str, sizes) -> list[dict]:
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    return json.loads(proc.stdout)["rows"]
+    return json.loads(proc.stdout)
 
 
-def paired_rows(before_src: str, sizes) -> list[dict]:
+def paired_row(cells: dict[str, list[dict]]) -> dict:
+    """One cell's child runs per side folded into one row: the shared keys,
+    then each side's work counts and times, then `after_faster`."""
+    first = cells["before"][0]
+    row = {k: first[k] for k in ("faults", "metric", "n") if k in first}
+    for side, side_cells in cells.items():
+        row[side] = {
+            **{k: v for k, v in side_cells[0].items() if k not in row},
+            "ms_p50": statistics.median(c["ms_p50"] for c in side_cells),
+            "ms_min": min(c["ms_min"] for c in side_cells),
+        }
+    row["after_faster"] = sum(
+        a["ms_p50"] < b["ms_p50"] for a, b in zip(cells["after"], cells["before"])
+    )
+    return row
+
+
+def paired_doc(before_src: str, sizes) -> dict:
     after_src = str(Path(votefarm.__file__).resolve().parent.parent)
-    runs: dict[str, list[list[dict]]] = {"before": [], "after": []}
+    runs: dict[str, list[dict]] = {"before": [], "after": []}
     for i in range(PAIRS):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(child_rows(before_src if side == "before" else after_src, sizes))
-    rows = []
-    for i, first in enumerate(runs["before"][0]):
-        row = {"metric": first["metric"], "n": first["n"]}
-        cells = {side: [child[i] for child in runs[side]] for side in runs}
-        for side, side_cells in cells.items():
-            row[side] = {
-                **{k: v for k, v in side_cells[0].items() if k not in row},
-                "ms_p50": statistics.median(c["ms_p50"] for c in side_cells),
-                "ms_min": min(c["ms_min"] for c in side_cells),
-            }
-        row["after_faster"] = sum(
-            a["ms_p50"] < b["ms_p50"] for a, b in zip(cells["after"], cells["before"])
-        )
-        rows.append(row)
-    return rows
+            runs[side].append(child_doc(before_src if side == "before" else after_src, sizes))
+    rows = [
+        paired_row({side: [child["rows"][i] for child in runs[side]] for side in runs})
+        for i in range(len(runs["before"][0]["rows"]))
+    ]
+    crash = paired_row({side: [child["crash_heavy"] for child in runs[side]] for side in runs})
+    return {"rows": rows, "crash_heavy": crash}
 
 
 def main() -> int:
@@ -211,9 +251,10 @@ def main() -> int:
     }
     if args.against:
         doc["pairs"] = PAIRS
-        doc["rows"] = paired_rows(args.against, args.sizes)
+        doc.update(paired_doc(args.against, args.sizes))
     else:
-        doc["rows"] = bench_rows(args.sizes)
+        doc["rows"] = [bench_row(metric, n) for metric in METRICS for n in args.sizes]
+        doc["crash_heavy"] = crash_heavy_row()
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

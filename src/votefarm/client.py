@@ -59,6 +59,10 @@ class World:
     def run(self) -> None:
         self.scheduler.run()
 
+    def close(self) -> None:
+        """Free the world once its results are read (see Scheduler.close)."""
+        self.scheduler.close()
+
     def activate_farm(
         self,
         farm: str,
@@ -87,31 +91,34 @@ class World:
         n = len(nodes)
         fabric = self.fabric
 
-        for vid, node in enumerate(nodes, start=1):
-            fabric.place(voter_name(farm, vid), node)
-            fabric.place(user_name(farm, vid), node)
+        # each name is formatted once per farm; vnames[i] is voter i + 1
+        vnames = [voter_name(farm, vid) for vid in range(1, n + 1)]
+        unames = [user_name(farm, vid) for vid in range(1, n + 1)]
+        for vname, uname, node in zip(vnames, unames, nodes):
+            fabric.place(vname, node)
+            fabric.place(uname, node)
 
-        for vid in range(1, n + 1):
-            fabric.connect(user_name(farm, vid), voter_name(farm, vid))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                fabric.connect(voter_name(farm, i), voter_name(farm, j))
+        for vname, uname in zip(vnames, unames):
+            fabric.connect(uname, vname)
+        for i, vname in enumerate(vnames):
+            for other in vnames[i + 1 :]:
+                fabric.connect(vname, other)
 
+        ends = fabric.ends
         voters: dict[int, Voter] = {}
         user_eps: dict[int, Endpoint] = {}
         memo: dict = {}  # one vote memo per farm, see Voter._vote
-        for vid in range(1, n + 1):
-            vname, uname = voter_name(farm, vid), user_name(farm, vid)
+        for vid, (vname, uname) in enumerate(zip(vnames, unames), start=1):
             fellow_eps = {
-                other: fabric.endpoint(vname, voter_name(farm, other))
-                for other in range(1, n + 1)
+                other: ends[(vname, oname)]
+                for other, oname in enumerate(vnames, start=1)
                 if other != vid
             }
             voter = voters[vid] = Voter(
                 vname,
                 vid,
                 fabric,
-                fabric.endpoint(vname, uname),
+                ends[(vname, uname)],
                 fellow_eps,
                 memo,
                 delta_t=delta_t,
@@ -121,7 +128,7 @@ class World:
             )
             self.scheduler.spawn(vname, voter.main(), role="voter")
             self.scheduler.spawn(sender_name(farm, vid), voter.outbox.pump(), role="sender")
-            user_eps[vid] = fabric.endpoint(uname, vname)
+            user_eps[vid] = ends[(uname, vname)]
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,

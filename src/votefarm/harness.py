@@ -688,6 +688,7 @@ def _run_single_repetition(
         for i in range(1, stages[0].n + 1)
         if records[(1, i)].injected_at is not None
     ]
+    world.close()
     makespan = None
     if finishes and first_injected:
         makespan = max(finishes) - min(first_injected)
@@ -805,6 +806,7 @@ def bench(
             _bench_coordinator(world, n, repetitions + 1, go_sources, done, durations),
         )
         world.run()
+        world.close()
         kept = durations if include_warmup else durations[1:]
         rows.append(
             BenchRow(

@@ -214,6 +214,18 @@ class Scheduler:
         act.waiting_on = None
         act.mailbox.clear()
 
+    def close(self) -> None:
+        """Drop every unfinished activity's generator and unbind its
+        sources.  The generator holds its voter or handle, whose endpoints
+        hold this scheduler, which holds the activity; a blocked activity
+        and its sources also point at each other.  Breaking both lets
+        reference counting alone free a world left with halted or blocked
+        activities, which can then never resume."""
+        for act in self.activities.values():
+            if not act.finished:
+                act.gen = None
+                self._unbind(act)
+
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise ValueError("delay must be >= 0")

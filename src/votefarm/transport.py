@@ -3,13 +3,14 @@
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
 Fault hooks intercept deliveries by sender name, receiver name and message
-index, and may drop, corrupt, or delay the frame.  Each distinct frame is
-then decoded once, and the copies of one broadcast share it: the outbox
-queues one frame object for every fellow, and the fabric keeps the last
-frame it decoded with its Message.  A frame corrupted beyond parseability
-is silently discarded, so the receiver only ever notices the resulting
-silence through its timeout, and a parseable one lands on the receiver's
-queue as a Message.
+index, and may drop, corrupt, or delay the frame; a fabric with no hook
+shows a frame to none and builds no Delivery for it.  Each distinct frame
+is then decoded once, and the copies of one broadcast share it: the
+outbox queues one item per send, fanned out by the sender activity, and
+the fabric keeps the last frame it decoded with its Message.  A frame
+corrupted beyond parseability is silently discarded, so the receiver only
+ever notices the resulting silence through its timeout, and a parseable
+one lands on the receiver's queue as a Message.
 """
 
 from __future__ import annotations
@@ -139,26 +140,32 @@ class Fabric:
         src, dst = endpoint.name, endpoint.peer_name
         if link.closed:
             raise TransportDownError(f"link {src} <-> {dst} is closed")
-        d = Delivery(src=src, dst=dst, frame=frame, index=link.sent[dst])
-        link.sent[dst] += 1
-        for hook in self.hooks:
-            hook(d)
-            if d.drop:
-                self.dropped += 1
-                return
-        frame, msg = self._decoded
-        if d.frame is not frame:
+        # Every frame takes an index, so a hook added later counts right.
+        sent = link.sent
+        index = sent[dst]
+        sent[dst] = index + 1
+        delay = 0.0
+        if self.hooks:
+            d = Delivery(src=src, dst=dst, frame=frame, index=index)
+            for hook in self.hooks:
+                hook(d)
+                if d.drop:
+                    self.dropped += 1
+                    return
+            frame, delay = d.frame, d.delay
+        last, msg = self._decoded
+        if frame is not last:
             # A frame mangled beyond parsing is dropped here: the receiver
             # can only ever observe the loss as silence.
             try:
-                msg = decode_message(d.frame)
+                msg = decode_message(frame)
             except FrameError:
                 self.dropped += 1
                 return
-            self._decoded = (d.frame, msg)
+            self._decoded = (frame, msg)
         dst_end = self.ends[(dst, src)]
-        if d.delay > 0:
-            self.scheduler.call_later(d.delay, lambda: self._land(dst_end, msg))
+        if delay > 0:
+            self.scheduler.call_later(delay, lambda: self._land(dst_end, msg))
         else:
             self._land(dst_end, msg)
 
@@ -188,7 +195,9 @@ class Fabric:
 
 class Outbox(WaitSource):
     """Per-voter send queue drained by a dedicated sender activity, so the
-    owner never blocks on a send."""
+    owner never blocks on a send.  Each send is one item, the endpoints
+    whose link was open when it was queued and the frame, which the
+    sender fans out in endpoint order."""
 
     _POISON = object()
 
@@ -198,34 +207,33 @@ class Outbox(WaitSource):
         self.closed = False
 
     def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> int:
-        """Encode `msg` once and enqueue that frame for every endpoint, in
-        order; returns how many endpoints were refused (closed outbox or
-        closed link)."""
+        """Encode `msg` once and queue that frame for every endpoint whose
+        link is open, as one item; returns how many endpoints were refused
+        (closed outbox or closed link)."""
         if self.closed:
             return len(endpoints)
         frame = encode_message(msg)
-        refused = 0
-        for endpoint in endpoints:
-            if endpoint.link.closed:
-                refused += 1
-            else:
-                self.put((endpoint, frame))
-        return refused
+        live = tuple(ep for ep in endpoints if not ep.link.closed)
+        if live:
+            self.put((live, frame))
+        return len(endpoints) - len(live)
 
     def close(self) -> None:
         self.closed = True
         self.put(self._POISON)
 
     def pump(self):
-        """Generator body for the dedicated sender activity."""
+        """Generator body for the dedicated sender activity; a link closed
+        since the send was queued is skipped."""
+        wait = Wait((self,), None)
         while True:
-            _, item = yield Wait((self,), None)
+            _, item = yield wait
             if item is self._POISON:
                 return
-            endpoint, frame = item
-            if endpoint.link.closed:
-                continue
-            self.fabric.send_from(endpoint, frame)
+            endpoints, frame = item
+            for endpoint in endpoints:
+                if not endpoint.link.closed:
+                    self.fabric.send_from(endpoint, frame)
 
 
 # -- fault hook constructors --------------------------------------------------

@@ -50,7 +50,6 @@ class Voter:
         self.name = name
         self.voter_id = voter_id
         self.n = len(fellow_eps) + 1
-        self.delta_t = delta_t
         self.metric = metric
         self.algorithm = algorithm
         self.output_target = output_target
@@ -61,6 +60,9 @@ class Voter:
         self.all_eps = (user_ep, *fellow_eps.values())
         # broadcast order: fellows by ascending voter id
         self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
+        # the two waits main() makes: between rounds and inside one
+        self.idle_wait = Wait(self.all_eps, None)
+        self.round_wait = Wait(self.all_eps, delta_t)
 
         self.last_outcome: VoteOutcome | None = None
         self.last_slots: tuple | None = None
@@ -210,7 +212,11 @@ class Voter:
         delta_t limit for every receive inside one; silence invalidates
         the lowest unresolved slot."""
         while True:
-            if self.slots is not None and all(ep.link.closed for ep in self.all_eps):
+            if (
+                self.slots is not None
+                and self.user_ep.link.closed
+                and all(ep.link.closed for ep in self.all_eps)
+            ):
                 # transport gone: no frame or timeout can settle anything,
                 # so write the round off in one stroke
                 for origin, slot in enumerate(self.slots, start=1):
@@ -218,7 +224,7 @@ class Voter:
                         self._resolve(ValueSlot.invalidated(origin))
                 self._finish_round()
                 continue
-            got = yield Wait(self.all_eps, None if self.slots is None else self.delta_t)
+            got = yield self.idle_wait if self.slots is None else self.round_wait
             if got is TIMED_OUT:
                 self.timeouts += 1
                 self._resolve(ValueSlot.invalidated(self.slots.index(None) + 1))

@@ -1,5 +1,6 @@
 """Experiment harness: spec validation, fault injection, reports."""
 
+import gc
 import hashlib
 import json
 import math
@@ -484,6 +485,27 @@ def test_pipeline_restores_a_crashed_voter(crashed):
         v = by_key[(2, i)]
         assert v.live and v.closed
         assert one_float(v.outcome) == 42.0
+
+
+def test_a_faulty_world_is_freed_by_reference_counting():
+    """A crashed voter never runs and a dropped broadcast leaves activities
+    blocked for good; once the repetition has read their results, closing
+    the world breaks their cycles, so with the cyclic garbage collector off
+    a whole run leaves nothing for it to find."""
+    spec = two_stage(
+        faults=(
+            FaultSpec(FaultKind.CRASH_VOTER, voter=2),
+            FaultSpec(FaultKind.DROP_MESSAGE, voter=3, stage=2),
+        )
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_experiment(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [v.live for v in report.repetitions[0].voters].count(False) == 1
 
 
 def test_pipeline_census_counts_both_stages():

@@ -70,6 +70,8 @@ def test_e2e_bench_pairs_two_source_trees_side_by_side():
         }
         assert before["ok"] and before["ms_min"] <= before["ms_p50"]
         assert 0 <= r["after_faster"] <= pairs
+    crash = doc["crash_heavy"]
+    assert crash["before"]["frames_sent"] == crash["after"]["frames_sent"] > 0
 
 
 def test_e2e_bench_refuses_a_tree_without_the_package(tmp_path):
@@ -103,3 +105,9 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["scheduler_steps"] > 0
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0
+        # one outbox item per send: a broadcast's n - 1 copies count once
+        assert 0 < r["outbox_items"] < r["frames_sent"]
+    crash = doc["crash_heavy"]
+    assert crash["faults"] and crash["ok"] and crash["outbox_items"] > 0
+    # a world left with blocked and never-run activities is freed too
+    assert crash["cyclic_garbage"] == 0

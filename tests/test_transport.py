@@ -10,6 +10,7 @@ from votefarm.core import (
     decode_message,
     encode_message,
 )
+from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
 from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL, Wait
 from votefarm.transport import (
     Fabric,
@@ -307,6 +308,77 @@ def test_outbox_pump_skips_closed_links():
     sched.spawn("pump", outbox.pump())
     sched.run()  # no TransportDownError out of the pump
     assert fabric.delivered_total == 0
+
+
+def fan_out(peers="bcd"):
+    """`a` linked to each of `peers`, and `a`'s outbox; returns the
+    scheduler, fabric, outbox and {peer: (a's end, peer's end)}."""
+    sched = Scheduler(VIRTUAL)
+    fabric = Fabric(sched)
+    fabric.place("a", 1)
+    ends = {}
+    for node, peer in enumerate(peers, start=2):
+        fabric.place(peer, node)
+        ends[peer] = fabric.connect("a", peer)
+    return sched, fabric, Outbox(fabric), ends
+
+
+def test_outbox_queues_one_item_per_send():
+    """A send to three endpoints is one queued item, the frame with the
+    endpoints whose link was open; a closed link is refused at once."""
+    _, _, outbox, ends = fan_out()
+    a_ends = [a_end for a_end, _ in ends.values()]
+    msg = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    assert outbox.send_to(a_ends, msg) == 0
+    assert len(outbox.queue) == 1
+    ends["c"][0].link.close()
+    assert outbox.send_to(a_ends, msg) == 1
+    assert len(outbox.queue) == 2
+    (_, (live, frame)) = outbox.queue[1]
+    assert live == (ends["b"][0], ends["d"][0])
+    assert frame == encode_message(msg)
+
+
+def test_a_link_closed_before_the_drain_loses_only_its_own_copy():
+    sched, fabric, outbox, ends = fan_out()
+    msg = value_msg(4.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    assert outbox.send_to([a_end for a_end, _ in ends.values()], msg) == 0
+    ends["c"][0].link.close()
+    outbox.close()
+    sched.spawn("pump", outbox.pump())
+    sched.run()  # no TransportDownError out of the pump
+    got = {peer: [item for _, item in peer_end.queue] for peer, (_, peer_end) in ends.items()}
+    assert got == {"b": [msg], "c": [], "d": [msg]}
+    assert fabric.delivered_total == 2
+
+
+def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
+    """Frames sent while the fabric had no hook still take an index, so a
+    hook added after two of them drops exactly the third."""
+    sched, fabric, a_end, b_end = make_pair()
+    for x in (1.0, 2.0):
+        fabric.send_from(a_end, encode_message(value_msg(x)))
+    fabric.add_hook(drop_hook("a", "b", index=2))
+    for x in (3.0, 4.0):
+        fabric.send_from(a_end, encode_message(value_msg(x)))
+    got = [item.payload.floats()[0] for _, item in b_end.queue]
+    assert got == [1.0, 2.0, 4.0]
+    assert fabric.dropped == 1
+
+
+def test_a_no_op_hook_leaves_the_report_byte_identical(monkeypatch):
+    spec = ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3), StageSpec(n=3))))
+    bare = run_experiment(spec).to_json()
+    shown = []
+    init = Fabric.__init__
+
+    def with_hook(self, scheduler):
+        init(self, scheduler)
+        self.add_hook(shown.append)
+
+    monkeypatch.setattr(Fabric, "__init__", with_hook)
+    assert run_experiment(spec).to_json() == bare
+    assert shown  # the hook saw every frame of the hooked run
 
 
 def test_census_counts_by_kind():
