@@ -16,7 +16,9 @@ collection then finds, which reference counting alone could not free (0
 when a finished world holds no reference cycle).  Beside the `rows`, the
 `crash_heavy` row gives the same columns for one two-stage N = 7 farm in
 which two voters and a user never start, so its worlds end with
-activities left blocked or never run.
+activities left blocked or never run.  A top-level `src_lines` gives the
+line count of the package's modules (`src/votefarm/*.py`), the size a
+simplification is measured by.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
@@ -28,7 +30,8 @@ source tree, in child processes that alternate between SRC and the
 sources it imported, and writes each row, `crash_heavy` included, side
 by side: `before` (SRC) and `after`, each with its work counts, the
 median of the children's ms_p50 and the best ms_min, and `after_faster`,
-the pairs whose `after` ms_p50 was the lower.
+the pairs whose `after` ms_p50 was the lower; `src_lines` then holds
+both sides' counts.
 
     PYTHONPATH=src python3 scripts/e2e_bench.py --against ../parent/src
 """
@@ -145,6 +148,12 @@ def count_work(spec: ExperimentSpec) -> dict:
     }
 
 
+def src_lines() -> int:
+    """Lines in the modules of the imported votefarm package."""
+    package = Path(votefarm.__file__).resolve().parent
+    return sum(len(f.read_text().splitlines()) for f in package.glob("*.py"))
+
+
 def cyclic_garbage(spec: ExperimentSpec) -> int:
     """Objects of one run that only the cycle collector frees."""
     gc.collect()
@@ -226,7 +235,8 @@ def paired_doc(before_src: str, sizes) -> dict:
         for i in range(len(runs["before"][0]["rows"]))
     ]
     crash = paired_row({side: [child["crash_heavy"] for child in runs[side]] for side in runs})
-    return {"rows": rows, "crash_heavy": crash}
+    lines = {side: runs[side][0]["src_lines"] for side in runs}
+    return {"src_lines": lines, "rows": rows, "crash_heavy": crash}
 
 
 def main() -> int:
@@ -253,6 +263,7 @@ def main() -> int:
         doc["pairs"] = PAIRS
         doc.update(paired_doc(args.against, args.sizes))
     else:
+        doc["src_lines"] = src_lines()
         doc["rows"] = [bench_row(metric, n) for metric in METRICS for n in args.sizes]
         doc["crash_heavy"] = crash_heavy_row()
     text = json.dumps(doc, indent=1) + "\n"

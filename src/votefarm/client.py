@@ -25,7 +25,6 @@ from .core import (
     FarmState,
     Message,
     Tag,
-    TransportDownError,
     VoteKind,
     VoteValue,
     decode_message,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
@@ -252,14 +251,9 @@ class FarmHandle:
             return False
         return True
 
-    def _send(self, msg: Message) -> bool:
-        try:
-            self.world.fabric.send_from(self.endpoint, encode_message(msg))
-        except TransportDownError as exc:
-            self.last_error = exc.code
-            return False
+    def _send(self, msg: Message) -> None:
+        self.world.fabric.send_from(self.endpoint, encode_message(msg))
         self.messages_sent += 1
-        return True
 
     def _drain(self):
         """Consume everything already queued on the handle's link; returns
@@ -277,13 +271,12 @@ class FarmHandle:
         """Drain the link, send a `tag` request, and wait for a reply whose
         tag is in `replies`, skipping stale pushes (generator).  Returns
         that message, or None with last_error set when the handle is not
-        running, the send fails, or `timeout` (None: no limit) runs out."""
+        running or `timeout` (None: no limit) runs out."""
         self.last_error = ErrorCode.NONE
         if not self._require_running():
             return None
         yield from self._drain()
-        if not self._send(Message(tag, USER)):
-            return None
+        self._send(Message(tag, USER))
         sched = self.world.scheduler
         deadline = None if timeout is None else sched.now + timeout
         while True:
@@ -312,9 +305,7 @@ class FarmHandle:
         if not self._require_running():
             return False
         for req in requests:
-            msg = self._as_message(req)
-            if not self._send(msg):
-                return False
+            self._send(self._as_message(req))
         refused = yield from self._drain()
         if refused:
             self.last_error = ErrorCode.REFUSED

@@ -69,11 +69,6 @@ class BadStateError(VotingError):
         super().__init__(ErrorCode.BAD_STATE, message)
 
 
-class TransportDownError(VotingError):
-    def __init__(self, message: str = ""):
-        super().__init__(ErrorCode.TRANSPORT_DOWN, message)
-
-
 class FrameError(ValueError):
     """A byte sequence that does not parse as exactly one message frame."""
 

@@ -2,20 +2,22 @@
 
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
-Fault hooks intercept deliveries by sender name, receiver name and message
-index, and may drop, corrupt, or delay the frame; a fabric with no hook
-shows a frame to none and builds no Delivery for it.  Each distinct frame
-is then decoded once, and the copies of one broadcast share it: the
-outbox queues one item per send, fanned out by the sender activity, and
-the fabric keeps the last frame it decoded with its Message.  A frame
-corrupted beyond parseability is silently discarded, so the receiver only
-ever notices the resulting silence through its timeout, and a parseable
-one lands on the receiver's queue as a Message.
+A link never fails: a frame is only ever dropped, corrupted or delayed by
+a fault hook.  Hooks intercept deliveries by sender name, receiver name
+and message index, the count of frames sent before it from the same end;
+a fabric with no hook shows a frame to none and builds no Delivery for
+it.  Each distinct frame is then decoded once, and the copies of one
+broadcast share it: the outbox queues one item per send, fanned out by
+the sender activity, and the fabric keeps the last frame it decoded with
+its Message.  A frame corrupted beyond parseability is silently
+discarded, so the receiver only ever notices the resulting silence
+through its timeout, and a parseable one lands on the receiver's queue
+as a Message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -24,7 +26,6 @@ from .core import (
     VALUE_FLAG_SIZE,
     FrameError,
     Message,
-    TransportDownError,
     decode_message,
     encode_message,
 )
@@ -38,29 +39,20 @@ class LinkKind(Enum):
 
 class Endpoint(WaitSource):
     """One side of a link: frames sent from here land on the queue of the
-    peer's endpoint, which the fabric finds by name."""
+    peer's endpoint, which the fabric finds by name.  `sent` counts the
+    frames sent from this end, the index fault hooks match on."""
 
-    __slots__ = ("name", "peer_name", "link")
+    __slots__ = ("name", "peer_name", "kind", "sent")
 
-    def __init__(self, scheduler: Scheduler, name: str, peer_name: str, link: "Link"):
+    def __init__(self, scheduler: Scheduler, name: str, peer_name: str, kind: LinkKind):
         super().__init__(scheduler)
         self.name = name
         self.peer_name = peer_name
-        self.link = link
+        self.kind = kind
+        self.sent = 0
 
     def __repr__(self) -> str:
         return f"Endpoint({self.name}->{self.peer_name})"
-
-
-@dataclass
-class Link:
-    kind: LinkKind
-    closed: bool = False
-    # sent-frame counters keyed by destination endpoint name
-    sent: dict = field(default_factory=dict)
-
-    def close(self) -> None:
-        self.closed = True
 
 
 @dataclass(frozen=True)
@@ -122,9 +114,8 @@ class Fabric:
             if self.placements[a] == self.placements[b]
             else LinkKind.VIRTUAL
         )
-        link = Link(kind, sent={a: 0, b: 0})
-        a_end = self.ends[(a, b)] = Endpoint(self.scheduler, a, b, link)
-        b_end = self.ends[(b, a)] = Endpoint(self.scheduler, b, a, link)
+        a_end = self.ends[(a, b)] = Endpoint(self.scheduler, a, b, kind)
+        b_end = self.ends[(b, a)] = Endpoint(self.scheduler, b, a, kind)
         return a_end, b_end
 
     def endpoint(self, owner: str, peer: str) -> Endpoint | None:
@@ -136,14 +127,10 @@ class Fabric:
 
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
         """Ship one frame toward the peer endpoint; never blocks."""
-        link = endpoint.link
         src, dst = endpoint.name, endpoint.peer_name
-        if link.closed:
-            raise TransportDownError(f"link {src} <-> {dst} is closed")
         # Every frame takes an index, so a hook added later counts right.
-        sent = link.sent
-        index = sent[dst]
-        sent[dst] = index + 1
+        index = endpoint.sent
+        endpoint.sent = index + 1
         delay = 0.0
         if self.hooks:
             d = Delivery(src=src, dst=dst, frame=frame, index=index)
@@ -181,7 +168,7 @@ class Fabric:
         for (owner, peer), end in self.ends.items():
             # every link has two ends; count it at the one whose owner sorts first
             if owner < peer and (names is None or (owner in names and peer in names)):
-                if end.link.kind is LinkKind.VIRTUAL:
+                if end.kind is LinkKind.VIRTUAL:
                     virtual += 1
                 else:
                     local += 1
@@ -196,35 +183,24 @@ class Fabric:
 class Outbox(WaitSource):
     """Per-voter send queue drained by a dedicated sender activity, so the
     owner never blocks on a send.  Each send is one item, the endpoints
-    whose link was open when it was queued and the frame, which the
-    sender fans out in endpoint order."""
+    and the frame, which the sender fans out in endpoint order."""
 
     _POISON = object()
 
     def __init__(self, fabric: Fabric):
         super().__init__(fabric.scheduler)
         self.fabric = fabric
-        self.closed = False
 
-    def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> int:
-        """Encode `msg` once and queue that frame for every endpoint whose
-        link is open, as one item; returns how many endpoints were refused
-        (closed outbox or closed link)."""
-        if self.closed:
-            return len(endpoints)
-        frame = encode_message(msg)
-        live = tuple(ep for ep in endpoints if not ep.link.closed)
-        if live:
-            self.put((live, frame))
-        return len(endpoints) - len(live)
+    def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> None:
+        """Encode `msg` once and queue that frame for `endpoints` as one item."""
+        self.put((endpoints, encode_message(msg)))
 
     def close(self) -> None:
-        self.closed = True
+        """Queue the item that ends the sender activity."""
         self.put(self._POISON)
 
     def pump(self):
-        """Generator body for the dedicated sender activity; a link closed
-        since the send was queued is skipped."""
+        """Generator body for the dedicated sender activity."""
         wait = Wait((self,), None)
         while True:
             _, item = yield wait
@@ -232,8 +208,7 @@ class Outbox(WaitSource):
                 return
             endpoints, frame = item
             for endpoint in endpoints:
-                if not endpoint.link.closed:
-                    self.fabric.send_from(endpoint, frame)
+                self.fabric.send_from(endpoint, frame)
 
 
 # -- fault hook constructors --------------------------------------------------

@@ -57,12 +57,13 @@ class Voter:
         self.user_ep = user_ep
         self.outbox = Outbox(fabric)
         self.memo = memo
-        self.all_eps = (user_ep, *fellow_eps.values())
+        all_eps = (user_ep, *fellow_eps.values())
         # broadcast order: fellows by ascending voter id
         self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
-        # the two waits main() makes: between rounds and inside one
-        self.idle_wait = Wait(self.all_eps, None)
-        self.round_wait = Wait(self.all_eps, delta_t)
+        # the two waits main() makes, between rounds and inside one; one
+        # shared tuple lets the scheduler see the same sources by identity
+        self.idle_wait = Wait(all_eps, None)
+        self.round_wait = Wait(all_eps, delta_t)
 
         self.last_outcome: VoteOutcome | None = None
         self.last_slots: tuple | None = None
@@ -84,13 +85,8 @@ class Voter:
 
     # -- small helpers --------------------------------------------------------
 
-    def _send(self, endpoints, msg: Message) -> None:
-        """Queue `msg` toward each endpoint; a copy refused by a closed
-        outbox or link counts as undeliverable."""
-        self.undeliverable += self.outbox.send_to(endpoints, msg)
-
     def _reply(self, tag: Tag, payload=None) -> None:
-        self._send((self.user_ep,), Message(tag, self.voter_id, payload))
+        self.outbox.send_to((self.user_ep,), Message(tag, self.voter_id, payload))
 
     def _refuse(self) -> None:
         self.refusals += 1
@@ -100,7 +96,7 @@ class Voter:
         if not self.fellows_by_id:
             return
         self.broadcasts_sent += 1
-        self._send(self.fellows_by_id, msg_for)
+        self.outbox.send_to(self.fellows_by_id, msg_for)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
         target = self.output_target
@@ -108,9 +104,10 @@ class Voter:
             return
         endpoint = self.fabric.endpoint(self.name, target)
         if endpoint is None:
+            # no link to the target: the outcome has nowhere to go
             self.undeliverable += 1
             return
-        self._send((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
+        self.outbox.send_to((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
 
     # -- round machinery -------------------------------------------------------
 
@@ -212,18 +209,6 @@ class Voter:
         delta_t limit for every receive inside one; silence invalidates
         the lowest unresolved slot."""
         while True:
-            if (
-                self.slots is not None
-                and self.user_ep.link.closed
-                and all(ep.link.closed for ep in self.all_eps)
-            ):
-                # transport gone: no frame or timeout can settle anything,
-                # so write the round off in one stroke
-                for origin, slot in enumerate(self.slots, start=1):
-                    if slot is None:
-                        self._resolve(ValueSlot.invalidated(origin))
-                self._finish_round()
-                continue
             got = yield self.idle_wait if self.slots is None else self.round_wait
             if got is TIMED_OUT:
                 self.timeouts += 1

@@ -36,11 +36,9 @@ def default_metric(a: VoteValue, b: VoteValue) -> float:
 
 
 def euclidean_metric(a: VoteValue, b: VoteValue) -> float:
-    """Euclidean distance between the numeric views of two values."""
-    xa, xb = a.floats(), b.floats()
-    if len(xa) != len(xb):
-        raise ValueError("dimension mismatch")
-    return math.sqrt(sum((p - q) ** 2 for p, q in zip(xa, xb)))
+    """Euclidean distance between the numeric views of two values; a
+    dimension mismatch raises ValueError."""
+    return math.dist(a.floats(), b.floats())
 
 
 _METRICS: dict[str, Metric] = {
@@ -146,27 +144,24 @@ def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
     if len(values) <= 2:
         return VoteOutcome(value=values[0])
-    # Every pair is measured once, up front, in the order of the first
-    # discard scan; dist[a][b] holds the distance for a < b.  A NaN
-    # distance ranks as +inf, so a faulty value is far from every other.
-    dist = [
-        [0.0] * (a + 1)
-        + [_nan_far(metric(va, values[b])) for b in range(a + 1, len(values))]
+    # Every pair is measured once, up front, in row order, and sorted
+    # farthest first, ties by index pair.  A NaN distance ranks as +inf, so
+    # a faulty value is far from every other.  Each discard takes the first
+    # pair whose ends are both left: that is the farthest remaining pair.
+    pairs = sorted(
+        (-_nan_far(metric(va, values[b])), a, b)
         for a, va in enumerate(values)
-    ]
-    remaining = list(range(len(values)))
-    while len(remaining) > 2:
-        best_pair = None
-        best_dist = -1.0
-        for x, a in enumerate(remaining):
-            row = dist[a]
-            for b in remaining[x + 1 :]:
-                d = row[b]
-                if d > best_dist:
-                    best_dist = d
-                    best_pair = (a, b)
-        remaining = [i for i in remaining if i not in best_pair]
-    return VoteOutcome(value=values[remaining[0]])
+        for b in range(a + 1, len(values))
+    )
+    left = [True] * len(values)
+    count = len(values)
+    for _, a, b in pairs:
+        if count <= 2:
+            break
+        if left[a] and left[b]:
+            left[a] = left[b] = False
+            count -= 2
+    return VoteOutcome(value=values[left.index(True)])
 
 
 def vote_plurality(

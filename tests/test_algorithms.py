@@ -272,6 +272,18 @@ def test_euclidean_on_vectors():
     assert euclidean_metric(a, b) == 5.0
 
 
+def test_a_huge_replica_neither_overflows_nor_wins():
+    """A replica at 1e200 is far from the honest ones, but squaring the
+    distance must not overflow into an exception."""
+    sv = slots(42.0, 42.0, 1e200, 42.0, 42.0)
+    assert first_float(vote_majority(sv, 0.0, euclidean_metric)) == 42.0
+    assert first_float(vote_plurality(sv, 0.0, euclidean_metric)) == 42.0
+    assert first_float(vote_median(sv, euclidean_metric)) == 42.0
+    # a dimension mismatch still raises
+    with pytest.raises(ValueError):
+        euclidean_metric(sv[0].value, VoteValue.from_floats([42.0, 42.0]))
+
+
 def test_resolve_metric_names():
     fn, name = resolve_metric("euclidean")
     assert name == "euclidean" and fn is euclidean_metric
@@ -459,7 +471,7 @@ def noisy_replicas(n, seed):
 EXACT_CASES = [(n, seed) for n in (15, 31) for seed in range(50)]
 
 
-@pytest.mark.parametrize("n,seed", EXACT_CASES)
+@pytest.mark.parametrize("n,seed", EXACT_CASES + [(63, seed) for seed in range(10)])
 def test_median_matches_reference_beyond_oracle(n, seed):
     xs = noisy_replicas(n, seed)
     out = vote_median(slots(*xs), euclidean_metric)

@@ -61,6 +61,9 @@ def test_e2e_bench_pairs_two_source_trees_side_by_side():
     assert proc.returncode == 0, proc.stderr.decode()
     doc = json.loads(proc.stdout)
     pairs = doc["pairs"]
+    lines = doc["src_lines"]
+    assert lines["before"] == lines["after"] and isinstance(lines["after"], int)
+    assert lines["after"] > 0
     assert [(r["metric"], r["n"]) for r in doc["rows"]] == [("default", 1), ("euclidean", 1)]
     for r in doc["rows"]:
         before, after = r["before"], r["after"]
@@ -86,6 +89,7 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b""
     doc = json.loads(out.read_text())
+    assert isinstance(doc["src_lines"], int) and doc["src_lines"] > 0
     rows = doc["rows"]
     assert [(r["metric"], r["n"]) for r in rows] == [
         ("default", 3), ("default", 7), ("euclidean", 3), ("euclidean", 7)

@@ -247,33 +247,6 @@ def test_set_algorithm_lands_mid_round():
     assert rt.states[2].last_outcome.failure == ErrorCode.NO_MAJORITY
 
 
-def test_transport_collapse_aborts_the_round():
-    """With every link gone the round writes itself off wholesale instead
-    of grinding through one timeout per open slot."""
-    world = World(VIRTUAL)
-    world.scheduler.kill_names.add(user_name("f", 2))
-    world.scheduler.kill_names.add(user_name("f", 3))
-    rt = world.activate_farm("f", (1, 2, 3), metric="euclidean", delta_t=1.0)
-
-    def cutter():
-        yield from sleep(0.5)  # voter 1 is now blocked on voter 2's slot
-        for (owner, _), end in world.fabric.ends.items():
-            if owner == voter_name("f", 1):
-                end.link.close()
-
-    world.spawn_user("f", 1, plain_user(world, rt, 1, V42, {}))
-    world.spawn("cutter", cutter())
-    world.run()
-    v1 = rt.states[1]
-    assert v1.rounds_completed == 1
-    assert slot_flags(v1) == (True, False, False)
-    # the first gap cost one timeout; the rest were aborted with the links
-    assert v1.round_finished_at == 1.0
-    assert v1.timeouts == 1
-    assert v1.last_outcome.failure == ErrorCode.NO_MAJORITY
-    assert v1.undeliverable > 0  # DONE had nowhere to go
-
-
 def test_slot_vectors_agree_across_voters():
     for crashed in ((), (1,), (3,), (2, 5)):
         world, rt, _ = launch(5, crashed=crashed)
