@@ -8,13 +8,14 @@ single voted value, 2 for usage or specification errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import sys
 
 from .client import World
-from .core import AlgorithmId, ValueSlot, VoteKind, VoteValue
+from .core import MAX_SENDER_ID, AlgorithmId, ValueSlot, VoteKind, VoteValue
 from .harness import (
     _ALGO_NAMES,
     ExperimentSpec,
@@ -27,6 +28,7 @@ from .harness import (
     bench,
     bench_to_csv,
     bench_to_json,
+    check_spec,
     oracle_vote,
     run_experiment,
     spec_from_json,
@@ -152,12 +154,15 @@ def _spec_from_args(args) -> ExperimentSpec:
     )
 
 
-def _emit(text: str, args) -> None:
+def _open_output(args):
+    """The stream the result goes to, opened before the run it reports on,
+    so an unwritable path costs no experiment."""
     if args.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.output_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SpecError([f"cannot write {args.output_path}: {exc.strerror or exc}"])
 
 
 def _agreement_holds(report: Report) -> bool:
@@ -181,8 +186,10 @@ def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
     if args.command == "pipeline" and len(spec.pipeline.stages) < 2:
         raise SpecError(["a pipeline needs at least two stages"])
-    report = run_experiment(spec)
-    _emit(report.to_csv() if args.output == "csv" else report.to_json(), args)
+    check_spec(spec)
+    with _open_output(args) as out:
+        report = run_experiment(spec)
+        out.write(report.to_csv() if args.output == "csv" else report.to_json())
     if not _agreement_holds(report):
         print("assertion failed: final stage did not agree on one value",
               file=sys.stderr)
@@ -195,17 +202,20 @@ def _cmd_bench(args) -> int:
         n_values = tuple(int(p) for p in args.n_values.split(","))
     except ValueError:
         raise SpecError([f"--n-values {args.n_values!r} is not an int list"])
-    if not n_values or any(n < 1 for n in n_values):
-        raise SpecError(["--n-values needs positive farm sizes"])
+    if not n_values or not all(1 <= n <= MAX_SENDER_ID for n in n_values):
+        raise SpecError([f"--n-values needs positive farm sizes up to {MAX_SENDER_ID}"])
     if not (0 < args.delta_t < math.inf):
         raise SpecError([f"--delta-t must be > 0 and finite, got {args.delta_t}"])
-    rows = bench(
-        n_values=n_values,
-        repetitions=args.repetitions,
-        delta_t=args.delta_t,
-        include_warmup=args.include_warmup,
-    )
-    _emit(bench_to_csv(rows) if args.output == "csv" else bench_to_json(rows), args)
+    if args.repetitions < 1:  # checked before the output path is opened
+        raise SpecError([f"repetitions must be >= 1, got {args.repetitions}"])
+    with _open_output(args) as out:
+        rows = bench(
+            n_values=n_values,
+            repetitions=args.repetitions,
+            delta_t=args.delta_t,
+            include_warmup=args.include_warmup,
+        )
+        out.write(bench_to_csv(rows) if args.output == "csv" else bench_to_json(rows))
     return 0
 
 

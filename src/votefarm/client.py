@@ -71,12 +71,12 @@ class World:
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
         output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
-        """Bring a farm to life: place and start one voter, with the
-        activity that sends its frames, per node, wire every user to its
-        voter on the same node and every voter pair across nodes.  Nodes
-        may repeat; a farm needs at least one.  The first FarmHandle.run
-        of a farm lands here; an experiment may also call it before
-        starting user activities that will merely attach."""
+        """Bring a farm to life: place and start one voter, with its inbox
+        and the activity that sends its frames, per node, wire every user
+        to its voter on the same node and every voter pair across nodes.
+        Nodes may repeat; a farm needs at least one.  The first
+        FarmHandle.run of a farm lands here; an experiment may also call it
+        before starting user activities that will merely attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         nodes = tuple(nodes)
@@ -93,32 +93,26 @@ class World:
         # each name is formatted once per farm; vnames[i] is voter i + 1
         vnames = [voter_name(farm, vid) for vid in range(1, n + 1)]
         unames = [user_name(farm, vid) for vid in range(1, n + 1)]
-        for vname, uname, node in zip(vnames, unames, nodes):
+        user_eps: dict[int, Endpoint] = {}
+        for vid, (vname, uname, node) in enumerate(zip(vnames, unames, nodes), start=1):
             fabric.place(vname, node)
             fabric.place(uname, node)
-
-        for vname, uname in zip(vnames, unames):
-            fabric.connect(uname, vname)
+            fabric.open_inbox(vname)
+            user_eps[vid], _ = fabric.connect(uname, vname)
         for i, vname in enumerate(vnames):
             for other in vnames[i + 1 :]:
                 fabric.connect(vname, other)
 
         ends = fabric.ends
         voters: dict[int, Voter] = {}
-        user_eps: dict[int, Endpoint] = {}
         memo: dict = {}  # one vote memo per farm, see Voter._vote
         for vid, (vname, uname) in enumerate(zip(vnames, unames), start=1):
-            fellow_eps = {
-                other: ends[(vname, oname)]
-                for other, oname in enumerate(vnames, start=1)
-                if other != vid
-            }
             voter = voters[vid] = Voter(
                 vname,
                 vid,
                 fabric,
                 ends[(vname, uname)],
-                fellow_eps,
+                tuple(ends[(vname, other)] for other in vnames if other != vname),
                 memo,
                 delta_t=delta_t,
                 metric=metric_fn,
@@ -127,7 +121,6 @@ class World:
             )
             self.scheduler.spawn(vname, voter.main(), role="voter")
             self.scheduler.spawn(sender_name(farm, vid), voter.outbox.pump(), role="sender")
-            user_eps[vid] = ends[(uname, vname)]
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,
@@ -260,7 +253,7 @@ class FarmHandle:
         True when a REFUSED was among it (generator)."""
         refused = False
         while True:
-            got = yield Wait((self.endpoint,), 0.0)
+            got = yield Wait((self.endpoint.inbox,), 0.0)
             if got is TIMED_OUT:
                 return refused
             # got is (source, message); stale pushes are dropped here.
@@ -285,7 +278,7 @@ class FarmHandle:
                 remaining = deadline - sched.now
                 if remaining <= 0:
                     break
-            got = yield Wait((self.endpoint,), remaining)
+            got = yield Wait((self.endpoint.inbox,), remaining)
             if got is TIMED_OUT:
                 break
             if got[1].tag in replies:

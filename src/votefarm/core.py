@@ -13,6 +13,9 @@ from enum import IntEnum
 
 # Sender id reserved for user modules; voter ids start at 1.
 USER = 0
+# The largest sender id a frame's 16-bit sender field holds, and so the
+# most voters a farm can have.
+MAX_SENDER_ID = 0xFFFF
 
 
 class ErrorCode(IntEnum):
@@ -263,7 +266,7 @@ def _decode_value(body: bytes) -> VoteValue:
 
 def encode_message(msg: Message) -> bytes:
     """Serialize a message to one self-delimiting frame."""
-    if msg.sender > 0xFFFF:
+    if msg.sender > MAX_SENDER_ID:
         raise ValueError("sender id does not fit the frame")
     kind = _TAG_PAYLOAD[msg.tag]
     if kind == _P_NONE:

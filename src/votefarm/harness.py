@@ -25,6 +25,7 @@ from enum import Enum
 
 from .client import FarmHandle, Input, World, open_farm
 from .core import (
+    MAX_SENDER_ID,
     AlgorithmId,
     ErrorCode,
     Tag,
@@ -112,6 +113,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     for k, s in enumerate(stages, start=1):
         if s.n < 1:
             bad.append(f"stage {k}: n must be >= 1, got {s.n}")
+        elif s.n > MAX_SENDER_ID:
+            bad.append(f"stage {k}: n must be <= {MAX_SENDER_ID}, got {s.n}")
         if not (s.delta_t > 0):
             bad.append(f"stage {k}: delta_t must be > 0, got {s.delta_t}")
         elif s.delta_t == math.inf:
@@ -392,7 +395,7 @@ def _stage_user(
     pushed by the previous stage), drive the client sequence, poll for the
     outcome, close."""
     if source_ep is not None:
-        got = yield Wait((source_ep,), source_budget)
+        got = yield Wait((source_ep.inbox,), source_budget)
         if got is not TIMED_OUT:
             msg = got[1]
             if msg.tag == Tag.VOTED_VALUE and msg.payload.ok:
@@ -600,12 +603,6 @@ def _run_single_repetition(
                 output_targets=targets,
             )
         )
-    cross_eps = {}
-    for k in range(1, last):
-        for i in range(1, stages[k - 1].n + 1):
-            _, cross_eps[(k + 1, i)] = world.fabric.connect(
-                voter_name(_stage_farm(k), i), user_name(_stage_farm(k + 1), i)
-            )
 
     records: dict[tuple[int, int], _UserRecord] = {}
     for k, st in enumerate(stages, start=1):
@@ -619,7 +616,9 @@ def _run_single_repetition(
                 source = None
             else:
                 value = None
-                source = cross_eps[(k, i)]
+                _, source = world.fabric.connect(
+                    voter_name(_stage_farm(k - 1), i), user_name(farm, i)
+                )
             handle = open_farm(
                 world,
                 farm,

@@ -11,14 +11,14 @@ wait has already ended stays on the heap until it reaches the top, and is
 then retired without advancing the clock (or, on the real clock, sleeping
 until it is due), so a run ends when its last live work ends.
 
-Each activity has one mailbox.  The first time it waits on a source, the
-source is bound to it, and from then on every item put on that source
-also appends the source to the activity's mailbox, in put order.  So
-blocking, waking and resuming cost O(1) however many sources an activity
-waits on: resuming pops the mailbox head, whose queue holds the earliest
-item, and an empty mailbox means the wait timed out.  Only a wait on a
-different set of sources rebinds, rebuilding the mailbox from the queued
-items in O(k); a finished activity unbinds all its sources.
+Each wait names at most one source, a FIFO of items (a sleep names
+none).  The first time an activity waits on a source, the source is bound
+to it; a put appends the bare item and wakes the activity only if it is
+blocked, and resuming pops the head of the bound source, so binding,
+blocking, waking and resuming each cost O(1).  A party that hears from
+several others, such as a voter, has one inbox they all put on, so it
+sees their items in put order.  Only a wait on another source rebinds; a
+finished activity unbinds its source.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Generator
 
 
@@ -49,10 +48,11 @@ MAX_STEPS = 20_000_000  # per Scheduler.run; a livelocked world ends here
 
 @dataclass(frozen=True)
 class Wait:
-    """The one way an activity blocks: `got = yield Wait(sources, timeout)`
-    resumes with `(source, item)` for the earliest item queued on any of
-    `sources`, or with TIMED_OUT once `timeout` time units pass without
-    one (None blocks indefinitely, 0 yields the floor)."""
+    """The one way an activity blocks: `got = yield Wait((source,), timeout)`
+    resumes with `(source, item)` for the item at the head of `source`, or
+    with TIMED_OUT once `timeout` time units pass without one (None blocks
+    indefinitely, 0 yields the floor).  `Wait((), timeout)` only sleeps; a
+    wait on two or more sources raises ValueError."""
 
     sources: tuple
     timeout: float | None
@@ -70,12 +70,10 @@ class WaitSource:
         self.waiter: Activity | None = None
 
     def put(self, item) -> None:
-        self.queue.append((self.scheduler._next_seq(), item))
+        self.queue.append(item)
         act = self.waiter
-        if act is not None:
-            act.mailbox.append(self)
-            if act.blocked:
-                self.scheduler._wake(act)
+        if act is not None and act.blocked:
+            self.scheduler._wake(act)
 
 
 def sleep(duration: float):
@@ -94,9 +92,7 @@ class Activity:
         "halted",
         "waiting_on",
         "wait_seq",
-        "in_ready",
         "blocked",
-        "mailbox",
     )
 
     def __init__(self, name: str, gen: Generator, role: str):
@@ -105,13 +101,12 @@ class Activity:
         self.role = role
         self.finished = False
         self.halted = False
-        # The bound sources, None until the first wait and once finished.
+        # The sources of the last wait, None until the first wait and once
+        # finished; the one source in it, if any, is bound to this activity.
         self.waiting_on: tuple | None = None
         self.wait_seq = 0
-        self.in_ready = False
+        # Blocked in a wait, hence not among the ready activities.
         self.blocked = False
-        # One bound source per item queued on it, in put order.
-        self.mailbox: deque[WaitSource] = deque()
 
     @property
     def live(self) -> bool:
@@ -158,9 +153,6 @@ class Scheduler:
 
     # -- activities -----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        return next(self._seq)
-
     def spawn(self, name: str, gen: Generator, role: str = "activity") -> Activity:
         if name in self.activities and self.activities[name].live:
             raise ValueError(f"activity {name!r} already running")
@@ -169,58 +161,45 @@ class Scheduler:
         if name in self.kill_names:
             act.halted = True
         else:
-            self._make_ready(act)
+            self._ready.append(act)
         return act
 
     def live_activities(self) -> list[Activity]:
         return [a for a in self.activities.values() if a.live]
 
-    def _make_ready(self, act: Activity) -> None:
-        if not act.in_ready:
-            act.in_ready = True
-            self._ready.append(act)
-
     def _wake(self, act: Activity) -> None:
         """Make a blocked activity runnable, on a put or its timer."""
         act.blocked = False
         act.wait_seq += 1  # invalidates any pending timer for this wait
-        self._make_ready(act)
+        self._ready.append(act)
 
     def _bind(self, act: Activity, sources) -> None:
-        """Bind `sources` to `act` in place of its old ones, and rebuild its
-        mailbox from the items already queued on them, in put order.  Only
-        a live activity is bound: a finished one has unbound, and a halted
-        one never ran."""
+        """Bind the source in `sources`, if any, to `act` in place of its
+        old one; the items already queued on it stay there.  Only a live
+        activity is bound: a finished one has unbound, and a halted one
+        never ran."""
         sources = tuple(sources)
+        if len(sources) > 1:
+            raise ValueError(f"{act.name}: a Wait names at most one source")
+        self._unbind(act)
+        act.waiting_on = sources
         for src in sources:
             other = src.waiter
-            if other is not None and other is not act:
-                raise RuntimeError(
-                    f"{other.name} and {act.name} both wait on one source"
-                )
-        self._unbind(act)
-        queued = []
-        for src in dict.fromkeys(sources):
+            if other is not None:
+                raise RuntimeError(f"{other.name} and {act.name} both wait on one source")
             src.waiter = act
-            queued.extend((seq, src) for seq, _ in src.queue)
-        queued.sort(key=itemgetter(0))
-        act.mailbox.extend(src for _, src in queued)
-        act.waiting_on = sources
 
     @staticmethod
     def _unbind(act: Activity) -> None:
         for src in act.waiting_on or ():
             src.waiter = None
         act.waiting_on = None
-        act.mailbox.clear()
 
     def close(self) -> None:
-        """Drop every unfinished activity's generator and unbind its
-        sources.  The generator holds its voter or handle, whose endpoints
-        hold this scheduler, which holds the activity; a blocked activity
-        and its sources also point at each other.  Breaking both lets
-        reference counting alone free a world left with halted or blocked
-        activities, which can then never resume."""
+        """Drop every unfinished activity's generator, which holds the
+        scheduler through its voter or handle, and unbind its source, which
+        points back at it, so that reference counting alone frees a world
+        left with halted or blocked activities, which can never resume."""
         for act in self.activities.values():
             if not act.finished:
                 act.gen = None
@@ -230,26 +209,26 @@ class Scheduler:
         if delay < 0:
             raise ValueError("delay must be >= 0")
         heapq.heappush(
-            self._heap, (self.now + delay, self._next_seq(), _T_CALL, fn, 0)
+            self._heap, (self.now + delay, next(self._seq), _T_CALL, fn, 0)
         )
 
     def _arm_timer(self, act: Activity, timeout: float) -> None:
         heapq.heappush(
             self._heap,
-            (self.now + timeout, self._next_seq(), _T_TIMER, act, act.wait_seq),
+            (self.now + timeout, next(self._seq), _T_TIMER, act, act.wait_seq),
         )
 
     # -- stepping -------------------------------------------------------------
 
     def _step(self, act: Activity) -> None:
-        if not act.live:
-            return
-        mailbox = act.mailbox
-        if act.waiting_on is None:
+        # Only a live activity is ever ready: a halted one never is, and a
+        # finished one is unbound and its timers are stale.
+        bound = act.waiting_on
+        if bound is None:
             value = None  # the first step starts the generator
-        elif mailbox:
-            src = mailbox.popleft()
-            value = (src, src.queue.popleft()[1])
+        elif bound and bound[0].queue:
+            src = bound[0]
+            value = (src, src.queue.popleft())
         else:
             value = TIMED_OUT
 
@@ -263,12 +242,14 @@ class Scheduler:
             if not isinstance(eff, Wait):
                 raise TypeError(f"{act.name} yielded {eff!r}, expected Wait")
             sources = eff.sources
-            if sources is not act.waiting_on and sources != act.waiting_on:
+            if sources is not bound and sources != bound:
                 self._bind(act, sources)
-            if mailbox:
-                src = mailbox.popleft()
-                value = (src, src.queue.popleft()[1])
-                continue
+                bound = act.waiting_on
+            if bound:
+                src = bound[0]
+                if src.queue:
+                    value = (src, src.queue.popleft())
+                    continue
             act.blocked = True
             act.wait_seq += 1
             if eff.timeout is not None:
@@ -299,9 +280,7 @@ class Scheduler:
         steps = 0
         while True:
             while self._ready:
-                act = self._ready.popleft()
-                act.in_ready = False
-                self._step(act)
+                self._step(self._ready.popleft())
                 steps += 1
                 if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")

@@ -2,6 +2,11 @@
 
 Links carry encoded byte frames with per-direction FIFO order.  A link is
 LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
+Each end of a link holds the queue the frames sent to its owner on that
+link land on.  A party with an inbox, as every voter has, gets one queue
+for all its links, so it waits on one source and sees its frames in
+arrival order; any other party waits on the link it expects a frame from.
+
 A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks intercept deliveries by sender name, receiver name
 and message index, the count of frames sent before it from the same end;
@@ -37,22 +42,19 @@ class LinkKind(Enum):
     VIRTUAL = "virtual"
 
 
-class Endpoint(WaitSource):
-    """One side of a link: frames sent from here land on the queue of the
-    peer's endpoint, which the fabric finds by name.  `sent` counts the
-    frames sent from this end, the index fault hooks match on."""
+@dataclass(eq=False, slots=True)
+class Endpoint:
+    """One side of a link.  `inbox` is the queue frames sent to this end's
+    owner on the link land on, and `peer_inbox` the peer end's, where the
+    frames sent from here land.  `sent` counts the frames sent from this
+    end, the index fault hooks match on."""
 
-    __slots__ = ("name", "peer_name", "kind", "sent")
-
-    def __init__(self, scheduler: Scheduler, name: str, peer_name: str, kind: LinkKind):
-        super().__init__(scheduler)
-        self.name = name
-        self.peer_name = peer_name
-        self.kind = kind
-        self.sent = 0
-
-    def __repr__(self) -> str:
-        return f"Endpoint({self.name}->{self.peer_name})"
+    name: str
+    peer_name: str
+    kind: LinkKind
+    inbox: WaitSource
+    peer_inbox: WaitSource
+    sent: int = 0
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,16 @@ FaultHook = Callable[[Delivery], None]
 
 
 class Fabric:
-    """Owns placements, link ends, and delivery (including fault
+    """Owns placements, link ends, inboxes and delivery (including fault
     injection).  `ends[(owner, peer)]` is `owner`'s end of the link it
-    shares with `peer`; frames are routed by those names."""
+    shares with `peer`, and `inboxes[name]` the one queue of a party that
+    has an inbox."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
         self.ends: dict[tuple[str, str], Endpoint] = {}
+        self.inboxes: dict[str, WaitSource] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
@@ -99,6 +103,11 @@ class Fabric:
         if self.placements.get(name, node) != node:
             raise ValueError(f"{name!r} already placed elsewhere")
         self.placements[name] = node
+
+    def open_inbox(self, name: str) -> None:
+        """Land the frames sent to `name` on any link it gets from now on
+        in one queue, its inbox."""
+        self.inboxes[name] = WaitSource(self.scheduler)
 
     def connect(self, a: str, b: str) -> tuple[Endpoint, Endpoint]:
         """Link two placed activities; returns (a's end, b's end)."""
@@ -114,8 +123,10 @@ class Fabric:
             if self.placements[a] == self.placements[b]
             else LinkKind.VIRTUAL
         )
-        a_end = self.ends[(a, b)] = Endpoint(self.scheduler, a, b, kind)
-        b_end = self.ends[(b, a)] = Endpoint(self.scheduler, b, a, kind)
+        a_in = self.inboxes.get(a) or WaitSource(self.scheduler)
+        b_in = self.inboxes.get(b) or WaitSource(self.scheduler)
+        a_end = self.ends[(a, b)] = Endpoint(a, b, kind, a_in, b_in)
+        b_end = self.ends[(b, a)] = Endpoint(b, a, kind, b_in, a_in)
         return a_end, b_end
 
     def endpoint(self, owner: str, peer: str) -> Endpoint | None:
@@ -126,14 +137,15 @@ class Fabric:
         self.hooks.append(hook)
 
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
-        """Ship one frame toward the peer endpoint; never blocks."""
-        src, dst = endpoint.name, endpoint.peer_name
+        """Ship one frame to the peer end's inbox; never blocks."""
         # Every frame takes an index, so a hook added later counts right.
         index = endpoint.sent
         endpoint.sent = index + 1
         delay = 0.0
         if self.hooks:
-            d = Delivery(src=src, dst=dst, frame=frame, index=index)
+            d = Delivery(
+                src=endpoint.name, dst=endpoint.peer_name, frame=frame, index=index
+            )
             for hook in self.hooks:
                 hook(d)
                 if d.drop:
@@ -150,15 +162,15 @@ class Fabric:
                 self.dropped += 1
                 return
             self._decoded = (frame, msg)
-        dst_end = self.ends[(dst, src)]
+        inbox = endpoint.peer_inbox
         if delay > 0:
-            self.scheduler.call_later(delay, lambda: self._land(dst_end, msg))
+            self.scheduler.call_later(delay, lambda: self._land(inbox, msg))
         else:
-            self._land(dst_end, msg)
+            self._land(inbox, msg)
 
-    def _land(self, dst: Endpoint, msg: Message) -> None:
+    def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1
-        dst.put(msg)
+        inbox.put(msg)
 
     def census(self, names=None) -> LinkCensus:
         """Links by kind and live voter activities, over the whole fabric or

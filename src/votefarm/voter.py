@@ -3,12 +3,13 @@
 Each voter is one sequential activity owning one round automaton.  It
 collects one value per participant into an origin-indexed slot vector:
 its own user's input arrives on a local link, fellow voters' values
-arrive as broadcasts, and silence is converted into invalid slots by a
-per-receive timeout.  Broadcast turns are serialized by the message
-counter: voter k broadcasts its user's value exactly when k slots have
-been resolved, so in a fault-free round the k-th broadcast on the wire
-is voter k's.  When all N slots are resolved the voter notifies its
-user, votes on the slot vector, and keeps the outcome for queries.
+arrive as broadcasts, both on the voter's one inbox and told apart by
+their tag, and silence is converted into invalid slots by a per-receive
+timeout.  Broadcast turns are serialized by the message counter: voter
+k broadcasts its user's value exactly when k slots have been resolved,
+so in a fault-free round the k-th broadcast on the wire is voter k's.
+When all N slots are resolved the voter notifies its user, votes on the
+slot vector, and keeps the outcome for queries.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Voter:
         voter_id: int,
         fabric: Fabric,
         user_ep: Endpoint,
-        fellow_eps: dict[int, Endpoint],
+        fellows_by_id: tuple[Endpoint, ...],
         memo: dict,
         delta_t: float,
         metric: Metric,
@@ -49,7 +50,7 @@ class Voter:
     ):
         self.name = name
         self.voter_id = voter_id
-        self.n = len(fellow_eps) + 1
+        self.n = len(fellows_by_id) + 1
         self.metric = metric
         self.algorithm = algorithm
         self.output_target = output_target
@@ -57,13 +58,13 @@ class Voter:
         self.user_ep = user_ep
         self.outbox = Outbox(fabric)
         self.memo = memo
-        all_eps = (user_ep, *fellow_eps.values())
-        # broadcast order: fellows by ascending voter id
-        self.fellows_by_id = tuple(fellow_eps[vid] for vid in sorted(fellow_eps))
-        # the two waits main() makes, between rounds and inside one; one
-        # shared tuple lets the scheduler see the same sources by identity
-        self.idle_wait = Wait(all_eps, None)
-        self.round_wait = Wait(all_eps, delta_t)
+        self.fellows_by_id = fellows_by_id  # the broadcast order
+        # the two waits main() makes, between rounds and inside one, both on
+        # the voter's one inbox; one shared tuple lets the scheduler see the
+        # same source by identity
+        inbox = (user_ep.inbox,)
+        self.idle_wait = Wait(inbox, None)
+        self.round_wait = Wait(inbox, delta_t)
 
         self.last_outcome: VoteOutcome | None = None
         self.last_slots: tuple | None = None

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from votefarm import harness
 from votefarm.cli import main
 
 
@@ -326,14 +327,51 @@ def test_bench_rejects_bad_sizes(capsys):
     assert "positive farm sizes" in err
 
 
+@pytest.mark.parametrize(
+    "argv, stage_errors",
+    [
+        (("run", "--n", "65536"), 1),
+        (("pipeline", "--n", "65536", "--stages", "2"), 2),
+        (("bench", "--n-values", "3,65536"), 0),
+    ],
+)
+def test_a_farm_larger_than_the_sender_field_exits_two(capsys, monkeypatch, argv, stage_errors):
+    """n = 65536 is refused before any world is built, naming each stage."""
+    monkeypatch.setattr(harness, "World", None)  # building one would raise
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    for k in range(1, stage_errors + 1):
+        assert f"votefarm: stage {k}: n must be <= 65535, got 65536" in err
+    if not stage_errors:
+        assert "votefarm: --n-values needs positive farm sizes up to 65535" in err
+
+
+@pytest.mark.parametrize("command", ["run", "pipeline", "bench"])
+def test_an_unwritable_output_path_exits_two_before_any_run(
+    capsys, monkeypatch, tmp_path, command
+):
+    monkeypatch.setattr(harness, "World", None)  # a run would raise
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, command, "--output-path", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"votefarm: cannot write {path}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("repetitions", ["0", "-3"])
-def test_bench_rejects_too_few_repetitions(capsys, repetitions):
+def test_bench_rejects_too_few_repetitions(capsys, tmp_path, repetitions):
+    path = tmp_path / "earlier.json"
+    path.write_text("an earlier result\n")
     code, out, err = run_cli(
-        capsys, "bench", "--n-values", "1", "--repetitions", repetitions
+        capsys, "bench", "--n-values", "1", "--repetitions", repetitions,
+        "--output-path", str(path),
     )
     assert code == 2
     assert out == ""
     assert f"votefarm: repetitions must be >= 1, got {repetitions}" in err
+    assert path.read_text() == "an earlier result\n"  # rejected before it is opened
 
 
 def test_bench_json_to_a_file(capsys, tmp_path):

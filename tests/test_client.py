@@ -355,11 +355,11 @@ def test_get_and_close_skip_stale_replies():
         world.fabric.send_from(voter_end, encode_message(Message(tag, 1, payload)))
 
     def scripted_voter():
-        _, msg = yield Wait((voter_end,), None)
+        _, msg = yield Wait((voter_end.inbox,), None)
         requests.append(msg.tag)
         reply(Tag.DONE)
         reply(Tag.VOTED_VALUE, voted)
-        _, msg = yield Wait((voter_end,), None)
+        _, msg = yield Wait((voter_end.inbox,), None)
         requests.append(msg.tag)
         reply(Tag.VOTED_VALUE, voted)
         reply(Tag.DONE)
@@ -379,7 +379,7 @@ def test_get_and_close_skip_stale_replies():
     outcome, err = log["get"]
     assert outcome == voted and err == ErrorCode.NONE
     assert log["close"] == (True, ErrorCode.NONE, FarmState.CLOSED)
-    assert not rt.user_endpoints[1].queue
+    assert not rt.user_endpoints[1].inbox.queue
     assert world.scheduler.now == 0.0
 
 

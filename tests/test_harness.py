@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votefarm.core import ErrorCode, VoteKind, VoteOutcome, VoteValue
+from votefarm import harness
+from votefarm.core import MAX_SENDER_ID, ErrorCode, VoteKind, VoteOutcome, VoteValue
 from votefarm.harness import (
     DEFAULT_INPUT,
     ExperimentSpec,
@@ -115,6 +116,24 @@ def test_infinite_delta_t_is_a_spec_error():
     assert validate_spec(spec) == ["stage 1: delta_t must be finite, got inf"]
     with pytest.raises(SpecError):
         run_experiment(spec)
+
+
+def test_a_farm_larger_than_the_sender_field_is_a_spec_error(monkeypatch):
+    """Voter 65536 cannot be named in a frame, so a stage that large is
+    refused before any world is built."""
+    monkeypatch.setattr(harness, "World", None)  # building one would raise
+
+    def spec(n):
+        return ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3), StageSpec(n=n))))
+
+    assert MAX_SENDER_ID == 65535
+    assert validate_spec(spec(3)) == []
+    assert validate_spec(spec(65536)) == [
+        "all stages must share one cardinality, got [3, 65536]",
+        "stage 2: n must be <= 65535, got 65536",
+    ]
+    with pytest.raises(SpecError):
+        run_experiment(spec(65536))
 
 
 def test_infinite_fault_delay_is_a_spec_error():

@@ -1,4 +1,5 @@
-"""Scheduler and fabric invariants: stale timers, wake order, codec work."""
+"""Scheduler and fabric invariants: stale timers, one source per wait,
+inboxes, wake order, codec work."""
 
 import time
 
@@ -6,9 +7,10 @@ import pytest
 
 from votefarm import harness, sim, transport
 from votefarm.client import Input, World, open_farm
-from votefarm.core import Message, Tag, VoteValue, encode_message
+from votefarm.core import USER, Message, Tag, VoteOutcome, VoteValue, encode_message
 from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
 from votefarm.transport import Fabric, Outbox, delay_hook
+from votefarm.voter import user_name, voter_name
 
 V7 = VoteValue.from_floats([7.0])
 
@@ -125,112 +127,149 @@ def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
     assert encodes == [msg]
     assert fabric.delivered_total == 3
     for _, peer_end in ends:
-        (_, got), = peer_end.queue
+        (got,) = peer_end.inbox.queue
         assert got == msg
 
 
-def test_items_on_two_sources_arrive_in_put_order():
-    """Items put on several sources while their consumer was blocked are
-    received in global put order, whichever source each sits on."""
+def test_a_wait_on_two_sources_raises():
     sched = Scheduler(VIRTUAL)
     a, b = WaitSource(sched), WaitSource(sched)
-    got = []
-
-    def consumer():
-        for _ in range(4):
-            src, item = yield Wait((a, b), None)
-            got.append(("a" if src is a else "b", item))
-
-    sched.spawn("consumer", consumer())
-    sched.run()
-    assert got == []
-    b.put(1)
-    a.put(2)
-    b.put(3)
-    a.put(4)
-    sched.run()
-    assert got == [("b", 1), ("a", 2), ("b", 3), ("a", 4)]
-
-
-def test_items_queued_before_the_wait_arrive_in_put_order():
-    """Items already queued on three sources when their consumer first
-    waits are received in global put order."""
-    sched = Scheduler(VIRTUAL)
-    a, b, c = (WaitSource(sched) for _ in range(3))
-    for src, item in ((c, 1), (a, 2), (b, 3), (c, 4), (a, 5)):
-        src.put(item)
-    got = []
-
-    def consumer():
-        for _ in range(5):
-            _, item = yield Wait((a, b, c), None)
-            got.append(item)
-
-    sched.spawn("consumer", consumer())
-    sched.run()
-    assert got == [1, 2, 3, 4, 5]
-
-
-def test_a_wait_on_other_sources_rebinds_the_mailbox():
-    """Narrowing the wait to a subset leaves the other items queued; the
-    next wait on the full set gets them, still in put order."""
-    sched = Scheduler(VIRTUAL)
-    a, b, c = (WaitSource(sched) for _ in range(3))
-    got = []
-
-    def consumer():
-        got.append((yield Wait((a, b, c), None))[1])
-        got.append((yield Wait((b,), None))[1])
-        got.append((yield Wait((b,), 0.0)))
-        while True:
-            got.append((yield Wait((a, b, c), 0.0)))
-            if got[-1] is TIMED_OUT:
-                return
-
-    for src, item in ((a, 1), (c, 2), (b, 3), (a, 4), (c, 5)):
-        src.put(item)
-    sched.spawn("consumer", consumer())
-    sched.run()
-    assert got[:3] == [1, 3, TIMED_OUT]
-    assert [item for _, item in got[3:-1]] == [2, 4, 5]
-    assert got[-1] is TIMED_OUT
-    assert sched.activities["consumer"].finished
-
-
-def test_a_finished_waiter_unbinds_so_its_sources_can_be_reused():
-    sched = Scheduler(VIRTUAL)
-    a, b = WaitSource(sched), WaitSource(sched)
-    got = []
-
-    def consumer(name):
-        _, item = yield Wait((a, b), None)
-        got.append((name, item))
-
-    sched.spawn("first", consumer("first"))
-    sched.run()
-    assert a.waiter is b.waiter is sched.activities["first"]
     a.put(1)
+
+    def consumer():
+        yield Wait((a, b), None)
+
+    sched.spawn("consumer", consumer())
+    with pytest.raises(ValueError, match="^consumer: a Wait names at most one source$"):
+        sched.run()
+    assert a.waiter is b.waiter is None
+    assert list(a.queue) == [1]
+
+
+def test_a_voters_user_and_fellow_frames_arrive_in_put_order_on_its_inbox():
+    """Frames sent to voter 1 by its user and by three fellows, interleaved,
+    land on the voter's one inbox and are received in put order."""
+    world = World(VIRTUAL)
+    world.scheduler.kill_names.update(voter_name("f", vid) for vid in (1, 2, 3, 4))
+    rt = world.activate_farm("f", (1, 2, 3, 4))
+    fabric = world.fabric
+    v1 = voter_name("f", 1)
+    inbox = fabric.inboxes[v1]
+    senders = {
+        "user": rt.user_endpoints[1],
+        **{vid: fabric.endpoint(voter_name("f", vid), v1) for vid in (2, 3, 4)},
+    }
+    assert all(end.peer_inbox is inbox for end in senders.values())
+    assert fabric.endpoint(v1, user_name("f", 1)).inbox is inbox
+    order = ["user", 3, 2, 4, "user", 2, 3, 4]
+    got = []
+
+    def probe():
+        for _ in order:
+            src, msg = yield Wait((inbox,), None)
+            assert src is inbox
+            got.append("user" if msg.tag == Tag.INPUT else msg.sender)
+
+    world.spawn("probe", probe())
+    world.run()
+    for who in order:
+        msg = (
+            Message(Tag.INPUT, USER, V7)
+            if who == "user"
+            else Message(Tag.BROADCAST_VALUE, who, V7)
+        )
+        fabric.send_from(senders[who], encode_message(msg))
+    world.run()
+    assert got == order
+
+
+def test_a_finished_or_rebound_waiter_frees_its_source():
+    """Rebinding to another source frees the old one, whose queued items
+    stay for the next waiter; finishing frees the last one."""
+    sched = Scheduler(VIRTUAL)
+    a, b = WaitSource(sched), WaitSource(sched)
+    got = []
+
+    def consumer(name, sources):
+        for src in sources:
+            _, item = yield Wait((src,), None)
+            got.append((name, item))
+
+    sched.spawn("first", consumer("first", (a, b)))
+    sched.run()
+    first = sched.activities["first"]
+    assert a.waiter is first and b.waiter is None
+    a.put(1)
+    a.put(2)
+    sched.run()
+    assert a.waiter is None and b.waiter is first
+    assert first.waiting_on == (b,)
+    b.put(3)
     sched.run()
     assert a.waiter is b.waiter is None
-    assert sched.activities["first"].waiting_on is None
-    b.put(2)
-    sched.spawn("second", consumer("second"))
+    assert first.waiting_on is None and first.finished
+    sched.spawn("second", consumer("second", (a,)))
     sched.run()
-    assert got == [("first", 1), ("second", 2)]
-    assert a.waiter is b.waiter is None
+    assert got == [("first", 1), ("first", 3), ("second", 2)]
+    assert a.waiter is None
 
 
 def test_two_live_activities_blocked_on_one_source_raise():
     sched = Scheduler(VIRTUAL)
-    shared, own = WaitSource(sched), WaitSource(sched)
+    shared = WaitSource(sched)
 
-    def consumer(sources):
-        yield Wait(sources, None)
+    def consumer():
+        yield Wait((shared,), None)
 
-    sched.spawn("first", consumer((shared,)))
-    sched.spawn("second", consumer((own, shared)))
+    sched.spawn("first", consumer())
+    sched.spawn("second", consumer())
     with pytest.raises(RuntimeError, match="^first and second both wait on one source$"):
         sched.run()
+
+
+def test_a_second_upstream_push_is_not_taken_as_the_get_reply():
+    """A stage-2 user hears its upstream voter on one link and its own voter
+    on another.  A second push that lands while GET is outstanding stays on
+    the upstream link; GET returns its own voter's reply."""
+    world = World(VIRTUAL)
+    world.scheduler.kill_names.add(voter_name("s2", 1))
+    rt = world.activate_farm("s2", (1,))
+    fabric = world.fabric
+    upstream = voter_name("s1", 1)
+    fabric.place(upstream, 1)
+    up_end, cross_end = fabric.connect(upstream, user_name("s2", 1))
+    voter_end = fabric.endpoint(voter_name("s2", 1), user_name("s2", 1))
+    own, stale = VoteValue.from_floats([1.0]), VoteValue.from_floats([2.0])
+    log = {}
+
+    def push(end, value):
+        msg = Message(Tag.VOTED_VALUE, 1, VoteOutcome(value=value))
+        fabric.send_from(end, encode_message(msg))
+
+    def scripted_voter():
+        inbox = rt.user_endpoints[1].peer_inbox
+        while True:
+            _, msg = yield Wait((inbox,), None)
+            if msg.tag == Tag.GET:
+                push(up_end, stale)  # the upstream voter's second push
+                push(voter_end, own)
+                return
+
+    def user():
+        _, first = yield Wait((cross_end.inbox,), None)
+        log["first"] = first.payload.value
+        handle = open_farm(world, "s2", 1)
+        assert handle.add(1) and handle.run()
+        log["get"] = yield from handle.get(5.0)
+
+    push(up_end, own)
+    world.spawn("scripted-voter", scripted_voter())
+    world.spawn_user("s2", 1, user())
+    world.run()
+    assert log["first"] == own
+    assert log["get"] == VoteOutcome(value=own)
+    (late,) = cross_end.inbox.queue
+    assert late.payload.value == stale
 
 
 def test_message_landing_after_the_timeout_fired_still_wins():
@@ -245,7 +284,7 @@ def test_message_landing_after_the_timeout_fired_still_wins():
     seen = {}
 
     def receiver():
-        seen["got"] = yield Wait((b_end,), 1.0)
+        seen["got"] = yield Wait((b_end.inbox,), 1.0)
         seen["at"] = sched.now
 
     def sender():

@@ -98,7 +98,7 @@ def test_fifo_per_link():
         yield
 
     def receiver():
-        eps = (b_end,)
+        eps = (b_end.inbox,)
         for _ in range(5):
             arrived = yield Wait(eps, 10.0)
             got.append(arrived[1].payload.floats()[0])
@@ -114,7 +114,7 @@ def test_receive_timeout_advances_virtual_clock():
     seen = {}
 
     def receiver():
-        arrived = yield Wait((b_end,), 2.5)
+        arrived = yield Wait((b_end.inbox,), 2.5)
         seen["timed_out"] = arrived is TIMED_OUT
         seen["at"] = sched.now
 
@@ -130,7 +130,7 @@ def test_unparseable_frame_dropped_at_send():
     outcome = {}
 
     def receiver():
-        got = yield Wait((b_end,), 1.0)
+        got = yield Wait((b_end.inbox,), 1.0)
         outcome["got"] = got
 
     fabric.send_from(a_end, frame)
@@ -157,7 +157,7 @@ def test_corrupt_hook_hits_chosen_frame_only():
     got = []
 
     def receiver():
-        eps = (b_end,)
+        eps = (b_end.inbox,)
         for _ in range(3):
             arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
@@ -193,7 +193,7 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
     outbox.send_to([a_end for a_end, _ in ends.values()], msg)
     outbox.close()
     sched.run()
-    got = {peer: [item for _, item in peer_end.queue] for peer, (_, peer_end) in ends.items()}
+    got = {peer: list(peer_end.inbox.queue) for peer, (_, peer_end) in ends.items()}
     assert got["b"] == got["e"] == [msg]
     (bent,) = got["c"]
     assert bent.tag == Tag.BROADCAST_VALUE and bent.payload.floats()[0] != 5.0
@@ -208,7 +208,7 @@ def test_drop_hook_by_index():
     got = []
 
     def receiver():
-        eps = (b_end,)
+        eps = (b_end.inbox,)
         while True:
             arrived = yield Wait(eps, 1.0)
             if arrived is TIMED_OUT:
@@ -228,7 +228,7 @@ def test_delay_hook_shifts_arrival_time():
     seen = {}
 
     def receiver():
-        arrived = yield Wait((b_end,), 5.0)
+        arrived = yield Wait((b_end.inbox,), 5.0)
         seen["at"] = sched.now
         seen["x"] = arrived[1].payload.floats()[0]
 
@@ -245,7 +245,7 @@ def test_hooks_are_direction_scoped():
     got = []
 
     def receiver_a():
-        arrived = yield Wait((a_end,), 2.0)
+        arrived = yield Wait((a_end.inbox,), 2.0)
         got.append(arrived is not TIMED_OUT)
 
     fabric.send_from(b_end, encode_message(value_msg(1.0)))
@@ -269,7 +269,7 @@ def test_outbox_decouples_sender():
         yield
 
     def receiver():
-        eps = (b_end,)
+        eps = (b_end.inbox,)
         for _ in range(3):
             arrived = yield Wait(eps, 5.0)
             got.append(arrived[1].payload.floats()[0])
@@ -322,7 +322,7 @@ def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
     fabric.add_hook(drop_hook("a", "b", index=2))
     for x in (3.0, 4.0):
         fabric.send_from(a_end, encode_message(value_msg(x)))
-    got = [item.payload.floats()[0] for _, item in b_end.queue]
+    got = [item.payload.floats()[0] for item in b_end.inbox.queue]
     assert got == [1.0, 2.0, 4.0]
     assert fabric.dropped == 1
 
@@ -336,8 +336,8 @@ def test_each_end_counts_its_own_frames():
         fabric.send_from(b_end, encode_message(value_msg(x)))
     for x in (4.0, 5.0, 6.0):
         fabric.send_from(a_end, encode_message(value_msg(x)))
-    assert [item.payload.floats()[0] for _, item in a_end.queue] == [1.0, 2.0, 3.0]
-    assert [item.payload.floats()[0] for _, item in b_end.queue] == [4.0, 6.0]
+    assert [item.payload.floats()[0] for item in a_end.inbox.queue] == [1.0, 2.0, 3.0]
+    assert [item.payload.floats()[0] for item in b_end.inbox.queue] == [4.0, 6.0]
     assert fabric.dropped == 1
 
 

@@ -38,14 +38,14 @@ def plain_user(world, rt, uid, value, rec):
     send(Message(Tag.INPUT, USER, value))
     rec["sent_at"] = world.scheduler.now
     for _ in range(12):
-        got = yield Wait((ep,), 3 * rt.delta_t)
+        got = yield Wait((ep.inbox,), 3 * rt.delta_t)
         if got is TIMED_OUT:
             return
         if got[1].tag == Tag.DONE:
             rec["done_at"] = world.scheduler.now
             break
     send(Message(Tag.GET, USER))
-    got = yield Wait((ep,), 3 * rt.delta_t)
+    got = yield Wait((ep.inbox,), 3 * rt.delta_t)
     if got is not TIMED_OUT and got[1].tag == Tag.VOTED_VALUE:
         rec["outcome"] = got[1].payload
 
@@ -178,7 +178,7 @@ def asking_user(world, rt, uid, log):
     send = lambda m: world.fabric.send_from(ep, encode_message(m))
 
     def recv():
-        got = yield Wait((ep,), 6 * rt.delta_t)
+        got = yield Wait((ep.inbox,), 6 * rt.delta_t)
         return None if got is TIMED_OUT else got[1]
 
     send(Message(Tag.GET, USER))
@@ -400,7 +400,7 @@ def rounds_user(world, rt, uid, values, set_before=None):
             yield from sleep(5.0)
         send(Message(Tag.INPUT, USER, VoteValue.from_floats([value])))
         while True:
-            got = yield Wait((ep,), 3 * rt.delta_t)
+            got = yield Wait((ep.inbox,), 3 * rt.delta_t)
             if got is TIMED_OUT or got[1].tag == Tag.DONE:
                 break
 
