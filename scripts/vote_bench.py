@@ -20,7 +20,7 @@ import statistics
 import sys
 import time
 
-from votefarm.core import AlgorithmId, ValueSlot, VoteKind, VoteValue
+from votefarm.core import AlgorithmId, VoteKind, VoteValue
 from votefarm.voting import resolve_metric, vote
 
 METRICS = ("default", "euclidean")
@@ -29,17 +29,17 @@ ROUNDS = 7  # timed rounds per cell
 CALLS_PER_ROUND = 5  # vote() calls per round
 
 
-def make_slots(n: int, metric: str) -> tuple[ValueSlot, ...]:
+def make_slots(n: int, metric: str) -> tuple[VoteValue | None, ...]:
     """Honest values agree exactly under `default` and within 0.1 under
     `euclidean`; (n - 1) // 4 slots are outliers, and for n >= 3 the last
-    slot is invalid."""
+    slot is invalid (None)."""
     rng = random.Random(f"vote_bench:{metric}:{n}:{SEED}")
     xs = [42.0 + (rng.uniform(-0.1, 0.1) if metric == "euclidean" else 0.0) for _ in range(n)]
     for i in rng.sample(range(n), (n - 1) // 4):
         xs[i] = rng.choice([-1.0, 1.0]) * rng.uniform(1e3, 1e4)
-    slots = [ValueSlot.arrived(i, VoteValue.from_floats([x])) for i, x in enumerate(xs, 1)]
+    slots = [VoteValue.from_floats([x]) for x in xs]
     if n >= 3:
-        slots[-1] = ValueSlot.invalidated(n)
+        slots[-1] = None
     return tuple(slots)
 
 

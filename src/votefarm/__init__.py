@@ -17,7 +17,6 @@ from .core import (
     FrameError,
     Message,
     Tag,
-    ValueSlot,
     VoteKind,
     VoteOutcome,
     VoteValue,

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .client import World
-from .core import MAX_SENDER_ID, AlgorithmId, ValueSlot, VoteKind, VoteValue
+from .core import MAX_SENDER_ID, AlgorithmId, VoteKind, VoteValue
 from .harness import (
     _ALGO_NAMES,
     ExperimentSpec,
@@ -224,14 +224,8 @@ def _selftest_oracle() -> tuple[int, int]:
     pool = [None] + [VoteValue.from_floats([float(x)]) for x in (0, 1, 2)]
     for n in range(1, 5):
         for combo in itertools.product(pool, repeat=n):
-            slots = tuple(
-                ValueSlot(i, v is not None, v)
-                if v is not None
-                else ValueSlot.invalidated(i)
-                for i, v in enumerate(combo, start=1)
-            )
             for kind in VoteKind:
-                got = vote(AlgorithmId(kind, 0.0, 1.0), slots, euclidean_metric)
+                got = vote(AlgorithmId(kind, 0.0, 1.0), combo, euclidean_metric)
                 want = oracle_vote(kind, combo, metric="euclidean")
                 checked += 1
                 if got.ok != want.ok:

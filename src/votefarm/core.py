@@ -122,29 +122,6 @@ class VoteValue:
 
 
 @dataclass(frozen=True)
-class ValueSlot:
-    """One position of a voter's slot vector, attributed to its origin voter."""
-
-    origin: int
-    valid: bool
-    value: VoteValue | None = None
-
-    def __post_init__(self) -> None:
-        if self.origin < 1:
-            raise ValueError("slot origin must be a voter id (>= 1)")
-        if self.valid and self.value is None:
-            raise ValueError("valid slot must carry a value")
-
-    @classmethod
-    def arrived(cls, origin: int, value: VoteValue) -> "ValueSlot":
-        return cls(origin, True, value)
-
-    @classmethod
-    def invalidated(cls, origin: int) -> "ValueSlot":
-        return cls(origin, False, None)
-
-
-@dataclass(frozen=True)
 class AlgorithmId:
     kind: VoteKind
     epsilon: float = 0.0
@@ -157,18 +134,6 @@ class AlgorithmId:
             raise ValueError("epsilon must be >= 0")
         if not (self.scaling_factor >= 0.0):
             raise ValueError("scaling_factor must be >= 0")
-
-
-@dataclass(frozen=True)
-class EqClass:
-    """An equivalence class of slot indices; the leader is the first member."""
-
-    leader: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members or self.members[0] != self.leader:
-            raise ValueError("leader must be the first member")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """The server side of a voting farm.
 
 Each voter is one sequential activity owning one round automaton.  It
-collects one value per participant into an origin-indexed slot vector:
+collects one value per participant into a slot vector in voter-id order:
 its own user's input arrives on a local link, fellow voters' values
 arrive as broadcasts, both on the voter's one inbox and told apart by
-their tag, and silence is converted into invalid slots by a per-receive
-timeout.  Broadcast turns are serialized by the message counter: voter
-k broadcasts its user's value exactly when k slots have been resolved,
-so in a fault-free round the k-th broadcast on the wire is voter k's.
+their tag, and silence is converted into invalid (None) slots by a
+per-receive timeout.  Broadcast turns are serialized by the message
+counter: voter k broadcasts its user's value exactly when k slots have
+been resolved, so in a fault-free round the k-th broadcast on the wire
+is voter k's.
 When all N slots are resolved the voter notifies its user, votes on the
 slot vector, and keeps the outcome for queries.
 """
@@ -16,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AlgorithmId, Message, Tag, ValueSlot, VoteOutcome, VoteValue
+from .core import AlgorithmId, Message, Tag, VoteOutcome
 from .sim import TIMED_OUT, Wait
 from .transport import Endpoint, Fabric, Outbox
-from .voting import Metric, vote
+from .voting import Metric, Slots, vote
+
+_OPEN = object()  # a slot of the open round not yet resolved
 
 
 class Voter:
@@ -31,8 +34,9 @@ class Voter:
     after the run without sending messages (a crashed user has nobody
     left to ask on its behalf).  `algorithm` and `output_target` move
     with SET_*.  Between rounds `slots` is None; in a round, slots[i-1]
-    holds participant i's entry once resolved (None before) and
-    `resolved` counts the resolved entries.
+    holds participant i's entry: `_OPEN` until resolved, then its value,
+    or None for an invalid slot.  `resolved` counts the resolved entries.
+    The voter's own slot is the only record of its user's input.
     """
 
     def __init__(
@@ -81,7 +85,6 @@ class Voter:
 
         self.slots: list | None = None
         self.resolved = 0
-        self.own_value: VoteValue | None = None  # our user's input this round
         self.turn_done = False
 
     # -- small helpers --------------------------------------------------------
@@ -112,8 +115,8 @@ class Voter:
 
     # -- round machinery -------------------------------------------------------
 
-    def _resolve(self, slot: ValueSlot) -> None:
-        self.slots[slot.origin - 1] = slot
+    def _resolve(self, origin: int, value) -> None:
+        self.slots[origin - 1] = value
         self.resolved += 1
 
     def _take_turn_if_due(self) -> None:
@@ -122,15 +125,16 @@ class Voter:
         if self.turn_done or self.resolved != me:
             return
         self.turn_done = True
-        if self.own_value is not None:
-            self._broadcast(Message(Tag.BROADCAST_VALUE, me, self.own_value))
-        else:
+        own = self.slots[me - 1]
+        if own is _OPEN or own is None:
             # Our user has said nothing by our turn: tell fellows to
             # invalidate our slot now instead of waiting a full timeout,
             # and mirror that invalidation locally.
             self._broadcast(Message(Tag.BROADCAST_INVALID, me))
-            if self.slots[me - 1] is None:
-                self._resolve(ValueSlot.invalidated(me))
+            if own is _OPEN:
+                self._resolve(me, None)
+        else:
+            self._broadcast(Message(Tag.BROADCAST_VALUE, me, own))
 
     def _feed(self, msg: Message) -> None:
         """Apply one INPUT or broadcast: with no round open it opens one,
@@ -147,32 +151,25 @@ class Voter:
                 # fresh round never starts with an invalidation.
                 self.stray_messages += 1
                 return
-            self.slots = [None] * self.n
+            self.slots = [_OPEN] * self.n
             self.resolved = 0
-            self.own_value = None
             self.turn_done = False
             self.round_started_at = self.outbox.scheduler.now
         if msg.tag == Tag.INPUT:
-            if self.own_value is not None:
+            origin = me
+        slot = self.slots[origin - 1]
+        if slot is not _OPEN:
+            if msg.tag == Tag.INPUT and slot is not None:
                 # A second input during an open round is a protocol
                 # violation by the user, not a late arrival.
                 self._refuse()
-                return
-            if self.slots[me - 1] is not None:
-                # Own slot already went invalid (timeout or own turn
-                # passed); the value is useless for this round.
-                self.late_arrivals += 1
-                return
-            self.own_value = msg.payload
-            self._resolve(ValueSlot.arrived(me, msg.payload))
-        else:
-            if self.slots[origin - 1] is not None:
-                self.late_arrivals += 1
-                return
-            if msg.tag == Tag.BROADCAST_VALUE:
-                self._resolve(ValueSlot.arrived(origin, msg.payload))
             else:
-                self._resolve(ValueSlot.invalidated(origin))
+                # The slot is resolved already; an input whose slot went
+                # invalid (timeout or own turn passed) is useless now.
+                self.late_arrivals += 1
+            return
+        # a BROADCAST_INVALID carries no payload: its slot becomes None
+        self._resolve(origin, msg.payload)
         self._take_turn_if_due()
 
     def _finish_round(self) -> None:
@@ -186,7 +183,7 @@ class Voter:
         self.rounds_completed += 1
         self._push_outcome(outcome)
 
-    def _vote(self, slots: tuple[ValueSlot, ...]) -> VoteOutcome:
+    def _vote(self, slots: Slots) -> VoteOutcome:
         """Vote on `slots`, sharing the outcome with the farm's other voters.
 
         Voting is a pure function of the algorithm, the slot vector and the
@@ -213,7 +210,7 @@ class Voter:
             got = yield self.idle_wait if self.slots is None else self.round_wait
             if got is TIMED_OUT:
                 self.timeouts += 1
-                self._resolve(ValueSlot.invalidated(self.slots.index(None) + 1))
+                self._resolve(self.slots.index(_OPEN) + 1, None)
                 self._take_turn_if_due()
             else:
                 msg = got[1]

@@ -1,9 +1,10 @@
 """Metric-space voting over slot vectors.
 
-All algorithms see the full slot vector (valid and invalid entries) and a
-distance function on values.  Majority counts classes against the total
-slot count, so invalid slots weigh against reaching a majority; the other
-algorithms operate on the valid slots only.
+A slot vector holds one entry per voter, in voter-id order: the value that
+voter contributed, or None for an invalid slot (`Slots`).  All algorithms
+see the full vector and a distance function on values.  Majority counts
+classes against the total slot count, so invalid slots weigh against
+reaching a majority; the other algorithms operate on the valid slots only.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .core import (
-    AlgorithmId,
-    EqClass,
-    ErrorCode,
-    ValueSlot,
-    VoteKind,
-    VoteOutcome,
-    VoteValue,
-)
+from .core import AlgorithmId, ErrorCode, VoteKind, VoteOutcome, VoteValue
 
 # Voting assumes d(a, a) == 0 and d(a, b) == d(b, a): it measures each
 # unordered pair once and never a value against itself.  `default_metric`
@@ -28,6 +21,9 @@ from .core import (
 # the same exception), with no side effects.  The voters of a farm share
 # one outcome per distinct slot vector, which is sound only under this.
 Metric = Callable[[VoteValue, VoteValue], float]
+
+# One entry per voter in voter-id order; None marks an invalid slot.
+Slots = Sequence[VoteValue | None]
 
 
 def default_metric(a: VoteValue, b: VoteValue) -> float:
@@ -71,9 +67,10 @@ def resolve_metric(metric: Metric | str | None) -> tuple[Metric, str]:
 
 
 def cluster(
-    slots: Sequence[ValueSlot], epsilon: float, metric: Metric
-) -> tuple[EqClass, ...]:
-    """Leader-scan clustering of the valid slots.
+    slots: Slots, epsilon: float, metric: Metric
+) -> tuple[tuple[int, ...], ...]:
+    """Leader-scan clustering of the valid slots into tuples of slot
+    indices, leader first.
 
     Scanning in slot order, each value joins the first existing class whose
     leader is within epsilon; otherwise it leads a new class.  Invalid slots
@@ -81,19 +78,17 @@ def cluster(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    leaders: list[int] = []
-    members: list[list[int]] = []
-    for i, slot in enumerate(slots):
-        if not slot.valid:
+    classes: list[list[int]] = []
+    for i, value in enumerate(slots):
+        if value is None:
             continue
-        for k, leader in enumerate(leaders):
-            if metric(slot.value, slots[leader].value) <= epsilon:
-                members[k].append(i)
+        for members in classes:
+            if metric(value, slots[members[0]]) <= epsilon:
+                members.append(i)
                 break
         else:
-            leaders.append(i)
-            members.append([i])
-    return tuple(EqClass(l, tuple(m)) for l, m in zip(leaders, members))
+            classes.append([i])
+    return tuple(map(tuple, classes))
 
 
 def _distance_totals(values: Sequence[VoteValue], metric: Metric) -> list[float]:
@@ -109,25 +104,24 @@ def _distance_totals(values: Sequence[VoteValue], metric: Metric) -> list[float]
     return totals
 
 
-def _representative(slots: Sequence[ValueSlot], cls: EqClass, metric: Metric) -> int:
-    """Class member minimizing total distance to the other members; ties go
-    to the lowest slot index."""
-    totals = _distance_totals([slots[i].value for i in cls.members], metric)
+def _representative(
+    slots: Slots, members: tuple[int, ...], metric: Metric
+) -> VoteValue:
+    """The class member's value minimizing total distance to the other
+    members; ties go to the lowest slot index."""
+    totals = _distance_totals([slots[i] for i in members], metric)
     # min() replaces its pick only on a strict `<`: the lowest index wins a
     # tie, and a NaN first total is never displaced.
-    return cls.members[min(range(len(totals)), key=totals.__getitem__)]
+    return slots[members[min(range(len(totals)), key=totals.__getitem__)]]
 
 
-def vote_majority(
-    slots: Sequence[ValueSlot], epsilon: float, metric: Metric
-) -> VoteOutcome:
+def vote_majority(slots: Slots, epsilon: float, metric: Metric) -> VoteOutcome:
     """Strict majority over all N slots: a class must hold more than N/2
     members.  Invalid slots count toward N, never toward a class."""
     n = len(slots)
-    for cls in cluster(slots, epsilon, metric):
-        if len(cls.members) * 2 > n:
-            rep = _representative(slots, cls, metric)
-            return VoteOutcome(value=slots[rep].value)
+    for members in cluster(slots, epsilon, metric):
+        if len(members) * 2 > n:
+            return VoteOutcome(value=_representative(slots, members, metric))
     return VoteOutcome(failure=ErrorCode.NO_MAJORITY)
 
 
@@ -135,11 +129,11 @@ def _nan_far(d: float) -> float:
     return math.inf if d != d else d
 
 
-def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
+def vote_median(slots: Slots, metric: Metric) -> VoteOutcome:
     """Generalized median: repeatedly discard the two remaining values at
     maximum pairwise distance (ties: lexicographically smallest index pair)
     until one or two remain; of two, the lower slot index wins."""
-    values = [s.value for s in slots if s.valid]
+    values = [v for v in slots if v is not None]
     if not values:
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
     if len(values) <= 2:
@@ -164,24 +158,19 @@ def vote_median(slots: Sequence[ValueSlot], metric: Metric) -> VoteOutcome:
     return VoteOutcome(value=values[left.index(True)])
 
 
-def vote_plurality(
-    slots: Sequence[ValueSlot], epsilon: float, metric: Metric
-) -> VoteOutcome:
+def vote_plurality(slots: Slots, epsilon: float, metric: Metric) -> VoteOutcome:
     """Largest class wins; ties between classes go to the lowest leader
     slot index (the scan order makes that the earliest-formed class)."""
     classes = cluster(slots, epsilon, metric)
     if not classes:
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
-    best = classes[0]
-    for cls in classes[1:]:
-        if len(cls.members) > len(best.members):
-            best = cls
-    rep = _representative(slots, best, metric)
-    return VoteOutcome(value=slots[rep].value)
+    # max() keeps the first of equally large classes
+    best = max(classes, key=len)
+    return VoteOutcome(value=_representative(slots, best, metric))
 
 
 def vote_weighted_average(
-    slots: Sequence[ValueSlot], scaling_factor: float, metric: Metric
+    slots: Slots, scaling_factor: float, metric: Metric
 ) -> VoteOutcome:
     """Distance-damped average of the numeric views.
 
@@ -189,35 +178,27 @@ def vote_weighted_average(
     other valid slots); invalid slots get exactly zero.  Weights are
     normalized to sum to one, so s = 0 degenerates to the arithmetic mean.
     """
-    valid = [i for i, s in enumerate(slots) if s.valid]
-    if not valid:
+    values = [v for v in slots if v is not None]
+    if not values or not all(v.numeric for v in values):
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
-    for i in valid:
-        if not slots[i].value.numeric:
-            return VoteOutcome(failure=ErrorCode.BAD_STATE)
-    dim = slots[valid[0]].value.dimension
-    if any(slots[i].value.dimension != dim for i in valid):
+    dim = values[0].dimension
+    if any(v.dimension != dim for v in values):
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
 
-    raw = [0.0] * len(slots)
-    totals = _distance_totals([slots[i].value for i in valid], metric)
-    for i, total in zip(valid, totals):
-        raw[i] = 1.0 / (1.0 + scaling_factor * total)
-    z = sum(raw[i] for i in valid)
+    raw = [1.0 / (1.0 + scaling_factor * t) for t in _distance_totals(values, metric)]
+    z = sum(raw)
     if not (z > 0.0) or math.isinf(z) or math.isnan(z):
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
     out = [0.0] * dim
-    for i in valid:
-        weight = raw[i] / z
-        comps = slots[i].value.floats()
+    for r, value in zip(raw, values):
+        weight = r / z
+        comps = value.floats()
         for c in range(dim):
             out[c] += weight * comps[c]
     return VoteOutcome(value=VoteValue.from_floats(out))
 
 
-def vote(
-    algorithm: AlgorithmId, slots: Sequence[ValueSlot], metric: Metric
-) -> VoteOutcome:
+def vote(algorithm: AlgorithmId, slots: Slots, metric: Metric) -> VoteOutcome:
     """Dispatch to the algorithm named by the AlgorithmId."""
     if algorithm.kind == VoteKind.MAJORITY:
         return vote_majority(slots, algorithm.epsilon, metric)

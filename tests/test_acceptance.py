@@ -11,13 +11,7 @@ import sys
 import time
 
 from votefarm.client import Input, World, open_farm
-from votefarm.core import (
-    AlgorithmId,
-    ErrorCode,
-    ValueSlot,
-    VoteKind,
-    VoteValue,
-)
+from votefarm.core import AlgorithmId, ErrorCode, VoteKind, VoteValue
 from votefarm.harness import (
     DEFAULT_INPUT,
     ExperimentSpec,
@@ -205,22 +199,14 @@ def outcomes_match(got, want) -> bool:
     return got.failure == want.failure
 
 
-def as_slots(values) -> tuple:
-    return tuple(
-        ValueSlot(i, True, v) if v is not None else ValueSlot.invalidated(i)
-        for i, v in enumerate(values, start=1)
-    )
-
-
 def test_criterion_06_oracle_equivalence():
     started = time.monotonic()
     checked = 0
     pool = [None] + [VoteValue.from_floats([float(x)]) for x in (0, 1, 2)]
     for n in range(1, 6):
         for combo in itertools.product(pool, repeat=n):
-            slots = as_slots(combo)
             for kind in VoteKind:
-                got = vote(AlgorithmId(kind, 0.0, 1.0), slots, euclidean_metric)
+                got = vote(AlgorithmId(kind, 0.0, 1.0), combo, euclidean_metric)
                 want = oracle_vote(kind, combo, metric="euclidean")
                 assert outcomes_match(got, want), (kind, combo)
                 checked += 1
@@ -239,9 +225,8 @@ def test_criterion_06_oracle_equivalence():
                 x = rng.choice(anchors) + rng.uniform(-0.2, 0.2)
                 values.append(VoteValue.from_floats([x]))
         epsilon = rng.uniform(1e-9, 0.5)
-        slots = as_slots(values)
         for kind in (VoteKind.MAJORITY, VoteKind.PLURALITY):
-            got = vote(AlgorithmId(kind, epsilon, 1.0), slots, euclidean_metric)
+            got = vote(AlgorithmId(kind, epsilon, 1.0), values, euclidean_metric)
             want = oracle_vote(kind, values, epsilon=epsilon, metric="euclidean")
             assert outcomes_match(got, want), (kind, epsilon, values)
             checked += 1
@@ -261,9 +246,9 @@ def test_criterion_07_weighted_average_properties():
         rows = [
             [rng.uniform(-100.0, 100.0) for _ in range(dim)] for _ in range(count)
         ]
-        slots = list(as_slots([VoteValue.from_floats(r) for r in rows]))
+        slots = [VoteValue.from_floats(r) for r in rows]
         for _ in range(rng.randint(0, 2)):
-            slots.append(ValueSlot.invalidated(len(slots) + 1))
+            slots.append(None)
         out = vote(
             AlgorithmId(VoteKind.WEIGHTED_AVERAGE, 0.0, 0.0),
             tuple(slots),
@@ -275,39 +260,7 @@ def test_criterion_07_weighted_average_properties():
             mean = math.fsum(r[c] for r in rows) / count
             assert abs(got[c] - mean) <= 1e-12, (rows, c)
 
-    poisons = 0
-    rng = random.Random(77)
-    for kind in VoteKind:
-        for epsilon in (0.0, 0.2):
-            for _ in range(50):
-                n = rng.randint(1, 6)
-                base = tuple(
-                    ValueSlot(i, True, VoteValue.from_floats([rng.uniform(0.0, 3.0)]))
-                    if rng.random() < 0.6
-                    else ValueSlot.invalidated(i)
-                    for i in range(1, n + 1)
-                )
-                algo = AlgorithmId(kind, epsilon, 1.0)
-                want = vote(algo, base, euclidean_metric)
-                for _ in range(3):
-                    poisoned = tuple(
-                        slot
-                        if slot.valid
-                        else ValueSlot(
-                            slot.origin,
-                            False,
-                            VoteValue.from_floats([rng.uniform(-1e6, 1e6)])
-                            if rng.random() < 0.5
-                            else VoteValue.from_bytes(
-                                rng.randbytes(rng.randint(1, 16))
-                            ),
-                        )
-                        for slot in base
-                    )
-                    got = vote(algo, poisoned, euclidean_metric)
-                    assert outcomes_match(got, want), (kind, epsilon, base)
-                    poisons += 1
-    passed(7, f"mean within 1e-12; {poisons} poisoned invalid slots changed nothing")
+    passed(7, "s = 0 gives the mean within 1e-12 on 300 vectors")
 
 
 # -- criterion 8: overhead scaling ----------------------------------------------------

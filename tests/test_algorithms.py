@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from votefarm.core import AlgorithmId, ErrorCode, ValueSlot, VoteKind, VoteValue
+from votefarm.core import AlgorithmId, ErrorCode, VoteKind, VoteValue
 from votefarm.harness import oracle_vote
 from votefarm.voting import (
     cluster,
@@ -24,14 +24,8 @@ from votefarm.voting import (
 
 
 def slots(*xs):
-    """Floats become valid slots, None an invalidated one."""
-    out = []
-    for i, x in enumerate(xs, start=1):
-        if x is None:
-            out.append(ValueSlot.invalidated(i))
-        else:
-            out.append(ValueSlot.arrived(i, VoteValue.from_floats([float(x)])))
-    return tuple(out)
+    """Floats become valid slots, None an invalid one."""
+    return tuple(None if x is None else VoteValue.from_floats([float(x)]) for x in xs)
 
 
 def first_float(outcome):
@@ -114,7 +108,7 @@ def test_median_ranks_a_nan_distance_farthest(xs, want):
     sv = slots(*xs)
     out = vote_median(sv, euclidean_metric)
     assert out.ok
-    assert out == oracle_vote(VoteKind.MEDIAN, [s.value for s in sv], metric="euclidean")
+    assert out == oracle_vote(VoteKind.MEDIAN, sv, metric="euclidean")
     if want is not None:
         assert first_float(out) == want
 
@@ -159,14 +153,14 @@ def test_weighted_average_invalid_slots_weigh_nothing():
 
 
 def test_weighted_average_rejects_raw_bytes():
-    raw = ValueSlot.arrived(1, VoteValue.from_bytes(b"abc"))
+    raw = VoteValue.from_bytes(b"abc")
     out = vote_weighted_average((raw,), 1.0, default_metric)
     assert out.failure == ErrorCode.BAD_STATE
 
 
 def test_weighted_average_rejects_mixed_dimensions():
-    a = ValueSlot.arrived(1, VoteValue.from_floats([1.0]))
-    b = ValueSlot.arrived(2, VoteValue.from_floats([1.0, 2.0]))
+    a = VoteValue.from_floats([1.0])
+    b = VoteValue.from_floats([1.0, 2.0])
     out = vote_weighted_average((a, b), 1.0, euclidean_metric)
     assert out.failure == ErrorCode.BAD_STATE
 
@@ -188,49 +182,29 @@ slot_lists = st.lists(st.one_of(st.none(), finite), min_size=1, max_size=6).map(
 @given(slot_lists, st.floats(min_value=0, max_value=10))
 def test_cluster_partitions_valid_slots(sv, eps):
     classes = cluster(sv, eps, euclidean_metric)
-    seen = [i for c in classes for i in c.members]
-    assert sorted(seen) == [i for i, s in enumerate(sv) if s.valid]
+    seen = [i for c in classes for i in c]
+    assert sorted(seen) == [i for i, s in enumerate(sv) if s is not None]
     for c in classes:
-        assert c.members[0] == c.leader
-        for m in c.members:
-            assert euclidean_metric(sv[m].value, sv[c.leader].value) <= eps
+        assert c and list(c) == sorted(c)  # members in scan order, leader first
+        for m in c:
+            assert euclidean_metric(sv[m], sv[c[0]]) <= eps
 
 
 @given(slot_lists, st.floats(min_value=0, max_value=10))
 def test_cluster_leaders_break_new_ground(sv, eps):
-    leaders = [c.leader for c in cluster(sv, eps, euclidean_metric)]
+    leaders = [c[0] for c in cluster(sv, eps, euclidean_metric)]
     for i, lead in enumerate(leaders):
         for earlier in leaders[:i]:
-            assert euclidean_metric(sv[lead].value, sv[earlier].value) > eps
+            assert euclidean_metric(sv[lead], sv[earlier]) > eps
 
 
 @given(slot_lists)
 def test_selective_algorithms_return_an_input(sv):
-    valid_data = {s.value.data for s in sv if s.valid}
+    valid_data = {s.data for s in sv if s is not None}
     for kind in (VoteKind.MAJORITY, VoteKind.MEDIAN, VoteKind.PLURALITY):
         out = vote(AlgorithmId(kind), sv, euclidean_metric)
         if out.ok:
             assert out.value.data in valid_data
-
-
-@given(slot_lists)
-def test_invalid_slot_payloads_cannot_leak(sv):
-    """A slot marked invalid must not influence any algorithm, whatever
-    stale value object it happens to carry."""
-    poisoned = tuple(
-        ValueSlot(s.origin, False, VoteValue.from_floats([123456.789]))
-        if not s.valid
-        else s
-        for s in sv
-    )
-    for kind in VoteKind:
-        a = vote(AlgorithmId(kind, 0.0, 1.0), sv, euclidean_metric)
-        b = vote(AlgorithmId(kind, 0.0, 1.0), poisoned, euclidean_metric)
-        assert a.ok == b.ok
-        if a.ok:
-            assert a.value.data == b.value.data
-        else:
-            assert a.failure == b.failure
 
 
 @given(st.lists(finite, min_size=1, max_size=6))
@@ -281,7 +255,7 @@ def test_a_huge_replica_neither_overflows_nor_wins():
     assert first_float(vote_median(sv, euclidean_metric)) == 42.0
     # a dimension mismatch still raises
     with pytest.raises(ValueError):
-        euclidean_metric(sv[0].value, VoteValue.from_floats([42.0, 42.0]))
+        euclidean_metric(sv[0], VoteValue.from_floats([42.0, 42.0]))
 
 
 def test_resolve_metric_names():
@@ -310,7 +284,7 @@ class CountingMetric:
     passed; `index` maps each payload object back to its slot."""
 
     def __init__(self, sv):
-        self.index = {id(s.value): i for i, s in enumerate(sv) if s.valid}
+        self.index = {id(s): i for i, s in enumerate(sv) if s is not None}
         self.pairs = []
 
     def __call__(self, a, b):
@@ -416,10 +390,10 @@ def reference_majority(sv, epsilon):
     (ties: lowest slot index)."""
     classes = []
     for i, s in enumerate(sv):
-        if not s.valid:
+        if s is None:
             continue
         for cls in classes:
-            if euclidean_metric(s.value, sv[cls[0]].value) <= epsilon:
+            if euclidean_metric(s, sv[cls[0]]) <= epsilon:
                 cls.append(i)
                 break
         else:
@@ -427,7 +401,7 @@ def reference_majority(sv, epsilon):
     for cls in classes:
         if 2 * len(cls) > len(sv):
             rows = [
-                sum(euclidean_metric(sv[i].value, sv[j].value) for j in cls) for i in cls
+                sum(euclidean_metric(sv[i], sv[j]) for j in cls) for i in cls
             ]
             best = 0
             for k in range(1, len(cls)):
@@ -440,13 +414,13 @@ def reference_majority(sv, epsilon):
 def reference_weights(sv, scaling):
     """Raw weight of each valid slot from a full row scan of the distance
     matrix: 1 / (1 + s * sum of its distances to the other valid slots)."""
-    valid = [i for i, s in enumerate(sv) if s.valid]
+    valid = [i for i, s in enumerate(sv) if s is not None]
     raw = {}
     for i in valid:
         total = 0.0
         for j in valid:
             if j != i:
-                total += euclidean_metric(sv[i].value, sv[j].value)
+                total += euclidean_metric(sv[i], sv[j])
         raw[i] = 1.0 / (1.0 + scaling * total)
     return raw
 
@@ -488,7 +462,7 @@ def test_majority_matches_reference_beyond_oracle(n, seed):
         if want is None:
             assert out.failure == ErrorCode.NO_MAJORITY
         else:
-            assert out.value is sv[want].value
+            assert out.value is sv[want]
 
 
 @pytest.mark.parametrize("n,seed", EXACT_CASES)
@@ -499,6 +473,6 @@ def test_weighted_average_matches_reference_beyond_oracle(n, seed):
         z = sum(raw.values())
         want = 0.0
         for i, w in raw.items():  # valid slots in slot order, as the voter sums
-            want += w / z * sv[i].value.floats()[0]
+            want += w / z * sv[i].floats()[0]
         out = vote_weighted_average(sv, scaling, euclidean_metric)
         assert out.value.floats() == (want,)

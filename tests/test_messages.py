@@ -16,7 +16,6 @@ from votefarm.core import (
     FrameError,
     Message,
     Tag,
-    ValueSlot,
     VoteKind,
     VoteOutcome,
     VoteValue,
@@ -208,13 +207,6 @@ def test_algorithm_id_validation():
     with pytest.raises(ValueError, match="scaling_factor must be >= 0"):
         AlgorithmId(VoteKind.WEIGHTED_AVERAGE, scaling_factor=-1.0)
     assert AlgorithmId(VoteKind.WEIGHTED_AVERAGE, scaling_factor=0.0).scaling_factor == 0.0
-
-
-def test_value_slot_origin():
-    with pytest.raises(ValueError):
-        ValueSlot(0, True, VoteValue.from_floats([1.0]))
-    slot = ValueSlot.invalidated(2)
-    assert not slot.valid and slot.value is None
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1))

@@ -12,7 +12,6 @@ from votefarm.core import (
     ErrorCode,
     Message,
     Tag,
-    ValueSlot,
     VoteKind,
     VoteOutcome,
     VoteValue,
@@ -69,7 +68,7 @@ def launch(n, crashed=(), inputs=None, delta_t=1.0, kind=VoteKind.MAJORITY):
 
 
 def slot_flags(state):
-    return tuple(s.valid for s in state.last_slots)
+    return tuple(s is not None for s in state.last_slots)
 
 
 def test_fault_free_round():
@@ -322,6 +321,34 @@ def test_broadcast_from_own_or_unknown_id_is_a_stray(sender):
     assert slot_flags(v1) == (True, False, False)
 
 
+def test_own_slot_refuses_a_second_input_and_counts_a_late_one():
+    """The voter's own slot decides what an INPUT in an open round is."""
+    v7 = VoteValue.from_floats([7.0])
+    # a second input while the first holds the own slot is refused
+    rt = quiet_farm(
+        [
+            (0.0, USER1, Message(Tag.INPUT, USER, V42)),
+            (0.5, USER1, Message(Tag.INPUT, USER, v7)),
+        ]
+    )
+    v1 = rt.states[1]
+    assert (v1.refusals, v1.late_arrivals) == (1, 0)
+    assert v1.rounds_completed == 1
+    assert v1.last_slots == (V42, None, None)
+    # a fellow's broadcast opens the round; voter 1's turn comes at once
+    # and invalidates its own slot, so the input that follows is late
+    rt = quiet_farm(
+        [
+            (0.0, FELLOW, Message(Tag.BROADCAST_VALUE, 2, V42)),
+            (0.5, USER1, Message(Tag.INPUT, USER, v7)),
+        ]
+    )
+    v1 = rt.states[1]
+    assert (v1.refusals, v1.late_arrivals) == (0, 1)
+    assert v1.rounds_completed == 1
+    assert v1.last_slots == (None, V42, None)
+
+
 REPLIES = [
     Message(Tag.DONE, 2),
     Message(Tag.REFUSED, 2),
@@ -417,7 +444,7 @@ def run_rounds(n, values_of, set_before=None):
 
 def test_fault_free_farm_votes_once_per_round(vote_calls):
     rt = run_rounds(7, lambda uid: [1.0, 2.0, 3.0])
-    assert [slots[0].value.floats() for _, slots in vote_calls] == [(1.0,), (2.0,), (3.0,)]
+    assert [slots[0].floats() for _, slots in vote_calls] == [(1.0,), (2.0,), (3.0,)]
     first = rt.states[1].last_outcome
     for state in rt.states.values():
         assert state.rounds_completed == 3
@@ -457,7 +484,7 @@ def test_memo_keeps_at_most_n_vectors(vote_calls, voters):
     memo = voters[0].memo
     assert all(v.memo is memo for v in voters)
     # the oldest vectors went first
-    assert [slots[0].value.floats() for _, slots in memo] == [(3.0,), (4.0,), (5.0,)]
+    assert [slots[0].floats() for _, slots in memo] == [(3.0,), (4.0,), (5.0,)]
     assert list(memo.values())[-1] is rt.states[1].last_outcome
 
 
@@ -473,7 +500,7 @@ def test_a_raising_metric_leaves_no_memo_entry(voters):
         world.run()
     assert voters[0].memo == {}
     # every later voter on the same vector raises too
-    slots = tuple(ValueSlot.arrived(v, V42) for v in (1, 2, 3))
+    slots = (V42, V42, V42)
     for voter in voters:
         with pytest.raises(ValueError, match="broken metric"):
             voter._vote(slots)
