@@ -18,17 +18,12 @@ from .client import World
 from .core import MAX_SENDER_ID, AlgorithmId, VoteKind, VoteValue
 from .harness import (
     _ALGO_NAMES,
-    ExperimentSpec,
     FaultKind,
-    FaultSpec,
-    PipelineSpec,
     Report,
     SpecError,
-    StageSpec,
     bench,
     bench_to_csv,
     bench_to_json,
-    check_spec,
     oracle_vote,
     run_experiment,
     spec_from_json,
@@ -37,26 +32,16 @@ from .sim import REAL, VIRTUAL
 from .transport import LinkCensus
 from .voting import euclidean_metric, vote
 
-# Each inline experiment flag, by its argparse dest, and the value it takes
-# when absent.  The parser defaults them to None (or [] when repeatable), so
-# a flag given next to --spec can be told apart from one left out.
-_INLINE_DEFAULTS = {
-    "n": 3,
-    "algorithm": "majority",
-    "epsilon": 0.0,
-    "scaling": 1.0,
-    "delta_t": 1.0,
-    "metric": "default",
-    "input": [],
-    "fault": [],
-    "seed": 0,
-    "repetitions": 1,
-    "clock": VIRTUAL,
-    "stages": 2,
-}
+# The inline experiment flags by argparse dest.  Their parsers default to
+# argparse.SUPPRESS, so only a flag that was given is in the namespace.
+_STAGE_FLAGS = ("n", "algorithm", "epsilon", "scaling", "delta_t")
+_INLINE_FLAGS = _STAGE_FLAGS + (
+    "metric", "input", "fault", "seed", "repetitions", "clock", "stages",
+)
 
 
-def _parse_fault(text: str) -> FaultSpec:
+def _parse_fault(text: str) -> dict:
+    """The JSON spec object of one --fault KIND:TARGET[:PARAM]."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise SpecError([f"fault {text!r} is not kind:target[:param]"])
@@ -75,30 +60,30 @@ def _parse_fault(text: str) -> FaultSpec:
             stage, voter = 1, int(target)
     except ValueError:
         raise SpecError([f"fault target {target!r} is not voter or stage.voter"])
-    fault = FaultSpec(kind, voter=voter, stage=stage)
+    fault = {"kind": kind.value, "stage": stage, "voter": voter}
     if len(parts) == 2:
         return fault
     param = parts[2]
     try:
         if kind is FaultKind.CORRUPT_INPUT:
-            return FaultSpec(kind, voter, stage, pattern=bytes.fromhex(param))
+            return {**fault, "pattern": bytes.fromhex(param).hex()}
         if kind is FaultKind.DELAY_MESSAGE:
-            return FaultSpec(kind, voter, stage, delay=float(param))
+            return {**fault, "delay": float(param)}
         if kind is FaultKind.DROP_MESSAGE:
-            return FaultSpec(kind, voter, stage, index=int(param))
+            return {**fault, "index": int(param)}
     except ValueError:
         raise SpecError([f"bad parameter {param!r} for {kind.value}"])
     raise SpecError([f"{kind.value} takes no parameter, got {param!r}"])
 
 
-def _parse_input(text: str) -> VoteValue:
+def _parse_input(text: str) -> list[float]:
     try:
-        return VoteValue.from_floats([float(p) for p in text.split(",")])
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise SpecError([f"input {text!r} is not a comma-separated float list"])
 
 
-def _parse_each(parse, texts, bad: list[str]) -> tuple:
+def _parse_each(parse, texts, bad: list[str]) -> list:
     """`parse` applied to every text; each SpecError's violations go to `bad`."""
     out = []
     for text in texts:
@@ -106,52 +91,50 @@ def _parse_each(parse, texts, bad: list[str]) -> tuple:
             out.append(parse(text))
         except SpecError as exc:
             bad.extend(exc.violations)
-    return tuple(out)
+    return out
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    given = {
-        dest: value
-        for dest in _INLINE_DEFAULTS
-        if (value := getattr(args, dest, None)) not in (None, [])
-    }
-    if args.spec is not None:
-        if given:
-            raise SpecError(
-                [f"--spec excludes the inline flag --{d.replace('_', '-')}" for d in given]
-            )
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise SpecError([f"cannot read {args.spec}: {exc}"])
-        except json.JSONDecodeError as exc:
-            raise SpecError([f"{args.spec} is not JSON: {exc}"])
-        return spec_from_json(obj)
-
-    flag = {**_INLINE_DEFAULTS, **given}
+def _spec_json_from_flags(args) -> dict:
+    """The JSON spec object the given inline flags describe.  A flag left
+    out is left out of the object too, so it takes the spec's default;
+    only the voter count (3) and a pipeline's stage count (2) are the
+    CLI's own."""
+    flag = vars(args)
     bad: list[str] = []
-    inputs = _parse_each(_parse_input, flag["input"], bad)
-    faults = _parse_each(_parse_fault, flag["fault"], bad)
+    obj = {key: flag[key] for key in ("metric", "seed", "repetitions", "clock") if key in flag}
+    if "input" in flag:
+        obj["inputs"] = _parse_each(_parse_input, flag["input"], bad)
+    if "fault" in flag:
+        obj["faults"] = _parse_each(_parse_fault, flag["fault"], bad)
     if bad:
         raise SpecError(bad)
-    stage = StageSpec(
-        n=flag["n"],
-        algorithm=_ALGO_NAMES[flag["algorithm"]],
-        epsilon=flag["epsilon"],
-        scaling=flag["scaling"],
-        delta_t=flag["delta_t"],
-    )
-    stage_count = flag["stages"] if args.command == "pipeline" else 1
-    return ExperimentSpec(
-        pipeline=PipelineSpec((stage,) * stage_count),
-        inputs=inputs or None,
-        faults=faults,
-        seed=flag["seed"],
-        clock=flag["clock"],
-        repetitions=flag["repetitions"],
-        metric=flag["metric"],
-    )
+    stage_count = flag.get("stages", 2) if args.command == "pipeline" else 1
+    if args.command == "pipeline" and stage_count < 2:  # before the spec is read
+        raise SpecError(["a pipeline needs at least two stages"])
+    stage = {"n": 3, **{key: flag[key] for key in _STAGE_FLAGS if key in flag}}
+    obj["stages"] = [stage] * stage_count
+    return obj
+
+
+def _spec_from_args(args):
+    if args.spec is None:
+        return spec_from_json(_spec_json_from_flags(args))
+    given = [dest for dest in _INLINE_FLAGS if dest in vars(args)]
+    if given:
+        raise SpecError(
+            [f"--spec excludes the inline flag --{d.replace('_', '-')}" for d in given]
+        )
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise SpecError([f"cannot read {args.spec}: {exc}"])
+    except json.JSONDecodeError as exc:
+        raise SpecError([f"{args.spec} is not JSON: {exc}"])
+    spec = spec_from_json(obj)
+    if args.command == "pipeline" and len(spec.pipeline.stages) < 2:
+        raise SpecError(["a pipeline needs at least two stages"])
+    return spec
 
 
 def _open_output(args):
@@ -184,9 +167,6 @@ def _agreement_holds(report: Report) -> bool:
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    if args.command == "pipeline" and len(spec.pipeline.stages) < 2:
-        raise SpecError(["a pipeline needs at least two stages"])
-    check_spec(spec)
     with _open_output(args) as out:
         report = run_experiment(spec)
         out.write(report.to_csv() if args.output == "csv" else report.to_json())
@@ -260,8 +240,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    """Inline flags; their values without --spec are in _INLINE_DEFAULTS."""
-    p.add_argument("--n", type=int, help="voters per stage")
+    """Inline flags; see _INLINE_FLAGS.  --spec keeps an explicit default."""
+    p.add_argument("--n", type=int, help="voters per stage (default: 3)")
     p.add_argument("--algorithm", choices=sorted(_ALGO_NAMES))
     p.add_argument("--epsilon", type=float)
     p.add_argument("--scaling", type=float)
@@ -270,7 +250,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--input",
         action="append",
-        default=[],
         metavar="V[,V...]",
         help="one user input (repeat per user; comma-separated components)",
     )
@@ -278,14 +257,13 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         "--fault",
         "--faults",
         action="append",
-        default=[],
         metavar="KIND:TARGET[:PARAM]",
         help="inject a fault, e.g. crash_user:2 or corrupt_input:1.3:ff",
     )
     p.add_argument("--seed", type=int)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--clock", choices=(VIRTUAL, REAL))
-    p.add_argument("--spec", help="JSON spec path (excludes inline flags)")
+    p.add_argument("--spec", default=None, help="JSON spec path (excludes inline flags)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -300,12 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="one farm, one round per repetition")
+    # a flag without an explicit default is left out of the namespace when
+    # absent; see _INLINE_FLAGS
+    omit_absent = {"argument_default": argparse.SUPPRESS}
+    run_p = sub.add_parser("run", help="one farm, one round per repetition", **omit_absent)
     _add_experiment_flags(run_p)
     _add_output_flags(run_p)
 
-    pipe_p = sub.add_parser("pipeline", help="chained farm stages")
-    pipe_p.add_argument("--stages", type=int)
+    pipe_p = sub.add_parser("pipeline", help="chained farm stages", **omit_absent)
+    pipe_p.add_argument("--stages", type=int, help="farm stages (default: 2)")
     _add_experiment_flags(pipe_p)
     _add_output_flags(pipe_p)
 

@@ -125,6 +125,8 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"stage {k}: scaling must not be NaN")
         elif s.scaling < 0:
             bad.append(f"stage {k}: scaling must be >= 0, got {s.scaling}")
+        elif s.scaling == math.inf:
+            bad.append(f"stage {k}: scaling must be finite, got {s.scaling}")
     if spec.repetitions < 1:
         bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
     if spec.clock not in (VIRTUAL, REAL):
@@ -177,14 +179,15 @@ def _is_number(obj) -> bool:
 
 
 def value_from_json(obj) -> VoteValue:
-    """A JSON number, a list of JSON numbers, or {"hex": ...}.  A list
-    with components that are not JSON numbers (bools, strings) raises one
-    SpecError naming each of them."""
-    if isinstance(obj, dict) and "hex" in obj:
-        return VoteValue.from_bytes(bytes.fromhex(obj["hex"]))
+    """A JSON number, a non-empty list of JSON numbers, or {"hex": ...}
+    (no other key) with at least one byte; anything else raises a
+    SpecError.  A list with components that are not JSON numbers (bools,
+    strings) raises one SpecError naming each of them."""
+    if isinstance(obj, dict) and obj.keys() == {"hex"} and (data := _hex("hex", obj["hex"])):
+        return VoteValue.from_bytes(data)
     if _is_number(obj):
         obj = [obj]
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or not obj:
         raise SpecError([f"cannot read a vote value from {obj!r}"])
     bad = [
         f"component {k} must be a number, got {c!r}"
@@ -238,130 +241,141 @@ _ALGO_NAMES = {k.name.lower(): k for k in VoteKind}
 _ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
 _FAULT_NAMES = {k.value: k for k in FaultKind}
 
+# Each reader takes a JSON key and its value and returns the spec field,
+# or raises a SpecError that names what is wrong with the value.
 
-def _int_field(
-    obj: dict, key: str, default: int | None, bad: list[str], where: str = ""
-) -> int:
-    """`obj[key]` as a JSON integer (never a float, string or bool), or
-    `default` when the key is absent; a default of None makes the key
-    required.  Each violation is appended to `bad`, prefixed by `where`."""
-    if key not in obj and default is None:
-        bad.append(f"{where}'{key}' is required")
-        return 0
-    value = obj.get(key, default)
+
+def _integer(key: str, value) -> int:
+    """A JSON integer, never a float, string or bool."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    bad.append(f"{where}'{key}' must be an integer, got {value!r}")
-    return 0 if default is None else default
+    raise SpecError([f"'{key}' must be an integer, got {value!r}"])
 
 
-def _float_field(
-    obj: dict, key: str, default: float | None, bad: list[str], where: str = ""
-) -> float | None:
-    """`obj[key]` as a float read from a JSON number (an int or a float,
-    never a string or bool), or `default` when the key is absent; a default
-    of None lets the key also be null.  Each violation is appended to
-    `bad`, prefixed by `where`."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    if _is_number(value):
+def _number(key: str, value) -> float:
+    """A float read from a JSON number, an int or a float, never a string
+    or bool."""
+    if not _is_number(value):
+        raise SpecError([f"'{key}' must be a number, got {value!r}"])
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError([f"'{key}' is too large for a float"]) from None
+
+
+def _hex(key: str, value) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise SpecError([f"'{key}' must be a hex string, got {value!r}"]) from None
+
+
+def _one_of(names: dict, what: str):
+    def read(key: str, value):
         try:
-            return float(value)
-        except OverflowError:
-            bad.append(f"{where}'{key}' is too large for a float")
-            return default
-    bad.append(f"{where}'{key}' must be a number, got {value!r}")
-    return default
+            return names[str(value).lower()]
+        except KeyError:
+            raise SpecError([f"unknown {what} {value!r}"]) from None
+
+    return read
 
 
-def _list_field(obj: dict, key: str, bad: list[str]) -> list | None:
-    value = obj.get(key)
+def _list(key: str, value) -> list:
+    """A JSON list; null reads as an empty one."""
     if value is None or isinstance(value, list):
-        return value
-    bad.append(f"'{key}' must be a list, got {type(value).__name__}")
-    return None
+        return value or []
+    raise SpecError([f"'{key}' must be a list, got {type(value).__name__}"])
+
+
+def _each(read, items: list, label: str) -> tuple:
+    """`read` applied to every item; one SpecError names each violation,
+    prefixed by the item's label and 1-based position."""
+    out, bad = [], []
+    for k, item in enumerate(items, start=1):
+        try:
+            out.append(read(item))
+        except SpecError as exc:
+            bad.extend(f"{label} {k}: {v}" for v in exc.violations)
+    if bad:
+        raise SpecError(bad)
+    return tuple(out)
+
+
+def _read_object(obj, readers: dict, required: tuple[str, ...] = ()) -> dict:
+    """The keys of `obj`, each read by its reader in `readers`.  Only the
+    keys given are returned, so an absent one takes the spec dataclass's
+    default.  One SpecError names every unknown key, missing required key
+    and unreadable value."""
+    if not isinstance(obj, dict):
+        raise SpecError([f"must be an object, got {type(obj).__name__}"])
+    out, bad = {}, []
+    for key, value in obj.items():
+        if key not in readers:
+            bad.append(f"unknown key {key!r}")
+            continue
+        try:
+            out[key] = readers[key](key, value)
+        except SpecError as exc:
+            bad.extend(exc.violations)
+    bad.extend(f"'{key}' is required" for key in required if key not in obj)
+    if bad:
+        raise SpecError(bad)
+    return out
+
+
+def _stage(obj) -> StageSpec:
+    return StageSpec(**_read_object(obj, _STAGE_READERS, required=("n",)))
+
+
+def _fault(obj) -> FaultSpec:
+    return FaultSpec(**_read_object(obj, _FAULT_READERS, required=("kind", "voter")))
+
+
+def _stages(key: str, value) -> PipelineSpec:
+    if not isinstance(value, list) or not value:
+        raise SpecError(["spec needs a non-empty 'stages' list"])
+    return PipelineSpec(_each(_stage, value, "stage"))
+
+
+def _inputs(key: str, value) -> tuple[VoteValue, ...] | None:
+    return None if value is None else _each(value_from_json, _list(key, value), "input")
+
+
+_STAGE_READERS = {
+    "n": _integer,
+    "algorithm": _one_of(_ALGO_NAMES, "algorithm"),
+    "epsilon": _number,
+    "scaling": _number,
+    "delta_t": _number,
+}
+_FAULT_READERS = {
+    "kind": _one_of(_FAULT_NAMES, "kind"),
+    "stage": _integer,
+    "voter": _integer,
+    "pattern": _hex,
+    "delay": lambda key, value: None if value is None else _number(key, value),
+    "index": _integer,
+}
+_SPEC_READERS = {
+    "stages": _stages,
+    "inputs": _inputs,
+    "faults": lambda key, value: _each(_fault, _list(key, value), "fault"),
+    "seed": _integer,
+    "clock": lambda key, value: str(value),
+    "repetitions": _integer,
+    "metric": lambda key, value: str(value),
+}
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
+    """The spec a JSON object describes (the form `spec_to_json` writes).
+    A key left out takes the spec dataclass's default; every violation,
+    an unknown key included, is listed in one SpecError."""
     if not isinstance(obj, dict):
         raise SpecError([f"spec must be a JSON object, got {type(obj).__name__}"])
-    bad: list[str] = []
-    stages = []
-    raw_stages = obj.get("stages")
-    if not isinstance(raw_stages, list) or not raw_stages:
-        bad.append("spec needs a non-empty 'stages' list")
-        raw_stages = []
-    for k, raw in enumerate(raw_stages, start=1):
-        if not isinstance(raw, dict):
-            bad.append(f"stage {k}: must be an object, got {type(raw).__name__}")
-            continue
-        name = str(raw.get("algorithm", "majority")).lower()
-        kind = _ALGO_NAMES.get(name)
-        if kind is None:
-            bad.append(f"stage {k}: unknown algorithm {name!r}")
-            kind = VoteKind.MAJORITY
-        where = f"stage {k}: "
-        stages.append(
-            StageSpec(
-                n=_int_field(raw, "n", 0, bad, where),
-                algorithm=kind,
-                epsilon=_float_field(raw, "epsilon", 0.0, bad, where),
-                scaling=_float_field(raw, "scaling", 1.0, bad, where),
-                delta_t=_float_field(raw, "delta_t", 1.0, bad, where),
-            )
-        )
-    faults = []
-    for i, raw in enumerate(_list_field(obj, "faults", bad) or [], start=1):
-        if not isinstance(raw, dict):
-            bad.append(f"fault {i}: must be an object, got {type(raw).__name__}")
-            continue
-        kind = _FAULT_NAMES.get(str(raw.get("kind", "")).lower())
-        if kind is None:
-            bad.append(f"fault {i}: unknown kind {raw.get('kind')!r}")
-            continue
-        where = f"fault {i}: "
-        voter = _int_field(raw, "voter", None, bad, where)
-        stage = _int_field(raw, "stage", 1, bad, where)
-        index = _int_field(raw, "index", 0, bad, where)
-        delay = _float_field(raw, "delay", None, bad, where)
-        try:
-            faults.append(
-                FaultSpec(
-                    kind=kind,
-                    voter=voter,
-                    stage=stage,
-                    pattern=bytes.fromhex(raw.get("pattern", "ff")),
-                    delay=delay,
-                    index=index,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            bad.append(f"fault {i}: {exc!r}")
-    inputs = _list_field(obj, "inputs", bad)
-    values = None
-    if inputs is not None:
-        values = []
-        for i, raw in enumerate(inputs, start=1):
-            try:
-                values.append(value_from_json(raw))
-            except SpecError as exc:
-                bad.extend(f"input {i}: {v}" for v in exc.violations)
-            except (TypeError, ValueError) as exc:
-                bad.append(f"input {i}: {exc}")
-    seed = _int_field(obj, "seed", 0, bad)
-    repetitions = _int_field(obj, "repetitions", 1, bad)
-    if bad:
-        raise SpecError(bad)
-    spec = ExperimentSpec(
-        pipeline=PipelineSpec(tuple(stages)),
-        inputs=None if values is None else tuple(values),
-        faults=tuple(faults),
-        seed=seed,
-        clock=str(obj.get("clock", VIRTUAL)),
-        repetitions=repetitions,
-        metric=str(obj.get("metric", "default")),
-    )
+    # an absent 'stages' reads as null, which its reader refuses
+    fields = _read_object({"stages": None, **obj}, _SPEC_READERS)
+    spec = ExperimentSpec(pipeline=fields.pop("stages"), **fields)
     check_spec(spec)
     return spec
 

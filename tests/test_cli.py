@@ -134,6 +134,41 @@ def test_spec_file_round(capsys, tmp_path):
     assert len(report["repetitions"][0]["voters"]) == 5
 
 
+@pytest.mark.parametrize(
+    "argv,spec",
+    [
+        (
+            ["run", "--algorithm", "median", "--metric", "euclidean",
+             "--input", "1", "--input", "2", "--input", "10"],
+            {"stages": [{"n": 3, "algorithm": "median"}], "inputs": [1, 2, 10],
+             "metric": "euclidean"},
+        ),
+        (
+            ["pipeline", "--stages", "3", "--fault", "crash_voter:1.2",
+             "--fault", "delay_message:2.1:0.25", "--fault", "corrupt_input:3.3:ff00",
+             "--seed", "5", "--repetitions", "2"],
+            {
+                "stages": [{"n": 3}] * 3,
+                "faults": [
+                    {"kind": "crash_voter", "stage": 1, "voter": 2},
+                    {"kind": "delay_message", "stage": 2, "voter": 1, "delay": 0.25},
+                    {"kind": "corrupt_input", "stage": 3, "voter": 3, "pattern": "ff00"},
+                ],
+                "seed": 5,
+                "repetitions": 2,
+            },
+        ),
+    ],
+)
+def test_inline_flags_and_spec_file_give_the_same_report(capsys, tmp_path, argv, spec):
+    inline = run_cli(capsys, *argv)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    from_file = run_cli(capsys, argv[0], "--spec", str(spec_path))
+    assert inline == from_file
+    assert inline[0] == 0 and json.loads(inline[1])["repetitions"]
+
+
 def test_spec_file_excludes_inline_flags(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--spec", str(tmp_path / "s.json"), "--n", "4"
@@ -241,6 +276,16 @@ def test_negative_scaling_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_infinite_scaling_exits_two(capsys):
+    """inf * 0 would give a NaN weight and BAD_STATE at every voter."""
+    code, out, err = run_cli(
+        capsys, "run", "--n", "3", "--algorithm", "weighted-average", "--scaling", "inf"
+    )
+    assert code == 2
+    assert out == ""
+    assert "votefarm: stage 1: scaling must be finite, got inf" in err
+
+
 @pytest.mark.parametrize(
     "command,needle",
     [
@@ -281,8 +326,9 @@ def test_pipeline_restores_through_the_chain(capsys):
     assert all(v["value"] == [42.0] for v in finals)
 
 
-def test_pipeline_rejects_a_single_stage(capsys):
-    code, _, err = run_cli(capsys, "pipeline", "--stages", "1")
+@pytest.mark.parametrize("stages", ["1", "0", "-1"])
+def test_pipeline_rejects_a_single_stage(capsys, stages):
+    code, _, err = run_cli(capsys, "pipeline", "--stages", stages)
     assert code == 2
     assert "at least two stages" in err
 

@@ -136,6 +136,15 @@ def test_a_farm_larger_than_the_sender_field_is_a_spec_error(monkeypatch):
         run_experiment(spec(65536))
 
 
+def test_infinite_scaling_is_a_spec_error():
+    """A weight of inf * 0 is NaN, which would fail every weighted-average
+    vote; validation must reject the spec first."""
+    spec = tmr(algorithm=VoteKind.WEIGHTED_AVERAGE, scaling=math.inf)
+    assert validate_spec(spec) == ["stage 1: scaling must be finite, got inf"]
+    with pytest.raises(SpecError):
+        run_experiment(spec)
+
+
 def test_infinite_fault_delay_is_a_spec_error():
     spec = tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=1, delay=math.inf),))
     assert validate_spec(spec) == ["fault delay must be finite, got inf"]
@@ -233,6 +242,13 @@ STAGE = {"n": 3}
         ({"stages": [STAGE], "faults": {"kind": "crash_user"}}, "'faults' must be a list"),
         ({"stages": [STAGE], "repetitions": "two"}, "'repetitions' must be an integer"),
         ({"stages": [STAGE], "seed": [1]}, "'seed' must be an integer, got [1]"),
+        ({"stages": [{"algorithm": "median"}]}, "stage 1: 'n' is required"),
+        ({"stages": [STAGE], "faults": [{"voter": 1}]}, "fault 1: 'kind' is required"),
+        ({"stages": [STAGE], "faults": [{"kind": "corrupt_input", "voter": 1, "pattern": "zz"}]},
+         "fault 1: 'pattern' must be a hex string, got 'zz'"),
+        ({"stages": [STAGE], "inputs": [{"hex": 5}]}, "input 1: 'hex' must be a hex string, got 5"),
+        ({"stages": [STAGE], "inputs": [{"hex": "ff", "hx": 1}]},
+         "input 1: cannot read a vote value from {'hex': 'ff', 'hx': 1}"),
     ],
 )
 def test_spec_from_json_reports_bad_shapes(obj, needle):
@@ -326,6 +342,23 @@ def test_spec_from_json_keeps_integer_fields():
     assert [s.n for s in spec.pipeline.stages] == [5, 5]
     (fault,) = spec.faults
     assert (fault.voter, fault.stage, fault.index) == (2, 2, 1)
+
+
+def test_spec_from_json_lists_every_unknown_key():
+    obj = {
+        "stages": [{"n": 3, "epsiln": 0.5}, {"n": 3, "algo": "median", "dt": 1}],
+        "faults": [{**CRASH, "stge": 2}],
+        "sead": 7,
+    }
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert err.value.violations == [
+        "stage 1: unknown key 'epsiln'",
+        "stage 2: unknown key 'algo'",
+        "stage 2: unknown key 'dt'",
+        "fault 1: unknown key 'stge'",
+        "unknown key 'sead'",
+    ]
 
 
 DELAY = {"kind": "delay_message", "voter": 1}

@@ -1,11 +1,15 @@
 """The library has no runtime dependencies: each of its modules imports
-only the standard library and its own package."""
+only the standard library and its own package.  The measurement scripts
+import only the standard library and the library itself, so they run on
+a bare Python."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "votefarm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "votefarm"
+SCRIPTS = ROOT / "scripts"
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -19,13 +23,24 @@ def absolute_imports(path: Path) -> list[str]:
     return names
 
 
-def test_library_imports_only_the_standard_library():
-    paths = sorted(SRC.glob("*.py"))
-    assert paths, f"no modules under {SRC}"
-    outside = [
+def outside_imports(paths: list[Path], first_party: set[str]) -> list[tuple[str, str]]:
+    """(file, module) for each import of neither the standard library nor
+    `first_party`."""
+    return [
         (path.name, name)
         for path in paths
         for name in absolute_imports(path)
-        if name != "__future__" and name not in sys.stdlib_module_names
+        if name != "__future__" and name not in sys.stdlib_module_names | first_party
     ]
-    assert outside == []
+
+
+def test_library_imports_only_the_standard_library():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    assert outside_imports(paths, set()) == []
+
+
+def test_scripts_import_only_the_standard_library_and_votefarm():
+    paths = sorted(SCRIPTS.glob("*.py"))
+    assert paths, f"no scripts under {SCRIPTS}"
+    assert outside_imports(paths, {"votefarm"}) == []
