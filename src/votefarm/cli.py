@@ -11,11 +11,10 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import sys
 
 from .client import World
-from .core import MAX_SENDER_ID, AlgorithmId, VoteKind, VoteValue
+from .core import AlgorithmId, VoteKind, VoteValue
 from .harness import (
     _ALGO_NAMES,
     FaultKind,
@@ -24,6 +23,7 @@ from .harness import (
     bench,
     bench_to_csv,
     bench_to_json,
+    check_bench,
     oracle_vote,
     run_experiment,
     spec_from_json,
@@ -182,19 +182,9 @@ def _cmd_bench(args) -> int:
         n_values = tuple(int(p) for p in args.n_values.split(","))
     except ValueError:
         raise SpecError([f"--n-values {args.n_values!r} is not an int list"])
-    if not n_values or not all(1 <= n <= MAX_SENDER_ID for n in n_values):
-        raise SpecError([f"--n-values needs positive farm sizes up to {MAX_SENDER_ID}"])
-    if not (0 < args.delta_t < math.inf):
-        raise SpecError([f"--delta-t must be > 0 and finite, got {args.delta_t}"])
-    if args.repetitions < 1:  # checked before the output path is opened
-        raise SpecError([f"repetitions must be >= 1, got {args.repetitions}"])
+    check_bench(n_values, args.repetitions, args.delta_t)  # before the output path is opened
     with _open_output(args) as out:
-        rows = bench(
-            n_values=n_values,
-            repetitions=args.repetitions,
-            delta_t=args.delta_t,
-            include_warmup=args.include_warmup,
-        )
+        rows = bench(n_values=n_values, repetitions=args.repetitions, delta_t=args.delta_t)
         out.write(bench_to_csv(rows) if args.output == "csv" else bench_to_json(rows))
     return 0
 
@@ -278,48 +268,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, cmd, help: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand whose namespace carries the function that runs it
+        and its own usage line, which a SpecError prints."""
+        p = sub.add_parser(name, help=help, **kwargs)
+        p.set_defaults(cmd=cmd, usage=p.format_usage)
+        return p
+
     # a flag without an explicit default is left out of the namespace when
     # absent; see _INLINE_FLAGS
     omit_absent = {"argument_default": argparse.SUPPRESS}
-    run_p = sub.add_parser("run", help="one farm, one round per repetition", **omit_absent)
+    run_p = command("run", _cmd_run, "one farm, one round per repetition", **omit_absent)
     _add_experiment_flags(run_p)
     _add_output_flags(run_p)
 
-    pipe_p = sub.add_parser("pipeline", help="chained farm stages", **omit_absent)
+    pipe_p = command("pipeline", _cmd_run, "chained farm stages", **omit_absent)
     pipe_p.add_argument("--stages", type=int, help="farm stages (default: 2)")
     _add_experiment_flags(pipe_p)
     _add_output_flags(pipe_p)
 
-    bench_p = sub.add_parser("bench", help="real-clock round latency per size")
+    bench_p = command("bench", _cmd_bench, "real-clock round latency per size")
     bench_p.add_argument("--n-values", default="1,2,3,4")
     bench_p.add_argument("--repetitions", type=int, default=50)
     bench_p.add_argument("--delta-t", dest="delta_t", type=float, default=0.05)
-    bench_p.add_argument(
-        "--include-warmup",
-        action="store_true",
-        help="keep the first (warm-up) repetition in the stats",
-    )
     _add_output_flags(bench_p)
 
-    sub.add_parser("selftest", help="oracle equivalence and census suites")
+    command("selftest", _cmd_selftest, "oracle equivalence and census suites")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message; normalize the code
         return 0 if exc.code == 0 else 2
     try:
-        if args.command in ("run", "pipeline"):
-            return _cmd_run(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_selftest(args)
+        return args.cmd(args)
     except SpecError as exc:
-        parser.print_usage(sys.stderr)
+        sys.stderr.write(args.usage())
         for v in exc.violations:
             print(f"votefarm: {v}", file=sys.stderr)
         return 2

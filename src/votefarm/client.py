@@ -349,20 +349,5 @@ class FarmHandle:
         return True
 
 
-def open_farm(
-    world: World,
-    farm: str,
-    user_id: int,
-    metric: Metric | str | None = None,
-    delta_t: float = 1.0,
-    algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
-) -> FarmHandle:
-    """Create a handle in the DECLARED state; nothing is spawned yet."""
-    return FarmHandle(
-        world,
-        farm,
-        user_id,
-        metric=metric,
-        delta_t=delta_t,
-        algorithm=algorithm,
-    )
+# Creates a handle in the DECLARED state; nothing is spawned yet.
+open_farm = FarmHandle

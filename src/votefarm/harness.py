@@ -23,7 +23,7 @@ import statistics
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 
-from .client import FarmHandle, Input, World, open_farm
+from .client import FarmHandle, Input, World
 from .core import (
     MAX_SENDER_ID,
     AlgorithmId,
@@ -422,17 +422,21 @@ def _stage_user(
     if value is not None:
         rec.injected_at = world.scheduler.now
         yield from handle.control([Input(value)])
-        for _ in range(poll_limit):
-            out = yield from handle.get(timeout=(2 * delta_t))
-            if out is not None or handle.last_error == ErrorCode.TIMEOUT:
-                break
-            yield from sleep(delta_t)  # refused: round still open
+        yield from _poll(handle, handle.get, poll_limit, 2 * delta_t, delta_t)
     rec.messages_sent = handle.messages_sent
-    for _ in range(poll_limit):
-        rec.closed = yield from handle.close(timeout=(2 * delta_t))
-        if rec.closed or handle.last_error == ErrorCode.TIMEOUT:
+    rec.closed = yield from _poll(handle, handle.close, poll_limit, 2 * delta_t, delta_t)
+
+
+def _poll(handle, request, tries: int, timeout: float, delta_t: float):
+    """Call `request`, the handle's get or close, until it answers or times
+    out, at most `tries` times, sleeping `delta_t` after each refusal: the
+    round is still open (generator).  Returns the last answer."""
+    for _ in range(tries):
+        answer = yield from request(timeout=timeout)
+        if answer or handle.last_error == ErrorCode.TIMEOUT:
             break
-        yield from sleep(delta_t)  # refused: retry once the round is over
+        yield from sleep(delta_t)
+    return answer
 
 
 def _install_faults(world: World, spec: ExperimentSpec, rng: random.Random) -> None:
@@ -633,7 +637,7 @@ def _run_single_repetition(
                 _, source = world.fabric.connect(
                     voter_name(_stage_farm(k - 1), i), user_name(farm, i)
                 )
-            handle = open_farm(
+            handle = FarmHandle(
                 world,
                 farm,
                 i,
@@ -751,76 +755,73 @@ def bench_to_csv(rows: list[BenchRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bench_user(world, handle, nodes, go, done, delta_t):
+def check_bench(n_values, repetitions: int, delta_t: float) -> None:
+    """Check the real-clock spec of each farm size; one SpecError lists
+    every violation of all the sizes, each once."""
+    specs = [
+        ExperimentSpec(
+            PipelineSpec((StageSpec(n, delta_t=delta_t),)),
+            clock=REAL,
+            repetitions=repetitions,
+        )
+        for n in n_values
+    ]
+    bad = dict.fromkeys(v for spec in specs for v in validate_spec(spec))
+    if bad:
+        raise SpecError(list(bad))
+
+
+def _bench_user(handle, nodes, gate, delta_t):
+    """One round per item put on `gate`, until a None."""
     for node in nodes:
         if not handle.add(node):
             return
     if not handle.run():
         return
-    while True:
-        wave = yield Wait((go,), None)
-        if wave[1] is None:
-            break
+    while (yield Wait((gate,), None))[1] is not None:
         yield from handle.control([Input(DEFAULT_INPUT)])
-        for _ in range(10):
-            out = yield from handle.get(timeout=5 * delta_t)
-            if out is not None or handle.last_error == ErrorCode.TIMEOUT:
-                break
-            yield from sleep(delta_t)
-        done.put(1)
+        yield from _poll(handle, handle.get, 10, 5 * delta_t, delta_t)
     yield from handle.close()
 
 
-def _bench_coordinator(world, n, waves, go_sources, done, durations):
-    for _ in range(waves):
-        start = world.scheduler.now
-        for src in go_sources:
-            src.put(0)
-        for _ in range(n):
-            yield Wait((done,), None)
-        durations.append(world.scheduler.now - start)
-    for src in go_sources:
-        src.put(None)
-
-
 def bench(
-    n_values=(1, 2, 3, 4),
-    repetitions: int = 50,
-    delta_t: float = 0.05,
-    include_warmup: bool = False,
+    n_values=(1, 2, 3, 4), repetitions: int = 50, delta_t: float = 0.05
 ) -> list[BenchRow]:
     """Measure real-clock round latency per farm size.
 
-    Rounds run in gated waves (every voter must finish wave w before any
-    wave w+1 input goes in) so repetitions never overlap.  The first wave
-    warms caches and is dropped unless asked for.
+    Rounds run in gated waves: a wave opens the gate of every user of one
+    farm and runs its world until every user is back at its gate, so every
+    voter finishes wave w before any wave w+1 input goes in.  The sizes
+    take turns, wave by wave, so a drift in the host's speed falls on
+    every size alike.  The first wave warms caches and is dropped.
     """
-    if repetitions < 1:
-        raise SpecError([f"repetitions must be >= 1, got {repetitions}"])
-    rows = []
+    check_bench(n_values, repetitions, delta_t)
+    farms = []
     for n in n_values:
         world = World(REAL)
         farm = f"bench{n}"
         nodes = tuple(range(1, n + 1))
         world.activate_farm(farm, nodes, delta_t=delta_t)
-        sched = world.scheduler
-        done = WaitSource(sched)
-        durations: list[float] = []
-        go_sources = []
-        for i in range(1, n + 1):
-            go = WaitSource(sched)
-            go_sources.append(go)
-            handle = open_farm(world, farm, i, delta_t=delta_t)
-            world.spawn_user(
-                farm, i, _bench_user(world, handle, nodes, go, done, delta_t)
-            )
-        world.spawn(
-            "bench/coordinator",
-            _bench_coordinator(world, n, repetitions + 1, go_sources, done, durations),
-        )
+        gates = [WaitSource(world.scheduler) for _ in nodes]
+        for i, gate in enumerate(gates, start=1):
+            handle = FarmHandle(world, farm, i, delta_t=delta_t)
+            world.spawn_user(farm, i, _bench_user(handle, nodes, gate, delta_t))
+        world.run()  # every user joins and blocks on its gate
+        farms.append((world, gates, []))
+    for _ in range(repetitions + 1):
+        for world, gates, durations in farms:
+            start = world.scheduler.now
+            for gate in gates:
+                gate.put(0)
+            world.run()
+            durations.append(world.scheduler.now - start)
+    rows = []
+    for n, (world, gates, durations) in zip(n_values, farms):
+        for gate in gates:
+            gate.put(None)
         world.run()
         world.close()
-        kept = durations if include_warmup else durations[1:]
+        kept = durations[1:]
         rows.append(
             BenchRow(
                 n=n,

@@ -290,13 +290,24 @@ def test_infinite_scaling_exits_two(capsys):
     "command,needle",
     [
         ("run", "votefarm: stage 1: delta_t must be finite, got inf"),
-        ("bench", "votefarm: --delta-t must be > 0 and finite, got inf"),
+        ("bench", "votefarm: stage 1: delta_t must be finite, got inf"),
     ],
 )
 def test_infinite_delta_t_flag_exits_two(capsys, command, needle):
     code, _, err = run_cli(capsys, command, "--delta-t", "inf")
     assert code == 2
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bench", "--delta-t", "inf"), ("run", "--scaling", "inf")],
+    ids=lambda argv: argv[0],
+)
+def test_a_spec_error_prints_the_subcommand_usage(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"usage: votefarm {argv[0]} ")
 
 
 def test_bad_input_flag(capsys):
@@ -370,7 +381,7 @@ def test_bench_rejects_bad_sizes(capsys):
     assert "not an int list" in err
     code, _, err = run_cli(capsys, "bench", "--n-values", "0")
     assert code == 2
-    assert "positive farm sizes" in err
+    assert "votefarm: stage 1: n must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize(
@@ -390,7 +401,32 @@ def test_a_farm_larger_than_the_sender_field_exits_two(capsys, monkeypatch, argv
     for k in range(1, stage_errors + 1):
         assert f"votefarm: stage {k}: n must be <= 65535, got 65536" in err
     if not stage_errors:
-        assert "votefarm: --n-values needs positive farm sizes up to 65535" in err
+        assert "votefarm: stage 1: n must be <= 65535, got 65536" in err
+
+
+def test_bench_lists_every_violation_once(capsys, monkeypatch, tmp_path):
+    """Every size is checked before the output path is opened or any world
+    is built; a violation shared by sizes is named once."""
+    monkeypatch.setattr(harness, "World", None)  # building one would raise
+    path = tmp_path / "earlier.json"
+    path.write_text("an earlier result\n")
+    code, out, err = run_cli(
+        capsys, "bench", "--n-values", "0,3,65536", "--delta-t", "inf",
+        "--repetitions", "0", "--output-path", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    violations = [line for line in err.splitlines() if line.startswith("votefarm: ")]
+    assert sorted(violations) == sorted(
+        f"votefarm: {v}"
+        for v in (
+            "stage 1: n must be >= 1, got 0",
+            "stage 1: delta_t must be finite, got inf",
+            "repetitions must be >= 1, got 0",
+            "stage 1: n must be <= 65535, got 65536",
+        )
+    )
+    assert path.read_text() == "an earlier result\n"
 
 
 @pytest.mark.parametrize("command", ["run", "pipeline", "bench"])

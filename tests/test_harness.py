@@ -656,5 +656,13 @@ def test_bench_rows_shape():
         assert row.repetitions == 3  # warm-up wave dropped
         assert row.mean_duration > 0.0
         assert row.stddev_duration >= 0.0
-    with_warmup = bench(n_values=(1,), repetitions=2, include_warmup=True)
-    assert with_warmup[0].repetitions == 3
+
+
+def test_bench_checks_its_sizes_before_building_a_world(monkeypatch):
+    monkeypatch.setattr(harness, "World", None)  # building one would raise
+    with pytest.raises(SpecError) as exc:
+        bench(n_values=(0,), delta_t=math.inf)
+    assert exc.value.violations == [
+        "stage 1: n must be >= 1, got 0",
+        "stage 1: delta_t must be finite, got inf",
+    ]

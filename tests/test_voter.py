@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import votefarm.voter
-from votefarm.client import World
+from votefarm.client import Input, Output, World, open_farm
 from votefarm.core import (
     USER,
     AlgorithmId,
@@ -382,6 +382,28 @@ def test_messages_received_counts_arrivals_not_timeouts():
     assert sum(rt.states[vid].timeouts for vid in landed) > 0
     for vid in landed:
         assert rt.states[vid].messages_received == landed[vid], vid
+
+
+def test_an_outcome_for_an_unlinked_target_is_undeliverable():
+    """An output target the voter has no link to gets no frame; the voter
+    counts the outcome it could not push instead."""
+    world = World(VIRTUAL)
+    sent_to = []
+    world.fabric.add_hook(lambda d: sent_to.append(d.dst))
+
+    def user():
+        handle = open_farm(world, "f", 1)
+        assert handle.add(1) and handle.run()
+        assert (yield from handle.control([Output("nowhere"), Input(V42)]))
+        outcome = yield from handle.get(5.0)
+        assert outcome.value.data == V42.data
+
+    world.spawn_user("f", 1, user())
+    world.run()
+    v1 = world.farms["f"].states[1]
+    assert v1.output_target == "nowhere"
+    assert (v1.rounds_completed, v1.undeliverable) == (1, 1)
+    assert sent_to and "nowhere" not in sent_to
 
 
 # -- the farm's shared vote memo -----------------------------------------------
