@@ -203,7 +203,7 @@ class FarmHandle:
     def run(self) -> bool:
         """Activate the farm (first caller) or attach to it (the rest)."""
         self.last_error = ErrorCode.NONE
-        if self.state != FarmState.DESCRIBED:
+        if self.state != FarmState.DESCRIBED or self.user_id > len(self.nodes):
             self.last_error = ErrorCode.BAD_STATE
             return False
         runtime = self.world.farms.get(self.farm)
@@ -216,9 +216,6 @@ class FarmHandle:
                 algorithm=self.algorithm,
             )
         elif not self._matches(runtime):
-            self.last_error = ErrorCode.BAD_STATE
-            return False
-        if self.user_id > runtime.n:
             self.last_error = ErrorCode.BAD_STATE
             return False
         self.state = FarmState.RUNNING

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from enum import Enum
 
 from .client import FarmHandle, Input, World
@@ -202,38 +202,39 @@ def value_from_json(obj) -> VoteValue:
         raise SpecError(["a component is too large for a float"]) from None
 
 
+def _to_json(obj):
+    """The JSON form of a spec, report or bench object: a dataclass is an
+    object of its fields, an enum its lower-case name, bytes their hex, a
+    VoteValue its `value_to_json` form and a tuple or list a list.  A
+    voter row's outcome is four keys, and its failure keeps the upper-case
+    ErrorCode name."""
+    if isinstance(obj, VoteValue):
+        return value_to_json(obj)
+    if is_dataclass(obj):
+        out = {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, VoterResult):
+            ok = None if obj.outcome is None else obj.outcome.ok
+            del out["outcome"]
+            out.update(
+                ok=ok,
+                value=value_to_json(obj.outcome.value) if ok else None,
+                failure=obj.outcome.failure.name if ok is False else None,
+                outcome_hash=outcome_hash(obj.outcome),
+            )
+        return out
+    if isinstance(obj, Enum):
+        return obj.name.lower()
+    if isinstance(obj, bytes):
+        return obj.hex()
+    if isinstance(obj, (tuple, list)):
+        return [_to_json(item) for item in obj]
+    return obj
+
+
 def spec_to_json(spec: ExperimentSpec) -> dict:
     """Canonical JSON form; also echoed verbatim into every Report."""
-    out = {
-        "stages": [
-            {
-                "n": s.n,
-                "algorithm": s.algorithm.name.lower(),
-                "epsilon": s.epsilon,
-                "scaling": s.scaling,
-                "delta_t": s.delta_t,
-            }
-            for s in spec.pipeline.stages
-        ],
-        "inputs": None
-        if spec.inputs is None
-        else [value_to_json(v) for v in spec.inputs],
-        "faults": [
-            {
-                "kind": f.kind.value,
-                "stage": f.stage,
-                "voter": f.voter,
-                "pattern": f.pattern.hex(),
-                "delay": f.delay,
-                "index": f.index,
-            }
-            for f in spec.faults
-        ],
-        "seed": spec.seed,
-        "clock": spec.clock,
-        "repetitions": spec.repetitions,
-        "metric": spec.metric,
-    }
+    out = _to_json(spec)
+    out["stages"] = out.pop("pipeline")["stages"]
     return out
 
 
@@ -503,45 +504,8 @@ class Report:
     def to_json_obj(self) -> dict:
         return {
             "spec": self.spec,
-            "census": [
-                {"stage": k, "virtual": c.virtual, "local": c.local, "voters": c.voters}
-                for k, c in enumerate(self.census, start=1)
-            ],
-            "repetitions": [
-                {
-                    "repetition": r.repetition,
-                    "duration": r.duration,
-                    "voters": [
-                        {
-                            "stage": v.stage,
-                            "voter": v.voter,
-                            "live": v.live,
-                            "ok": None if v.outcome is None else v.outcome.ok,
-                            "value": (
-                                value_to_json(v.outcome.value)
-                                if v.outcome is not None and v.outcome.ok
-                                else None
-                            ),
-                            "failure": (
-                                v.outcome.failure.name
-                                if v.outcome is not None and not v.outcome.ok
-                                else None
-                            ),
-                            "outcome_hash": outcome_hash(v.outcome),
-                            "round_started": v.round_started,
-                            "round_finished": v.round_finished,
-                            "duration": v.duration,
-                            "timeouts": v.timeouts,
-                            "broadcasts": v.broadcasts,
-                            "refusals": v.refusals,
-                            "client_messages": v.client_messages,
-                            "closed": v.closed,
-                        }
-                        for v in r.voters
-                    ],
-                }
-                for r in self.repetitions
-            ],
+            "census": [{"stage": k, **_to_json(c)} for k, c in enumerate(self.census, start=1)],
+            "repetitions": _to_json(self.repetitions),
             "aggregate": {
                 "count": len(self.repetitions),
                 "mean_duration": self.mean_duration,
@@ -622,36 +586,34 @@ def _run_single_repetition(
             )
         )
 
-    records: dict[tuple[int, int], _UserRecord] = {}
-    for k, st in enumerate(stages, start=1):
-        farm = _stage_farm(k)
-        nodes = _stage_nodes(spec, k)
+    records: list[list[_UserRecord]] = []  # per stage, in user order
+    for k, (st, rt) in enumerate(zip(stages, runtimes), start=1):
         budget = _push_budget(spec, k)
-        for i in range(1, st.n + 1):
-            rec = records[(k, i)] = _UserRecord()
+        records.append([_UserRecord() for _ in range(st.n)])
+        for i, rec in enumerate(records[-1], start=1):
             if k == 1:
                 value = DEFAULT_INPUT if spec.inputs is None else spec.inputs[i - 1]
                 source = None
             else:
                 value = None
                 _, source = world.fabric.connect(
-                    voter_name(_stage_farm(k - 1), i), user_name(farm, i)
+                    voter_name(_stage_farm(k - 1), i), user_name(rt.farm, i)
                 )
             handle = FarmHandle(
                 world,
-                farm,
+                rt.farm,
                 i,
                 metric=spec.metric,
                 delta_t=st.delta_t,
                 algorithm=st.algorithm_id(),
             )
             world.spawn_user(
-                farm,
+                rt.farm,
                 i,
                 _stage_user(
                     world,
                     handle,
-                    nodes,
+                    rt.nodes,
                     value,
                     rec,
                     source,
@@ -666,23 +628,16 @@ def _run_single_repetition(
     world.run()
 
     voters: list[VoterResult] = []
-    finishes: list[float] = []
-    for k, rt in enumerate(runtimes, start=1):
-        injected = [
-            records[(k, i)].injected_at
-            for i in range(1, rt.n + 1)
-            if records[(k, i)].injected_at is not None
-        ]
-        t0 = min(injected) if injected else None
-        for i in range(1, rt.n + 1):
+    for k, (rt, recs) in enumerate(zip(runtimes, records), start=1):
+        t0 = min((rec.injected_at for rec in recs if rec.injected_at is not None), default=None)
+        if k == 1:
+            start = t0  # the makespan's start
+        for i, rec in enumerate(recs, start=1):
             vs = rt.states[i]
             act = world.scheduler.activities[voter_name(rt.farm, i)]
-            rec = records[(k, i)]
             duration = None
             if vs.round_finished_at is not None and t0 is not None:
                 duration = vs.round_finished_at - t0
-            if k == last and vs.round_finished_at is not None:
-                finishes.append(vs.round_finished_at)
             voters.append(
                 VoterResult(
                     stage=k,
@@ -700,15 +655,13 @@ def _run_single_repetition(
                 )
             )
 
-    first_injected = [
-        records[(1, i)].injected_at
-        for i in range(1, stages[0].n + 1)
-        if records[(1, i)].injected_at is not None
-    ]
     world.close()
+    finishes = [
+        v.round_finished for v in voters if v.stage == last and v.round_finished is not None
+    ]
     makespan = None
-    if finishes and first_injected:
-        makespan = max(finishes) - min(first_injected)
+    if finishes and start is not None:
+        makespan = max(finishes) - start
     return census, RepetitionResult(rep, voters, makespan)
 
 
@@ -746,7 +699,7 @@ class BenchRow:
 
 
 def bench_to_json(rows: list[BenchRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+    return json.dumps(_to_json(rows), indent=2, sort_keys=True) + "\n"
 
 
 def bench_to_csv(rows: list[BenchRow]) -> str:

@@ -136,6 +136,16 @@ def test_attach_checks_the_user_id_against_the_farm():
     assert outsider.run() is False
     assert outsider.last_error == ErrorCode.BAD_STATE
 
+    # the first run() of a farm checks the id too, before bringing it up
+    world = World(VIRTUAL)
+    activator = described_handle(world, "f", 3, n=2)
+    assert activator.run() is False
+    assert activator.last_error == ErrorCode.BAD_STATE
+    assert world.farms == {}
+    assert world.scheduler.activities == {}
+    assert described_handle(world, "f", 2, n=2).run()
+    assert list(world.farms) == ["f"]
+
 
 def test_operations_before_run_report_not_running():
     handle = described_handle(World(VIRTUAL), "a", 1)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -17,8 +18,10 @@ from votefarm.harness import (
     FaultKind,
     FaultSpec,
     PipelineSpec,
+    RepetitionResult,
     SpecError,
     StageSpec,
+    VoterResult,
     bench,
     outcome_hash,
     run_experiment,
@@ -615,6 +618,29 @@ def test_report_serializations():
     assert voter["ok"] is True
     assert voter["value"] == [42.0]
     assert voter["failure"] is None
+
+    # every field reaches the JSON: the echo and each row are written from
+    # their dataclasses, so none is left out by a hand-kept key list
+    def names(cls) -> set[str]:
+        return {f.name for f in fields(cls)}
+
+    faulted = tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=2, delay=0.5),))
+    echo = json.loads(run_experiment(faulted).to_json())["spec"]
+    assert set(echo) == names(ExperimentSpec) - {"pipeline"} | {"stages"}
+    assert set(echo["stages"][0]) == names(StageSpec)
+    assert set(echo["faults"][0]) == names(FaultSpec)
+    assert echo["faults"][0]["kind"] == "delay_message"
+    for r in parsed["repetitions"]:
+        assert set(r) == names(RepetitionResult)
+        for row in r["voters"]:
+            assert set(row) == names(VoterResult) - {"outcome"} | {
+                "ok",
+                "value",
+                "failure",
+                "outcome_hash",
+            }
+    for entry in parsed["census"]:
+        assert set(entry) == {"stage"} | names(LinkCensus)
 
     lines = report.to_csv().splitlines()
     assert lines[0] == "repetition,stage,voter,outcome_hash,duration"
