@@ -15,6 +15,7 @@ rest attach to it after checking they described the same farm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -84,9 +85,9 @@ class World:
             raise ValueError("node id must be a positive integer")
         if not nodes:
             raise BadStateError("cannot run a farm with no nodes")
-        if not (delta_t > 0):
-            raise ValueError("delta_t must be > 0")
-        metric_fn, metric_id = resolve_metric(metric)
+        if not (0 < delta_t < math.inf):
+            raise ValueError("delta_t must be > 0 and finite")
+        metric_fn, _ = resolve_metric(metric)
         n = len(nodes)
         fabric = self.fabric
 
@@ -125,7 +126,7 @@ class World:
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,
             nodes=nodes,
-            metric_id=metric_id,
+            metric=metric_fn,
             delta_t=delta_t,
             algorithm=algorithm,
             states=voters,
@@ -225,10 +226,9 @@ class FarmHandle:
 
     def _matches(self, runtime: FarmRuntime) -> bool:
         """A handle may only attach to a farm its own lifecycle described."""
-        _, metric_id = resolve_metric(self.metric)
         return (
             tuple(self.nodes) == runtime.nodes
-            and metric_id == runtime.metric_id
+            and resolve_metric(self.metric)[0] is runtime.metric
             and self.delta_t == runtime.delta_t
             and self.algorithm == runtime.algorithm
         )

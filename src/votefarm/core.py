@@ -24,7 +24,6 @@ class ErrorCode(IntEnum):
     NOT_RUNNING = 2
     NO_MAJORITY = 3
     BAD_STATE = 4
-    TRANSPORT_DOWN = 5
     # Recorded by client handles when a voter answers a request with REFUSED.
     REFUSED = 6
 
@@ -218,15 +217,9 @@ def _encode_value(value: VoteValue) -> bytes:
 
 
 def _decode_value(body: bytes) -> VoteValue:
-    if len(body) < 2:
-        raise FrameError("value payload too short")
-    flag = body[0]
-    if flag not in (0, 1):
+    if body[:1] not in (b"\x00", b"\x01"):
         raise FrameError("bad value flag")
-    data = body[1:]
-    if flag == 1 and len(data) % 8 != 0:
-        raise FrameError("numeric value length not a multiple of 8")
-    return VoteValue(data, numeric=flag == 1)
+    return VoteValue(body[1:], numeric=body[0] == 1)
 
 
 def encode_message(msg: Message) -> bytes:
@@ -253,58 +246,41 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(frame: bytes) -> Message:
-    """Parse exactly one frame; raises FrameError on anything else."""
+    """Parse exactly one frame; raises FrameError on anything else.
+
+    Past the header, each rule a type holds is checked by building that
+    type: its ValueError, or the struct.error of a short algorithm payload,
+    becomes a FrameError.  Only the rules of the wire itself are here."""
     if len(frame) < HEADER_SIZE:
         raise FrameError("frame shorter than header")
     raw_tag, sender, kind, length = _HEADER.unpack_from(frame, 0)
-    try:
-        tag = Tag(raw_tag)
-    except ValueError as exc:
-        raise FrameError(f"unknown tag {raw_tag}") from exc
-    if kind != _TAG_PAYLOAD[tag]:
-        raise FrameError(f"payload kind {kind} not allowed for {tag.name}")
     body = frame[HEADER_SIZE:]
     if len(body) != length:
         raise FrameError("declared payload length does not match frame")
-
-    payload: object
-    if kind == _P_NONE:
-        if body:
-            raise FrameError(f"{tag.name} must not carry payload bytes")
-        payload = None
-    elif kind == _P_VALUE:
-        payload = _decode_value(body)
-    elif kind == _P_ALGO:
-        if len(body) != _ALGO.size:
-            raise FrameError("bad algorithm payload length")
-        raw_kind, epsilon, scaling = _ALGO.unpack(body)
-        try:
-            vkind = VoteKind(raw_kind)
-        except ValueError as exc:
-            raise FrameError(f"unknown algorithm kind {raw_kind}") from exc
-        if not (epsilon >= 0.0) or not (scaling >= 0.0):
-            raise FrameError("bad algorithm parameters")
-        payload = AlgorithmId(vkind, epsilon, scaling)
-    elif kind == _P_TARGET:
-        try:
-            payload = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError("target identifier is not valid UTF-8") from exc
-    else:  # _P_OUTCOME
-        if len(body) < 1:
-            raise FrameError("empty outcome payload")
-        status = body[0]
-        if status == 0:
-            payload = VoteOutcome(value=_decode_value(body[1:]))
-        else:
-            try:
-                code = ErrorCode(status)
-            except ValueError as exc:
-                raise FrameError(f"unknown failure code {status}") from exc
-            if len(body) != 1:
-                raise FrameError("failure outcome must not carry value bytes")
-            payload = VoteOutcome(failure=code)
     try:
+        tag = Tag(raw_tag)
+        if kind != _TAG_PAYLOAD[tag]:
+            raise FrameError(f"payload kind {kind} not allowed for {tag.name}")
+        payload: object
+        if kind == _P_NONE:
+            if body:
+                raise FrameError(f"{tag.name} must not carry payload bytes")
+            payload = None
+        elif kind == _P_VALUE:
+            payload = _decode_value(body)
+        elif kind == _P_ALGO:
+            raw_kind, epsilon, scaling = _ALGO.unpack(body)
+            payload = AlgorithmId(VoteKind(raw_kind), epsilon, scaling)
+        elif kind == _P_TARGET:
+            payload = body.decode("utf-8")
+        elif body[:1] == b"\x00":  # _P_OUTCOME holding a value
+            payload = VoteOutcome(value=_decode_value(body[1:]))
+        elif len(body) == 1:
+            payload = VoteOutcome(failure=ErrorCode(body[0]))
+        else:
+            raise FrameError("a failure outcome is exactly one byte")
         return Message(tag, sender, payload)
-    except ValueError as exc:
+    except FrameError:
+        raise
+    except (ValueError, struct.error) as exc:
         raise FrameError(str(exc)) from exc

@@ -261,7 +261,7 @@ class FarmRuntime:
 
     farm: str
     nodes: tuple[int, ...]
-    metric_id: str
+    metric: Metric
     delta_t: float
     algorithm: AlgorithmId
     states: dict[int, Voter]

@@ -50,9 +50,10 @@ def register_metric(name: str, fn: Metric) -> None:
     _METRICS[name] = fn
 
 
-def resolve_metric(metric: Metric | str | None) -> tuple[Metric, str]:
+def resolve_metric(metric: Metric | str | None) -> tuple[Metric, str | None]:
     """Accept a metric callable, a registered name, or None (the default);
-    return the callable together with a stable identifier."""
+    return the callable together with its name, which is None for a
+    callable."""
     if metric is None:
         return default_metric, "default"
     if isinstance(metric, str):
@@ -60,10 +61,7 @@ def resolve_metric(metric: Metric | str | None) -> tuple[Metric, str]:
             return _METRICS[metric], metric
         except KeyError:
             raise KeyError(f"unknown metric {metric!r}") from None
-    for name, fn in _METRICS.items():
-        if fn is metric:
-            return metric, name
-    return metric, f"fn:{getattr(metric, '__qualname__', repr(metric))}"
+    return metric, None
 
 
 def cluster(

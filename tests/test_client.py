@@ -128,6 +128,14 @@ def test_attach_requires_the_same_description():
     assert twin.run()
     assert twin.endpoint is not None
 
+    def constant(c):
+        return lambda a, b: c
+
+    # two closures from one factory share a qualified name, not a function
+    world = World(VIRTUAL)
+    assert described_handle(world, "f", 1, n=2, metric=constant(0.0)).run()
+    assert described_handle(world, "f", 2, n=2, metric=constant(1.0)).run() is False
+
 
 def test_attach_checks_the_user_id_against_the_farm():
     world = World(VIRTUAL)

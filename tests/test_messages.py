@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from votefarm.client import World, open_farm
 from votefarm.core import (
@@ -160,12 +160,14 @@ def test_ragged_numeric_value_rejected():
 def test_bad_algorithm_parameters_rejected(epsilon, scaling):
     body = struct.pack("<Bdd", VoteKind.WEIGHTED_AVERAGE.value, epsilon, scaling)
     frame = struct.pack("<BHBI", Tag.SET_ALGORITHM.value, 0, 2, len(body)) + body
-    with pytest.raises(FrameError, match="bad algorithm parameters"):
+    bad = "epsilon" if epsilon != 0.0 else "scaling_factor"
+    with pytest.raises(FrameError, match=f"{bad} must be >= 0"):
         decode_message(frame)
 
 
-def test_unknown_failure_code_rejected():
-    frame = struct.pack("<BHBI", Tag.VOTED_VALUE.value, 1, 4, 1) + b"\xee"
+@pytest.mark.parametrize("code", [0xEE, 5])
+def test_unknown_failure_code_rejected(code):
+    frame = struct.pack("<BHBI", Tag.VOTED_VALUE.value, 1, 4, 1) + bytes([code])
     with pytest.raises(FrameError):
         decode_message(frame)
 
@@ -176,6 +178,39 @@ def test_decoder_never_crashes(blob):
         decode_message(blob)
     except FrameError:
         pass
+
+
+# The payload kind byte each tag's frames carry: none 0, value 1,
+# algorithm 2, target 3, outcome 4.
+KIND_OF_TAG = dict(zip(Tag, (1, 1, 0, 2, 3, 0, 0, 0, 0, 4)))
+# Bytes that steer a body into the decoder's branches: value flags, the
+# outcome status and the algorithm kinds.
+LEADS = st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 255))
+
+
+@st.composite
+def header_over_body(draw):
+    """A frame whose declared length is right but whose tag, kind, sender
+    and body are arbitrary, sized to the payloads the decoder knows."""
+    tag = draw(st.one_of(st.sampled_from(list(Tag)), st.integers(0, 255)))
+    kind = draw(st.one_of(st.just(KIND_OF_TAG.get(tag, 0)), st.integers(0, 255)))
+    sender = draw(st.integers(0, 0xFFFF))
+    size = draw(st.one_of(st.sampled_from((0, 1, 2, 9, 10, 17)), st.integers(0, 40)))
+    lead = bytes(draw(st.lists(LEADS, min_size=min(size, 2), max_size=min(size, 2))))
+    body = lead + draw(st.binary(min_size=size - len(lead), max_size=size - len(lead)))
+    return struct.pack("<BHBI", tag, sender, kind, size) + body
+
+
+@settings(max_examples=300)
+@given(header_over_body())
+def test_decoder_accepts_only_canonical_frames(frame):
+    """Whatever the decoder accepts is exactly what the encoder would
+    write for the message it returns, so no two frames mean one message."""
+    try:
+        msg = decode_message(frame)
+    except FrameError:
+        return
+    assert encode_message(msg) == frame
 
 
 # -- payload typing at construction ------------------------------------------------
@@ -312,4 +347,12 @@ def test_running_needs_nodes():
     world = World(VIRTUAL)
     with pytest.raises(BadStateError):
         world.activate_farm("a", ())
+    assert world.farms == {}
+
+
+@pytest.mark.parametrize("delta_t", [0.0, math.nan, math.inf])
+def test_activate_farm_needs_a_positive_finite_delta_t(delta_t):
+    world = World(VIRTUAL)
+    with pytest.raises(ValueError, match="delta_t must be > 0"):
+        world.activate_farm("a", (1, 2, 3), delta_t=delta_t)
     assert world.farms == {}
