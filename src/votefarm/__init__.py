@@ -11,7 +11,6 @@ simulation harness injects faults and measures the result.
 from .core import (
     USER,
     AlgorithmId,
-    BadStateError,
     ErrorCode,
     FarmState,
     FrameError,
@@ -20,7 +19,6 @@ from .core import (
     VoteKind,
     VoteOutcome,
     VoteValue,
-    VotingError,
     decode_message,
     encode_message,
 )

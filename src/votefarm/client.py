@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from .core import (
     USER,
     AlgorithmId,
-    BadStateError,
     ErrorCode,
     FarmState,
     Message,
@@ -84,7 +83,7 @@ class World:
         if not all(_is_node(node) for node in nodes):
             raise ValueError("node id must be a positive integer")
         if not nodes:
-            raise BadStateError("cannot run a farm with no nodes")
+            raise ValueError("cannot run a farm with no nodes")
         if not (0 < delta_t < math.inf):
             raise ValueError("delta_t must be > 0 and finite")
         metric_fn, _ = resolve_metric(metric)

@@ -58,19 +58,6 @@ class FarmState(IntEnum):
     CLOSED = 4
 
 
-class VotingError(Exception):
-    """Operation failure carrying one of the ErrorCode values."""
-
-    def __init__(self, code: ErrorCode, message: str = ""):
-        super().__init__(message or code.name)
-        self.code = code
-
-
-class BadStateError(VotingError):
-    def __init__(self, message: str = ""):
-        super().__init__(ErrorCode.BAD_STATE, message)
-
-
 class FrameError(ValueError):
     """A byte sequence that does not parse as exactly one message frame."""
 

@@ -33,7 +33,7 @@ from .core import (
     VoteOutcome,
     VoteValue,
 )
-from .sim import REAL, TIMED_OUT, VIRTUAL, Wait, WaitSource, sleep
+from .sim import REAL, TIMED_OUT, VIRTUAL, Wait, sleep
 from .transport import LinkCensus, corrupt_hook, delay_hook, drop_hook
 from .voter import FarmRuntime, user_name, voter_name
 from .voting import resolve_metric
@@ -396,7 +396,6 @@ class _UserRecord:
 
 
 def _stage_user(
-    world: World,
     handle: FarmHandle,
     nodes: tuple[int, ...],
     value: VoteValue | None,
@@ -421,19 +420,20 @@ def _stage_user(
     if not handle.run():
         return
     if value is not None:
-        rec.injected_at = world.scheduler.now
+        rec.injected_at = handle.world.scheduler.now
         yield from handle.control([Input(value)])
-        yield from _poll(handle, handle.get, poll_limit, 2 * delta_t, delta_t)
+        yield from _poll(handle, handle.get, poll_limit, delta_t)
     rec.messages_sent = handle.messages_sent
-    rec.closed = yield from _poll(handle, handle.close, poll_limit, 2 * delta_t, delta_t)
+    rec.closed = yield from _poll(handle, handle.close, poll_limit, delta_t)
 
 
-def _poll(handle, request, tries: int, timeout: float, delta_t: float):
-    """Call `request`, the handle's get or close, until it answers or times
-    out, at most `tries` times, sleeping `delta_t` after each refusal: the
-    round is still open (generator).  Returns the last answer."""
+def _poll(handle, request, tries: int, delta_t: float):
+    """Call `request`, the handle's get or close, with a 2 * delta_t
+    timeout until it answers or times out, at most `tries` times, sleeping
+    `delta_t` after each refusal: the round is still open (generator).
+    Returns the last answer."""
     for _ in range(tries):
-        answer = yield from request(timeout=timeout)
+        answer = yield from request(timeout=2 * delta_t)
         if answer or handle.last_error == ErrorCode.TIMEOUT:
             break
         yield from sleep(delta_t)
@@ -611,7 +611,6 @@ def _run_single_repetition(
                 rt.farm,
                 i,
                 _stage_user(
-                    world,
                     handle,
                     rt.nodes,
                     value,
@@ -665,6 +664,13 @@ def _run_single_repetition(
     return census, RepetitionResult(rep, voters, makespan)
 
 
+def _mean_stddev(durations: list[float]) -> tuple[float, float]:
+    """The mean and sample standard deviation (0.0 for one value) of the
+    round durations of a report or a bench row."""
+    stddev = statistics.stdev(durations) if len(durations) > 1 else 0.0
+    return statistics.fmean(durations), stddev
+
+
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Validate, run every repetition in a fresh world, aggregate."""
     check_spec(spec)
@@ -676,8 +682,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     durations = [r.duration for r in reps]
     mean = stddev = None
     if all(d is not None for d in durations):
-        mean = statistics.fmean(durations)
-        stddev = statistics.stdev(durations) if len(durations) > 1 else 0.0
+        mean, stddev = _mean_stddev(durations)
     return Report(
         spec=spec_to_json(spec),
         census=census,
@@ -708,9 +713,9 @@ def bench_to_csv(rows: list[BenchRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_bench(n_values, repetitions: int, delta_t: float) -> None:
-    """Check the real-clock spec of each farm size; one SpecError lists
-    every violation of all the sizes, each once."""
+def check_bench(n_values, repetitions: int, delta_t: float) -> list[ExperimentSpec]:
+    """The one-stage real-clock spec of each farm size, in size order; one
+    SpecError lists every violation of all the sizes, each once."""
     specs = [
         ExperimentSpec(
             PipelineSpec((StageSpec(n, delta_t=delta_t),)),
@@ -722,19 +727,7 @@ def check_bench(n_values, repetitions: int, delta_t: float) -> None:
     bad = dict.fromkeys(v for spec in specs for v in validate_spec(spec))
     if bad:
         raise SpecError(list(bad))
-
-
-def _bench_user(handle, nodes, gate, delta_t):
-    """One round per item put on `gate`, until a None."""
-    for node in nodes:
-        if not handle.add(node):
-            return
-    if not handle.run():
-        return
-    while (yield Wait((gate,), None))[1] is not None:
-        yield from handle.control([Input(DEFAULT_INPUT)])
-        yield from _poll(handle, handle.get, 10, 5 * delta_t, delta_t)
-    yield from handle.close()
+    return specs
 
 
 def bench(
@@ -742,48 +735,21 @@ def bench(
 ) -> list[BenchRow]:
     """Measure real-clock round latency per farm size.
 
-    Rounds run in gated waves: a wave opens the gate of every user of one
-    farm and runs its world until every user is back at its gate, so every
-    voter finishes wave w before any wave w+1 input goes in.  The sizes
-    take turns, wave by wave, so a drift in the host's speed falls on
-    every size alike.  The first wave warms caches and is dropped.
+    A round's duration is the makespan `run --clock real` reports for the
+    size's one-stage spec (see `check_bench`), each repetition in a fresh
+    world.  The sizes take turns, repetition by repetition, so a drift in
+    the host's speed falls on every size alike.  The first repetition of
+    each size warms caches and is dropped.
     """
-    check_bench(n_values, repetitions, delta_t)
-    farms = []
-    for n in n_values:
-        world = World(REAL)
-        farm = f"bench{n}"
-        nodes = tuple(range(1, n + 1))
-        world.activate_farm(farm, nodes, delta_t=delta_t)
-        gates = [WaitSource(world.scheduler) for _ in nodes]
-        for i, gate in enumerate(gates, start=1):
-            handle = FarmHandle(world, farm, i, delta_t=delta_t)
-            world.spawn_user(farm, i, _bench_user(handle, nodes, gate, delta_t))
-        world.run()  # every user joins and blocks on its gate
-        farms.append((world, gates, []))
-    for _ in range(repetitions + 1):
-        for world, gates, durations in farms:
-            start = world.scheduler.now
-            for gate in gates:
-                gate.put(0)
-            world.run()
-            durations.append(world.scheduler.now - start)
-    rows = []
-    for n, (world, gates, durations) in zip(n_values, farms):
-        for gate in gates:
-            gate.put(None)
-        world.run()
-        world.close()
-        kept = durations[1:]
-        rows.append(
-            BenchRow(
-                n=n,
-                repetitions=len(kept),
-                mean_duration=statistics.fmean(kept),
-                stddev_duration=statistics.stdev(kept) if len(kept) > 1 else 0.0,
-            )
-        )
-    return rows
+    specs = check_bench(n_values, repetitions, delta_t)
+    durations: list[list[float]] = [[] for _ in specs]
+    for rep in range(repetitions + 1):
+        for spec, taken in zip(specs, durations):
+            taken.append(_run_single_repetition(spec, rep)[1].duration)
+    return [
+        BenchRow(n, repetitions, *_mean_stddev(taken[1:]))
+        for n, taken in zip(n_values, durations)
+    ]
 
 
 # -- independent voting oracle ------------------------------------------------------

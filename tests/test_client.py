@@ -313,6 +313,27 @@ def test_close_refused_mid_round_then_retried():
     assert seen["again"] == (False, ErrorCode.NOT_RUNNING)
 
 
+def test_second_input_of_a_batch_is_refused_while_its_round_is_open():
+    """The voter turns down an input that lands while the round the first
+    one opened is still waiting for its crashed fellows' users."""
+    world = World(VIRTUAL)
+    world.scheduler.kill_names.update({user_name("b", 2), user_name("b", 3)})
+    seen = {}
+
+    def script(uid):
+        handle = described_handle(world, "b", uid)
+        assert handle.run()
+        one, two = VoteValue.from_floats([1.0]), VoteValue.from_floats([2.0])
+        ok = yield from handle.control([Input(one), Input(two)])
+        seen[uid] = (ok, handle.last_error)
+
+    for uid in (1, 2, 3):
+        world.spawn_user("b", uid, script(uid))
+    world.run()
+    assert seen == {1: (False, ErrorCode.REFUSED)}
+    assert world.farms["b"].states[1].refusals == 1
+
+
 def test_client_traffic_does_not_grow_with_the_farm():
     """One request, one message: the farm size never shows in what a
     user has to say."""

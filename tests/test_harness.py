@@ -75,6 +75,7 @@ def test_validation_collects_every_violation():
                 delay=-0.5,
                 index=-1,
             ),
+            FaultSpec(kind=FaultKind.CRASH_USER, voter=4),
         ),
         clock="lunar",
         repetitions=0,
@@ -91,13 +92,14 @@ def test_validation_collects_every_violation():
         "clock must be virtual or real",
         "inputs must list one value per user (3), got 1",
         "fault stage 7 out of range 1..2",
+        "fault voter 4 out of range 1..3 (stage 1)",
         "non-empty byte pattern",
         "index must be >= 0",
         "delay must be >= 0",
         "unknown metric 'nope'",
     ):
         assert needle in text, needle
-    assert len(bad) == 12
+    assert len(bad) == 13
     with pytest.raises(SpecError) as err:
         run_experiment(spec)
     assert err.value.violations == bad
@@ -682,6 +684,39 @@ def test_bench_rows_shape():
         assert row.repetitions == 3  # warm-up wave dropped
         assert row.mean_duration > 0.0
         assert row.stddev_duration >= 0.0
+
+
+def test_bench_runs_each_size_through_the_experiment_runner(monkeypatch):
+    """bench takes one repetition of every size in turn from
+    _run_single_repetition, drops each size's first one, and aggregates
+    the rest as run_experiment does."""
+    calls = []
+
+    def duration(n: int, rep: int) -> float:
+        return n + rep * rep / 8
+
+    def fake(spec, rep):
+        n = spec.pipeline.stages[0].n
+        calls.append((n, rep))
+        return [], RepetitionResult(rep, [], duration(n, rep))
+
+    monkeypatch.setattr(harness, "_run_single_repetition", fake)
+    rows = bench(n_values=(1, 2), repetitions=3)
+    assert calls == [(n, rep) for rep in range(4) for n in (1, 2)]
+    for row in rows:
+        # run_experiment's repetition k is bench's kept repetition k + 1
+        monkeypatch.setattr(
+            harness, "_run_single_repetition",
+            lambda _, rep: ([], RepetitionResult(rep, [], duration(row.n, rep + 1))),
+        )
+        report = run_experiment(
+            ExperimentSpec(PipelineSpec((StageSpec(row.n),)), repetitions=3)
+        )
+        assert row.repetitions == 3
+        assert (row.mean_duration, row.stddev_duration) == (
+            report.mean_duration,
+            report.stddev_duration,
+        )
 
 
 def test_bench_checks_its_sizes_before_building_a_world(monkeypatch):

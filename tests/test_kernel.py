@@ -46,9 +46,9 @@ def test_fault_free_virtual_farm_ends_at_time_zero():
     assert world.scheduler._heap == []
 
 
-def test_real_clock_world_does_not_sleep_after_its_work(monkeypatch):
-    """A real-clock gated-wave world ends when its last activity ends,
-    instead of sleeping through receive timers that were cancelled."""
+def record_real_clock(monkeypatch):
+    """Record every world the harness builds, and every sleep of the real
+    clock with the number of live activities in the newest world then."""
     worlds = []
     sleeps = []
 
@@ -68,12 +68,36 @@ def test_real_clock_world_does_not_sleep_after_its_work(monkeypatch):
 
     monkeypatch.setattr(harness, "World", RecordingWorld)
     monkeypatch.setattr("votefarm.sim.time", TimeShim())
+    return worlds, sleeps
+
+
+def test_real_clock_world_does_not_sleep_after_its_work(monkeypatch):
+    """A real-clock world ends when its last activity ends, instead of
+    sleeping through receive timers that were cancelled."""
+    worlds, sleeps = record_real_clock(monkeypatch)
     (row,) = harness.bench(n_values=(3,), repetitions=2, delta_t=0.05)
     assert row.repetitions == 2
-    (world,) = worlds
-    assert world.scheduler.clock_mode == REAL
-    assert not world.scheduler.live_activities()
+    assert len(worlds) == 3  # one world per repetition, the dropped one included
+    for world in worlds:
+        assert world.scheduler.clock_mode == REAL
+        assert not world.scheduler.live_activities()
     assert [s for s in sleeps if s[1] == 0] == []
+
+
+def test_real_clock_sleeps_until_a_timeout_falls_due(monkeypatch):
+    """A crashed user leaves its voter's slot to time out: the real clock
+    waits for that timer by sleeping, not by spinning, and the round still
+    masks the crash."""
+    worlds, sleeps = record_real_clock(monkeypatch)
+    spec = harness.ExperimentSpec(
+        harness.PipelineSpec((harness.StageSpec(3, delta_t=0.02),)),
+        faults=(harness.FaultSpec(harness.FaultKind.CRASH_USER, voter=1),),
+        clock=REAL,
+    )
+    (rep,) = harness.run_experiment(spec).repetitions
+    assert [s for s in sleeps if s[1] > 0] != []
+    assert rep.duration >= 0.02
+    assert [v.outcome.value for v in rep.voters] == [harness.DEFAULT_INPUT] * 3
 
 
 def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch):

@@ -10,7 +10,6 @@ from votefarm.client import World, open_farm
 from votefarm.core import (
     HEADER_SIZE,
     AlgorithmId,
-    BadStateError,
     ErrorCode,
     FarmState,
     FrameError,
@@ -345,7 +344,7 @@ def test_advance_state_single_steps_only():
 
 def test_running_needs_nodes():
     world = World(VIRTUAL)
-    with pytest.raises(BadStateError):
+    with pytest.raises(ValueError, match="no nodes"):
         world.activate_farm("a", ())
     assert world.farms == {}
 
