@@ -8,17 +8,17 @@ Beside each time it records the deterministic work of one run, counted
 in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
-the scheduler steps, the items the voters' outboxes queued (one per send,
-however many fellows a broadcast goes to), the frames sent through the
-fabric and the frames it decoded.  One more untimed run, made with the
-garbage collector disabled, gives `cyclic_garbage`: the objects a full
-collection then finds, which reference counting alone could not free (0
-when a finished world holds no reference cycle).  Beside the `rows`, the
-`crash_heavy` row gives the same columns for one two-stage N = 7 farm in
-which two voters and a user never start, so its worlds end with
-activities left blocked or never run.  A top-level `src_lines` gives the
-line count of the package's modules (`src/votefarm/*.py`), the size a
-simplification is measured by.
+the scheduler steps, the entries pushed onto the scheduler's timer heap,
+the items the voters' outboxes queued (one per send, however many fellows
+a broadcast goes to), the frames sent through the fabric and the frames it
+decoded.  One more untimed run, made with the garbage collector disabled,
+gives `cyclic_garbage`: the objects a full collection then finds, which
+reference counting alone could not free (0 when a finished world holds no
+reference cycle).  Beside the `rows`, the `crash_heavy` row gives the
+same columns for one two-stage N = 7 farm in which two voters and a user
+never start, so its worlds end with activities left blocked or never
+run.  A top-level `src_lines` gives the line count of the package's
+modules (`src/votefarm/*.py`), the size a simplification is measured by.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
 
@@ -104,7 +104,7 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    outbox items, frames sent and frame decodes of one run."""
+    heap pushes, outbox items, frames sent and frame decodes of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
@@ -124,8 +124,11 @@ def count_work(spec: ExperimentSpec) -> dict:
     vote = voter.vote
     voter.vote = counted_vote
     voting.register_metric(spec.metric, counted_metric)
+    # a source tree from before Scheduler._push pushes through heapq directly
+    push = (sim.Scheduler, "_push") if hasattr(sim.Scheduler, "_push") else (sim.heapq, "heappush")
     wrapped = [
         (sim.Scheduler, "_step", "scheduler_steps"),
+        (*push, "heap_pushes"),
         (transport.Outbox, "put", "outbox_items"),
         (transport.Fabric, "send_from", "frames_sent"),
         (transport, "decode_message", "decodes"),

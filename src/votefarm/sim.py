@@ -6,10 +6,14 @@ message waits, sleeps, and timeouts.  Ready activities run FIFO and all
 ties on the timer heap break by a global sequence number, which makes
 virtual-time runs fully deterministic.  A timer only fires once every
 runnable activity has blocked, so in virtual time a timeout means genuine
-silence, not scheduling luck.  Timers are cancelled lazily: a timer whose
-wait has already ended stays on the heap until it reaches the top, and is
-then retired without advancing the clock (or, on the real clock, sleeping
-until it is due), so a run ends when its last live work ends.
+silence, not scheduling luck.  A waiting activity has one heap entry, as
+a rule: a timed wait pushes its deadline `(when, seq)` only if the activity
+has no entry due at or before `when`, and otherwise keeps it until that
+entry pops, then pushes it with its own `seq`.  Nothing keyed after the
+deadline can have popped by then, so timers fire in `(time, seq)` order as
+if each wait pushed its own.  An entry whose wait has ended is stale, and at the top of
+the heap it is retired without advancing the clock (or, on the real clock,
+sleeping until it is due), so a run ends when its last live work ends.
 
 Each wait names at most one source, a FIFO of items (a sleep names
 none).  The first time an activity waits on a source, the source is bound
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -51,11 +56,16 @@ class Wait:
     """The one way an activity blocks: `got = yield Wait((source,), timeout)`
     resumes with `(source, item)` for the item at the head of `source`, or
     with TIMED_OUT once `timeout` time units pass without one (None blocks
-    indefinitely, 0 yields the floor).  `Wait((), timeout)` only sleeps; a
-    wait on two or more sources raises ValueError."""
+    indefinitely, 0 yields the floor).  `Wait((), timeout)` only sleeps.  A
+    wait on two or more sources, or a NaN, infinite or negative timeout,
+    raises ValueError."""
 
     sources: tuple
     timeout: float | None
+
+    def __post_init__(self):
+        if self.timeout is not None and not 0 <= self.timeout < math.inf:
+            raise ValueError(f"Wait timeout must be None or finite and >= 0, got {self.timeout!r}")
 
 
 class WaitSource:
@@ -93,6 +103,8 @@ class Activity:
         "waiting_on",
         "wait_seq",
         "blocked",
+        "deadline",
+        "timer_at",
     )
 
     def __init__(self, name: str, gen: Generator, role: str):
@@ -107,6 +119,10 @@ class Activity:
         self.wait_seq = 0
         # Blocked in a wait, hence not among the ready activities.
         self.blocked = False
+        # The (when, seq) of the timed wait it is in while that is not on the
+        # heap; the due time of one of its heap entries (inf: maybe none).
+        self.deadline: tuple | None = None
+        self.timer_at = math.inf
 
     @property
     def live(self) -> bool:
@@ -171,6 +187,7 @@ class Scheduler:
         """Make a blocked activity runnable, on a put or its timer."""
         act.blocked = False
         act.wait_seq += 1  # invalidates any pending timer for this wait
+        act.deadline = None
         self._ready.append(act)
 
     def _bind(self, act: Activity, sources) -> None:
@@ -205,18 +222,29 @@ class Scheduler:
                 act.gen = None
                 self._unbind(act)
 
+    def _push(self, entry) -> None:
+        heapq.heappush(self._heap, entry)
+
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        heapq.heappush(
-            self._heap, (self.now + delay, next(self._seq), _T_CALL, fn, 0)
-        )
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
+        self._push((self.now + delay, next(self._seq), _T_CALL, fn, 0))
 
     def _arm_timer(self, act: Activity, timeout: float) -> None:
-        heapq.heappush(
-            self._heap,
-            (self.now + timeout, next(self._seq), _T_TIMER, act, act.wait_seq),
-        )
+        """Push the new wait's deadline, or keep it while `act` has an entry due no later."""
+        when = self.now + timeout
+        if act.timer_at <= when:
+            act.deadline = (when, next(self._seq))
+        else:
+            self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
+            act.timer_at = when
+
+    def _rearm(self, act: Activity) -> None:
+        """One of `act`'s entries popped: push its wait's kept deadline, if any."""
+        deadline, act.deadline, act.timer_at = act.deadline, None, math.inf
+        if deadline is not None:
+            self._push((*deadline, _T_TIMER, act, act.wait_seq))
+            act.timer_at = deadline[0]
 
     # -- stepping -------------------------------------------------------------
 
@@ -267,7 +295,9 @@ class Scheduler:
     def _fire(self, entry) -> None:
         if entry[2] == _T_CALL:
             entry[3]()
-        elif not self._stale(entry):
+            return
+        self._rearm(entry[3])
+        if not self._stale(entry):
             self._wake(entry[3])
 
     def run(self) -> None:
@@ -285,7 +315,7 @@ class Scheduler:
                 if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")
             while heap and self._stale(heap[0]):
-                heapq.heappop(heap)
+                self._rearm(heapq.heappop(heap)[3])
             if not heap:
                 return
             self._advance_to(heap[0][0])

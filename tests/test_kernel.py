@@ -1,6 +1,8 @@
-"""Scheduler and fabric invariants: stale timers, one source per wait,
-inboxes, wake order, codec work."""
+"""Scheduler and fabric invariants: stale timers, one heap entry per
+waiting activity, valid timeouts and delays, one source per wait, inboxes,
+wake order, codec work."""
 
+import math
 import time
 
 import pytest
@@ -343,3 +345,141 @@ def test_step_budget_ends_a_run_that_never_blocks(monkeypatch):
         sched.run()
     assert len(resumed) == 50  # the first step only starts the generator
     assert sched.now == 0.0
+
+
+def test_a_fault_free_two_stage_run_pushes_one_timer_per_waiting_activity(monkeypatch):
+    """Inside a fault-free virtual round the clock stands still, so each of
+    a voter's receive waits has the deadline of the first: only that first
+    wait pushes a heap entry, not every receive."""
+    kinds = []
+    push = Scheduler._push
+
+    def counting_push(sched, entry):
+        kinds.append(entry[2])
+        push(sched, entry)
+
+    monkeypatch.setattr(Scheduler, "_push", counting_push)
+    stage = harness.StageSpec(31)
+    (rep,) = harness.run_experiment(
+        harness.ExperimentSpec(harness.PipelineSpec((stage, stage)))
+    ).repetitions
+    assert all(v.outcome.ok for v in rep.voters)
+    assert len(kinds) == 465  # 2,263 when every timed wait pushed its own entry
+    assert set(kinds) == {sim._T_TIMER}
+
+
+def test_a_kept_deadline_fires_in_its_own_place_among_equal_deadlines():
+    """A's first timer is superseded: A is woken and blocks again with the
+    same deadline, which it keeps until the old entry pops.  C then arms a
+    timer due at the same instant.  A drew its deadline first, so A times
+    out first, as it would had its second wait pushed its own entry."""
+    sched = Scheduler(VIRTUAL)
+    inbox = WaitSource(sched)
+    timed_out = []
+
+    def a():
+        got = yield Wait((inbox,), 1.0)
+        assert got == (inbox, "wake")
+        got = yield Wait((inbox,), 1.0)
+        assert got is TIMED_OUT
+        timed_out.append(("a", sched.now))
+
+    def b():
+        inbox.put("wake")
+        sched.spawn("c", c())  # runs after A's second block
+        return
+        yield
+
+    def c():
+        yield from sim.sleep(1.0)
+        timed_out.append(("c", sched.now))
+
+    sched.spawn("a", a())
+    sched.spawn("b", b())
+    sched.run()
+    assert timed_out == [("a", 1.0), ("c", 1.0)]
+    assert sched._heap == []
+
+
+def test_a_kept_deadline_ends_with_its_wait():
+    """A deadline kept off the heap belongs to its wait: once the wait is
+    woken, the old entry popping pushes nothing, and a later untimed wait
+    never times out."""
+    sched = Scheduler(VIRTUAL)
+    inbox = WaitSource(sched)
+    got = []
+
+    def a():
+        got.append((yield Wait((inbox,), 1.0))[1])
+        got.append((yield Wait((inbox,), 1.0))[1])  # same deadline: kept
+        got.append((yield Wait((inbox,), None)))
+
+    def b():
+        inbox.put("one")
+        yield from sim.sleep(0)  # lets A block with the kept deadline
+        inbox.put("two")
+
+    sched.spawn("a", a())
+    sched.spawn("b", b())
+    sched.run()
+    assert got == ["one", "two"]
+    assert sched.activities["a"].blocked
+    assert sched.now == 0.0 and sched._heap == []
+
+def test_a_real_clock_world_sleeps_only_toward_the_live_deadline(monkeypatch):
+    """An activity blocks for 0.05, is woken at once, then blocks for 0.3
+    and times out.  The superseded entry keeps the 0.3 deadline off the
+    heap until it is retired, and it is retired before the clock sleeps:
+    the one sleep is toward 0.3."""
+    sched = Scheduler(REAL)
+    targets = []
+
+    class TimeShim:
+        def sleep(self, seconds):
+            targets.append(round(sched.now + seconds, 2))
+            time.sleep(seconds)
+
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+    monkeypatch.setattr("votefarm.sim.time", TimeShim())
+    inbox = WaitSource(sched)
+    seen = {}
+
+    def waiter():
+        yield Wait((inbox,), 0.05)
+        seen["got"] = yield Wait((inbox,), 0.3)
+        seen["at"] = sched.now
+
+    def waker():
+        inbox.put("wake")
+        return
+        yield
+
+    sched.spawn("waiter", waiter())
+    sched.spawn("waker", waker())
+    sched.run()
+    assert seen["got"] is TIMED_OUT
+    assert seen["at"] >= 0.3
+    assert targets == [0.3]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_a_wait_timeout_is_none_or_finite_and_not_negative(bad):
+    """A NaN deadline is never due, so a NaN sleep used to hang run()
+    forever; an inf one jumped the virtual clock to inf; -1 woke at 0."""
+    with pytest.raises(ValueError, match=r"^Wait timeout must be None or finite and >= 0, got "):
+        Wait((), bad)
+    sched = Scheduler(VIRTUAL)
+    sched.spawn("sleeper", sim.sleep(bad))
+    with pytest.raises(ValueError, match="^Wait timeout must be"):
+        sched.run()
+    assert sched.now == 0.0 and sched._heap == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_a_call_later_delay_is_finite_and_not_negative(bad):
+    sched = Scheduler(VIRTUAL)
+    with pytest.raises(ValueError, match=r"^delay must be finite and >= 0, got "):
+        sched.call_later(bad, lambda: None)
+    assert sched._heap == []

@@ -107,6 +107,9 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         broadcasts = doc["stages"] * n
         assert r["decodes"] == r["frames_sent"] - broadcasts * (n - 2) > 0
         assert r["scheduler_steps"] > 0
+        # one pending timer per waiting activity, not one per receive: the
+        # heap pushes grow linearly in n, the frames received as n squared
+        assert r["heap_pushes"] == 15 * n
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0
         # one outbox item per send: a broadcast's n - 1 copies count once
