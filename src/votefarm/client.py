@@ -9,8 +9,10 @@ falsy result, so callers can poll in the usual
 
 All user activities of one farm are expected to execute the same
 lifecycle sequence (open, identical adds, run, control, get, close);
-the first handle to call run() actually activates the farm and the
-rest attach to it after checking they described the same farm.
+the first handle to call run() activates the farm and the rest check
+that they described the same farm.  run() then joins the farm through
+FarmHandle.attach(runtime), the one join path, which also attaches a
+bare handle to a farm an experiment brought up with World.activate_farm.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class World:
         to its voter on the same node and every voter pair across nodes.
         Nodes may repeat; a farm needs at least one.  The first
         FarmHandle.run of a farm lands here; an experiment may also call it
-        before starting user activities that will merely attach."""
+        and join its users' handles to the result with FarmHandle.attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         nodes = tuple(nodes)
@@ -172,8 +174,8 @@ class FarmHandle:
         delta_t: float = 1.0,
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
     ):
-        if user_id < 1:
-            raise ValueError("user_id must be >= 1")
+        if not _is_node(user_id):
+            raise ValueError("user_id must be a positive integer")
         self.world = world
         self.farm = farm
         self.user_id = user_id
@@ -184,6 +186,7 @@ class FarmHandle:
         self.state = FarmState.DECLARED
         self.last_error = ErrorCode.NONE
         self.endpoint = None
+        self._drain_wait: Wait | None = None  # zero-timeout wait on the link, see attach
         self.messages_sent = 0
 
     # -- local lifecycle -----------------------------------------------------
@@ -201,7 +204,7 @@ class FarmHandle:
         return True
 
     def run(self) -> bool:
-        """Activate the farm (first caller) or attach to it (the rest)."""
+        """Activate the described farm or match the running one, then attach."""
         self.last_error = ErrorCode.NONE
         if self.state != FarmState.DESCRIBED or self.user_id > len(self.nodes):
             self.last_error = ErrorCode.BAD_STATE
@@ -218,10 +221,7 @@ class FarmHandle:
         elif not self._matches(runtime):
             self.last_error = ErrorCode.BAD_STATE
             return False
-        self.state = FarmState.RUNNING
-        self.algorithm = runtime.algorithm
-        self.endpoint = runtime.user_endpoints[self.user_id]
-        return True
+        return self.attach(runtime)
 
     def _matches(self, runtime: FarmRuntime) -> bool:
         """A handle may only attach to a farm its own lifecycle described."""
@@ -232,6 +232,25 @@ class FarmHandle:
             and self.algorithm == runtime.algorithm
         )
 
+    def attach(self, runtime: FarmRuntime) -> bool:
+        """Join `runtime`, this world's farm, as user `user_id`: take its nodes,
+        metric, delta_t and algorithm and bind the user's link.  BAD_STATE,
+        and no change, when RUNNING or CLOSED or the farm lacks this user."""
+        self.last_error = ErrorCode.NONE
+        ours = self.world.farms.get(self.farm) is runtime
+        endpoint = runtime.user_endpoints.get(self.user_id)
+        if not ours or endpoint is None or self.state >= FarmState.RUNNING:
+            self.last_error = ErrorCode.BAD_STATE
+            return False
+        self.nodes = list(runtime.nodes)
+        self.metric = runtime.metric
+        self.delta_t = runtime.delta_t
+        self.algorithm = runtime.algorithm
+        self.endpoint = endpoint
+        self._drain_wait = Wait((endpoint.inbox,), 0.0)
+        self.state = FarmState.RUNNING
+        return True
+
     # -- messaging helpers ------------------------------------------------------
 
     def _require_running(self) -> bool:
@@ -240,8 +259,8 @@ class FarmHandle:
             return False
         return True
 
-    def _send(self, msg: Message) -> None:
-        self.world.fabric.send_from(self.endpoint, encode_message(msg))
+    def _send(self, frame: bytes) -> None:
+        self.world.fabric.send_from(self.endpoint, frame)
         self.messages_sent += 1
 
     def _drain(self):
@@ -249,7 +268,7 @@ class FarmHandle:
         True when a REFUSED was among it (generator)."""
         refused = False
         while True:
-            got = yield Wait((self.endpoint.inbox,), 0.0)
+            got = yield self._drain_wait
             if got is TIMED_OUT:
                 return refused
             # got is (source, message); stale pushes are dropped here.
@@ -265,16 +284,17 @@ class FarmHandle:
         if not self._require_running():
             return None
         yield from self._drain()
-        self._send(Message(tag, USER))
+        self._send(encode_message(Message(tag, USER)))
         sched = self.world.scheduler
         deadline = None if timeout is None else sched.now + timeout
+        wait = Wait(self._drain_wait.sources, None) if deadline is None else None
         while True:
-            remaining = None
             if deadline is not None:
                 remaining = deadline - sched.now
                 if remaining <= 0:
                     break
-            got = yield Wait((self.endpoint.inbox,), remaining)
+                wait = Wait(self._drain_wait.sources, remaining)
+            got = yield wait
             if got is TIMED_OUT:
                 break
             if got[1].tag in replies:
@@ -287,32 +307,37 @@ class FarmHandle:
     def control(self, requests) -> bool:
         """Send a batch of requests, one message each, in order (generator).
 
-        Returns False with last_error=REFUSED if the voter turned any of
-        them down (e.g. a second input while a round is still open).
+        Every frame, and the algorithm the batch sets, is built before any
+        is sent.  Returns False with last_error=REFUSED if the voter turned
+        any of them down (e.g. a second input while a round is still open).
         """
         self.last_error = ErrorCode.NONE
         if not self._require_running():
             return False
+        algorithm = self.algorithm
+        frames = []
         for req in requests:
-            self._send(self._as_message(req))
+            if isinstance(req, Input):
+                msg = Message(Tag.INPUT, USER, req.value)
+            elif isinstance(req, Output):
+                msg = Message(Tag.SET_OUTPUT, USER, req.target)
+            elif isinstance(req, Algorithm):
+                algorithm = req.algorithm
+                msg = Message(Tag.SET_ALGORITHM, USER, algorithm)
+            elif isinstance(req, ScalingFactor):
+                algorithm = replace(algorithm, scaling_factor=req.value)
+                msg = Message(Tag.SET_ALGORITHM, USER, algorithm)
+            else:
+                raise TypeError(f"not a control request: {req!r}")
+            frames.append(encode_message(msg))
+        self.algorithm = algorithm
+        for frame in frames:
+            self._send(frame)
         refused = yield from self._drain()
         if refused:
             self.last_error = ErrorCode.REFUSED
             return False
         return True
-
-    def _as_message(self, req: ControlRequest) -> Message:
-        if isinstance(req, Input):
-            return Message(Tag.INPUT, USER, req.value)
-        if isinstance(req, Output):
-            return Message(Tag.SET_OUTPUT, USER, req.target)
-        if isinstance(req, Algorithm):
-            self.algorithm = req.algorithm
-            return Message(Tag.SET_ALGORITHM, USER, req.algorithm)
-        if isinstance(req, ScalingFactor):
-            self.algorithm = replace(self.algorithm, scaling_factor=req.value)
-            return Message(Tag.SET_ALGORITHM, USER, self.algorithm)
-        raise TypeError(f"not a control request: {req!r}")
 
     def get(self, timeout: float):
         """Ask for the voted outcome (generator).

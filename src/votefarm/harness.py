@@ -397,46 +397,38 @@ class _UserRecord:
 
 def _stage_user(
     handle: FarmHandle,
-    nodes: tuple[int, ...],
     value: VoteValue | None,
     rec: _UserRecord,
     source_ep,
     source_budget: float,
-    delta_t: float,
-    poll_limit: int,
 ):
-    """One user module's whole life: obtain an input (given directly or
-    pushed by the previous stage), drive the client sequence, poll for the
-    outcome, close."""
+    """One user module's whole life, on a handle attached to its farm:
+    obtain an input (given directly or pushed by the previous stage), feed
+    it, poll for the outcome, close."""
     if source_ep is not None:
         got = yield Wait((source_ep.inbox,), source_budget)
         if got is not TIMED_OUT:
             msg = got[1]
             if msg.tag == Tag.VOTED_VALUE and msg.payload.ok:
                 value = msg.payload.value
-    for node in nodes:
-        if not handle.add(node):
-            return
-    if not handle.run():
-        return
     if value is not None:
         rec.injected_at = handle.world.scheduler.now
         yield from handle.control([Input(value)])
-        yield from _poll(handle, handle.get, poll_limit, delta_t)
+        yield from _poll(handle, handle.get)
     rec.messages_sent = handle.messages_sent
-    rec.closed = yield from _poll(handle, handle.close, poll_limit, delta_t)
+    rec.closed = yield from _poll(handle, handle.close)
 
 
-def _poll(handle, request, tries: int, delta_t: float):
+def _poll(handle: FarmHandle, request):
     """Call `request`, the handle's get or close, with a 2 * delta_t
-    timeout until it answers or times out, at most `tries` times, sleeping
-    `delta_t` after each refusal: the round is still open (generator).
-    Returns the last answer."""
-    for _ in range(tries):
-        answer = yield from request(timeout=2 * delta_t)
+    timeout until it answers or times out, at most 3 * N + 8 times,
+    sleeping `delta_t` after each refusal: the round is still open
+    (generator).  Returns the last answer."""
+    for _ in range(3 * len(handle.nodes) + 8):
+        answer = yield from request(timeout=2 * handle.delta_t)
         if answer or handle.last_error == ErrorCode.TIMEOUT:
             break
-        yield from sleep(delta_t)
+        yield from sleep(handle.delta_t)
     return answer
 
 
@@ -599,28 +591,9 @@ def _run_single_repetition(
                 _, source = world.fabric.connect(
                     voter_name(_stage_farm(k - 1), i), user_name(rt.farm, i)
                 )
-            handle = FarmHandle(
-                world,
-                rt.farm,
-                i,
-                metric=spec.metric,
-                delta_t=st.delta_t,
-                algorithm=st.algorithm_id(),
-            )
-            world.spawn_user(
-                rt.farm,
-                i,
-                _stage_user(
-                    handle,
-                    rt.nodes,
-                    value,
-                    rec,
-                    source,
-                    budget,
-                    st.delta_t,
-                    poll_limit=3 * st.n + 8,
-                ),
-            )
+            handle = FarmHandle(world, rt.farm, i)
+            handle.attach(rt)
+            world.spawn_user(rt.farm, i, _stage_user(handle, value, rec, source, budget))
 
     census = [world.fabric.census(rt.members) for rt in runtimes]
 

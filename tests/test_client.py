@@ -31,6 +31,7 @@ from votefarm.core import (
 from votefarm.sim import VIRTUAL, Wait, sleep
 from votefarm.transport import LinkCensus
 from votefarm.voter import user_name, voter_name
+from votefarm.voting import resolve_metric
 
 V42 = VoteValue.from_floats([42.0])
 
@@ -65,6 +66,16 @@ def test_open_farm_starts_declared():
 def test_user_id_must_be_positive():
     with pytest.raises(ValueError):
         open_farm(World(VIRTUAL), "a", 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+def test_user_id_must_be_an_integer(bad):
+    """A user id is checked the way a node id is, when the handle is made:
+    nothing is spawned for a handle that could never attach."""
+    world = World(VIRTUAL)
+    with pytest.raises(ValueError):
+        open_farm(world, "a", bad)
+    assert world.farms == {} and world.scheduler.activities == {}
 
 
 def test_add_rejects_bad_node_ids():
@@ -155,6 +166,65 @@ def test_attach_checks_the_user_id_against_the_farm():
     assert list(world.farms) == ["f"]
 
 
+def test_attach_takes_the_running_farm_as_the_handles_own():
+    """A bare handle attached to a farm the experiment activated holds
+    that farm's description without having described it."""
+    world = World(VIRTUAL)
+    algorithm = AlgorithmId(VoteKind.MEDIAN, epsilon=0.5)
+    rt = world.activate_farm("f", (2, 2, 5), "euclidean", 0.25, algorithm)
+    handle = open_farm(world, "f", 3)
+    assert handle.attach(rt)
+    assert (handle.state, handle.last_error) == (FarmState.RUNNING, ErrorCode.NONE)
+    assert handle.nodes == [2, 2, 5]
+    assert handle.metric is rt.metric is resolve_metric("euclidean")[0]
+    assert handle.delta_t == 0.25
+    assert handle.algorithm == algorithm
+    assert handle.endpoint is rt.user_endpoints[3]
+
+
+def test_attach_refuses_a_joined_handle_and_a_farm_without_its_user():
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", (1, 2))
+    other = world.activate_farm("g", (1, 2))
+    spawned = set(world.scheduler.activities)
+
+    def refused(handle, runtime):
+        before = (handle.state, handle.nodes, handle.endpoint)
+        assert handle.attach(runtime) is False
+        assert handle.last_error == ErrorCode.BAD_STATE
+        assert (handle.state, handle.nodes, handle.endpoint) == before
+
+    refused(open_farm(world, "f", 3), rt)  # the farm has no user 3
+    refused(open_farm(world, "f", 1), other)  # another farm's runtime
+    refused(open_farm(World(VIRTUAL), "f", 1), rt)  # another world's farm
+    assert set(world.scheduler.activities) == spawned
+
+    closed = {}
+
+    def user(handle):
+        closed["ok"] = yield from handle.close(5.0)
+
+    handle = open_farm(world, "f", 1)
+    assert handle.attach(rt)
+    refused(handle, rt)  # RUNNING
+    world.spawn_user("f", 1, user(handle))
+    world.run()
+    assert closed["ok"] and handle.state == FarmState.CLOSED
+    refused(handle, rt)  # CLOSED
+
+
+def test_add_and_run_after_attach_are_bad_state():
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", (1, 2))
+    handle = open_farm(world, "f", 2)
+    assert handle.attach(rt)
+    assert handle.add(3) is False
+    assert handle.last_error == ErrorCode.BAD_STATE
+    assert handle.run() is False
+    assert handle.last_error == ErrorCode.BAD_STATE
+    assert handle.nodes == [1, 2] and handle.state == FarmState.RUNNING
+
+
 def test_operations_before_run_report_not_running():
     handle = described_handle(World(VIRTUAL), "a", 1)
     assert run_sync(handle.control([Input(V42)])) is False
@@ -172,6 +242,52 @@ def test_control_rejects_foreign_requests():
     assert handle.run()
     with pytest.raises(TypeError):
         next(handle.control([object()]))
+
+
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        ([Input(V42), ScalingFactor(-1.0)], ValueError),
+        ([Input(V42), Algorithm(AlgorithmId(VoteKind.MEDIAN)), object()], TypeError),
+    ],
+)
+def test_a_batch_with_a_bad_request_sends_nothing(batch, error):
+    """Every message of a batch, and the algorithm it sets, is built before
+    the first is sent: a request that cannot be built leaves no frame on
+    the link and the handle's algorithm as it was."""
+    world = World(VIRTUAL)
+    handle = described_handle(world, "a", 1)
+    assert handle.run()
+    frames = []
+    world.fabric.send_from = lambda endpoint, frame: frames.append(frame)
+    with pytest.raises(error):
+        next(handle.control(batch))
+    assert frames == []
+    assert handle.messages_sent == 0
+    assert handle.algorithm == AlgorithmId(VoteKind.MAJORITY)
+
+
+def test_a_handle_drains_its_link_through_one_wait(monkeypatch):
+    """The zero-timeout wait of a drain is built once, when the handle
+    attaches: a control batch builds no Wait, however much it drains."""
+    world = World(VIRTUAL)
+    handle = described_handle(world, "a", 1, n=2)
+    assert handle.run()
+    rt = world.farms["a"]
+    built = []
+    post_init = Wait.__post_init__
+    monkeypatch.setattr(Wait, "__post_init__", lambda w: (built.append(w), post_init(w)))
+    done = []
+
+    def user():
+        done.append((yield from handle.control([Input(V42), Input(V42)])))
+
+    world.spawn_user("a", 1, user())
+    world.run()
+    # the second input was refused, so the drain took a REFUSED off the link
+    assert done == [False] and handle.last_error == ErrorCode.REFUSED
+    assert rt.states[1].refusals == 1
+    assert [w for w in built if handle.endpoint.inbox in w.sources] == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

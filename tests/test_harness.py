@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+from collections import Counter
 import json
 import math
 from dataclasses import fields
@@ -31,7 +32,7 @@ from votefarm.harness import (
     value_from_json,
     value_to_json,
 )
-from votefarm.client import World
+from votefarm.client import FarmHandle, World
 from votefarm.sim import VIRTUAL
 from votefarm.transport import LinkCensus
 
@@ -563,6 +564,24 @@ def test_a_faulty_world_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert [v.live for v in report.repetitions[0].voters].count(False) == 1
+
+
+def test_harness_users_attach_to_the_farm_without_describing_it(monkeypatch):
+    """The harness activates each stage itself and attaches every user's
+    handle to it: a two-stage N = 31 run describes no farm again, so no
+    handle adds a node, runs or compares a description."""
+    calls = Counter()
+    for name in ("add", "run", "_matches", "attach"):
+        method = getattr(FarmHandle, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FarmHandle, name, counted)
+    report = run_experiment(ExperimentSpec(PipelineSpec((StageSpec(n=31),) * 2)))
+    assert calls == {"attach": 62}
+    assert all(one_float(v.outcome) == 42.0 for v in report.repetitions[0].voters)
 
 
 def test_pipeline_census_counts_both_stages():
