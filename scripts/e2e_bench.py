@@ -126,10 +126,12 @@ def count_work(spec: ExperimentSpec) -> dict:
     voting.register_metric(spec.metric, counted_metric)
     # a source tree from before Scheduler._push pushes through heapq directly
     push = (sim.Scheduler, "_push") if hasattr(sim.Scheduler, "_push") else (sim.heapq, "heappush")
+    # a source tree from before Outbox.send_to queues through Outbox.put
+    send = "send_to" if hasattr(transport.Outbox, "send_to") else "put"
     wrapped = [
         (sim.Scheduler, "_step", "scheduler_steps"),
         (*push, "heap_pushes"),
-        (transport.Outbox, "put", "outbox_items"),
+        (transport.Outbox, send, "outbox_items"),
         (transport.Fabric, "send_from", "frames_sent"),
         (transport, "decode_message", "decodes"),
     ]

@@ -35,7 +35,7 @@ from .core import (
 from .sim import TIMED_OUT, VIRTUAL, Scheduler, Wait
 from .transport import Endpoint, Fabric
 from .voting import Metric, resolve_metric
-from .voter import FarmRuntime, Voter, sender_name, user_name, voter_name
+from .voter import FarmRuntime, Voter, user_name, voter_name
 
 
 def _is_node(node) -> bool:
@@ -73,12 +73,12 @@ class World:
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
         output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
-        """Bring a farm to life: place and start one voter, with its inbox
-        and the activity that sends its frames, per node, wire every user
-        to its voter on the same node and every voter pair across nodes.
-        Nodes may repeat; a farm needs at least one.  The first
-        FarmHandle.run of a farm lands here; an experiment may also call it
-        and join its users' handles to the result with FarmHandle.attach."""
+        """Bring a farm to life: place and start one voter, with its inbox,
+        per node, wire every user to its voter on the same node and every
+        voter pair across nodes.  Nodes may repeat; a farm needs at least
+        one.  The first FarmHandle.run of a farm lands here; an experiment
+        may also call it and join its users' handles to the result with
+        FarmHandle.attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         nodes = tuple(nodes)
@@ -122,7 +122,6 @@ class World:
                 output_target=(output_targets or {}).get(vid),
             )
             self.scheduler.spawn(vname, voter.main(), role="voter")
-            self.scheduler.spawn(sender_name(farm, vid), voter.outbox.pump(), role="sender")
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,

@@ -597,7 +597,10 @@ def _run_single_repetition(
 
     census = [world.fabric.census(rt.members) for rt in runtimes]
 
-    world.run()
+    try:
+        world.run()
+    finally:
+        world.close()  # also after a raise; the results below stay readable
 
     voters: list[VoterResult] = []
     for k, (rt, recs) in enumerate(zip(runtimes, records), start=1):
@@ -627,7 +630,6 @@ def _run_single_repetition(
                 )
             )
 
-    world.close()
     finishes = [
         v.round_finished for v in voters if v.stage == last and v.round_finished is not None
     ]

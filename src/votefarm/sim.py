@@ -1,19 +1,20 @@
 """Cooperative activity scheduler with virtual- and real-time clocks.
 
-Activities are generators that yield Wait requests; everything else
-(sends, spawns) is an ordinary call, so the only scheduling points are
-message waits, sleeps, and timeouts.  Ready activities run FIFO and all
-ties on the timer heap break by a global sequence number, which makes
-virtual-time runs fully deterministic.  A timer only fires once every
-runnable activity has blocked, so in virtual time a timeout means genuine
-silence, not scheduling luck.  A waiting activity has one heap entry, as
-a rule: a timed wait pushes its deadline `(when, seq)` only if the activity
-has no entry due at or before `when`, and otherwise keeps it until that
-entry pops, then pushes it with its own `seq`.  Nothing keyed after the
-deadline can have popped by then, so timers fire in `(time, seq)` order as
-if each wait pushed its own.  An entry whose wait has ended is stale, and at the top of
-the heap it is retired without advancing the clock (or, on the real clock,
-sleeping until it is due), so a run ends when its last live work ends.
+Activities are generators that yield Wait requests; everything else (sends,
+spawns) is an ordinary call, so the only scheduling points are message
+waits, sleeps, and timeouts.  Ready activities and `call_soon` callbacks run
+FIFO, in one queue, and all ties on the timer heap break by a global
+sequence number, which makes virtual-time runs fully deterministic.  A timer
+only fires once every runnable activity has blocked, so in virtual time a
+timeout means genuine silence, not scheduling luck.  A waiting activity has
+one heap entry, as a rule: a timed wait pushes its deadline `(when, seq)`
+only if the activity has no entry due at or before `when`, and otherwise
+keeps it until that entry pops, then pushes it with its own `seq`.  Nothing
+keyed after the deadline can have popped by then, so timers fire in
+`(time, seq)` order as if each wait pushed its own.  An entry whose wait has
+ended is stale, and at the top of the heap it is retired without advancing
+the clock (or, on the real clock, sleeping until it is due), so a run ends
+when its last live work ends.
 
 Each wait names at most one source, a FIFO of items (a sleep names
 none).  The first time an activity waits on a source, the source is bound
@@ -144,7 +145,7 @@ class Scheduler:
         self._vnow = 0.0
         self._epoch = time.monotonic()
         self._seq = itertools.count()
-        self._ready: deque[Activity] = deque()
+        self._ready: deque[Activity | Callable[[], None]] = deque()
         self._heap: list = []
         self.activities: dict[str, Activity] = {}
         # Names to spawn pre-halted (silent-crash fault injection).
@@ -213,10 +214,12 @@ class Scheduler:
         act.waiting_on = None
 
     def close(self) -> None:
-        """Drop every unfinished activity's generator, which holds the
-        scheduler through its voter or handle, and unbind its source, which
-        points back at it, so that reference counting alone frees a world
-        left with halted or blocked activities, which can never resume."""
+        """Drop the ready queue, the heap and every unfinished activity's
+        generator, which can all hold the scheduler, and unbind its source,
+        which points back at it, so that reference counting alone frees a
+        world left with activities that never resume or by a run that raised."""
+        self._ready.clear()
+        self._heap.clear()
         for act in self.activities.values():
             if not act.finished:
                 act.gen = None
@@ -224,6 +227,10 @@ class Scheduler:
 
     def _push(self, entry) -> None:
         heapq.heappush(self._heap, entry)
+
+    def call_soon(self, fn: Callable[[], None]) -> None:
+        """Call `fn` in its turn on the ready queue, as if it were an activity."""
+        self._ready.append(fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         if not 0 <= delay < math.inf:
@@ -301,16 +308,20 @@ class Scheduler:
             self._wake(entry[3])
 
     def run(self) -> None:
-        """Step activities until quiescence: no activity is runnable and no
-        live timer or delayed call is pending, i.e. every surviving
-        activity is blocked without timeout.  More than MAX_STEPS steps
-        raise RuntimeError.
+        """Step activities and call callbacks until quiescence: nothing is
+        ready and no live timer or delayed call is pending, i.e. every
+        surviving activity is blocked without timeout.  More than MAX_STEPS
+        steps and calls raise RuntimeError.
         """
         heap = self._heap
         steps = 0
         while True:
             while self._ready:
-                self._step(self._ready.popleft())
+                item = self._ready.popleft()
+                if isinstance(item, Activity):
+                    self._step(item)
+                else:
+                    item()
                 steps += 1
                 if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")

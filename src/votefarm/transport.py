@@ -12,12 +12,12 @@ a fault hook.  Hooks intercept deliveries by sender name, receiver name
 and message index, the count of frames sent before it from the same end;
 a fabric with no hook shows a frame to none and builds no Delivery for
 it.  Each distinct frame is then decoded once, and the copies of one
-broadcast share it: the outbox queues one item per send, fanned out by
-the sender activity, and the fabric keeps the last frame it decoded with
-its Message.  A frame corrupted beyond parseability is silently
-discarded, so the receiver only ever notices the resulting silence
-through its timeout, and a parseable one lands on the receiver's queue
-as a Message.
+broadcast share it: the outbox queues one item per send, fanned out when
+its flush takes its turn on the scheduler's ready queue, and the fabric
+keeps the last frame it decoded with its Message.  A frame corrupted
+beyond parseability is silently discarded, so the receiver only ever
+notices the resulting silence through its timeout, and a parseable one
+lands on the receiver's queue as a Message.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .core import (
     decode_message,
     encode_message,
 )
-from .sim import Scheduler, Wait, WaitSource
+from .sim import Scheduler, WaitSource
 
 
 class LinkKind(Enum):
@@ -192,33 +192,25 @@ class Fabric:
         return LinkCensus(virtual=virtual, local=local, voters=voters)
 
 
-class Outbox(WaitSource):
-    """Per-voter send queue drained by a dedicated sender activity, so the
-    owner never blocks on a send.  Each send is one item, the endpoints
-    and the frame, which the sender fans out in endpoint order."""
-
-    _POISON = object()
+class Outbox:
+    """Per-voter send queue, so the owner never sends inside its own step.
+    Each send is one item, the endpoints and the frame.  The first item on
+    an empty outbox queues one flush on the scheduler's ready queue, which
+    fans every item out in send order, each in endpoint order."""
 
     def __init__(self, fabric: Fabric):
-        super().__init__(fabric.scheduler)
         self.fabric = fabric
+        self.items: list[tuple[Sequence[Endpoint], bytes]] = []
 
     def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> None:
         """Encode `msg` once and queue that frame for `endpoints` as one item."""
-        self.put((endpoints, encode_message(msg)))
+        if not self.items:
+            self.fabric.scheduler.call_soon(self._flush)
+        self.items.append((endpoints, encode_message(msg)))
 
-    def close(self) -> None:
-        """Queue the item that ends the sender activity."""
-        self.put(self._POISON)
-
-    def pump(self):
-        """Generator body for the dedicated sender activity."""
-        wait = Wait((self,), None)
-        while True:
-            _, item = yield wait
-            if item is self._POISON:
-                return
-            endpoints, frame = item
+    def _flush(self) -> None:
+        items, self.items = self.items, []
+        for endpoints, frame in items:
             for endpoint in endpoints:
                 self.fabric.send_from(endpoint, frame)
 

@@ -154,7 +154,7 @@ class Voter:
             self.slots = [_OPEN] * self.n
             self.resolved = 0
             self.turn_done = False
-            self.round_started_at = self.outbox.scheduler.now
+            self.round_started_at = self.fabric.scheduler.now
         if msg.tag == Tag.INPUT:
             origin = me
         slot = self.slots[origin - 1]
@@ -173,7 +173,7 @@ class Voter:
         self._take_turn_if_due()
 
     def _finish_round(self) -> None:
-        self.round_finished_at = self.outbox.scheduler.now
+        self.round_finished_at = self.fabric.scheduler.now
         self._reply(Tag.DONE)
         slots = tuple(self.slots)
         self.slots = None
@@ -232,7 +232,6 @@ class Voter:
                         self._refuse()
                     else:
                         self._reply(Tag.DONE)
-                        self.outbox.close()
                         return
                 else:
                     self.stray_messages += 1
@@ -249,10 +248,6 @@ def voter_name(farm: str, voter_id: int) -> str:
 
 def user_name(farm: str, voter_id: int) -> str:
     return f"{farm}/user{voter_id}"
-
-
-def sender_name(farm: str, voter_id: int) -> str:
-    return f"{farm}/voter{voter_id}/sender"
 
 
 @dataclass

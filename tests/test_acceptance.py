@@ -337,7 +337,7 @@ def test_criterion_08_scheduler_steps_per_round(monkeypatch):
             client_farm(n, rounds).run()
             counts.append(steps)
         per_round.append(counts[1] - counts[0])
-    assert per_round == [n * n + 10 * n - 1 for n in (1, 2, 3, 4)]  # 10, 23, 38, 55
+    assert per_round == [n * n + 7 * n for n in (1, 2, 3, 4)]  # 8, 18, 30, 44
 
 
 # -- criterion 9: replication transparency ----------------------------------------------

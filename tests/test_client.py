@@ -182,6 +182,16 @@ def test_attach_takes_the_running_farm_as_the_handles_own():
     assert handle.endpoint is rt.user_endpoints[3]
 
 
+def test_activate_farm_spawns_one_activity_per_voter():
+    """A voter's sends need no activity of their own: a farm of N nodes is
+    N voter activities."""
+    world = World(VIRTUAL)
+    world.activate_farm("f", (1, 2, 2))
+    acts = world.scheduler.activities
+    assert list(acts) == [voter_name("f", v) for v in (1, 2, 3)]
+    assert {act.role for act in acts.values()} == {"voter"}
+
+
 def test_attach_refuses_a_joined_handle_and_a_farm_without_its_user():
     world = World(VIRTUAL)
     rt = world.activate_farm("f", (1, 2))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votefarm import harness
+from votefarm import harness, voting
 from votefarm.core import MAX_SENDER_ID, ErrorCode, VoteKind, VoteOutcome, VoteValue
 from votefarm.harness import (
     DEFAULT_INPUT,
@@ -564,6 +564,30 @@ def test_a_faulty_world_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert [v.live for v in report.repetitions[0].voters].count(False) == 1
+
+
+def test_a_run_that_raises_is_freed_by_reference_counting(monkeypatch):
+    """A metric that raises ends the run mid-round, with activities blocked
+    and a voter's sends still queued; the repetition closes its world all
+    the same, so with the cyclic garbage collector off the failed run
+    leaves nothing for it to find."""
+
+    class Boom(Exception):
+        pass
+
+    def boom(a, b):
+        raise Boom
+
+    monkeypatch.setitem(voting._METRICS, "test-boom", boom)
+    spec = ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3),)), metric="test-boom")
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(Boom):
+            run_experiment(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_harness_users_attach_to_the_farm_without_describing_it(monkeypatch):

@@ -145,16 +145,44 @@ def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
         fabric.place(name, node)
     ends = [fabric.connect("a", peer) for peer in "bcd"]
     outbox = Outbox(fabric)
-    sched.spawn("pump", outbox.pump())
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
     outbox.send_to([a_end for a_end, _ in ends], msg)
-    outbox.close()
     sched.run()
     assert encodes == [msg]
     assert fabric.delivered_total == 3
     for _, peer_end in ends:
         (got,) = peer_end.inbox.queue
         assert got == msg
+
+
+def test_call_soon_takes_its_turn_in_the_one_ready_fifo():
+    """A callback queued by a step runs after the activities already ready
+    and before an activity woken after it was queued."""
+    sched = Scheduler(VIRTUAL)
+    source = WaitSource(sched)
+    order = []
+
+    def a():
+        order.append("a")
+        sched.call_soon(lambda: order.append("fn"))
+        source.put("go")  # wakes c
+        return
+        yield
+
+    def b():
+        order.append("b")
+        return
+        yield
+
+    def c():
+        yield Wait((source,), None)
+        order.append("c")
+
+    sched.spawn("c", c())  # blocks on `source` before a runs
+    sched.spawn("a", a())
+    sched.spawn("b", b())
+    sched.run()
+    assert order == ["a", "b", "fn", "c"]
 
 
 def test_a_wait_on_two_sources_raises():
@@ -345,6 +373,23 @@ def test_step_budget_ends_a_run_that_never_blocks(monkeypatch):
         sched.run()
     assert len(resumed) == 50  # the first step only starts the generator
     assert sched.now == 0.0
+
+
+def test_step_budget_counts_callbacks(monkeypatch):
+    """A callback that queues itself again never lets the run go quiescent
+    either; each call counts toward MAX_STEPS as a step does."""
+    monkeypatch.setattr(sim, "MAX_STEPS", 50)
+    sched = Scheduler(VIRTUAL)
+    calls = []
+
+    def again():
+        calls.append(sched.now)
+        sched.call_soon(again)
+
+    sched.call_soon(again)
+    with pytest.raises(RuntimeError, match="^scheduler step budget exhausted$"):
+        sched.run()
+    assert len(calls) == 51
 
 
 def test_a_fault_free_two_stage_run_pushes_one_timer_per_waiting_activity(monkeypatch):

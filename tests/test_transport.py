@@ -188,10 +188,8 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
 
     fabric.add_hook(mangle)
     outbox = Outbox(fabric)
-    sched.spawn("pump", outbox.pump())
     msg = value_msg(5.0, sender=1, tag=Tag.BROADCAST_VALUE)
     outbox.send_to([a_end for a_end, _ in ends.values()], msg)
-    outbox.close()
     sched.run()
     got = {peer: list(peer_end.inbox.queue) for peer, (_, peer_end) in ends.items()}
     assert got["b"] == got["e"] == [msg]
@@ -255,7 +253,9 @@ def test_hooks_are_direction_scoped():
 
 
 def test_outbox_decouples_sender():
-    """Queueing into the outbox never blocks; the pump does the sending."""
+    """Queueing into the outbox never blocks and sends nothing inside the
+    sender's step; the frames land, in send order, when the flush takes
+    its turn on the ready queue."""
     sched, fabric, a_end, b_end = make_pair()
     outbox = Outbox(fabric)
     got = []
@@ -264,7 +264,7 @@ def test_outbox_decouples_sender():
         for i in range(3):
             msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
             outbox.send_to((a_end,), msg)
-        outbox.close()
+        assert fabric.delivered_total == 0 and not b_end.inbox.queue
         return
         yield
 
@@ -275,19 +275,9 @@ def test_outbox_decouples_sender():
             got.append(arrived[1].payload.floats()[0])
 
     sched.spawn("producer", producer())
-    sched.spawn("pump", outbox.pump())
     sched.spawn("recv", receiver())
     sched.run()
     assert got == [0.0, 1.0, 2.0]
-
-
-def test_outbox_close_stops_pump():
-    sched, fabric, a_end, b_end = make_pair()
-    outbox = Outbox(fabric)
-    sched.spawn("pump", outbox.pump())
-    outbox.close()
-    sched.run()
-    assert not sched.activities["pump"].live
 
 
 def fan_out(peers="bcd"):
@@ -305,12 +295,15 @@ def fan_out(peers="bcd"):
 
 def test_outbox_queues_one_item_per_send():
     """A send to three endpoints is one queued item: the endpoints and the
-    frame."""
-    _, _, outbox, ends = fan_out()
+    frame.  Only the send onto an empty outbox queues a flush."""
+    sched, _, outbox, ends = fan_out()
     a_ends = [a_end for a_end, _ in ends.values()]
     msg = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
     outbox.send_to(a_ends, msg)
-    assert len(outbox.queue) == 1
+    assert len(outbox.items) == 1
+    outbox.send_to(a_ends[:1], msg)
+    assert len(outbox.items) == 2
+    assert list(sched._ready) == [outbox._flush]
 
 
 def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
