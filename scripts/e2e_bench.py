@@ -10,9 +10,10 @@ in a separate untimed run: the vote() calls the voters make, the distinct
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
 the scheduler steps, the entries pushed onto the scheduler's timer heap,
 the items the voters' outboxes queued (one per send, however many fellows
-a broadcast goes to), the frames sent through the fabric and the frames it
-decoded.  One more untimed run, made with the garbage collector disabled,
-gives `cyclic_garbage`: the objects a full collection then finds, which
+a broadcast goes to), the frames sent through the fabric, the frames it
+decoded and the messages the outboxes and handles encoded.  One more
+untimed run, made with the garbage collector disabled, gives
+`cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
 reference cycle).  Beside the `rows`, the `crash_heavy` row gives the
 same columns for one two-stage N = 7 farm in which two voters and a user
@@ -49,7 +50,7 @@ import time
 from pathlib import Path
 
 import votefarm
-from votefarm import sim, transport, voter, voting
+from votefarm import client, sim, transport, voter, voting
 from votefarm.harness import (
     ExperimentSpec,
     FaultKind,
@@ -104,7 +105,8 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    heap pushes, outbox items, frames sent and frame decodes of one run."""
+    heap pushes, outbox items, frames sent, frame decodes and message
+    encodes of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
@@ -134,6 +136,8 @@ def count_work(spec: ExperimentSpec) -> dict:
         (transport.Outbox, send, "outbox_items"),
         (transport.Fabric, "send_from", "frames_sent"),
         (transport, "decode_message", "decodes"),
+        (transport, "encode_message", "encodes"),
+        (client, "encode_message", "encodes"),
     ]
     restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
     try:

@@ -229,7 +229,7 @@ def encode_message(msg: Message) -> bytes:
             body = bytes([0]) + _encode_value(o.value)
         else:
             body = bytes([o.failure.value])
-    return _HEADER.pack(msg.tag.value, msg.sender, kind, len(body)) + body
+    return _HEADER.pack(msg.tag, msg.sender, kind, len(body)) + body  # an IntEnum packs as is
 
 
 def decode_message(frame: bytes) -> Message:

@@ -11,13 +11,13 @@ A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks intercept deliveries by sender name, receiver name
 and message index, the count of frames sent before it from the same end;
 a fabric with no hook shows a frame to none and builds no Delivery for
-it.  Each distinct frame is then decoded once, and the copies of one
-broadcast share it: the outbox queues one item per send, fanned out when
-its flush takes its turn on the scheduler's ready queue, and the fabric
-keeps the last frame it decoded with its Message.  A frame corrupted
-beyond parseability is silently discarded, so the receiver only ever
-notices the resulting silence through its timeout, and a parseable one
-lands on the receiver's queue as a Message.
+it.  The outbox queues one item per send, fanned out when its flush takes
+its turn on the scheduler's ready queue, and each distinct frame is
+decoded once per world: the fabric memoizes Messages by frame content, at
+most one per link end, oldest evicted first.  A frame corrupted beyond
+parseability is never kept but silently discarded on every send, so the
+receiver only ever notices the resulting silence through its timeout, and
+a parseable one lands on the receiver's queue as a Message.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ class Fabric:
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
-        # The last frame decoded and its Message: decoding is pure and a
-        # Message is frozen, so an identical frame object reuses it.
-        self._decoded: tuple[bytes | None, Message | None] = (None, None)
+        # Frames decoded and their Messages, oldest first, at most one per link
+        # end: decoding is pure and a Message frozen, so equal bytes share one.
+        self._decoded: dict[bytes, Message] = {}
 
     def place(self, name: str, node: int) -> None:
         if node < 1:
@@ -152,16 +152,18 @@ class Fabric:
                     self.dropped += 1
                     return
             frame, delay = d.frame, d.delay
-        last, msg = self._decoded
-        if frame is not last:
-            # A frame mangled beyond parsing is dropped here: the receiver
-            # can only ever observe the loss as silence.
+        msg = self._decoded.get(frame)
+        if msg is None:
+            # A frame mangled beyond parsing is dropped here, and never kept:
+            # the receiver can only ever observe the loss as silence.
             try:
                 msg = decode_message(frame)
             except FrameError:
                 self.dropped += 1
                 return
-            self._decoded = (frame, msg)
+            if len(self._decoded) >= len(self.ends):
+                del self._decoded[next(iter(self._decoded))]
+            self._decoded[frame] = msg
         inbox = endpoint.peer_inbox
         if delay > 0:
             self.scheduler.call_later(delay, lambda: self._land(inbox, msg))

@@ -24,6 +24,11 @@ from .voting import Metric, Slots, vote
 
 _OPEN = object()  # a slot of the open round not yet resolved
 
+# The tags main() and _feed() test on every delivered frame, bound once: on
+# CPython 3.10 and 3.11 each `Tag.X` goes through the enum's slow getattr hook.
+_INPUT, _VALUE, _INVALID = Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID
+_SET_ALGORITHM, _SET_OUTPUT, _GET, _CLOSE = Tag.SET_ALGORITHM, Tag.SET_OUTPUT, Tag.GET, Tag.CLOSE
+
 
 class Voter:
     """One voter: its settings, counters, results and open round; `main()`
@@ -141,12 +146,12 @@ class Voter:
         then it fills a slot of the open round."""
         me = self.voter_id
         origin = msg.sender
-        if msg.tag != Tag.INPUT and (origin == me or not (1 <= origin <= self.n)):
+        if msg.tag is not _INPUT and (origin == me or not (1 <= origin <= self.n)):
             # a broadcast that names no fellow fills no slot and opens no round
             self.stray_messages += 1
             return
         if self.slots is None:
-            if msg.tag == Tag.BROADCAST_INVALID:
+            if msg.tag is _INVALID:
                 # A straggler from a round that already closed here; a
                 # fresh round never starts with an invalidation.
                 self.stray_messages += 1
@@ -155,11 +160,11 @@ class Voter:
             self.resolved = 0
             self.turn_done = False
             self.round_started_at = self.fabric.scheduler.now
-        if msg.tag == Tag.INPUT:
+        if msg.tag is _INPUT:
             origin = me
         slot = self.slots[origin - 1]
         if slot is not _OPEN:
-            if msg.tag == Tag.INPUT and slot is not None:
+            if msg.tag is _INPUT and slot is not None:
                 # A second input during an open round is a protocol
                 # violation by the user, not a late arrival.
                 self._refuse()
@@ -216,18 +221,18 @@ class Voter:
                 msg = got[1]
                 tag = msg.tag
                 self.messages_received += 1
-                if tag in (Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID):
+                if tag is _INPUT or tag is _VALUE or tag is _INVALID:
                     self._feed(msg)
-                elif tag == Tag.SET_ALGORITHM:
+                elif tag is _SET_ALGORITHM:
                     self.algorithm = msg.payload
-                elif tag == Tag.SET_OUTPUT:
+                elif tag is _SET_OUTPUT:
                     self.output_target = msg.payload
-                elif tag == Tag.GET:
+                elif tag is _GET:
                     if self.slots is None and self.last_outcome is not None:
                         self._reply(Tag.VOTED_VALUE, self.last_outcome)
                     else:
                         self._refuse()
-                elif tag == Tag.CLOSE:
+                elif tag is _CLOSE:
                     if self.slots is not None:
                         self._refuse()
                     else:

@@ -5,6 +5,7 @@ Handles never raise for protocol failures; every test here pins down the
 """
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -413,6 +414,35 @@ def test_get_and_close_time_out_against_a_dead_voter():
     world.run()
     assert seen["get"] == (None, ErrorCode.TIMEOUT, 1.5)
     assert seen["close"] == (False, ErrorCode.TIMEOUT, FarmState.RUNNING)
+
+
+@pytest.mark.parametrize(
+    "request_name, timeout", [("get", math.inf), ("get", math.nan), ("close", -1.0)]
+)
+def test_a_request_with_a_bad_timeout_raises_before_its_frame_is_sent(request_name, timeout):
+    """A timeout no Wait accepts raises ValueError out of get or close with
+    nothing sent, so the voter never sees the request and the handle can
+    still vote and close."""
+    world = World(VIRTUAL)
+    seen = {}
+
+    def script():
+        handle = described_handle(world, "t", 1, n=1)
+        assert handle.run()
+        with pytest.raises(ValueError, match="timeout"):
+            yield from getattr(handle, request_name)(timeout=timeout)
+        seen["sent"] = handle.messages_sent
+        yield from handle.control([Input(V42)])
+        seen["got"] = yield from handle.get(5.0)
+        closed = yield from handle.close(5.0)
+        seen["closed"] = (closed, handle.state)
+
+    world.spawn_user("t", 1, script())
+    world.run()
+    assert seen["sent"] == 0
+    assert seen["got"].value == V42
+    assert seen["closed"] == (True, FarmState.CLOSED)
+    assert world.farms["t"].states[1].messages_received == 3  # INPUT, GET, CLOSE
 
 
 def test_close_refused_mid_round_then_retried():

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from votefarm import harness, sim, transport
+from votefarm import client, harness, sim, transport, voter
 from votefarm.client import Input, World, open_farm
 from votefarm.core import USER, Message, Tag, VoteOutcome, VoteValue, encode_message
 from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
@@ -130,8 +130,39 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
     assert broadcasts == n
     assert counts["broadcast_encodes"] == broadcasts
     assert counts["frames"] == world.fabric.delivered_total > n * (n - 1)
-    # the n - 1 copies of a broadcast are one frame object, decoded once
-    assert counts["decode"] == counts["frames"] - broadcasts * (n - 2)
+    # each distinct frame is decoded once: the users' one INPUT, GET and
+    # CLOSE, and each voter's broadcast, DONE and VOTED_VALUE
+    assert counts["decode"] == 3 * n + 3
+
+
+class CountingTag:
+    """Stands in for `Tag` in a module and counts the members looked up."""
+
+    def __init__(self):
+        self.lookups = 0
+
+    def __getattr__(self, name):
+        self.lookups += 1
+        return getattr(Tag, name)
+
+
+def test_enum_lookups_on_the_frame_path_grow_linearly_in_n(monkeypatch):
+    """The voters and handles test each delivered frame's tag against
+    members bound at import, so `Tag` is looked up once per frame built,
+    not once per copy received: 11 N over a fault-free two-stage run,
+    where receiving alone would make it grow as N squared."""
+    lookups = []
+    for n in (3, 7, 15):
+        proxy = CountingTag()
+        monkeypatch.setattr(voter, "Tag", proxy)
+        monkeypatch.setattr(client, "Tag", proxy)
+        spec = harness.ExperimentSpec(
+            harness.PipelineSpec((harness.StageSpec(n), harness.StageSpec(n)))
+        )
+        (rep,) = harness.run_experiment(spec).repetitions
+        assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
+        lookups.append(proxy.lookups)
+    assert lookups == [33, 77, 165]
 
 
 def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):

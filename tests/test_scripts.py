@@ -102,10 +102,14 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # n (n - 1) / 2 representative pairs, once per stage
         n = r["n"]
         assert r["metric_calls"] == 2 * ((n - 1) + n * (n - 1) // 2)
-        # fault-free: every frame sent is decoded once, except that the
-        # n - 1 copies of each voter's broadcast share one decode
-        broadcasts = doc["stages"] * n
-        assert r["decodes"] == r["frames_sent"] - broadcasts * (n - 2) > 0
+        # fault-free, each distinct frame is decoded once in the world: the
+        # users' one INPUT, GET and CLOSE, and each voter's broadcast, DONE
+        # and VOTED_VALUE, the same bytes in both stages
+        assert r["decodes"] == 3 * n + 3
+        # per stage and voter: its user's INPUT, its broadcast, two DONEs
+        # and the VOTED_VALUE it answers a GET with, and in stage 1 the
+        # VOTED_VALUE it pushes downstream; GET and CLOSE are built at import
+        assert r["encodes"] == doc["stages"] * 5 * n + n
         assert r["scheduler_steps"] > 0
         # one pending timer per waiting activity, not one per receive: the
         # heap pushes grow linearly in n, the frames received as n squared

@@ -2,6 +2,7 @@
 
 import pytest
 
+from votefarm import transport
 from votefarm.core import (
     Message,
     Tag,
@@ -9,6 +10,7 @@ from votefarm.core import (
     decode_message,
     encode_message,
 )
+from votefarm.client import World
 from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experiment
 from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL, Wait
 from votefarm.transport import (
@@ -198,6 +200,77 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
     assert got["d"] == []
     assert fabric.dropped == 1
     assert fabric.delivered_total == 3
+
+
+def counting_decodes(monkeypatch) -> list:
+    """Count the fabric's decodes: one list entry per frame decoded."""
+    decoded = []
+    monkeypatch.setattr(
+        transport, "decode_message", lambda frame: decoded.append(frame) or decode_message(frame)
+    )
+    return decoded
+
+
+def test_the_decode_memo_keys_on_frame_content_not_identity(monkeypatch):
+    """A hook that hands the fabric a fresh bytes object with the same
+    content lands the Message decoded for the first one."""
+    decoded = counting_decodes(monkeypatch)
+    sched, fabric, a_end, b_end = make_pair()
+    frame = encode_message(value_msg(1.0))
+    copies = []
+
+    def copy(d):
+        d.frame = bytes(bytearray(d.frame))
+        copies.append(d.frame)
+
+    fabric.add_hook(copy)
+    fabric.send_from(a_end, frame)
+    fabric.send_from(a_end, frame)
+    assert copies[0] is not copies[1] and copies[0] == copies[1]
+    first, second = b_end.inbox.queue
+    assert first is second
+    assert first == value_msg(1.0)
+    assert len(decoded) == 1
+
+
+def test_an_unparseable_frame_is_dropped_and_counted_each_time_it_is_sent(monkeypatch):
+    decoded = counting_decodes(monkeypatch)
+    sched, fabric, a_end, b_end = make_pair()
+    frame = corrupt_raw(encode_message(value_msg(3.0)), b"\xff", offset=0)
+    fabric.send_from(a_end, frame)
+    fabric.send_from(a_end, frame)
+    assert fabric.dropped == 2
+    assert len(decoded) == 2
+    assert fabric.delivered_total == 0
+    assert fabric._decoded == {}
+
+
+def test_the_decode_memo_keeps_at_most_one_frame_per_link_end(monkeypatch):
+    """More distinct frames than link ends: a repeat still held is not
+    decoded again, the oldest entry is evicted first, and every copy
+    lands right."""
+    decoded = counting_decodes(monkeypatch)
+    sched, fabric, a_end, b_end = make_pair()
+    assert len(fabric.ends) == 2
+    xs = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0]
+    for x in xs:
+        fabric.send_from(a_end, encode_message(value_msg(x)))
+        assert len(fabric._decoded) <= 2
+    assert list(b_end.inbox.queue) == [value_msg(x) for x in xs]
+    assert len(decoded) == 5  # all but the second 0.0, while still held
+    assert list(fabric._decoded.values()) == [value_msg(3.0), value_msg(0.0)]
+
+
+def test_each_world_decodes_afresh(monkeypatch):
+    """The memo lives in a world's fabric: a new world starts with no
+    entry, so a spec run twice decodes as often the second time."""
+    assert World(VIRTUAL).fabric._decoded == {}
+    decoded = counting_decodes(monkeypatch)
+    spec = ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3),)))
+    run_experiment(spec)
+    first = len(decoded)
+    run_experiment(spec)
+    assert first == len(decoded) - first == 3 * 3 + 3
 
 
 def test_drop_hook_by_index():
