@@ -9,11 +9,11 @@ in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
 the scheduler steps, the entries pushed onto the scheduler's timer heap,
-the items the voters' outboxes queued (one per send, however many fellows
-a broadcast goes to), the frames sent through the fabric, the frames it
-decoded and the messages the outboxes and handles encoded.  One more
-untimed run, made with the garbage collector disabled, gives
-`cyclic_garbage`: the objects a full collection then finds, which
+the voters' sends, counted as `outbox_items` (one `Fabric.post` per send,
+however many fellows a broadcast goes to), the frames sent through the
+fabric, the frames it decoded and the messages the voters and handles
+encoded.  One more untimed run, made with the garbage collector disabled,
+gives `cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
 reference cycle).  Beside the `rows`, the `crash_heavy` row gives the
 same columns for one two-stage N = 7 farm in which two voters and a user
@@ -105,7 +105,7 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    heap pushes, outbox items, frames sent, frame decodes and message
+    heap pushes, voter sends, frames sent, frame decodes and message
     encodes of one run."""
     votes: list = []
     metric_calls = 0
@@ -128,12 +128,16 @@ def count_work(spec: ExperimentSpec) -> dict:
     voting.register_metric(spec.metric, counted_metric)
     # a source tree from before Scheduler._push pushes through heapq directly
     push = (sim.Scheduler, "_push") if hasattr(sim.Scheduler, "_push") else (sim.heapq, "heappush")
-    # a source tree from before Outbox.send_to queues through Outbox.put
-    send = "send_to" if hasattr(transport.Outbox, "send_to") else "put"
+    # a source tree from before Fabric.post sends through Outbox.send_to
+    post = (
+        (transport.Fabric, "post")
+        if hasattr(transport.Fabric, "post")
+        else (transport.Outbox, "send_to")
+    )
     wrapped = [
         (sim.Scheduler, "_step", "scheduler_steps"),
         (*push, "heap_pushes"),
-        (transport.Outbox, send, "outbox_items"),
+        (*post, "outbox_items"),
         (transport.Fabric, "send_from", "frames_sent"),
         (transport, "decode_message", "decodes"),
         (transport, "encode_message", "encodes"),

@@ -152,15 +152,10 @@ def _agreement_holds(report: Report) -> bool:
     """Every live final-stage voter produced the same voted value."""
     last = max(v.stage for r in report.repetitions for v in r.voters)
     for rep in report.repetitions:
-        finals = [v for v in rep.voters if v.stage == last and v.live]
-        if not finals:
+        finals = [v.outcome for v in rep.voters if v.stage == last and v.live]
+        if not all(o is not None and o.ok for o in finals):
             return False
-        values = set()
-        for v in finals:
-            if v.outcome is None or not v.outcome.ok:
-                return False
-            values.add(v.outcome.value.data)
-        if len(values) != 1:
+        if len({o.value.data for o in finals}) != 1:  # no live voter, or two values
             return False
     return True
 
@@ -198,12 +193,7 @@ def _selftest_oracle() -> tuple[int, int]:
                 got = vote(AlgorithmId(kind, 0.0, 1.0), combo, euclidean_metric)
                 want = oracle_vote(kind, combo, metric="euclidean")
                 checked += 1
-                if got.ok != want.ok:
-                    failed += 1
-                elif got.ok and got.value.data != want.value.data:
-                    failed += 1
-                elif not got.ok and got.failure != want.failure:
-                    failed += 1
+                failed += got != want
     return checked, failed
 
 

@@ -101,17 +101,28 @@ class SpecError(ValueError):
         self.violations = violations
 
 
+def _int_error(key: str, value) -> str | None:
+    """The violation of `value` for `key` unless it is an int (a bool is not)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return None
+    return f"'{key}' must be an integer, got {value!r}"
+
+
 def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Collect every violated constraint (empty list when valid)."""
+    """Collect every violated constraint (empty list when valid).  A field
+    of the wrong type gets that violation in place of its range checks,
+    and a fault with one gets none of its range checks."""
     bad: list[str] = []
     stages = spec.pipeline.stages
     if not stages:
         bad.append("pipeline needs at least one stage")
-    ns = {s.n for s in stages}
+    ns = {s.n for s in stages if not _int_error("n", s.n)}
     if len(ns) > 1:
         bad.append(f"all stages must share one cardinality, got {sorted(ns)}")
     for k, s in enumerate(stages, start=1):
-        if s.n < 1:
+        if err := _int_error("n", s.n):
+            bad.append(f"stage {k}: {err}")
+        elif s.n < 1:
             bad.append(f"stage {k}: n must be >= 1, got {s.n}")
         elif s.n > MAX_SENDER_ID:
             bad.append(f"stage {k}: n must be <= {MAX_SENDER_ID}, got {s.n}")
@@ -127,7 +138,9 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"stage {k}: scaling must be >= 0, got {s.scaling}")
         elif s.scaling == math.inf:
             bad.append(f"stage {k}: scaling must be finite, got {s.scaling}")
-    if spec.repetitions < 1:
+    if err := _int_error("repetitions", spec.repetitions):
+        bad.append(err)
+    elif spec.repetitions < 1:
         bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
     if spec.clock not in (VIRTUAL, REAL):
         bad.append(f"clock must be virtual or real, got {spec.clock!r}")
@@ -135,14 +148,20 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         n = stages[0].n
         if len(spec.inputs) != n:
             bad.append(f"inputs must list one value per user ({n}), got {len(spec.inputs)}")
-    for f in spec.faults:
+    for k, f in enumerate(spec.faults, start=1):
         if not stages:
             break
+        errs = [e for key in ("stage", "voter", "index") if (e := _int_error(key, getattr(f, key)))]
+        if not isinstance(f.kind, FaultKind):
+            errs.append(f"'kind' must be a FaultKind, got {f.kind!r}")
+        if errs:
+            bad.extend(f"fault {k}: {err}" for err in errs)
+            continue
         if not (1 <= f.stage <= len(stages)):
             bad.append(f"fault stage {f.stage} out of range 1..{len(stages)}")
             continue
         n = stages[f.stage - 1].n
-        if not (1 <= f.voter <= n):
+        if not _int_error("n", n) and not (1 <= f.voter <= n):
             bad.append(f"fault voter {f.voter} out of range 1..{n} (stage {f.stage})")
         if f.kind is FaultKind.CORRUPT_INPUT and not f.pattern:
             bad.append("corrupt_input needs a non-empty byte pattern")
@@ -248,9 +267,9 @@ _FAULT_NAMES = {k.value: k for k in FaultKind}
 
 def _integer(key: str, value) -> int:
     """A JSON integer, never a float, string or bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise SpecError([f"'{key}' must be an integer, got {value!r}"])
+    if err := _int_error(key, value):
+        raise SpecError([err])
+    return value
 
 
 def _number(key: str, value) -> float:

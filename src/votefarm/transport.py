@@ -11,13 +11,14 @@ A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks intercept deliveries by sender name, receiver name
 and message index, the count of frames sent before it from the same end;
 a fabric with no hook shows a frame to none and builds no Delivery for
-it.  The outbox queues one item per send, fanned out when its flush takes
-its turn on the scheduler's ready queue, and each distinct frame is
-decoded once per world: the fabric memoizes Messages by frame content, at
-most one per link end, oldest evicted first.  A frame corrupted beyond
-parseability is never kept but silently discarded on every send, so the
-receiver only ever notices the resulting silence through its timeout, and
-a parseable one lands on the receiver's queue as a Message.
+it.  A post encodes a message once and sends that frame to its endpoints
+in the post's own turn on the scheduler's ready queue, never inside the
+poster's step.  Each distinct frame is decoded once per world: the fabric
+memoizes Messages by frame content, at most one per link end, oldest
+evicted first.  A frame corrupted beyond parseability is never kept but
+silently discarded on every send, so the receiver only ever notices the
+resulting silence through its timeout, and a parseable one lands on the
+receiver's queue as a Message.
 """
 
 from __future__ import annotations
@@ -170,6 +171,17 @@ class Fabric:
         else:
             self._land(inbox, msg)
 
+    def post(self, endpoints: Sequence[Endpoint], msg: Message) -> None:
+        """Encode `msg` once and send that frame to `endpoints`, in order, in
+        the call's own turn on the scheduler's ready queue."""
+        frame = encode_message(msg)
+
+        def send() -> None:
+            for endpoint in endpoints:
+                self.send_from(endpoint, frame)
+
+        self.scheduler.call_soon(send)
+
     def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1
         inbox.put(msg)
@@ -192,29 +204,6 @@ class Fabric:
             if act.role == "voter" and (names is None or act.name in names)
         )
         return LinkCensus(virtual=virtual, local=local, voters=voters)
-
-
-class Outbox:
-    """Per-voter send queue, so the owner never sends inside its own step.
-    Each send is one item, the endpoints and the frame.  The first item on
-    an empty outbox queues one flush on the scheduler's ready queue, which
-    fans every item out in send order, each in endpoint order."""
-
-    def __init__(self, fabric: Fabric):
-        self.fabric = fabric
-        self.items: list[tuple[Sequence[Endpoint], bytes]] = []
-
-    def send_to(self, endpoints: Sequence[Endpoint], msg: Message) -> None:
-        """Encode `msg` once and queue that frame for `endpoints` as one item."""
-        if not self.items:
-            self.fabric.scheduler.call_soon(self._flush)
-        self.items.append((endpoints, encode_message(msg)))
-
-    def _flush(self) -> None:
-        items, self.items = self.items, []
-        for endpoints, frame in items:
-            for endpoint in endpoints:
-                self.fabric.send_from(endpoint, frame)
 
 
 # -- fault hook constructors --------------------------------------------------

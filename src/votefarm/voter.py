@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import AlgorithmId, Message, Tag, VoteOutcome
 from .sim import TIMED_OUT, Wait
-from .transport import Endpoint, Fabric, Outbox
+from .transport import Endpoint, Fabric
 from .voting import Metric, Slots, vote
 
 _OPEN = object()  # a slot of the open round not yet resolved
@@ -65,7 +65,6 @@ class Voter:
         self.output_target = output_target
         self.fabric = fabric
         self.user_ep = user_ep
-        self.outbox = Outbox(fabric)
         self.memo = memo
         self.fellows_by_id = fellows_by_id  # the broadcast order
         # the two waits main() makes, between rounds and inside one, both on
@@ -95,7 +94,7 @@ class Voter:
     # -- small helpers --------------------------------------------------------
 
     def _reply(self, tag: Tag, payload=None) -> None:
-        self.outbox.send_to((self.user_ep,), Message(tag, self.voter_id, payload))
+        self.fabric.post((self.user_ep,), Message(tag, self.voter_id, payload))
 
     def _refuse(self) -> None:
         self.refusals += 1
@@ -105,7 +104,7 @@ class Voter:
         if not self.fellows_by_id:
             return
         self.broadcasts_sent += 1
-        self.outbox.send_to(self.fellows_by_id, msg_for)
+        self.fabric.post(self.fellows_by_id, msg_for)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
         target = self.output_target
@@ -116,7 +115,7 @@ class Voter:
             # no link to the target: the outcome has nowhere to go
             self.undeliverable += 1
             return
-        self.outbox.send_to((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
+        self.fabric.post((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
 
     # -- round machinery -------------------------------------------------------
 
@@ -268,11 +267,7 @@ class FarmRuntime:
     user_endpoints: dict[int, Endpoint]
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
     def members(self) -> set[str]:
         """The farm's own voters and users, the ends of all its links."""
-        ids = range(1, self.n + 1)
+        ids = range(1, len(self.nodes) + 1)
         return {name(self.farm, v) for name in (voter_name, user_name) for v in ids}

@@ -8,6 +8,7 @@ digest means a changed report, which is a behaviour change.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,8 @@ from votefarm.harness import (
     StageSpec,
     run_experiment,
 )
+from votefarm.sim import Scheduler
+from votefarm.transport import Fabric
 
 
 def floats(*xs) -> tuple[VoteValue, ...]:
@@ -72,3 +75,42 @@ def test_report_digest_is_unchanged(name):
     report = run_experiment(SPECS[name])
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+def test_a_voter_post_is_sent_after_its_step_and_before_its_next(monkeypatch):
+    """The send order the digests rest on, over the run with every fault
+    kind: no frame a voter posts is sent inside that voter's step, and
+    every one is sent before the voter's next step."""
+    posted, sent = Counter(), Counter()  # frames, by the voter they leave
+    stepping = None  # the voter whose step is running
+    post, send_from, step = Fabric.post, Fabric.send_from, Scheduler._step
+
+    def counted_post(self, endpoints, msg):
+        (owner,) = {end.name for end in endpoints}
+        assert owner == stepping
+        posted[owner] += len(endpoints)
+        post(self, endpoints, msg)
+
+    def counted_send_from(self, endpoint, frame):
+        if endpoint.name in posted:
+            assert endpoint.name != stepping
+            sent[endpoint.name] += 1
+        send_from(self, endpoint, frame)
+
+    def voter_step(self, act):
+        nonlocal stepping
+        if act.role != "voter":
+            return step(self, act)
+        assert sent[act.name] == posted[act.name], act.name
+        stepping = act.name
+        try:
+            step(self, act)
+        finally:
+            stepping = None
+
+    monkeypatch.setattr(Fabric, "post", counted_post)
+    monkeypatch.setattr(Fabric, "send_from", counted_send_from)
+    monkeypatch.setattr(Scheduler, "_step", voter_step)
+    run_experiment(SPECS["every_fault_kind"])
+    assert len(posted) == 14  # 15 voters, one crashed before it ever posts
+    assert sent == posted

@@ -158,6 +158,42 @@ def test_infinite_fault_delay_is_a_spec_error():
         run_experiment(spec)
 
 
+@pytest.mark.parametrize(
+    "spec,violation",
+    [
+        (tmr(faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=1.0),)),
+         "fault 1: 'voter' must be an integer, got 1.0"),
+        (tmr(faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=True),)),
+         "fault 1: 'voter' must be an integer, got True"),
+        (tmr(faults=(FaultSpec("crash_voter", voter=1),)),
+         "fault 1: 'kind' must be a FaultKind, got 'crash_voter'"),
+        (tmr(faults=(FaultSpec(FaultKind.DROP_MESSAGE, voter=1, index=0.5),)),
+         "fault 1: 'index' must be an integer, got 0.5"),
+        (tmr(faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=1, stage=1.0),)),
+         "fault 1: 'stage' must be an integer, got 1.0"),
+        (ExperimentSpec(PipelineSpec((StageSpec(n=3.0),))),
+         "stage 1: 'n' must be an integer, got 3.0"),
+        (tmr(repetitions=1.5), "'repetitions' must be an integer, got 1.5"),
+    ],
+    ids=["voter-float", "voter-bool", "kind-str", "index-float", "stage-float", "n-float",
+         "repetitions-float"],
+)
+def test_a_field_of_the_wrong_type_is_a_spec_error(spec, violation):
+    """A count or index that is not an int (a bool is not one) and a fault
+    kind that is not a FaultKind are violations, in the JSON reader's
+    words, and no run starts: none injects no fault or the wrong one, or
+    raises TypeError halfway."""
+    assert validate_spec(spec) == [violation]
+    with pytest.raises(SpecError) as err:
+        run_experiment(spec)
+    assert err.value.violations == [violation]
+    if any(not isinstance(f.kind, FaultKind) for f in spec.faults):
+        return  # the JSON form names the kind, which reads as a FaultKind
+    with pytest.raises(SpecError) as err:
+        spec_from_json(spec_to_json(spec))
+    assert err.value.violations == [violation]
+
+
 # -- JSON forms ---------------------------------------------------------------
 
 

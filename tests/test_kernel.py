@@ -11,7 +11,7 @@ from votefarm import client, harness, sim, transport, voter
 from votefarm.client import Input, World, open_farm
 from votefarm.core import USER, Message, Tag, VoteOutcome, VoteValue, encode_message
 from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
-from votefarm.transport import Fabric, Outbox, delay_hook
+from votefarm.transport import Fabric, delay_hook
 from votefarm.voter import user_name, voter_name
 
 V7 = VoteValue.from_floats([7.0])
@@ -165,7 +165,7 @@ def test_enum_lookups_on_the_frame_path_grow_linearly_in_n(monkeypatch):
     assert lookups == [33, 77, 165]
 
 
-def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
+def test_post_encodes_once_for_every_endpoint(monkeypatch):
     encodes = []
     monkeypatch.setattr(
         transport, "encode_message", lambda msg: encodes.append(msg) or encode_message(msg)
@@ -175,9 +175,8 @@ def test_outbox_send_to_encodes_once_and_counts_refusals(monkeypatch):
     for name, node in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
         fabric.place(name, node)
     ends = [fabric.connect("a", peer) for peer in "bcd"]
-    outbox = Outbox(fabric)
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
-    outbox.send_to([a_end for a_end, _ in ends], msg)
+    fabric.post([a_end for a_end, _ in ends], msg)
     sched.run()
     assert encodes == [msg]
     assert fabric.delivered_total == 3

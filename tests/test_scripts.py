@@ -116,7 +116,7 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["heap_pushes"] == 15 * n
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0
-        # one outbox item per send: a broadcast's n - 1 copies count once
+        # one post per voter send: a broadcast's n - 1 copies count once
         assert 0 < r["outbox_items"] < r["frames_sent"]
     crash = doc["crash_heavy"]
     assert crash["faults"] and crash["ok"] and crash["outbox_items"] > 0

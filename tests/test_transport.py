@@ -16,7 +16,6 @@ from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL, Wait
 from votefarm.transport import (
     Fabric,
     LinkKind,
-    Outbox,
     corrupt_hook,
     corrupt_value_payload,
     delay_hook,
@@ -189,9 +188,8 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
             d.frame = corrupt_raw(d.frame, b"\xff", offset=0)
 
     fabric.add_hook(mangle)
-    outbox = Outbox(fabric)
     msg = value_msg(5.0, sender=1, tag=Tag.BROADCAST_VALUE)
-    outbox.send_to([a_end for a_end, _ in ends.values()], msg)
+    fabric.post([a_end for a_end, _ in ends.values()], msg)
     sched.run()
     got = {peer: list(peer_end.inbox.queue) for peer, (_, peer_end) in ends.items()}
     assert got["b"] == got["e"] == [msg]
@@ -325,18 +323,17 @@ def test_hooks_are_direction_scoped():
     assert got == [True]
 
 
-def test_outbox_decouples_sender():
-    """Queueing into the outbox never blocks and sends nothing inside the
-    sender's step; the frames land, in send order, when the flush takes
-    its turn on the ready queue."""
+def test_post_decouples_sender():
+    """A post never blocks and sends nothing inside the poster's step; the
+    frames land, in post order, when the posts take their turns on the
+    ready queue."""
     sched, fabric, a_end, b_end = make_pair()
-    outbox = Outbox(fabric)
     got = []
 
     def producer():
         for i in range(3):
             msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
-            outbox.send_to((a_end,), msg)
+            fabric.post((a_end,), msg)
         assert fabric.delivered_total == 0 and not b_end.inbox.queue
         return
         yield
@@ -353,30 +350,28 @@ def test_outbox_decouples_sender():
     assert got == [0.0, 1.0, 2.0]
 
 
-def fan_out(peers="bcd"):
-    """`a` linked to each of `peers`, and `a`'s outbox; returns the
-    scheduler, fabric, outbox and {peer: (a's end, peer's end)}."""
+def test_each_post_is_one_ready_entry_in_post_order():
+    """A post to three endpoints is one ready-queue entry, and so is each
+    further post; run, they send in post order, each in endpoint order."""
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
     fabric.place("a", 1)
     ends = {}
-    for node, peer in enumerate(peers, start=2):
+    for node, peer in enumerate("bcd", start=2):
         fabric.place(peer, node)
         ends[peer] = fabric.connect("a", peer)
-    return sched, fabric, Outbox(fabric), ends
-
-
-def test_outbox_queues_one_item_per_send():
-    """A send to three endpoints is one queued item: the endpoints and the
-    frame.  Only the send onto an empty outbox queues a flush."""
-    sched, _, outbox, ends = fan_out()
-    a_ends = [a_end for a_end, _ in ends.values()]
-    msg = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
-    outbox.send_to(a_ends, msg)
-    assert len(outbox.items) == 1
-    outbox.send_to(a_ends[:1], msg)
-    assert len(outbox.items) == 2
-    assert list(sched._ready) == [outbox._flush]
+    sent = []
+    send_from = fabric.send_from
+    fabric.send_from = lambda end, frame: sent.append(end.peer_name) or send_from(end, frame)
+    first = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    second = value_msg(4.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    fabric.post([ends[p][0] for p in "bcd"], first)
+    assert len(sched._ready) == 1
+    fabric.post([ends["c"][0]], second)
+    assert len(sched._ready) == 2 and not sent
+    sched.run()
+    assert sent == ["b", "c", "d", "c"]
+    assert list(ends["c"][1].inbox.queue) == [first, second]
 
 
 def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
