@@ -101,28 +101,84 @@ class SpecError(ValueError):
         self.violations = violations
 
 
-def _int_error(key: str, value) -> str | None:
-    """The violation of `value` for `key` unless it is an int (a bool is not)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return None
-    return f"'{key}' must be an integer, got {value!r}"
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _float(key: str, value) -> float:
+    """A number (an int or a float, never a bool) as a float."""
+    if not _is_number(value):
+        raise SpecError([f"'{key}' must be a number, got {value!r}"])
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError([f"'{key}' is too large for a float"]) from None
+
+
+def _instance(cls: type, what: str):
+    def check(key: str, value):
+        if isinstance(value, cls) and not isinstance(value, bool):
+            return value
+        raise SpecError([f"'{key}' must be {what}, got {value!r}"])
+
+    return check
+
+
+# The rule of each declared type of a scalar spec field, by annotation: the
+# value the named field holds (a float field's as a float), or a SpecError.
+_TYPE_RULES = {
+    "int": _instance(int, "an integer"),
+    "float": _float,
+    "float | None": lambda key, value: None if value is None else _float(key, value),
+    "str": _instance(str, "a string"),
+    "bytes": _instance(bytes, "bytes"),
+    "VoteKind": _instance(VoteKind, "a VoteKind"),
+    "FaultKind": _instance(FaultKind, "a FaultKind"),
+}
+
+
+def _type_errors(record, cls: type) -> list[str]:
+    """One violation if `record` is not a `cls`, else one per scalar field
+    whose value breaks the rule of its declared type."""
+    if not isinstance(record, cls):
+        return [f"must be a {cls.__name__}, got {record!r}"]
+    bad = []
+    for f in fields(cls):
+        if rule := _TYPE_RULES.get(f.type):
+            try:
+                rule(f.name, getattr(record, f.name))
+            except SpecError as exc:
+                bad += exc.violations
+    return bad
+
+
+def _typed(items, cls: type, label: str, bad: list[str]) -> dict:
+    """The items without a type violation, by 1-based position; each other
+    item's violations go to `bad`, prefixed by `label` and its position."""
+    out = {}
+    for k, item in enumerate(items, start=1):
+        errs = _type_errors(item, cls)
+        bad += [f"{label} {k}: {err}" for err in errs]
+        if not errs:
+            out[k] = item
+    return out
 
 
 def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Collect every violated constraint (empty list when valid).  A field
-    of the wrong type gets that violation in place of its range checks,
-    and a fault with one gets none of its range checks."""
+    """Collect every violated constraint (empty list when valid).  A stage,
+    fault or input of the wrong type, or one with a field of the wrong
+    type, gets those violations in place of its range checks, and so does
+    the spec itself."""
     bad: list[str] = []
     stages = spec.pipeline.stages
     if not stages:
         bad.append("pipeline needs at least one stage")
-    ns = {s.n for s in stages if not _int_error("n", s.n)}
+    typed = _typed(stages, StageSpec, "stage", bad)
+    ns = {s.n for s in typed.values()}
     if len(ns) > 1:
         bad.append(f"all stages must share one cardinality, got {sorted(ns)}")
-    for k, s in enumerate(stages, start=1):
-        if err := _int_error("n", s.n):
-            bad.append(f"stage {k}: {err}")
-        elif s.n < 1:
+    for k, s in typed.items():
+        if s.n < 1:
             bad.append(f"stage {k}: n must be >= 1, got {s.n}")
         elif s.n > MAX_SENDER_ID:
             bad.append(f"stage {k}: n must be <= {MAX_SENDER_ID}, got {s.n}")
@@ -138,30 +194,22 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"stage {k}: scaling must be >= 0, got {s.scaling}")
         elif s.scaling == math.inf:
             bad.append(f"stage {k}: scaling must be finite, got {s.scaling}")
-    if err := _int_error("repetitions", spec.repetitions):
-        bad.append(err)
-    elif spec.repetitions < 1:
+    bad += (spec_bad := _type_errors(spec, ExperimentSpec))
+    if not spec_bad and spec.repetitions < 1:
         bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
-    if spec.clock not in (VIRTUAL, REAL):
+    if not spec_bad and spec.clock not in (VIRTUAL, REAL):
         bad.append(f"clock must be virtual or real, got {spec.clock!r}")
-    if stages and spec.inputs is not None:
-        n = stages[0].n
-        if len(spec.inputs) != n:
+    if spec.inputs is not None:
+        _typed(spec.inputs, VoteValue, "input", bad)
+        if 1 in typed and len(spec.inputs) != (n := typed[1].n):
             bad.append(f"inputs must list one value per user ({n}), got {len(spec.inputs)}")
-    for k, f in enumerate(spec.faults, start=1):
+    for f in _typed(spec.faults, FaultSpec, "fault", bad).values():
         if not stages:
             break
-        errs = [e for key in ("stage", "voter", "index") if (e := _int_error(key, getattr(f, key)))]
-        if not isinstance(f.kind, FaultKind):
-            errs.append(f"'kind' must be a FaultKind, got {f.kind!r}")
-        if errs:
-            bad.extend(f"fault {k}: {err}" for err in errs)
-            continue
         if not (1 <= f.stage <= len(stages)):
             bad.append(f"fault stage {f.stage} out of range 1..{len(stages)}")
             continue
-        n = stages[f.stage - 1].n
-        if not _int_error("n", n) and not (1 <= f.voter <= n):
+        if f.stage in typed and not (1 <= f.voter <= (n := typed[f.stage].n)):
             bad.append(f"fault voter {f.voter} out of range 1..{n} (stage {f.stage})")
         if f.kind is FaultKind.CORRUPT_INPUT and not f.pattern:
             bad.append("corrupt_input needs a non-empty byte pattern")
@@ -171,10 +219,11 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
             bad.append(f"fault delay must be >= 0, got {f.delay}")
         elif f.delay == math.inf:
             bad.append(f"fault delay must be finite, got {f.delay}")
-    try:
-        resolve_metric(spec.metric)
-    except KeyError:
-        bad.append(f"unknown metric {spec.metric!r}")
+    if not spec_bad:
+        try:
+            resolve_metric(spec.metric)
+        except KeyError:
+            bad.append(f"unknown metric {spec.metric!r}")
     return bad
 
 
@@ -191,10 +240,6 @@ def value_to_json(value: VoteValue):
     if value.numeric:
         return list(value.floats())
     return {"hex": value.data.hex()}
-
-
-def _is_number(obj) -> bool:
-    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
 def value_from_json(obj) -> VoteValue:
@@ -261,26 +306,9 @@ _ALGO_NAMES = {k.name.lower(): k for k in VoteKind}
 _ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
 _FAULT_NAMES = {k.value: k for k in FaultKind}
 
-# Each reader takes a JSON key and its value and returns the spec field,
-# or raises a SpecError that names what is wrong with the value.
-
-
-def _integer(key: str, value) -> int:
-    """A JSON integer, never a float, string or bool."""
-    if err := _int_error(key, value):
-        raise SpecError([err])
-    return value
-
-
-def _number(key: str, value) -> float:
-    """A float read from a JSON number, an int or a float, never a string
-    or bool."""
-    if not _is_number(value):
-        raise SpecError([f"'{key}' must be a number, got {value!r}"])
-    try:
-        return float(value)
-    except OverflowError:
-        raise SpecError([f"'{key}' is too large for a float"]) from None
+# Each reader takes a JSON key and its value and returns the spec field, or
+# raises a SpecError that names what is wrong with the value.  A field read
+# as it is written has no reader: its type rule reads it.
 
 
 def _hex(key: str, value) -> bytes:
@@ -321,20 +349,21 @@ def _each(read, items: list, label: str) -> tuple:
     return tuple(out)
 
 
-def _read_object(obj, readers: dict, required: tuple[str, ...] = ()) -> dict:
-    """The keys of `obj`, each read by its reader in `readers`.  Only the
-    keys given are returned, so an absent one takes the spec dataclass's
-    default.  One SpecError names every unknown key, missing required key
-    and unreadable value."""
+def _read_object(obj, cls: type, readers: dict, required: tuple[str, ...] = ()) -> dict:
+    """The keys of `obj`, each read by its reader in `readers`, else by
+    its field's type rule in `cls`.  Only the keys given are returned, so
+    an absent one takes the dataclass's default.  One SpecError names
+    every unknown key, missing required key and unreadable value."""
     if not isinstance(obj, dict):
         raise SpecError([f"must be an object, got {type(obj).__name__}"])
+    rules = {f.name: _TYPE_RULES.get(f.type) for f in fields(cls)}
     out, bad = {}, []
     for key, value in obj.items():
-        if key not in readers:
+        if not (read := readers.get(key) or rules.get(key)):
             bad.append(f"unknown key {key!r}")
             continue
         try:
-            out[key] = readers[key](key, value)
+            out[key] = read(key, value)
         except SpecError as exc:
             bad.extend(exc.violations)
     bad.extend(f"'{key}' is required" for key in required if key not in obj)
@@ -344,11 +373,11 @@ def _read_object(obj, readers: dict, required: tuple[str, ...] = ()) -> dict:
 
 
 def _stage(obj) -> StageSpec:
-    return StageSpec(**_read_object(obj, _STAGE_READERS, required=("n",)))
+    return StageSpec(**_read_object(obj, StageSpec, _STAGE_READERS, required=("n",)))
 
 
 def _fault(obj) -> FaultSpec:
-    return FaultSpec(**_read_object(obj, _FAULT_READERS, required=("kind", "voter")))
+    return FaultSpec(**_read_object(obj, FaultSpec, _FAULT_READERS, required=("kind", "voter")))
 
 
 def _stages(key: str, value) -> PipelineSpec:
@@ -361,29 +390,12 @@ def _inputs(key: str, value) -> tuple[VoteValue, ...] | None:
     return None if value is None else _each(value_from_json, _list(key, value), "input")
 
 
-_STAGE_READERS = {
-    "n": _integer,
-    "algorithm": _one_of(_ALGO_NAMES, "algorithm"),
-    "epsilon": _number,
-    "scaling": _number,
-    "delta_t": _number,
-}
-_FAULT_READERS = {
-    "kind": _one_of(_FAULT_NAMES, "kind"),
-    "stage": _integer,
-    "voter": _integer,
-    "pattern": _hex,
-    "delay": lambda key, value: None if value is None else _number(key, value),
-    "index": _integer,
-}
+_STAGE_READERS = {"algorithm": _one_of(_ALGO_NAMES, "algorithm")}
+_FAULT_READERS = {"kind": _one_of(_FAULT_NAMES, "kind"), "pattern": _hex}
 _SPEC_READERS = {
     "stages": _stages,
     "inputs": _inputs,
     "faults": lambda key, value: _each(_fault, _list(key, value), "fault"),
-    "seed": _integer,
-    "clock": lambda key, value: str(value),
-    "repetitions": _integer,
-    "metric": lambda key, value: str(value),
 }
 
 
@@ -394,8 +406,8 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     if not isinstance(obj, dict):
         raise SpecError([f"spec must be a JSON object, got {type(obj).__name__}"])
     # an absent 'stages' reads as null, which its reader refuses
-    fields = _read_object({"stages": None, **obj}, _SPEC_READERS)
-    spec = ExperimentSpec(pipeline=fields.pop("stages"), **fields)
+    read = _read_object({"stages": None, **obj}, ExperimentSpec, _SPEC_READERS)
+    spec = ExperimentSpec(pipeline=read.pop("stages"), **read)
     check_spec(spec)
     return spec
 

@@ -89,7 +89,6 @@ class Voter:
 
         self.slots: list | None = None
         self.resolved = 0
-        self.turn_done = False
 
     # -- small helpers --------------------------------------------------------
 
@@ -124,11 +123,11 @@ class Voter:
         self.resolved += 1
 
     def _take_turn_if_due(self) -> None:
-        """Broadcast once the counter equals our id (the turn rule)."""
+        """Broadcast when the counter equals our id (the turn rule).  It is
+        called after every resolve, which adds one, so once per round."""
         me = self.voter_id
-        if self.turn_done or self.resolved != me:
+        if self.resolved != me:
             return
-        self.turn_done = True
         own = self.slots[me - 1]
         if own is _OPEN or own is None:
             # Our user has said nothing by our turn: tell fellows to
@@ -157,7 +156,6 @@ class Voter:
                 return
             self.slots = [_OPEN] * self.n
             self.resolved = 0
-            self.turn_done = False
             self.round_started_at = self.fabric.scheduler.now
         if msg.tag is _INPUT:
             origin = me

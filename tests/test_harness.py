@@ -5,10 +5,10 @@ import hashlib
 from collections import Counter
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votefarm import harness, voting
@@ -174,23 +174,106 @@ def test_infinite_fault_delay_is_a_spec_error():
         (ExperimentSpec(PipelineSpec((StageSpec(n=3.0),))),
          "stage 1: 'n' must be an integer, got 3.0"),
         (tmr(repetitions=1.5), "'repetitions' must be an integer, got 1.5"),
+        (tmr(delta_t="1"), "stage 1: 'delta_t' must be a number, got '1'"),
+        (tmr(epsilon=None), "stage 1: 'epsilon' must be a number, got None"),
+        (tmr(scaling="2"), "stage 1: 'scaling' must be a number, got '2'"),
+        (tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=1, delay="1"),)),
+         "fault 1: 'delay' must be a number, got '1'"),
+        (tmr(faults=(FaultSpec(FaultKind.CORRUPT_INPUT, voter=1, pattern="ff"),)),
+         "fault 1: 'pattern' must be bytes, got 'ff'"),
+        (tmr(seed=1.5), "'seed' must be an integer, got 1.5"),
+        (ExperimentSpec(PipelineSpec((StageSpec(n=3),)), metric=3),
+         "'metric' must be a string, got 3"),
+        (tmr(algorithm="median"), "stage 1: 'algorithm' must be a VoteKind, got 'median'"),
+        (tmr(inputs=(DEFAULT_INPUT, DEFAULT_INPUT, 42.0)),
+         "input 3: must be a VoteValue, got 42.0"),
+        (tmr(scaling=10**400), "stage 1: 'scaling' is too large for a float"),
+        (tmr(faults=("crash_voter",)), "fault 1: must be a FaultSpec, got 'crash_voter'"),
+        (ExperimentSpec(PipelineSpec((StageSpec(n=3), 3))),
+         "stage 2: must be a StageSpec, got 3"),
     ],
     ids=["voter-float", "voter-bool", "kind-str", "index-float", "stage-float", "n-float",
-         "repetitions-float"],
+         "repetitions-float", "delta_t-str", "epsilon-none", "scaling-str", "delay-str",
+         "pattern-str", "seed-float", "metric-int", "algorithm-str", "inputs-float",
+         "scaling-huge", "fault-str", "stage-int"],
 )
 def test_a_field_of_the_wrong_type_is_a_spec_error(spec, violation):
-    """A count or index that is not an int (a bool is not one) and a fault
-    kind that is not a FaultKind are violations, in the JSON reader's
-    words, and no run starts: none injects no fault or the wrong one, or
-    raises TypeError halfway."""
+    """A field whose value breaks the rule of its declared type, and a
+    stage, fault or input that is not one, is a violation, in the JSON
+    reader's words, and no run starts: none injects no fault or the wrong
+    one, or raises halfway."""
     assert validate_spec(spec) == [violation]
     with pytest.raises(SpecError) as err:
         run_experiment(spec)
     assert err.value.violations == [violation]
-    if any(not isinstance(f.kind, FaultKind) for f in spec.faults):
-        return  # the JSON form names the kind, which reads as a FaultKind
+    if not any(rule in violation for rule in ("an integer", "a number", "a string", "too large")):
+        return  # a kind, algorithm, pattern or element has a JSON form of its own
     with pytest.raises(SpecError) as err:
         spec_from_json(spec_to_json(spec))
+    assert err.value.violations == [violation]
+
+
+COMPOSITE = {"pipeline", "inputs", "faults"}
+
+
+def test_every_scalar_spec_field_has_a_type_rule():
+    """A spec field added later is checked on both paths, or this fails:
+    validate_spec and the JSON reader both take a scalar field's rule from
+    its declared type, and a JSON reader only replaces it by another form."""
+    for cls, readers in (
+        (StageSpec, harness._STAGE_READERS),
+        (FaultSpec, harness._FAULT_READERS),
+        (ExperimentSpec, harness._SPEC_READERS),
+    ):
+        for f in fields(cls):
+            assert f.name in COMPOSITE or f.type in harness._TYPE_RULES, (cls, f.name)
+        names = {f.name for f in fields(cls)} | ({"stages"} if cls is ExperimentSpec else set())
+        assert readers.keys() <= names, cls
+
+
+VALID = ExperimentSpec(
+    PipelineSpec((StageSpec(n=3),)), faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=1),)
+)
+# A value of each wrong type, with the declared types it is right for.
+WRONG_VALUES = [
+    ("1", {"str"}),
+    (None, {"float | None"}),
+    (True, set()),
+    ([1], set()),
+    (b"\x01", {"bytes"}),
+    (1.5, {"float", "float | None"}),
+    (10**400, {"int"}),
+]
+WRONG_FIELDS = [
+    (cls, f.name, value)
+    for cls in (StageSpec, FaultSpec, ExperimentSpec)
+    for f in fields(cls)
+    if f.name not in COMPOSITE
+    for value, right_for in WRONG_VALUES
+    if f.type not in right_for
+]
+
+
+def with_field(cls, name: str, value) -> ExperimentSpec:
+    """VALID with one field of its stage, its fault or itself replaced."""
+    if cls is StageSpec:
+        stage = replace(VALID.pipeline.stages[0], **{name: value})
+        return replace(VALID, pipeline=PipelineSpec((stage,)))
+    if cls is FaultSpec:
+        return replace(VALID, faults=(replace(VALID.faults[0], **{name: value}),))
+    return replace(VALID, **{name: value})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(WRONG_FIELDS))
+def test_a_wrong_type_in_any_scalar_field_is_one_violation_naming_it(case):
+    assert validate_spec(VALID) == []
+    cls, name, value = case
+    spec = with_field(cls, name, value)
+    (violation,) = validate_spec(spec)
+    assert f"'{name}'" in violation
+    with pytest.raises(SpecError) as err:
+        run_experiment(spec)
     assert err.value.violations == [violation]
 
 
@@ -291,6 +374,8 @@ STAGE = {"n": 3}
         ({"stages": [STAGE], "inputs": [{"hex": 5}]}, "input 1: 'hex' must be a hex string, got 5"),
         ({"stages": [STAGE], "inputs": [{"hex": "ff", "hx": 1}]},
          "input 1: cannot read a vote value from {'hex': 'ff', 'hx': 1}"),
+        ({"stages": [STAGE], "clock": 1}, "'clock' must be a string, got 1"),
+        ({"stages": [STAGE], "metric": 5}, "'metric' must be a string, got 5"),
     ],
 )
 def test_spec_from_json_reports_bad_shapes(obj, needle):
