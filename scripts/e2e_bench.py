@@ -3,17 +3,20 @@
 
 For each N and each of the `default` and `euclidean` metrics, runs a
 fault-free two-stage majority pipeline through `run_experiment` and
-records the median and best milliseconds per run over several timed runs.
+records the median and best milliseconds per run over several timed runs,
+and the median milliseconds of set-up, the part of a run before its
+world starts to run (placing, linking and spawning the farms).
 Beside each time it records the deterministic work of one run, counted
 in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
 the scheduler steps, the entries pushed onto the scheduler's timer heap,
 the voters' sends, counted as `outbox_items` (one `Fabric.post` per send,
-however many fellows a broadcast goes to), the frames sent through the
-fabric, the frames it decoded and the messages the voters and handles
-encoded.  One more untimed run, made with the garbage collector disabled,
-gives `cyclic_garbage`: the objects a full collection then finds, which
+however many fellows a broadcast goes to), the frames the fabric sent,
+one per (sender, receiver) copy however many peers one send reaches, the
+frames it decoded and the messages the voters and handles encoded.  One
+more untimed run, made with the garbage collector disabled, gives
+`cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
 reference cycle).  Beside the `rows`, the `crash_heavy` row gives the
 same columns for one two-stage N = 7 farm in which two voters and a user
@@ -30,9 +33,9 @@ parent commit's), the script instead runs itself PAIRS times on each
 source tree, in child processes that alternate between SRC and the
 sources it imported, and writes each row, `crash_heavy` included, side
 by side: `before` (SRC) and `after`, each with its work counts, the
-median of the children's ms_p50 and the best ms_min, and `after_faster`,
-the pairs whose `after` ms_p50 was the lower; `src_lines` then holds
-both sides' counts.
+median of the children's ms_p50 and ms_setup_p50 and the best ms_min,
+and `after_faster`, the pairs whose `after` ms_p50 was the lower;
+`src_lines` then holds both sides' counts.
 
     PYTHONPATH=src python3 scripts/e2e_bench.py --against ../parent/src
 """
@@ -80,16 +83,17 @@ def make_spec(n: int, metric: str, faults=()) -> ExperimentSpec:
     )
 
 
-def counted(owner, attr: str, counts: dict, key: str):
-    """Replace owner.attr by a wrapper that counts its calls in counts[key];
-    returns a function that puts the original back (an inherited method is
-    restored by deleting the wrapper, not by shadowing the base class's)."""
+def counted(owner, attr: str, counts: dict, key: str, weight=None):
+    """Replace owner.attr by a wrapper that counts its calls in counts[key],
+    each as weight(*args), or as 1 when `weight` is None; returns a function
+    that puts the original back (an inherited method is restored by
+    deleting the wrapper, not by shadowing the base class's)."""
     own = attr in vars(owner)
     fn = getattr(owner, attr)
     counts[key] = 0
 
     def wrapper(*args, **kwargs):
-        counts[key] += 1
+        counts[key] += 1 if weight is None else weight(*args)
         return fn(*args, **kwargs)
 
     setattr(owner, attr, wrapper)
@@ -101,6 +105,12 @@ def counted(owner, attr: str, counts: dict, key: str):
             delattr(owner, attr)
 
     return restore
+
+
+def copies(fabric, endpoint, frame) -> int:
+    """The frames one Fabric.send_from sends: one per peer of the end; an
+    end of a source tree from before multi-party links has one peer."""
+    return len(endpoint.peers) if hasattr(endpoint, "peers") else 1
 
 
 def count_work(spec: ExperimentSpec) -> dict:
@@ -135,15 +145,17 @@ def count_work(spec: ExperimentSpec) -> dict:
         else (transport.Outbox, "send_to")
     )
     wrapped = [
-        (sim.Scheduler, "_step", "scheduler_steps"),
-        (*push, "heap_pushes"),
-        (*post, "outbox_items"),
-        (transport.Fabric, "send_from", "frames_sent"),
-        (transport, "decode_message", "decodes"),
-        (transport, "encode_message", "encodes"),
-        (client, "encode_message", "encodes"),
+        (sim.Scheduler, "_step", "scheduler_steps", None),
+        (*push, "heap_pushes", None),
+        (*post, "outbox_items", None),
+        (transport.Fabric, "send_from", "frames_sent", copies),
+        (transport, "decode_message", "decodes", None),
+        (transport, "encode_message", "encodes", None),
+        (client, "encode_message", "encodes", None),
     ]
-    restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
+    restores = [
+        counted(owner, attr, kernel, key, weight) for owner, attr, key, weight in wrapped
+    ]
     try:
         report = run_experiment(spec)
     finally:
@@ -178,24 +190,37 @@ def cyclic_garbage(spec: ExperimentSpec) -> int:
         gc.enable()
 
 
-def time_runs(spec: ExperimentSpec) -> list[float]:
-    times = []
-    for _ in range(RUNS):
-        t0 = time.perf_counter()
-        run_experiment(spec)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return times
+def time_runs(spec: ExperimentSpec) -> tuple[list[float], list[float]]:
+    """The milliseconds of each timed run, and of its set-up: the time
+    until its world starts to run."""
+    times, setups = [], []
+    run = client.World.run
+
+    def timed_run(world):
+        setups.append((time.perf_counter() - t0) * 1e3)
+        run(world)
+
+    client.World.run = timed_run
+    try:
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            run_experiment(spec)
+            times.append((time.perf_counter() - t0) * 1e3)
+    finally:
+        client.World.run = run
+    return times, setups
 
 
 def bench_row(metric: str, n: int, faults=()) -> dict:
     spec = make_spec(n, metric, faults)
-    times = time_runs(spec)
+    times, setups = time_runs(spec)
     return {
         "metric": metric,
         "n": n,
         **count_work(spec),
         "cyclic_garbage": cyclic_garbage(spec),
         "ms_p50": statistics.median(times),
+        "ms_setup_p50": statistics.median(setups),
         "ms_min": min(times),
     }
 
@@ -228,6 +253,7 @@ def paired_row(cells: dict[str, list[dict]]) -> dict:
         row[side] = {
             **{k: v for k, v in side_cells[0].items() if k not in row},
             "ms_p50": statistics.median(c["ms_p50"] for c in side_cells),
+            "ms_setup_p50": statistics.median(c["ms_setup_p50"] for c in side_cells),
             "ms_min": min(c["ms_min"] for c in side_cells),
         }
     row["after_faster"] = sum(

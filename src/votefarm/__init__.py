@@ -35,7 +35,7 @@ from .voting import (
     vote_weighted_average,
 )
 from .sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource, sleep
-from .transport import Fabric, LinkCensus, LinkKind
+from .transport import Fabric, LinkCensus
 from .voter import FarmRuntime, Voter, user_name, voter_name
 from .client import (
     Algorithm,

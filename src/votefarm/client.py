@@ -82,11 +82,11 @@ class World:
         output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
         """Bring a farm to life: place and start one voter, with its inbox,
-        per node, wire every user to its voter on the same node and every
-        voter pair across nodes.  Nodes may repeat; a farm needs at least
-        one.  The first FarmHandle.run of a farm lands here; an experiment
-        may also call it and join its users' handles to the result with
-        FarmHandle.attach."""
+        per node, link every user to its voter on the same node and all
+        voters to one another by one link, the mesh.  Nodes may repeat; a
+        farm needs at least one.  The first FarmHandle.run of a farm lands
+        here; an experiment may also call it and join its users' handles to
+        the result with FarmHandle.attach."""
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         nodes = tuple(nodes)
@@ -103,26 +103,23 @@ class World:
         # each name is formatted once per farm; vnames[i] is voter i + 1
         vnames = [voter_name(farm, vid) for vid in range(1, n + 1)]
         unames = [user_name(farm, vid) for vid in range(1, n + 1)]
-        user_eps: dict[int, Endpoint] = {}
-        for vid, (vname, uname, node) in enumerate(zip(vnames, unames, nodes), start=1):
+        for vname, uname, node in zip(vnames, unames, nodes):
             fabric.place(vname, node)
             fabric.place(uname, node)
             fabric.open_inbox(vname)
-            user_eps[vid], _ = fabric.connect(uname, vname)
-        for i, vname in enumerate(vnames):
-            for other in vnames[i + 1 :]:
-                fabric.connect(vname, other)
+        meshes = fabric.connect(*vnames) if n > 1 else (None,)
 
-        ends = fabric.ends
         voters: dict[int, Voter] = {}
+        user_eps: dict[int, Endpoint] = {}
         memo: dict = {}  # one vote memo per farm, see Voter._vote
-        for vid, (vname, uname) in enumerate(zip(vnames, unames), start=1):
+        for vid, (vname, uname, mesh_end) in enumerate(zip(vnames, unames, meshes), start=1):
+            user_eps[vid], voter_end = fabric.connect(uname, vname)
             voter = voters[vid] = Voter(
                 vname,
                 vid,
                 fabric,
-                ends[(vname, uname)],
-                tuple(ends[(vname, other)] for other in vnames if other != vname),
+                voter_end,
+                mesh_end,
                 memo,
                 delta_t=delta_t,
                 metric=metric_fn,

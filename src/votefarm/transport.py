@@ -1,31 +1,32 @@
-"""Point-to-point links, the fabric that owns them, and fault hooks.
+"""Links, the fabric that owns them, and fault hooks.
 
-Links carry encoded byte frames with per-direction FIFO order.  A link is
-LOCAL when both parties are placed on the same node and VIRTUAL otherwise.
-Each end of a link holds the queue the frames sent to its owner on that
-link land on.  A party with an inbox, as every voter has, gets one queue
-for all its links, so it waits on one source and sees its frames in
-arrival order; any other party waits on the link it expects a frame from.
+A link joins two or more placed parties, each to all the others: a user
+and its voter, a voter and the next stage's user, or a farm's voters, its
+mesh.  A party's end of a link is its sends to all its peers there, so a
+send from a mesh end is a broadcast.  Frames keep per-direction FIFO
+order, and a linked pair is LOCAL when both parties share a node and
+VIRTUAL otherwise.  A party with an inbox, as every voter has, hears all
+its links on that one queue, so it waits on one source and sees its
+frames in arrival order; any other party hears each link on a queue of
+its own, and waits on the link it expects a frame from.
 
 A link never fails: a frame is only ever dropped, corrupted or delayed by
-a fault hook.  Hooks intercept deliveries by sender name, receiver name
-and message index, the count of frames sent before it from the same end;
-a fabric with no hook shows a frame to none and builds no Delivery for
-it.  A post encodes a message once and sends that frame to its endpoints
-in the post's own turn on the scheduler's ready queue, never inside the
-poster's step.  Each distinct frame is decoded once per world: the fabric
-memoizes Messages by frame content, at most one per link end, oldest
-evicted first.  A frame corrupted beyond parseability is never kept but
-silently discarded on every send, so the receiver only ever notices the
-resulting silence through its timeout, and a parseable one lands on the
-receiver's queue as a Message.
+a fault hook.  Hooks see each copy of a send by sender name, receiver name
+and message index, the count of sends before it from the same end; a
+fabric with no hook builds no Delivery.  A post encodes a message once and
+sends it from its end in the post's own turn on the scheduler's ready
+queue, never inside the poster's step.  Each distinct frame is decoded
+once per world: the fabric memoizes Messages by frame content, at most one
+per (sender, receiver) pair, oldest evicted first.  A frame corrupted
+beyond parseability is never kept but silently discarded on every send,
+so the receiver only ever notices the silence through its timeout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 from .core import (
     HEADER_SIZE,
@@ -38,23 +39,18 @@ from .core import (
 from .sim import Scheduler, WaitSource
 
 
-class LinkKind(Enum):
-    LOCAL = "local"
-    VIRTUAL = "virtual"
-
-
 @dataclass(eq=False, slots=True)
 class Endpoint:
-    """One side of a link.  `inbox` is the queue frames sent to this end's
-    owner on the link land on, and `peer_inbox` the peer end's, where the
-    frames sent from here land.  `sent` counts the frames sent from this
-    end, the index fault hooks match on."""
+    """One party's end of a link: its sends to all its `peers`.  `inbox` is
+    the queue the frames sent to the owner on the link land on, and
+    `peer_inboxes` the peers' queues, in `peers` order.  `sent` counts the
+    sends from here, the index fault hooks match on; as every send reaches
+    every peer, it also counts the frames sent to any one of them."""
 
     name: str
-    peer_name: str
-    kind: LinkKind
+    peers: tuple[str, ...]
     inbox: WaitSource
-    peer_inbox: WaitSource
+    peer_inboxes: tuple[WaitSource, ...]
     sent: int = 0
 
 
@@ -72,7 +68,7 @@ class Delivery:
     src: str
     dst: str
     frame: bytes
-    index: int  # 0-based count of frames sent on this link+direction
+    index: int  # 0-based count of the sends before it from the sending end
     delay: float = 0.0
     drop: bool = False
 
@@ -82,21 +78,22 @@ FaultHook = Callable[[Delivery], None]
 
 class Fabric:
     """Owns placements, link ends, inboxes and delivery (including fault
-    injection).  `ends[(owner, peer)]` is `owner`'s end of the link it
-    shares with `peer`, and `inboxes[name]` the one queue of a party that
+    injection).  `ends[(owner, peers)]` is `owner`'s end of the link it
+    shares with `peers`, and `inboxes[name]` the one queue of a party that
     has an inbox."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
-        self.ends: dict[tuple[str, str], Endpoint] = {}
+        self.ends: dict[tuple[str, tuple[str, ...]], Endpoint] = {}
         self.inboxes: dict[str, WaitSource] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
         self.delivered_total = 0
-        # Frames decoded and their Messages, oldest first, at most one per link
-        # end: decoding is pure and a Message frozen, so equal bytes share one.
+        # Frames decoded and their Messages, oldest first, at most one per
+        # (sender, receiver) pair: decoding is pure and a Message frozen.
         self._decoded: dict[bytes, Message] = {}
+        self._pairs = 0
 
     def place(self, name: str, node: int) -> None:
         if node < 1:
@@ -110,98 +107,94 @@ class Fabric:
         in one queue, its inbox."""
         self.inboxes[name] = WaitSource(self.scheduler)
 
-    def connect(self, a: str, b: str) -> tuple[Endpoint, Endpoint]:
-        """Link two placed activities; returns (a's end, b's end)."""
-        if a == b:
-            raise ValueError("cannot connect an activity to itself")
-        for name in (a, b):
+    def connect(self, *names: str) -> tuple[Endpoint, ...]:
+        """Link two or more placed activities, each to all the others;
+        returns their ends in `names` order."""
+        if len(names) < 2 or len(set(names)) < len(names):
+            raise ValueError("a link needs two or more distinct activities")
+        for name in names:
             if name not in self.placements:
                 raise ValueError(f"{name!r} is not placed on any node")
-        if (a, b) in self.ends:
-            raise ValueError(f"link {a!r} <-> {b!r} already exists")
-        kind = (
-            LinkKind.LOCAL
-            if self.placements[a] == self.placements[b]
-            else LinkKind.VIRTUAL
-        )
-        a_in = self.inboxes.get(a) or WaitSource(self.scheduler)
-        b_in = self.inboxes.get(b) or WaitSource(self.scheduler)
-        a_end = self.ends[(a, b)] = Endpoint(a, b, kind, a_in, b_in)
-        b_end = self.ends[(b, a)] = Endpoint(b, a, kind, b_in, a_in)
-        return a_end, b_end
+        keys = [(name, names[:i] + names[i + 1 :]) for i, name in enumerate(names)]
+        if not self.ends.keys().isdisjoint(keys):
+            raise ValueError(f"link {' <-> '.join(map(repr, names))} already exists")
+        inboxes = tuple([self.inboxes.get(name) or WaitSource(self.scheduler) for name in names])
+        ends = [
+            Endpoint(name, peers, inboxes[i], inboxes[:i] + inboxes[i + 1 :])
+            for i, (name, peers) in enumerate(keys)
+        ]
+        self.ends.update(zip(keys, ends))
+        self._pairs += len(names) * (len(names) - 1)
+        return tuple(ends)
 
     def endpoint(self, owner: str, peer: str) -> Endpoint | None:
-        """`owner`'s end of its link with `peer`, or None when unlinked."""
-        return self.ends.get((owner, peer))
+        """`owner`'s end of its two-party link with `peer`, or None when
+        they share none (a link of three or more parties is not one)."""
+        return self.ends.get((owner, (peer,)))
 
     def add_hook(self, hook: FaultHook) -> None:
         self.hooks.append(hook)
 
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
-        """Ship one frame to the peer end's inbox; never blocks."""
-        # Every frame takes an index, so a hook added later counts right.
+        """Ship one frame to every peer's inbox, in peer order; never blocks.
+        Each copy is shown to the hooks, decoded and landed on its own."""
+        # Every send takes an index, so a hook added later counts right.
         index = endpoint.sent
         endpoint.sent = index + 1
-        delay = 0.0
-        if self.hooks:
-            d = Delivery(
-                src=endpoint.name, dst=endpoint.peer_name, frame=frame, index=index
-            )
-            for hook in self.hooks:
-                hook(d)
+        for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
+            copy, delay = frame, 0.0
+            if self.hooks:
+                d = Delivery(src=endpoint.name, dst=dst, frame=frame, index=index)
+                for hook in self.hooks:
+                    hook(d)
+                    if d.drop:
+                        break
                 if d.drop:
                     self.dropped += 1
-                    return
-            frame, delay = d.frame, d.delay
-        msg = self._decoded.get(frame)
-        if msg is None:
-            # A frame mangled beyond parsing is dropped here, and never kept:
-            # the receiver can only ever observe the loss as silence.
-            try:
-                msg = decode_message(frame)
-            except FrameError:
-                self.dropped += 1
-                return
-            if len(self._decoded) >= len(self.ends):
-                del self._decoded[next(iter(self._decoded))]
-            self._decoded[frame] = msg
-        inbox = endpoint.peer_inbox
-        if delay > 0:
-            self.scheduler.call_later(delay, lambda: self._land(inbox, msg))
-        else:
-            self._land(inbox, msg)
+                    continue
+                copy, delay = d.frame, d.delay
+            msg = self._decoded.get(copy)
+            if msg is None:
+                try:
+                    msg = decode_message(copy)
+                except FrameError:
+                    self.dropped += 1
+                    continue
+                if len(self._decoded) >= self._pairs:
+                    del self._decoded[next(iter(self._decoded))]
+                self._decoded[copy] = msg
+            if delay > 0:
+                self.scheduler.call_later(delay, partial(self._land, inbox, msg))
+            else:
+                self._land(inbox, msg)
 
-    def post(self, endpoints: Sequence[Endpoint], msg: Message) -> None:
-        """Encode `msg` once and send that frame to `endpoints`, in order, in
-        the call's own turn on the scheduler's ready queue."""
-        frame = encode_message(msg)
-
-        def send() -> None:
-            for endpoint in endpoints:
-                self.send_from(endpoint, frame)
-
-        self.scheduler.call_soon(send)
+    def post(self, endpoint: Endpoint, msg: Message) -> None:
+        """Encode `msg` once and send that frame from `endpoint` in the
+        call's own turn on the scheduler's ready queue."""
+        self.scheduler.call_soon(partial(self.send_from, endpoint, encode_message(msg)))
 
     def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1
         inbox.put(msg)
 
     def census(self, names=None) -> LinkCensus:
-        """Links by kind and live voter activities, over the whole fabric or
-        only among `names` (a link counts when both its ends are named)."""
+        """Linked pairs by kind and live voter activities, over the whole
+        fabric or only among `names` (a pair counts when both are named)."""
         names = None if names is None else frozenset(names)
         virtual = local = 0
-        for (owner, peer), end in self.ends.items():
-            # every link has two ends; count it at the one whose owner sorts first
-            if owner < peer and (names is None or (owner in names and peer in names)):
-                if end.kind is LinkKind.VIRTUAL:
-                    virtual += 1
-                else:
-                    local += 1
+        for owner, peers in self.ends:
+            if names is None or owner in names:
+                node = self.placements[owner]
+                for peer in peers:
+                    # a pair is in two ends: count it at the one whose owner sorts first
+                    if owner < peer and (names is None or peer in names):
+                        if self.placements[peer] == node:
+                            local += 1
+                        else:
+                            virtual += 1
         voters = sum(
-            1
+            act.role == "voter" and (names is None or act.name in names)
             for act in self.scheduler.live_activities()
-            if act.role == "voter" and (names is None or act.name in names)
         )
         return LinkCensus(virtual=virtual, local=local, voters=voters)
 

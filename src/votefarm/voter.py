@@ -50,7 +50,7 @@ class Voter:
         voter_id: int,
         fabric: Fabric,
         user_ep: Endpoint,
-        fellows_by_id: tuple[Endpoint, ...],
+        mesh_ep: Endpoint | None,
         memo: dict,
         delta_t: float,
         metric: Metric,
@@ -59,14 +59,14 @@ class Voter:
     ):
         self.name = name
         self.voter_id = voter_id
-        self.n = len(fellows_by_id) + 1
+        self.n = 1 if mesh_ep is None else len(mesh_ep.peers) + 1
         self.metric = metric
         self.algorithm = algorithm
         self.output_target = output_target
         self.fabric = fabric
         self.user_ep = user_ep
+        self.mesh_ep = mesh_ep  # the farm's mesh, fellows in id order; None alone
         self.memo = memo
-        self.fellows_by_id = fellows_by_id  # the broadcast order
         # the two waits main() makes, between rounds and inside one, both on
         # the voter's one inbox; one shared tuple lets the scheduler see the
         # same source by identity
@@ -93,28 +93,28 @@ class Voter:
     # -- small helpers --------------------------------------------------------
 
     def _reply(self, tag: Tag, payload=None) -> None:
-        self.fabric.post((self.user_ep,), Message(tag, self.voter_id, payload))
+        self.fabric.post(self.user_ep, Message(tag, self.voter_id, payload))
 
     def _refuse(self) -> None:
         self.refusals += 1
         self._reply(Tag.REFUSED)
 
-    def _broadcast(self, msg_for: Message) -> None:
-        if not self.fellows_by_id:
+    def _broadcast(self, msg: Message) -> None:
+        if self.mesh_ep is None:
             return
         self.broadcasts_sent += 1
-        self.fabric.post(self.fellows_by_id, msg_for)
+        self.fabric.post(self.mesh_ep, msg)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
         target = self.output_target
         if target is None:
             return
         endpoint = self.fabric.endpoint(self.name, target)
-        if endpoint is None:
-            # no link to the target: the outcome has nowhere to go
+        if endpoint is None or endpoint is self.mesh_ep:
+            # no link to the target but the mesh (broadcasts only): nowhere to go
             self.undeliverable += 1
             return
-        self.fabric.post((endpoint,), Message(Tag.VOTED_VALUE, self.voter_id, outcome))
+        self.fabric.post(endpoint, Message(Tag.VOTED_VALUE, self.voter_id, outcome))
 
     # -- round machinery -------------------------------------------------------
 

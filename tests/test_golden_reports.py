@@ -85,16 +85,15 @@ def test_a_voter_post_is_sent_after_its_step_and_before_its_next(monkeypatch):
     stepping = None  # the voter whose step is running
     post, send_from, step = Fabric.post, Fabric.send_from, Scheduler._step
 
-    def counted_post(self, endpoints, msg):
-        (owner,) = {end.name for end in endpoints}
-        assert owner == stepping
-        posted[owner] += len(endpoints)
-        post(self, endpoints, msg)
+    def counted_post(self, endpoint, msg):
+        assert endpoint.name == stepping
+        posted[endpoint.name] += len(endpoint.peers)
+        post(self, endpoint, msg)
 
     def counted_send_from(self, endpoint, frame):
         if endpoint.name in posted:
             assert endpoint.name != stepping
-            sent[endpoint.name] += 1
+            sent[endpoint.name] += len(endpoint.peers)
         send_from(self, endpoint, frame)
 
     def voter_step(self, act):

@@ -116,7 +116,7 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
         return encode(msg)
 
     def counting_send_from(fabric, endpoint, frame):
-        counts["frames"] += 1
+        counts["frames"] += len(endpoint.peers)  # one copy per peer
         return send_from(fabric, endpoint, frame)
 
     monkeypatch.setattr(transport, "decode_message", counting_decode)
@@ -133,6 +133,52 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
     # each distinct frame is decoded once: the users' one INPUT, GET and
     # CLOSE, and each voter's broadcast, DONE and VOTED_VALUE
     assert counts["decode"] == 3 * n + 3
+
+
+def test_a_two_stage_world_holds_linearly_many_link_ends(monkeypatch):
+    """Each stage has N user links and one mesh, and each stage-2 user one
+    link upstream: 8 N ends at N = 63, where a link per voter pair would
+    make the meshes alone 2 N (N - 1)."""
+    fabrics = []
+    init = Fabric.__init__
+
+    def recording_init(fabric, scheduler):
+        fabrics.append(fabric)
+        init(fabric, scheduler)
+
+    monkeypatch.setattr(Fabric, "__init__", recording_init)
+    n = 63
+    spec = harness.ExperimentSpec(
+        harness.PipelineSpec((harness.StageSpec(n), harness.StageSpec(n)))
+    )
+    (rep,) = harness.run_experiment(spec).repetitions
+    assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
+    (fabric,) = fabrics
+    assert len(fabric.ends) == 8 * n
+    assert sum(len(end.peers) == n - 1 for end in fabric.ends.values()) == 2 * n
+
+
+def test_each_broadcast_is_one_post_from_the_voters_mesh_end(monkeypatch):
+    """A voter's broadcast is one post from its end of the farm's one mesh
+    link, which reaches all N - 1 fellows."""
+    posts = []
+    post = Fabric.post
+
+    def recording_post(fabric, end, msg):
+        posts.append((end, msg))
+        post(fabric, end, msg)
+
+    monkeypatch.setattr(Fabric, "post", recording_post)
+    n = 5
+    world, outcomes = fault_free_farm(n)
+    world.run()
+    assert len(outcomes) == n
+    broadcast = (Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID)
+    for v in world.farms["f"].states.values():
+        mine = [end for end, msg in posts if msg.tag in broadcast and end.name == v.name]
+        assert len(mine) == v.broadcasts_sent == 1
+        assert all(end is v.mesh_ep for end in mine)
+        assert len(v.mesh_ep.peers) == n - 1
 
 
 class CountingTag:
@@ -174,13 +220,13 @@ def test_post_encodes_once_for_every_endpoint(monkeypatch):
     fabric = Fabric(sched)
     for name, node in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
         fabric.place(name, node)
-    ends = [fabric.connect("a", peer) for peer in "bcd"]
+    a_end, *peer_ends = fabric.connect(*"abcd")
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
-    fabric.post([a_end for a_end, _ in ends], msg)
+    fabric.post(a_end, msg)
     sched.run()
     assert encodes == [msg]
     assert fabric.delivered_total == 3
-    for _, peer_end in ends:
+    for peer_end in peer_ends:
         (got,) = peer_end.inbox.queue
         assert got == msg
 
@@ -241,9 +287,9 @@ def test_a_voters_user_and_fellow_frames_arrive_in_put_order_on_its_inbox():
     inbox = fabric.inboxes[v1]
     senders = {
         "user": rt.user_endpoints[1],
-        **{vid: fabric.endpoint(voter_name("f", vid), v1) for vid in (2, 3, 4)},
+        **{vid: rt.states[vid].mesh_ep for vid in (2, 3, 4)},
     }
-    assert all(end.peer_inbox is inbox for end in senders.values())
+    assert all(end.peer_inboxes[end.peers.index(v1)] is inbox for end in senders.values())
     assert fabric.endpoint(v1, user_name("f", 1)).inbox is inbox
     order = ["user", 3, 2, 4, "user", 2, 3, 4]
     got = []
@@ -331,7 +377,7 @@ def test_a_second_upstream_push_is_not_taken_as_the_get_reply():
         fabric.send_from(end, encode_message(msg))
 
     def scripted_voter():
-        inbox = rt.user_endpoints[1].peer_inbox
+        (inbox,) = rt.user_endpoints[1].peer_inboxes
         while True:
             _, msg = yield Wait((inbox,), None)
             if msg.tag == Tag.GET:

@@ -111,6 +111,11 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # VOTED_VALUE it pushes downstream; GET and CLOSE are built at import
         assert r["encodes"] == doc["stages"] * 5 * n + n
         assert r["scheduler_steps"] > 0
+        # one frame per (sender, receiver) copy: per stage each user's INPUT,
+        # GET and CLOSE, its voter's two DONEs and VOTED_VALUE reply and
+        # N - 1 broadcast copies, and each stage-1 voter's push downstream
+        assert r["frames_sent"] == 2 * n * n + 11 * n
+        assert 0 < r["ms_setup_p50"] <= r["ms_p50"]
         # one pending timer per waiting activity, not one per receive: the
         # heap pushes grow linearly in n, the frames received as n squared
         assert r["heap_pushes"] == 15 * n

@@ -15,7 +15,7 @@ from votefarm.harness import ExperimentSpec, PipelineSpec, StageSpec, run_experi
 from votefarm.sim import TIMED_OUT, Scheduler, VIRTUAL, Wait
 from votefarm.transport import (
     Fabric,
-    LinkKind,
+    LinkCensus,
     corrupt_hook,
     corrupt_value_payload,
     delay_hook,
@@ -47,10 +47,10 @@ def value_msg(x, sender=0, tag=Tag.INPUT):
 
 
 def test_link_kind_follows_placement():
-    _, _, local, _ = make_pair(same_node=True)
-    assert local.kind == LinkKind.LOCAL
-    _, _, remote, _ = make_pair(same_node=False)
-    assert remote.kind == LinkKind.VIRTUAL
+    _, fabric, _, _ = make_pair(same_node=True)
+    assert fabric.census() == LinkCensus(virtual=0, local=1, voters=0)
+    _, fabric, _, _ = make_pair(same_node=False)
+    assert fabric.census() == LinkCensus(virtual=1, local=0, voters=0)
 
 
 def test_connect_validation():
@@ -65,13 +65,19 @@ def test_connect_validation():
     fabric.connect("a", "b")
     with pytest.raises(ValueError):
         fabric.connect("a", "b")
+    with pytest.raises(ValueError, match="two or more"):
+        fabric.connect("a")
+    fabric.place("c", 3)
+    fabric.connect("a", "b", "c")
+    with pytest.raises(ValueError, match="already exists"):
+        fabric.connect("a", "b", "c")
 
 
 def test_connect_returns_both_ends_and_fabric_finds_them_by_name():
     _, fabric, a_end, b_end = make_pair()
-    assert (a_end.name, a_end.peer_name) == ("a", "b")
-    assert (b_end.name, b_end.peer_name) == ("b", "a")
-    assert a_end.kind is b_end.kind
+    assert (a_end.name, a_end.peers) == ("a", ("b",))
+    assert (b_end.name, b_end.peers) == ("b", ("a",))
+    assert a_end.peer_inboxes == (b_end.inbox,) and b_end.peer_inboxes == (a_end.inbox,)
     assert fabric.endpoint("a", "b") is a_end
     assert fabric.endpoint("b", "a") is b_end
     assert fabric.endpoint("a", "ghost") is None
@@ -176,11 +182,9 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
     alone."""
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
-    fabric.place("a", 1)
-    ends = {}
-    for peer, node in (("b", 2), ("c", 3), ("d", 4), ("e", 5)):
-        fabric.place(peer, node)
-        ends[peer] = fabric.connect("a", peer)
+    for node, name in enumerate("abcde", start=1):
+        fabric.place(name, node)
+    a_end, *peer_ends = fabric.connect(*"abcde")
     fabric.add_hook(corrupt_hook("a", "c", b"\xff"))
 
     def mangle(d):
@@ -189,9 +193,9 @@ def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
 
     fabric.add_hook(mangle)
     msg = value_msg(5.0, sender=1, tag=Tag.BROADCAST_VALUE)
-    fabric.post([a_end for a_end, _ in ends.values()], msg)
+    fabric.post(a_end, msg)
     sched.run()
-    got = {peer: list(peer_end.inbox.queue) for peer, (_, peer_end) in ends.items()}
+    got = {end.name: list(end.inbox.queue) for end in peer_ends}
     assert got["b"] == got["e"] == [msg]
     (bent,) = got["c"]
     assert bent.tag == Tag.BROADCAST_VALUE and bent.payload.floats()[0] != 5.0
@@ -333,7 +337,7 @@ def test_post_decouples_sender():
     def producer():
         for i in range(3):
             msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
-            fabric.post((a_end,), msg)
+            fabric.post(a_end, msg)
         assert fabric.delivered_total == 0 and not b_end.inbox.queue
         return
         yield
@@ -351,27 +355,27 @@ def test_post_decouples_sender():
 
 
 def test_each_post_is_one_ready_entry_in_post_order():
-    """A post to three endpoints is one ready-queue entry, and so is each
-    further post; run, they send in post order, each in endpoint order."""
+    """A post from an end with three peers is one ready-queue entry, and so
+    is each further post; run, they send in post order, each in peer
+    order."""
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
-    fabric.place("a", 1)
-    ends = {}
-    for node, peer in enumerate("bcd", start=2):
-        fabric.place(peer, node)
-        ends[peer] = fabric.connect("a", peer)
+    for node, name in enumerate("abcd", start=1):
+        fabric.place(name, node)
+    fabric.open_inbox("c")  # c hears both links on one queue
+    mesh_end = fabric.connect(*"abcd")[0]
+    pair_end, _ = fabric.connect("a", "c")
     sent = []
-    send_from = fabric.send_from
-    fabric.send_from = lambda end, frame: sent.append(end.peer_name) or send_from(end, frame)
+    fabric.add_hook(lambda d: sent.append(d.dst))
     first = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
     second = value_msg(4.0, sender=1, tag=Tag.BROADCAST_VALUE)
-    fabric.post([ends[p][0] for p in "bcd"], first)
+    fabric.post(mesh_end, first)
     assert len(sched._ready) == 1
-    fabric.post([ends["c"][0]], second)
+    fabric.post(pair_end, second)
     assert len(sched._ready) == 2 and not sent
     sched.run()
     assert sent == ["b", "c", "d", "c"]
-    assert list(ends["c"][1].inbox.queue) == [first, second]
+    assert list(fabric.inboxes["c"].queue) == [first, second]
 
 
 def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
@@ -427,3 +431,98 @@ def test_census_counts_by_kind():
     fabric.connect("v1", "v2")  # virtual
     c = fabric.census()
     assert (c.virtual, c.local) == (1, 2)
+
+
+# -- links of more than two parties ----------------------------------------------
+
+
+def make_mesh(nodes=(1, 2, 3, 4)):
+    """Parties p1, p2, ... placed on `nodes`, each with an inbox, joined by
+    one link; returns the scheduler, the fabric and the ends in name order."""
+    sched = Scheduler(VIRTUAL)
+    fabric = Fabric(sched)
+    names = [f"p{k}" for k in range(1, len(nodes) + 1)]
+    for name, node in zip(names, nodes):
+        fabric.place(name, node)
+        fabric.open_inbox(name)
+    return sched, fabric, fabric.connect(*names)
+
+
+def test_a_link_joins_each_of_its_parties_to_all_the_others():
+    _, fabric, ends = make_mesh()
+    assert [(end.name, end.peers) for end in ends] == [
+        ("p1", ("p2", "p3", "p4")),
+        ("p2", ("p1", "p3", "p4")),
+        ("p3", ("p1", "p2", "p4")),
+        ("p4", ("p1", "p2", "p3")),
+    ]
+    for end in ends:
+        assert end.inbox is fabric.inboxes[end.name]
+        assert end.peer_inboxes == tuple(fabric.inboxes[p] for p in end.peers)
+    assert fabric.endpoint("p1", "p2") is None  # a mesh end is no pair end
+
+
+@pytest.mark.parametrize(
+    "names", [("a", "b", "a"), ("a", "b", "c", "b"), ("a", "b", "ghost"), ("ghost", "a", "b")]
+)
+def test_connect_refuses_a_repeated_or_unplaced_name_in_a_group(names):
+    sched = Scheduler(VIRTUAL)
+    fabric = Fabric(sched)
+    for node, name in enumerate("abc", start=1):
+        fabric.place(name, node)
+    with pytest.raises(ValueError):
+        fabric.connect(*names)
+    assert fabric.ends == {}
+
+
+def test_a_hook_on_one_mesh_pair_drops_only_that_copy_at_the_senders_send_count():
+    """A send from a mesh end is one copy per peer, each under the send's
+    index: the sender's count of sends, which is also the count of copies
+    sent to any one peer.  A drop hook on (p2, p3) at index 1 takes p2's
+    second send to p3 alone."""
+    sched, fabric, ends = make_mesh()
+    seen = []
+    fabric.add_hook(lambda d: seen.append((d.src, d.dst, d.index)))
+    fabric.add_hook(drop_hook("p2", "p3", index=1))
+    p2 = ends[1]
+    for x in (1.0, 2.0, 3.0):
+        fabric.send_from(p2, encode_message(value_msg(x, sender=2, tag=Tag.BROADCAST_VALUE)))
+    assert p2.sent == 3
+    assert seen == [("p2", dst, k) for k in range(3) for dst in ("p1", "p3", "p4")]
+    got = {
+        name: [m.payload.floats()[0] for m in fabric.inboxes[name].queue]
+        for name in ("p1", "p3", "p4")
+    }
+    assert got == {"p1": [1.0, 2.0, 3.0], "p3": [1.0, 3.0], "p4": [1.0, 2.0, 3.0]}
+    assert (fabric.dropped, fabric.delivered_total) == (1, 8)
+
+
+def test_the_decode_memo_holds_one_frame_per_sender_receiver_pair(monkeypatch):
+    """Three parties on one link have three ends but six (sender, receiver)
+    pairs, and so six distinct frames all stay decoded."""
+    decoded = counting_decodes(monkeypatch)
+    _, fabric, ends = make_mesh((1, 2, 3))
+    frames = [encode_message(value_msg(float(x))) for x in range(6)]
+    for _ in range(2):
+        for frame in frames:
+            fabric.send_from(ends[0], frame)
+    assert len(fabric.ends) == 3
+    assert len(decoded) == 6
+
+
+@pytest.mark.parametrize("nodes", [(1, 1, 2, 2, 2), (3, 1, 3, 1, 3, 2), (1,) * 4, (1, 2)])
+def test_the_census_of_a_mesh_counts_every_pair_by_placement(nodes):
+    """A link of k parties with s same-node pairs is s local and
+    k(k - 1)/2 - s virtual links, as counting the pairs one by one gives;
+    naming a subset counts only its pairs."""
+    _, fabric, ends = make_mesh(nodes)
+    names = [end.name for end in ends]
+
+    def brute(named):
+        pairs = [(a, b) for i, a in enumerate(named) for b in named[i + 1 :]]
+        same = sum(fabric.placements[a] == fabric.placements[b] for a, b in pairs)
+        return LinkCensus(virtual=len(pairs) - same, local=same, voters=0)
+
+    assert fabric.census() == brute(names)
+    for subset in (names[1:], names[::2], names[:1], []):
+        assert fabric.census(subset) == brute(subset)

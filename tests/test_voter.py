@@ -15,6 +15,7 @@ from votefarm.core import (
     VoteKind,
     VoteOutcome,
     VoteValue,
+    decode_message,
     encode_message,
 )
 from votefarm.sim import TIMED_OUT, VIRTUAL, Wait, sleep
@@ -264,7 +265,8 @@ def test_slot_vectors_agree_across_voters():
 def quiet_farm(sends):
     """A farm of three where only voter 1 runs and no user speaks; a feeder
     activity sends each (at, (src, dst), message) from party `src` to party
-    `dst` at virtual time `at`.  A party is a voter id, or ("user", uid)."""
+    `dst` at virtual time `at`.  A party is a voter id, or ("user", uid); a
+    voter's frame to a fellow reaches the killed third voter too."""
     world = World(VIRTUAL)
     world.scheduler.kill_names.update(voter_name("f", vid) for vid in (2, 3))
     rt = world.activate_farm("f", (1, 2, 3), metric="euclidean")
@@ -272,11 +274,18 @@ def quiet_farm(sends):
     def name(party):
         return user_name("f", party[1]) if isinstance(party, tuple) else voter_name("f", party)
 
+    def end(src, dst):
+        """The end `src` reaches `dst` from: a voter reaches a fellow only
+        through its mesh end, which sends to every fellow."""
+        if isinstance(src, int) and isinstance(dst, int):
+            assert name(dst) in rt.states[src].mesh_ep.peers
+            return rt.states[src].mesh_ep
+        return world.fabric.endpoint(name(src), name(dst))
+
     def feeder():
         for at, (src, dst), msg in sends:
             yield from sleep(at - world.scheduler.now)
-            src_end = world.fabric.endpoint(name(src), name(dst))
-            world.fabric.send_from(src_end, encode_message(msg))
+            world.fabric.send_from(end(src, dst), encode_message(msg))
 
     world.spawn("feeder", feeder())
     world.run()
@@ -404,6 +413,38 @@ def test_an_outcome_for_an_unlinked_target_is_undeliverable():
     assert v1.output_target == "nowhere"
     assert (v1.rounds_completed, v1.undeliverable) == (1, 1)
     assert sent_to and "nowhere" not in sent_to
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_outcome_for_a_fellow_voter_is_undeliverable(n):
+    """The mesh carries broadcasts only, so an output target naming a
+    fellow voter gets no frame either, also at N = 2, where the mesh is a
+    link of two: the fellow hears the voter's broadcast alone and counts no
+    stray, and the voter counts the outcome it could not push."""
+    world = World(VIRTUAL)
+    v1_to_v2 = []
+    world.fabric.add_hook(
+        lambda d: d.src == voter_name("f", 1)
+        and d.dst == voter_name("f", 2)
+        and v1_to_v2.append(decode_message(d.frame).tag)
+    )
+
+    def user(uid, requests):
+        handle = open_farm(world, "f", uid)
+        assert all(handle.add(node) for node in range(1, n + 1)) and handle.run()
+        assert (yield from handle.control(requests))
+        outcome = yield from handle.get(5.0)
+        assert outcome.value.data == V42.data
+
+    world.spawn_user("f", 1, user(1, [Output(voter_name("f", 2)), Input(V42)]))
+    for uid in range(2, n + 1):
+        world.spawn_user("f", uid, user(uid, [Input(V42)]))
+    world.run()
+    v1, v2 = world.farms["f"].states[1], world.farms["f"].states[2]
+    assert v1.output_target == voter_name("f", 2)
+    assert (v1.rounds_completed, v1.undeliverable) == (1, 1)
+    assert v1_to_v2 == [Tag.BROADCAST_VALUE]
+    assert (v2.rounds_completed, v2.stray_messages, v2.undeliverable) == (1, 0, 0)
 
 
 # -- the farm's shared vote memo -----------------------------------------------
