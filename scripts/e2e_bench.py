@@ -18,8 +18,12 @@ frames it decoded and the messages the voters and handles encoded.  One
 more untimed run, made with the garbage collector disabled, gives
 `cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
-reference cycle).  Beside the `rows`, the `crash_heavy` row gives the
-same columns for one two-stage N = 7 farm in which two voters and a user
+reference cycle).  A last untimed run gives `py_calls`: the Python
+`call` events, generator resumptions included, that `sys.setprofile`
+sees inside `World.run`, the fixed cost of the frame path counted in
+calls (the events differ across interpreter versions, so compare the
+column on one).  Beside the `rows`, the `crash_heavy` row gives the same
+columns for one two-stage N = 7 farm in which two voters and a user
 never start, so its worlds end with activities left blocked or never
 run.  A top-level `src_lines` gives the line count of the package's
 modules (`src/votefarm/*.py`), the size a simplification is measured by.
@@ -190,6 +194,30 @@ def cyclic_garbage(spec: ExperimentSpec) -> int:
         gc.enable()
 
 
+def py_calls(spec: ExperimentSpec) -> int:
+    """Python calls, generator resumptions included, made inside World.run."""
+    calls = 0
+    run = client.World.run
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    def profiled_run(world):
+        sys.setprofile(profile)
+        try:
+            run(world)
+        finally:
+            sys.setprofile(None)
+
+    client.World.run = profiled_run
+    try:
+        run_experiment(spec)
+    finally:
+        client.World.run = run
+    return calls
+
+
 def time_runs(spec: ExperimentSpec) -> tuple[list[float], list[float]]:
     """The milliseconds of each timed run, and of its set-up: the time
     until its world starts to run."""
@@ -219,6 +247,7 @@ def bench_row(metric: str, n: int, faults=()) -> dict:
         "n": n,
         **count_work(spec),
         "cyclic_garbage": cyclic_garbage(spec),
+        "py_calls": py_calls(spec),
         "ms_p50": statistics.median(times),
         "ms_setup_p50": statistics.median(setups),
         "ms_min": min(times),

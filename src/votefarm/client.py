@@ -297,7 +297,8 @@ class FarmHandle:
                 remaining = deadline - sched.now
                 if remaining <= 0:
                     break
-                wait = Wait(self._drain_wait.sources, remaining)
+                if remaining != timeout:
+                    wait = Wait(self._drain_wait.sources, remaining)
             got = yield wait
             if got is TIMED_OUT:
                 break

@@ -84,6 +84,10 @@ class VoteValue:
         if self.numeric and len(self.data) % 8 != 0:
             raise ValueError("numeric VoteValue length must be a multiple of 8")
 
+    def __hash__(self) -> int:
+        # equal values have equal bytes; a numeric and an opaque one may share it
+        return hash(self.data)
+
     @classmethod
     def from_bytes(cls, data: bytes) -> "VoteValue":
         return cls(bytes(data), numeric=False)

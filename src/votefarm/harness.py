@@ -164,10 +164,10 @@ def _typed(items, cls: type, label: str, bad: list[str]) -> dict:
     return out
 
 
-def _tuple(key: str, value, bad: list[str]) -> bool:
-    """Whether `value` is a tuple; if not, one violation goes to `bad`."""
-    if not (ok := isinstance(value, tuple)):
-        bad.append(f"'{key}' must be a tuple, got {value!r}")
+def _is(key: str, value, cls: type, bad: list[str]) -> bool:
+    """Whether `value` is a `cls`; if not, one violation goes to `bad`."""
+    if not (ok := isinstance(value, cls)):
+        bad.append(f"'{key}' must be a {cls.__name__}, got {value!r}")
     return ok
 
 
@@ -175,11 +175,13 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
     """Collect every violated constraint (empty list when valid).  A stage,
     fault or input of the wrong type, or one with a field of the wrong
     type, gets those violations in place of its range checks, and so does
-    the spec itself and a `stages`, `inputs` or `faults` not a tuple."""
+    the spec, its pipeline and a `stages`, `inputs` or `faults` not a tuple."""
     bad: list[str] = []
-    stages = spec.pipeline.stages if _tuple("stages", spec.pipeline.stages, bad) else ()
-    if spec.pipeline.stages == ():
-        bad.append("pipeline needs at least one stage")
+    pipeline, stages = spec.pipeline, ()
+    if _is("pipeline", pipeline, PipelineSpec, bad) and _is("stages", pipeline.stages, tuple, bad):
+        stages = pipeline.stages
+        if not stages:
+            bad.append("pipeline needs at least one stage")
     typed = _typed(stages, StageSpec, "stage", bad)
     ns = {s.n for s in typed.values()}
     if len(ns) > 1:
@@ -206,11 +208,11 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
     if not spec_bad and spec.clock not in (VIRTUAL, REAL):
         bad.append(f"clock must be virtual or real, got {spec.clock!r}")
-    if spec.inputs is not None and _tuple("inputs", spec.inputs, bad):
+    if spec.inputs is not None and _is("inputs", spec.inputs, tuple, bad):
         _typed(spec.inputs, VoteValue, "input", bad)
         if 1 in typed and len(spec.inputs) != (n := typed[1].n):
             bad.append(f"inputs must list one value per user ({n}), got {len(spec.inputs)}")
-    faults = spec.faults if _tuple("faults", spec.faults, bad) else ()
+    faults = spec.faults if _is("faults", spec.faults, tuple, bad) else ()
     for f in _typed(faults, FaultSpec, "fault", bad).values():
         if not stages:
             break

@@ -18,9 +18,9 @@ when its last live work ends.
 
 Each wait names at most one source, a FIFO of items (a sleep names
 none).  The first time an activity waits on a source, the source is bound
-to it; a put appends the bare item and wakes the activity only if it is
-blocked, and resuming pops the head of the bound source, so binding,
-blocking, waking and resuming each cost O(1).  A party that hears from
+to it; a put appends the bare item and, only if the activity is blocked,
+wakes it itself, and resuming pops the head of the bound source, so
+binding, blocking, waking and resuming each cost O(1).  A party that hears from
 several others, such as a voter, has one inbox they all put on, so it
 sees their items in put order.  Only a wait on another source rebinds; a
 finished activity unbinds its source.
@@ -52,7 +52,7 @@ REAL = "real"
 MAX_STEPS = 20_000_000  # per Scheduler.run; a livelocked world ends here
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wait:
     """The one way an activity blocks: `got = yield Wait((source,), timeout)`
     resumes with `(source, item)` for the item at the head of `source`, or
@@ -84,7 +84,10 @@ class WaitSource:
         self.queue.append(item)
         act = self.waiter
         if act is not None and act.blocked:
-            self.scheduler._wake(act)
+            act.blocked = False
+            act.wait_seq += 1  # invalidates any pending timer for this wait
+            act.deadline = None
+            self.scheduler._ready.append(act)
 
 
 def sleep(duration: float):
@@ -184,13 +187,6 @@ class Scheduler:
     def live_activities(self) -> list[Activity]:
         return [a for a in self.activities.values() if a.live]
 
-    def _wake(self, act: Activity) -> None:
-        """Make a blocked activity runnable, on a put or its timer."""
-        act.blocked = False
-        act.wait_seq += 1  # invalidates any pending timer for this wait
-        act.deadline = None
-        self._ready.append(act)
-
     def _bind(self, act: Activity, sources) -> None:
         """Bind the source in `sources`, if any, to `act` in place of its
         old one; the items already queued on it stay there.  Only a live
@@ -237,15 +233,6 @@ class Scheduler:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._push((self.now + delay, next(self._seq), _T_CALL, fn, 0))
 
-    def _arm_timer(self, act: Activity, timeout: float) -> None:
-        """Push the new wait's deadline, or keep it while `act` has an entry due no later."""
-        when = self.now + timeout
-        if act.timer_at <= when:
-            act.deadline = (when, next(self._seq))
-        else:
-            self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
-            act.timer_at = when
-
     def _rearm(self, act: Activity) -> None:
         """One of `act`'s entries popped: push its wait's kept deadline, if any."""
         deadline, act.deadline, act.timer_at = act.deadline, None, math.inf
@@ -287,8 +274,16 @@ class Scheduler:
                     continue
             act.blocked = True
             act.wait_seq += 1
-            if eff.timeout is not None:
-                self._arm_timer(act, eff.timeout)
+            timeout = eff.timeout
+            if timeout is not None:
+                # push the deadline, or keep it while `act` has an entry due no later
+                now = self._vnow if self.clock_mode == VIRTUAL else time.monotonic() - self._epoch
+                when = now + timeout
+                if act.timer_at <= when:
+                    act.deadline = (when, next(self._seq))
+                else:
+                    self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
+                    act.timer_at = when
             return
 
     @staticmethod
@@ -303,9 +298,12 @@ class Scheduler:
         if entry[2] == _T_CALL:
             entry[3]()
             return
-        self._rearm(entry[3])
+        act = entry[3]
+        self._rearm(act)  # clears the kept deadline
         if not self._stale(entry):
-            self._wake(entry[3])
+            act.blocked = False  # the wait timed out: wake `act` as a put would
+            act.wait_seq += 1
+            self._ready.append(act)
 
     def run(self) -> None:
         """Step activities and call callbacks until quiescence: nothing is

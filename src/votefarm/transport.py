@@ -13,13 +13,16 @@ its own, and waits on the link it expects a frame from.
 A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks see each copy of a send by sender name, receiver name
 and message index, the count of sends before it from the same end; a
-fabric with no hook builds no Delivery.  A post encodes a message once and
-sends it from its end in the post's own turn on the scheduler's ready
-queue, never inside the poster's step.  Each distinct frame is decoded
-once per world: the fabric memoizes Messages by frame content, at most one
-per (sender, receiver) pair, oldest evicted first.  A frame corrupted
-beyond parseability is never kept but silently discarded on every send,
-so the receiver only ever notices the silence through its timeout.
+fabric with no hook builds no Delivery.  An undelayed copy lands at once,
+with one put on its receiver's queue that wakes the receiver if it is
+blocked; a delayed one lands when its delay has passed, and is counted
+delivered only then.  A post encodes a message once and sends it from its
+end in the post's own turn on the scheduler's ready queue, never inside
+the poster's step.  Each distinct frame is decoded once per world: the
+fabric memoizes Messages by frame content, at most one per (sender,
+receiver) pair, oldest evicted first.  A frame corrupted beyond
+parseability is never kept but silently discarded on every send, so the
+receiver only ever notices the silence through its timeout.
 """
 
 from __future__ import annotations
@@ -166,7 +169,8 @@ class Fabric:
             if delay > 0:
                 self.scheduler.call_later(delay, partial(self._land, inbox, msg))
             else:
-                self._land(inbox, msg)
+                self.delivered_total += 1
+                inbox.put(msg)
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
         """Encode `msg` once and send that frame from `endpoint` in the

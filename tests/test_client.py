@@ -301,6 +301,27 @@ def test_a_handle_drains_its_link_through_one_wait(monkeypatch):
     assert [w for w in built if handle.endpoint.inbox in w.sources] == []
 
 
+def test_a_request_answered_before_the_clock_moves_builds_one_wait(monkeypatch):
+    """A get builds its timed wait before it sends; while the clock stands
+    still the time left is the whole timeout, so it receives on that wait."""
+    world = World(VIRTUAL)
+    handle = described_handle(world, "a", 1, n=1)
+    assert handle.run()
+    built = []
+    post_init = Wait.__post_init__
+    monkeypatch.setattr(Wait, "__post_init__", lambda w: (built.append(w), post_init(w)))
+    got = []
+
+    def user():
+        assert (yield from handle.control([Input(V42)]))
+        got.append((yield from handle.get(timeout=2.0)))
+
+    world.spawn_user("a", 1, user())
+    world.run()
+    assert got[0].value == V42 and world.scheduler.now == 0.0
+    assert [w.timeout for w in built if handle.endpoint.inbox in w.sources] == [2.0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_first_handle_run_activates_a_farm_that_passes_the_census(n):
     """No activate_farm call here: the first run() brings the farm up and

@@ -194,12 +194,14 @@ def test_infinite_fault_delay_is_a_spec_error():
         (tmr(faults=None), "'faults' must be a tuple, got None"),
         (tmr(inputs=5), "'inputs' must be a tuple, got 5"),
         (ExperimentSpec(PipelineSpec(None)), "'stages' must be a tuple, got None"),
+        (ExperimentSpec(None), "'pipeline' must be a PipelineSpec, got None"),
+        (ExperimentSpec(3), "'pipeline' must be a PipelineSpec, got 3"),
     ],
     ids=["voter-float", "voter-bool", "kind-str", "index-float", "stage-float", "n-float",
          "repetitions-float", "delta_t-str", "epsilon-none", "scaling-str", "delay-str",
          "pattern-str", "seed-float", "metric-int", "algorithm-str", "inputs-float",
          "scaling-huge", "fault-str", "stage-int", "faults-none", "inputs-int",
-         "stages-none"],
+         "stages-none", "pipeline-none", "pipeline-int"],
 )
 def test_a_field_of_the_wrong_type_is_a_spec_error(spec, violation):
     """A field whose value breaks the rule of its declared type, and a

@@ -77,6 +77,20 @@ def test_e2e_bench_pairs_two_source_trees_side_by_side():
     assert crash["before"]["frames_sent"] == crash["after"]["frames_sent"] > 0
 
 
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the call events sys.setprofile sees differ across interpreter versions",
+)
+def test_a_delivered_frame_costs_at_most_12_5_python_calls(tmp_path):
+    """A fault-free two-stage N = 31 run lands each copy with one put, which
+    wakes its receiver, so the run makes few calls per frame it sends."""
+    out = tmp_path / "BENCH_e2e.json"
+    proc = run_script("e2e_bench.py", "--sizes", "31", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr.decode()
+    row = next(r for r in json.loads(out.read_text())["rows"] if r["metric"] == "default")
+    assert row["py_calls"] <= 12.5 * row["frames_sent"]
+
+
 def test_e2e_bench_refuses_a_tree_without_the_package(tmp_path):
     proc = run_script("e2e_bench.py", "--against", str(tmp_path))
     assert proc.returncode == 2
@@ -121,6 +135,7 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["heap_pushes"] == 15 * n
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0
+        assert r["py_calls"] > r["scheduler_steps"]
         # one post per voter send: a broadcast's n - 1 copies count once
         assert 0 < r["outbox_items"] < r["frames_sent"]
     crash = doc["crash_heavy"]

@@ -311,6 +311,80 @@ def test_delay_hook_shifts_arrival_time():
     assert seen == {"at": 1.25, "x": 9.0}
 
 
+def test_a_delayed_copy_counts_and_wakes_its_receiver_only_when_it_lands():
+    """A delayed copy is neither queued nor counted delivered at send time."""
+    sched, fabric, a_end, b_end = make_pair()
+    fabric.add_hook(delay_hook("a", "b", delay=2.0))
+    seen = {}
+
+    def receiver():
+        arrived = yield Wait((b_end.inbox,), None)
+        seen["at"] = sched.now
+        seen["delivered"] = fabric.delivered_total
+        seen["x"] = arrived[1].payload.floats()[0]
+
+    recv = sched.spawn("recv", receiver())
+    sched.run()
+    fabric.send_from(a_end, encode_message(value_msg(4.0)))
+    # in flight: not counted, not queued, and the receiver stays blocked
+    assert fabric.delivered_total == 0 and not b_end.inbox.queue
+    assert recv.blocked and not sched._ready
+    sched.run()
+    assert seen == {"at": 2.0, "delivered": 1, "x": 4.0}
+
+
+def test_an_undelayed_copy_resumes_a_timed_wait_once_and_retires_its_timer(monkeypatch):
+    """The copy lands at send time and wakes the receiver once; its timer
+    entry, left on the heap, is retired as stale and never fires, so the
+    receiver never sees TIMED_OUT and the clock never moves."""
+    sched, fabric, a_end, b_end = make_pair()
+    fired = []
+    fire = Scheduler._fire
+    monkeypatch.setattr(Scheduler, "_fire", lambda s, entry: (fired.append(entry), fire(s, entry)))
+    got, at_send = [], []
+
+    def receiver():
+        got.append((yield Wait((b_end.inbox,), 1.0)))
+        got.append((yield Wait((b_end.inbox,), None)))
+
+    def sender():  # steps once the receiver has blocked and armed its timer
+        heap = len(sched._heap)
+        fabric.send_from(a_end, encode_message(value_msg(5.0)))
+        at_send.append((heap, fabric.delivered_total, list(sched._ready), recv.blocked))
+        return
+        yield
+
+    recv = sched.spawn("recv", receiver())
+    sched.spawn("send", sender())
+    sched.run()
+    assert at_send == [(1, 1, [recv], False)]
+    assert [item.payload.floats() for _, item in got] == [(5.0,)]
+    assert recv.blocked and sched._heap == [] and fired == []
+    assert sched.now == 0.0
+
+
+def test_two_puts_before_the_receiver_steps_queue_it_once(monkeypatch):
+    """Only the first put wakes the receiver; one step takes both items."""
+    sched, fabric, a_end, b_end = make_pair()
+    steps = []
+    step = Scheduler._step
+    monkeypatch.setattr(Scheduler, "_step", lambda s, act: (steps.append(act), step(s, act)))
+    got = []
+
+    def receiver():
+        while True:
+            got.append((yield Wait((b_end.inbox,), None))[1].payload.floats()[0])
+
+    recv = sched.spawn("recv", receiver())
+    sched.run()
+    for x in (1.0, 2.0):
+        fabric.send_from(a_end, encode_message(value_msg(x)))
+    assert list(sched._ready) == [recv]
+    sched.run()
+    assert steps == [recv, recv]  # the first step only blocks
+    assert got == [1.0, 2.0] and fabric.delivered_total == 2
+
+
 def test_hooks_are_direction_scoped():
     """A hook keyed on frames toward b must leave the a-bound flow alone."""
     sched, fabric, a_end, b_end = make_pair()

@@ -551,6 +551,22 @@ def test_memo_keeps_at_most_n_vectors(vote_calls, voters):
     assert list(memo.values())[-1] is rt.states[1].last_outcome
 
 
+def test_the_memo_tells_a_numeric_value_from_an_opaque_one_with_its_bytes():
+    """Equal values hash equal; a numeric and an opaque value with the same
+    bytes share a hash but not a memo entry, nor an outcome."""
+    assert hash(VoteValue.from_floats([42.0])) == hash(V42)
+    assert hash(VoteValue.from_bytes(b"ab")) == hash(VoteValue.from_bytes(b"ab"))
+    opaque = VoteValue.from_bytes(V42.data)
+    assert hash(opaque) == hash(V42) and opaque != V42
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", (1, 2, 3))
+    numeric_outcome = rt.states[1]._vote((V42,) * 3)
+    opaque_outcome = rt.states[2]._vote((opaque,) * 3)
+    assert len(rt.states[1].memo) == 2
+    assert numeric_outcome.value == V42 and opaque_outcome.value == opaque
+    assert rt.states[3]._vote((opaque,) * 3) is opaque_outcome
+
+
 def test_a_raising_metric_leaves_no_memo_entry(voters):
     def broken(a, b):
         raise ValueError("broken metric")
