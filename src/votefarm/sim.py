@@ -290,8 +290,8 @@ class Scheduler:
     def _stale(entry) -> bool:
         """A timer whose activity no longer waits on the wait that armed it."""
         _, _, kind, act, wait_seq = entry
-        return kind == _T_TIMER and not (
-            act.live and act.waiting_on is not None and act.wait_seq == wait_seq
+        return kind == _T_TIMER and (
+            act.finished or act.halted or act.waiting_on is None or act.wait_seq != wait_seq
         )
 
     def _fire(self, entry) -> None:

@@ -24,10 +24,11 @@ from .voting import Metric, Slots, vote
 
 _OPEN = object()  # a slot of the open round not yet resolved
 
-# The tags main() and _feed() test on every delivered frame, bound once: on
-# CPython 3.10 and 3.11 each `Tag.X` goes through the enum's slow getattr hook.
+# The tags main() tests on every delivered frame and those a voter builds, bound
+# once: on CPython 3.10 and 3.11 each `Tag.X` goes through the enum's slow getattr hook.
 _INPUT, _VALUE, _INVALID = Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID
 _SET_ALGORITHM, _SET_OUTPUT, _GET, _CLOSE = Tag.SET_ALGORITHM, Tag.SET_OUTPUT, Tag.GET, Tag.CLOSE
+_DONE, _REFUSED, _VOTED_VALUE = Tag.DONE, Tag.REFUSED, Tag.VOTED_VALUE
 
 
 class Voter:
@@ -97,7 +98,7 @@ class Voter:
 
     def _refuse(self) -> None:
         self.refusals += 1
-        self._reply(Tag.REFUSED)
+        self._reply(_REFUSED)
 
     def _broadcast(self, msg: Message) -> None:
         if self.mesh_ep is None:
@@ -114,69 +115,13 @@ class Voter:
             # no link to the target but the mesh (broadcasts only): nowhere to go
             self.undeliverable += 1
             return
-        self.fabric.post(endpoint, Message(Tag.VOTED_VALUE, self.voter_id, outcome))
+        self.fabric.post(endpoint, Message(_VOTED_VALUE, self.voter_id, outcome))
 
     # -- round machinery -------------------------------------------------------
 
-    def _resolve(self, origin: int, value) -> None:
-        self.slots[origin - 1] = value
-        self.resolved += 1
-
-    def _take_turn_if_due(self) -> None:
-        """Broadcast when the counter equals our id (the turn rule).  It is
-        called after every resolve, which adds one, so once per round."""
-        me = self.voter_id
-        if self.resolved != me:
-            return
-        own = self.slots[me - 1]
-        if own is _OPEN or own is None:
-            # Our user has said nothing by our turn: tell fellows to
-            # invalidate our slot now instead of waiting a full timeout,
-            # and mirror that invalidation locally.
-            self._broadcast(Message(Tag.BROADCAST_INVALID, me))
-            if own is _OPEN:
-                self._resolve(me, None)
-        else:
-            self._broadcast(Message(Tag.BROADCAST_VALUE, me, own))
-
-    def _feed(self, msg: Message) -> None:
-        """Apply one INPUT or broadcast: with no round open it opens one,
-        then it fills a slot of the open round."""
-        me = self.voter_id
-        origin = msg.sender
-        if msg.tag is not _INPUT and (origin == me or not (1 <= origin <= self.n)):
-            # a broadcast that names no fellow fills no slot and opens no round
-            self.stray_messages += 1
-            return
-        if self.slots is None:
-            if msg.tag is _INVALID:
-                # A straggler from a round that already closed here; a
-                # fresh round never starts with an invalidation.
-                self.stray_messages += 1
-                return
-            self.slots = [_OPEN] * self.n
-            self.resolved = 0
-            self.round_started_at = self.fabric.scheduler.now
-        if msg.tag is _INPUT:
-            origin = me
-        slot = self.slots[origin - 1]
-        if slot is not _OPEN:
-            if msg.tag is _INPUT and slot is not None:
-                # A second input during an open round is a protocol
-                # violation by the user, not a late arrival.
-                self._refuse()
-            else:
-                # The slot is resolved already; an input whose slot went
-                # invalid (timeout or own turn passed) is useless now.
-                self.late_arrivals += 1
-            return
-        # a BROADCAST_INVALID carries no payload: its slot becomes None
-        self._resolve(origin, msg.payload)
-        self._take_turn_if_due()
-
     def _finish_round(self) -> None:
         self.round_finished_at = self.fabric.scheduler.now
-        self._reply(Tag.DONE)
+        self._reply(_DONE)
         slots = tuple(self.slots)
         self.slots = None
         outcome = self._vote(slots)
@@ -191,15 +136,19 @@ class Voter:
         Voting is a pure function of the algorithm, the slot vector and the
         farm's fixed metric, so voters that saw equal vectors get one
         outcome.  The memo keeps the last N vectors, oldest evicted first;
-        an exception is never stored, so every voter raises it.
-        """
+        an exception is never stored, so every voter raises it.  A vector
+        is matched newest entry first with `==`, not by hash: the tuple
+        compare passes the slots voters share by identity, so in a fault-free
+        farm only the own-input slots call `VoteValue.__eq__`."""
         key = (self.algorithm, slots)
-        outcome = self.memo.get(key)
-        if outcome is None:
-            outcome = vote(self.algorithm, slots, self.metric)
-            if len(self.memo) >= self.n:
-                del self.memo[next(iter(self.memo))]
-            self.memo[key] = outcome
+        memo = self.memo
+        for seen, outcome in reversed(memo.items()):
+            if seen == key:
+                return outcome
+        outcome = vote(self.algorithm, slots, self.metric)
+        if len(memo) >= self.n:
+            del memo[next(iter(memo))]
+        memo[key] = outcome
         return outcome
 
     # -- main loop ---------------------------------------------------------------
@@ -207,37 +156,84 @@ class Voter:
     def main(self):
         """Receive without a time limit between rounds and with a fresh
         delta_t limit for every receive inside one; silence invalidates
-        the lowest unresolved slot."""
+        the lowest unresolved slot.  Rounds are fed here alone: an INPUT or
+        broadcast (opening a round if none is) or a timeout names a slot and
+        its value, and one resolve fills it, broadcasts when `voter_id` slots
+        are resolved (the turn rule) and finishes the round at N."""
+        me, n = self.voter_id, self.n
         while True:
             got = yield self.idle_wait if self.slots is None else self.round_wait
+            slots = self.slots
             if got is TIMED_OUT:
                 self.timeouts += 1
-                self._resolve(self.slots.index(_OPEN) + 1, None)
-                self._take_turn_if_due()
+                origin, value = slots.index(_OPEN) + 1, None
             else:
                 msg = got[1]
                 tag = msg.tag
                 self.messages_received += 1
-                if tag is _INPUT or tag is _VALUE or tag is _INVALID:
-                    self._feed(msg)
-                elif tag is _SET_ALGORITHM:
-                    self.algorithm = msg.payload
-                elif tag is _SET_OUTPUT:
-                    self.output_target = msg.payload
-                elif tag is _GET:
-                    if self.slots is None and self.last_outcome is not None:
-                        self._reply(Tag.VOTED_VALUE, self.last_outcome)
+                if tag is not _INPUT and tag is not _VALUE and tag is not _INVALID:
+                    if tag is _SET_ALGORITHM:
+                        self.algorithm = msg.payload
+                    elif tag is _SET_OUTPUT:
+                        self.output_target = msg.payload
+                    elif tag is _GET:
+                        if slots is None and self.last_outcome is not None:
+                            self._reply(_VOTED_VALUE, self.last_outcome)
+                        else:
+                            self._refuse()
+                    elif tag is _CLOSE:
+                        if slots is not None:
+                            self._refuse()
+                        else:
+                            self._reply(_DONE)
+                            return
                     else:
-                        self._refuse()
-                elif tag is _CLOSE:
-                    if self.slots is not None:
-                        self._refuse()
-                    else:
-                        self._reply(Tag.DONE)
-                        return
-                else:
+                        self.stray_messages += 1
+                    continue
+                origin = msg.sender
+                if tag is not _INPUT and (origin == me or not 1 <= origin <= n):
+                    # a broadcast that names no fellow fills no slot and opens no round
                     self.stray_messages += 1
-            if self.slots is not None and self.resolved == self.n:
+                    continue
+                if slots is None:
+                    if tag is _INVALID:
+                        # A straggler from a round that already closed here; a
+                        # fresh round never starts with an invalidation.
+                        self.stray_messages += 1
+                        continue
+                    self.slots = slots = [_OPEN] * n
+                    self.resolved = 0
+                    self.round_started_at = self.fabric.scheduler.now
+                if tag is _INPUT:
+                    origin = me
+                slot = slots[origin - 1]
+                if slot is not _OPEN:
+                    if tag is _INPUT and slot is not None:
+                        # A second input during an open round is a protocol
+                        # violation by the user, not a late arrival.
+                        self._refuse()
+                    else:
+                        # The slot is resolved already; an input whose slot went
+                        # invalid (timeout or own turn passed) is useless now.
+                        self.late_arrivals += 1
+                    continue
+                # a BROADCAST_INVALID carries no payload: its slot becomes None
+                value = msg.payload
+            slots[origin - 1] = value
+            self.resolved = resolved = self.resolved + 1
+            if resolved == me:
+                own = slots[me - 1]
+                if own is _OPEN or own is None:
+                    # Our user has said nothing by our turn: tell fellows to
+                    # invalidate our slot now instead of waiting a full timeout,
+                    # and mirror that invalidation locally.
+                    self._broadcast(Message(_INVALID, me))
+                    if own is _OPEN:
+                        slots[me - 1] = None
+                        self.resolved = resolved = resolved + 1
+                else:
+                    self._broadcast(Message(_VALUE, me, own))
+            if resolved == n:
                 self._finish_round()
 
 

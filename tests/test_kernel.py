@@ -194,9 +194,10 @@ class CountingTag:
 
 def test_enum_lookups_on_the_frame_path_grow_linearly_in_n(monkeypatch):
     """The voters and handles test each delivered frame's tag against
-    members bound at import, so `Tag` is looked up once per frame built,
-    not once per copy received: 11 N over a fault-free two-stage run,
-    where receiving alone would make it grow as N squared."""
+    members bound at import, and voters build their frames from them too,
+    so `Tag` is looked up only for a request a handle builds, not once per
+    copy received: 2 N over a fault-free two-stage run, one INPUT per user
+    and stage, where receiving alone would make it grow as N squared."""
     lookups = []
     for n in (3, 7, 15):
         proxy = CountingTag()
@@ -208,7 +209,7 @@ def test_enum_lookups_on_the_frame_path_grow_linearly_in_n(monkeypatch):
         (rep,) = harness.run_experiment(spec).repetitions
         assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
         lookups.append(proxy.lookups)
-    assert lookups == [33, 77, 165]
+    assert lookups == [6, 14, 30]
 
 
 def test_post_encodes_once_for_every_endpoint(monkeypatch):

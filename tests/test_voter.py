@@ -584,3 +584,42 @@ def test_a_raising_metric_leaves_no_memo_entry(voters):
         with pytest.raises(ValueError, match="broken metric"):
             voter._vote(slots)
     assert voters[0].memo == {}
+
+
+def test_a_memo_lookup_is_linear_in_n(monkeypatch):
+    """Voters match their vectors in the farm's memo with `==`, which passes
+    the slots they share by identity, instead of hashing all N slots of each
+    vector: a fault-free round of 31 voters hashes or compares a value at
+    most 4 N times, where one hash per slot and lookup would make N squared."""
+    n = 31
+    calls = []
+    for name in ("__hash__", "__eq__"):
+
+        def counted(self, *args, real=getattr(VoteValue, name)):
+            calls.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(VoteValue, name, counted)
+    world, rt, recs = launch(n)
+    world.run()
+    made = len(calls)
+    assert [rec["outcome"].value for rec in recs.values()] == [V42] * n
+    assert 0 < made <= 4 * n
+
+
+def test_the_memo_matches_equal_vectors_and_forgets_evicted_ones(vote_calls):
+    """A hit needs equal slots, not the same objects; a vector that N newer
+    ones evicted is voted again."""
+    world = World(VIRTUAL)
+    rt = world.activate_farm("f", (1, 2, 3))
+    fresh = lambda x: tuple(VoteValue.from_floats([x]) for _ in range(3))
+    first = rt.states[1]._vote(fresh(1.0))
+    assert rt.states[2]._vote(fresh(1.0)) is first
+    assert len(vote_calls) == 1
+    for x in (2.0, 3.0):
+        rt.states[3]._vote(fresh(x))
+    assert rt.states[3]._vote(fresh(1.0)) is first  # N - 1 newer: still held
+    rt.states[3]._vote(fresh(4.0))  # the N-th newer one evicts it
+    again = rt.states[1]._vote(fresh(1.0))
+    assert again is not first and again == first
+    assert len(vote_calls) == 5
