@@ -22,7 +22,10 @@ reference cycle).  A last untimed run gives `py_calls`: the Python
 `call` events, generator resumptions included, that `sys.setprofile`
 sees inside `World.run`, the fixed cost of the frame path counted in
 calls (the events differ across interpreter versions, so compare the
-column on one).  Beside the `rows`, the `crash_heavy` row gives the same
+column on one).  One more untimed run gives `py_calls_setup`, the same
+events from the entry of `run_experiment` until `World.run` is entered:
+the cost of checking the spec and building the world, counted in calls.
+Beside the `rows`, the `crash_heavy` row gives the same
 columns for one two-stage N = 7 farm in which two voters and a user
 never start, so its worlds end with activities left blocked or never
 run.  A top-level `src_lines` gives the line count of the package's
@@ -218,6 +221,29 @@ def py_calls(spec: ExperimentSpec) -> int:
     return calls
 
 
+def py_calls_setup(spec: ExperimentSpec) -> int:
+    """Python calls from the entry of run_experiment until World.run is entered."""
+    calls = 0
+    run = client.World.run
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    def unprofiled_run(world):
+        sys.setprofile(None)
+        run(world)
+
+    client.World.run = unprofiled_run
+    sys.setprofile(profile)
+    try:
+        run_experiment(spec)
+    finally:
+        sys.setprofile(None)
+        client.World.run = run
+    return calls
+
+
 def time_runs(spec: ExperimentSpec) -> tuple[list[float], list[float]]:
     """The milliseconds of each timed run, and of its set-up: the time
     until its world starts to run."""
@@ -248,6 +274,7 @@ def bench_row(metric: str, n: int, faults=()) -> dict:
         **count_work(spec),
         "cyclic_garbage": cyclic_garbage(spec),
         "py_calls": py_calls(spec),
+        "py_calls_setup": py_calls_setup(spec),
         "ms_p50": statistics.median(times),
         "ms_setup_p50": statistics.median(setups),
         "ms_min": min(times),

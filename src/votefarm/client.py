@@ -90,7 +90,7 @@ class World:
         if farm in self.farms:
             raise ValueError(f"farm {farm!r} already active")
         nodes = tuple(nodes)
-        if not all(_is_node(node) for node in nodes):
+        if not all(map(_is_node, nodes)):
             raise ValueError("node id must be a positive integer")
         if not nodes:
             raise ValueError("cannot run a farm with no nodes")

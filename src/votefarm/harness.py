@@ -135,6 +135,11 @@ _TYPE_RULES = {
     "VoteKind": _instance(VoteKind, "a VoteKind"),
     "FaultKind": _instance(FaultKind, "a FaultKind"),
 }
+# The rule of each scalar field of each checked class, by field name.
+_FIELD_RULES = {
+    cls: {f.name: _TYPE_RULES[f.type] for f in fields(cls) if f.type in _TYPE_RULES}
+    for cls in (StageSpec, FaultSpec, ExperimentSpec, VoteValue)
+}
 
 
 def _type_errors(record, cls: type) -> list[str]:
@@ -143,12 +148,11 @@ def _type_errors(record, cls: type) -> list[str]:
     if not isinstance(record, cls):
         return [f"must be a {cls.__name__}, got {record!r}"]
     bad = []
-    for f in fields(cls):
-        if rule := _TYPE_RULES.get(f.type):
-            try:
-                rule(f.name, getattr(record, f.name))
-            except SpecError as exc:
-                bad += exc.violations
+    for name, rule in _FIELD_RULES[cls].items():
+        try:
+            rule(name, getattr(record, name))
+        except SpecError as exc:
+            bad += exc.violations
     return bad
 
 
@@ -366,10 +370,9 @@ def _read_object(obj, cls: type, readers: dict, required: tuple[str, ...] = ()) 
     every unknown key, missing required key and unreadable value."""
     if not isinstance(obj, dict):
         raise SpecError([f"must be an object, got {type(obj).__name__}"])
-    rules = {f.name: _TYPE_RULES.get(f.type) for f in fields(cls)}
     out, bad = {}, []
     for key, value in obj.items():
-        if not (read := readers.get(key) or rules.get(key)):
+        if not (read := readers.get(key) or _FIELD_RULES[cls].get(key)):
             bad.append(f"unknown key {key!r}")
             continue
         try:
@@ -575,8 +578,7 @@ DEFAULT_INPUT = VoteValue.from_floats([42.0])
 
 def _stage_nodes(spec: ExperimentSpec, k: int) -> tuple[int, ...]:
     n = spec.pipeline.stages[k - 1].n
-    base = (k - 1) * n
-    return tuple(base + i for i in range(1, n + 1))
+    return tuple(range((k - 1) * n + 1, k * n + 1))
 
 
 def _push_budget(spec: ExperimentSpec, k: int) -> float:
@@ -605,9 +607,8 @@ def _run_single_repetition(
     for k, st in enumerate(stages, start=1):
         targets = None
         if k < last:
-            targets = {
-                i: user_name(_stage_farm(k + 1), i) for i in range(1, st.n + 1)
-            }
+            farm = _stage_farm(k + 1)
+            targets = {i: user_name(farm, i) for i in range(1, st.n + 1)}
         runtimes.append(
             world.activate_farm(
                 _stage_farm(k),
@@ -624,17 +625,16 @@ def _run_single_repetition(
         budget = _push_budget(spec, k)
         records.append([_UserRecord() for _ in range(st.n)])
         for i, rec in enumerate(records[-1], start=1):
+            user = rt.user_endpoints[i].name  # the name the farm formatted
             if k == 1:
                 value = DEFAULT_INPUT if spec.inputs is None else spec.inputs[i - 1]
                 source = None
             else:
                 value = None
-                _, source = world.fabric.connect(
-                    voter_name(_stage_farm(k - 1), i), user_name(rt.farm, i)
-                )
+                _, source = world.fabric.connect(runtimes[k - 2].states[i].name, user)
             handle = FarmHandle(world, rt.farm, i)
             handle.attach(rt)
-            world.spawn_user(rt.farm, i, _stage_user(handle, value, rec, source, budget))
+            world.scheduler.spawn(user, _stage_user(handle, value, rec, source, budget), "user")
 
     census = [world.fabric.census(rt.members) for rt in runtimes]
 
@@ -645,12 +645,12 @@ def _run_single_repetition(
 
     voters: list[VoterResult] = []
     for k, (rt, recs) in enumerate(zip(runtimes, records), start=1):
-        t0 = min((rec.injected_at for rec in recs if rec.injected_at is not None), default=None)
+        t0 = min([rec.injected_at for rec in recs if rec.injected_at is not None], default=None)
         if k == 1:
             start = t0  # the makespan's start
         for i, rec in enumerate(recs, start=1):
             vs = rt.states[i]
-            act = world.scheduler.activities[voter_name(rt.farm, i)]
+            act = world.scheduler.activities[vs.name]
             duration = None
             if vs.round_finished_at is not None and t0 is not None:
                 duration = vs.round_finished_at - t0

@@ -2,13 +2,14 @@
 
 A link joins two or more placed parties, each to all the others: a user
 and its voter, a voter and the next stage's user, or a farm's voters, its
-mesh.  A party's end of a link is its sends to all its peers there, so a
-send from a mesh end is a broadcast.  Frames keep per-direction FIFO
-order, and a linked pair is LOCAL when both parties share a node and
-VIRTUAL otherwise.  A party with an inbox, as every voter has, hears all
-its links on that one queue, so it waits on one source and sees its
-frames in arrival order; any other party hears each link on a queue of
-its own, and waits on the link it expects a frame from.
+mesh.  A link is the set of its parties, so a group is linked at most
+once, whatever the order of its names.  A party's end of a link is its
+sends to all its peers there, so a send from a mesh end is a broadcast.
+Frames keep per-direction FIFO order, and a linked pair is LOCAL when both
+parties share a node and VIRTUAL otherwise.  A party with an inbox, as
+every voter has, hears all its links on that one queue, so it waits on one
+source and sees its frames in arrival order; any other party hears each
+link on a queue of its own, and waits on the link it expects a frame from.
 
 A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks see each copy of a send by sender name, receiver name
@@ -81,14 +82,15 @@ FaultHook = Callable[[Delivery], None]
 
 class Fabric:
     """Owns placements, link ends, inboxes and delivery (including fault
-    injection).  `ends[(owner, peers)]` is `owner`'s end of the link it
-    shares with `peers`, and `inboxes[name]` the one queue of a party that
-    has an inbox."""
+    injection).  `links` holds each link as the set of its parties,
+    `ends[(owner, peers)]` is `owner`'s end of the link it shares with
+    `peers`, and `inboxes[name]` the one queue of a party that has an inbox."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
         self.ends: dict[tuple[str, tuple[str, ...]], Endpoint] = {}
+        self.links: set[frozenset[str]] = set()
         self.inboxes: dict[str, WaitSource] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
@@ -112,21 +114,25 @@ class Fabric:
 
     def connect(self, *names: str) -> tuple[Endpoint, ...]:
         """Link two or more placed activities, each to all the others;
-        returns their ends in `names` order."""
-        if len(names) < 2 or len(set(names)) < len(names):
+        returns their ends in `names` order.  A link is the set of its
+        parties, so a group already linked, in any order, is refused; a
+        refused call changes nothing."""
+        link = frozenset(names)
+        if len(names) < 2 or len(link) < len(names):
             raise ValueError("a link needs two or more distinct activities")
-        for name in names:
-            if name not in self.placements:
-                raise ValueError(f"{name!r} is not placed on any node")
-        keys = [(name, names[:i] + names[i + 1 :]) for i, name in enumerate(names)]
-        if not self.ends.keys().isdisjoint(keys):
+        if not self.placements.keys() >= link:
+            unplaced = next(name for name in names if name not in self.placements)
+            raise ValueError(f"{unplaced!r} is not placed on any node")
+        if link in self.links:
             raise ValueError(f"link {' <-> '.join(map(repr, names))} already exists")
         inboxes = tuple([self.inboxes.get(name) or WaitSource(self.scheduler) for name in names])
-        ends = [
-            Endpoint(name, peers, inboxes[i], inboxes[:i] + inboxes[i + 1 :])
-            for i, (name, peers) in enumerate(keys)
-        ]
-        self.ends.update(zip(keys, ends))
+        ends = []
+        for i, name in enumerate(names):
+            peers = names[:i] + names[i + 1 :]
+            end = Endpoint(name, peers, inboxes[i], inboxes[:i] + inboxes[i + 1 :])
+            self.ends[name, peers] = end
+            ends.append(end)
+        self.links.add(link)
         self._pairs += len(names) * (len(names) - 1)
         return tuple(ends)
 
@@ -183,23 +189,23 @@ class Fabric:
 
     def census(self, names=None) -> LinkCensus:
         """Linked pairs by kind and live voter activities, over the whole
-        fabric or only among `names` (a pair counts when both are named)."""
+        fabric or only among `names` (a pair counts when both are named).
+        A link is the set of its parties, counted in one pass over the named
+        ones: the c of them on one node make c(c - 1)/2 local pairs."""
         names = None if names is None else frozenset(names)
         virtual = local = 0
-        for owner, peers in self.ends:
-            if names is None or owner in names:
-                node = self.placements[owner]
-                for peer in peers:
-                    # a pair is in two ends: count it at the one whose owner sorts first
-                    if owner < peer and (names is None or peer in names):
-                        if self.placements[peer] == node:
-                            local += 1
-                        else:
-                            virtual += 1
-        voters = sum(
-            act.role == "voter" and (names is None or act.name in names)
-            for act in self.scheduler.live_activities()
-        )
+        for link in self.links:
+            on_node: dict[int, int] = {}  # the named parties counted so far, by node
+            for i, name in enumerate(link if names is None else link & names):
+                # the i counted before pair with this party, `seen` of them locally
+                seen = on_node.get(node := self.placements[name], 0)
+                local += seen
+                virtual += i - seen
+                on_node[node] = seen + 1
+        voters = 0
+        for act in self.scheduler.activities.values():
+            if act.role == "voter" and (names is None or act.name in names) and act.live:
+                voters += 1
         return LinkCensus(virtual=virtual, local=local, voters=voters)
 
 

@@ -262,6 +262,6 @@ class FarmRuntime:
 
     @property
     def members(self) -> set[str]:
-        """The farm's own voters and users, the ends of all its links."""
-        ids = range(1, len(self.nodes) + 1)
-        return {name(self.farm, v) for name in (voter_name, user_name) for v in ids}
+        """The farm's own voters and users, the parties of all its links."""
+        names = {voter.name for voter in self.states.values()}
+        return names.union([end.name for end in self.user_endpoints.values()])

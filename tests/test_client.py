@@ -334,6 +334,13 @@ def test_first_handle_run_activates_a_farm_that_passes_the_census(n):
     assert world.fabric.census() == LinkCensus(n * (n - 1) // 2, n, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_farms_members_are_its_formatted_voter_and_user_names(n):
+    rt = World(VIRTUAL).activate_farm("m", range(1, n + 1))
+    ids = range(1, n + 1)
+    assert rt.members == {voter_name("m", i) for i in ids} | {user_name("m", i) for i in ids}
+
+
 # -- remote operations, driven inside user activities -------------------------
 
 

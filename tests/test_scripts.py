@@ -92,6 +92,21 @@ def test_a_delivered_frame_costs_at_most_8_python_calls(tmp_path):
     assert row["py_calls"] <= 8.0 * row["frames_sent"]
 
 
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the call events sys.setprofile sees differ across interpreter versions",
+)
+def test_building_a_world_costs_at_most_40_python_calls_per_voter(tmp_path):
+    """Checking the spec and building a fault-free two-stage N = 31 world,
+    everything before it runs, makes a bounded number of calls per voter:
+    the census counts each link once and no name is formatted twice."""
+    out = tmp_path / "BENCH_e2e.json"
+    proc = run_script("e2e_bench.py", "--sizes", "31", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr.decode()
+    row = next(r for r in json.loads(out.read_text())["rows"] if r["metric"] == "default")
+    assert row["py_calls_setup"] <= 40 * 2 * 31
+
+
 def test_e2e_bench_refuses_a_tree_without_the_package(tmp_path):
     proc = run_script("e2e_bench.py", "--against", str(tmp_path))
     assert proc.returncode == 2

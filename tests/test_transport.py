@@ -73,6 +73,27 @@ def test_connect_validation():
         fabric.connect("a", "b", "c")
 
 
+def test_connect_refuses_a_group_already_linked_in_any_order():
+    """A link is the set of its parties: a reordered group is the link that
+    exists, refused like a repeated one, while a pair inside a larger link
+    is a link of its own."""
+    sched = Scheduler(VIRTUAL)
+    fabric = Fabric(sched)
+    for node, name in enumerate("abc", start=1):
+        fabric.place(name, node)
+    fabric.connect("a", "b", "c")
+    for order in (("c", "b", "a"), ("b", "c", "a")):
+        with pytest.raises(ValueError, match="already exists"):
+            fabric.connect(*order)
+    assert len(fabric.ends) == 3
+    assert fabric.census() == LinkCensus(virtual=3, local=0, voters=0)
+    fabric.connect("b", "a")
+    assert len(fabric.ends) == 5
+    assert fabric.census() == LinkCensus(virtual=4, local=0, voters=0)
+    with pytest.raises(ValueError, match="already exists"):
+        fabric.connect("a", "b")
+
+
 def test_connect_returns_both_ends_and_fabric_finds_them_by_name():
     _, fabric, a_end, b_end = make_pair()
     assert (a_end.name, a_end.peers) == ("a", ("b",))
@@ -600,3 +621,55 @@ def test_the_census_of_a_mesh_counts_every_pair_by_placement(nodes):
     assert fabric.census() == brute(names)
     for subset in (names[1:], names[::2], names[:1], []):
         assert fabric.census(subset) == brute(subset)
+
+
+@pytest.mark.parametrize("nodes", [(1,), (2, 2), (1, 3, 1, 3, 1)])
+def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
+    """Two farms on repeated nodes, one with a voter that never starts, a
+    link from one to the other and, where the mesh has more than two
+    voters, a pair link inside it: the whole fabric's census and each
+    farm's equal a count of every linked pair, end by end.  A refused
+    connect changes neither the ends, nor the census, nor the decode
+    memo's cap."""
+    world = World(VIRTUAL)
+    fabric = world.fabric
+    world.scheduler.kill_names.add("a/voter1")
+    a = world.activate_farm("a", nodes)
+    b = world.activate_farm("b", nodes[::-1])
+    n = len(nodes)
+    fabric.connect(a.states[n].name, b.user_endpoints[1].name)
+    if n > 2:
+        fabric.connect(b.states[3].name, b.states[1].name)
+
+    def brute(named):
+        """Each pair of a link once per direction, from the ends."""
+        same = other = 0
+        for end in fabric.ends.values():
+            for peer in end.peers:
+                if end.name in named and peer in named:
+                    if fabric.placements[end.name] == fabric.placements[peer]:
+                        same += 1
+                    else:
+                        other += 1
+        live = sum(
+            act.role == "voter" and act.live and act.name in named
+            for act in world.scheduler.activities.values()
+        )
+        return LinkCensus(virtual=other // 2, local=same // 2, voters=live)
+
+    def counts():
+        return [fabric.census(), *(fabric.census(rt.members) for rt in (a, b))]
+
+    expected = [brute(fabric.placements), brute(a.members), brute(b.members)]
+    assert counts() == expected
+    assert expected[1].voters == n - 1 and expected[2].voters == n
+    before = dict(fabric.ends), fabric._pairs
+    voter, user = a.states[1].name, a.user_endpoints[1].name
+    refused = [(voter, voter), (voter, "ghost"), (voter, user)]
+    if n > 1:
+        refused.append(tuple(b.states[i].name for i in range(n, 0, -1)))
+    for names in refused:
+        with pytest.raises(ValueError):
+            fabric.connect(*names)
+        assert (dict(fabric.ends), fabric._pairs) == before
+        assert counts() == expected
