@@ -21,14 +21,16 @@ reference counting alone could not free (0 when a finished world holds no
 reference cycle).  A last untimed run gives `py_calls`: the Python
 `call` events, generator resumptions included, that `sys.setprofile`
 sees inside `World.run`, the fixed cost of the frame path counted in
-calls (the events differ across interpreter versions, so compare the
-column on one).  One more untimed run gives `py_calls_setup`, the same
-events from the entry of `run_experiment` until `World.run` is entered:
-the cost of checking the spec and building the world, counted in calls.
-Beside the `rows`, the `crash_heavy` row gives the same
-columns for one two-stage N = 7 farm in which two voters and a user
-never start, so its worlds end with activities left blocked or never
-run.  A top-level `src_lines` gives the line count of the package's
+calls, and beside it `c_calls`: the `c_call` events of the same run,
+each call of a builtin or C method (a dict lookup by `.get`, a deque
+append), which `py_calls` cannot see (the events differ across
+interpreter versions, so compare the columns on one).  One more untimed
+run gives `py_calls_setup`, the same events from the entry of
+`run_experiment` until `World.run` is entered: the cost of checking the
+spec and building the world, counted in calls.  Beside the `rows`, the
+`crash_heavy` row gives the same columns for one two-stage N = 7 farm in
+which two voters and a user never start, so its worlds end with
+activities left blocked or never run.  A top-level `src_lines` gives the line count of the package's
 modules (`src/votefarm/*.py`), the size a simplification is measured by.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
@@ -197,14 +199,15 @@ def cyclic_garbage(spec: ExperimentSpec) -> int:
         gc.enable()
 
 
-def py_calls(spec: ExperimentSpec) -> int:
-    """Python calls, generator resumptions included, made inside World.run."""
-    calls = 0
+def run_calls(spec: ExperimentSpec) -> dict:
+    """Python calls, generator resumptions included, and C calls, made
+    inside World.run."""
+    calls = {"call": 0, "c_call": 0}
     run = client.World.run
 
     def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        if event in calls:
+            calls[event] += 1
 
     def profiled_run(world):
         sys.setprofile(profile)
@@ -218,7 +221,7 @@ def py_calls(spec: ExperimentSpec) -> int:
         run_experiment(spec)
     finally:
         client.World.run = run
-    return calls
+    return {"py_calls": calls["call"], "c_calls": calls["c_call"]}
 
 
 def py_calls_setup(spec: ExperimentSpec) -> int:
@@ -273,7 +276,7 @@ def bench_row(metric: str, n: int, faults=()) -> dict:
         "n": n,
         **count_work(spec),
         "cyclic_garbage": cyclic_garbage(spec),
-        "py_calls": py_calls(spec),
+        **run_calls(spec),
         "py_calls_setup": py_calls_setup(spec),
         "ms_p50": statistics.median(times),
         "ms_setup_p50": statistics.median(setups),

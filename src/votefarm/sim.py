@@ -184,9 +184,6 @@ class Scheduler:
             self._ready.append(act)
         return act
 
-    def live_activities(self) -> list[Activity]:
-        return [a for a in self.activities.values() if a.live]
-
     def _bind(self, act: Activity, sources) -> None:
         """Bind the source in `sources`, if any, to `act` in place of its
         old one; the items already queued on it stay there.  Only a live

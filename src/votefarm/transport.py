@@ -13,17 +13,19 @@ link on a queue of its own, and waits on the link it expects a frame from.
 
 A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks see each copy of a send by sender name, receiver name
-and message index, the count of sends before it from the same end; a
-fabric with no hook builds no Delivery.  An undelayed copy lands at once,
-with one put on its receiver's queue that wakes the receiver if it is
-blocked; a delayed one lands when its delay has passed, and is counted
-delivered only then.  A post encodes a message once and sends it from its
-end in the post's own turn on the scheduler's ready queue, never inside
-the poster's step.  Each distinct frame is decoded once per world: the
-fabric memoizes Messages by frame content, at most one per (sender,
-receiver) pair, oldest evicted first.  A frame corrupted beyond
-parseability is never kept but silently discarded on every send, so the
-receiver only ever notices the silence through its timeout.
+and message index, the count of sends before it from the same end, and
+each copy they see is decoded and landed on its own.  A send with no hook
+builds no Delivery: it decodes its frame once and lands that one Message
+on every peer.  An undelayed copy lands at once, with one put on its
+receiver's queue that wakes the receiver if it is blocked; a delayed one
+lands when its delay has passed, and is counted delivered only then.  A
+post encodes a message once and sends it from its end in the post's own
+turn on the scheduler's ready queue, never inside the poster's step.  Each
+distinct frame is decoded once per world: the fabric memoizes Messages by
+frame content, at most one per (sender, receiver) pair, oldest evicted
+first.  A frame corrupted beyond parseability is never kept but silently
+discarded on every send, so the receiver only ever notices the silence
+through its timeout.
 """
 
 from __future__ import annotations
@@ -146,37 +148,47 @@ class Fabric:
 
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
         """Ship one frame to every peer's inbox, in peer order; never blocks.
-        Each copy is shown to the hooks, decoded and landed on its own."""
+        With no hook the frame is decoded once and that one Message lands
+        on every peer; with hooks, each copy is shown to them, decoded and
+        landed on its own."""
         # Every send takes an index, so a hook added later counts right.
         index = endpoint.sent
         endpoint.sent = index + 1
-        for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
-            copy, delay = frame, 0.0
-            if self.hooks:
-                d = Delivery(src=endpoint.name, dst=dst, frame=frame, index=index)
-                for hook in self.hooks:
-                    hook(d)
-                    if d.drop:
-                        break
-                if d.drop:
-                    self.dropped += 1
-                    continue
-                copy, delay = d.frame, d.delay
-            msg = self._decoded.get(copy)
+        if not self.hooks:
+            msg = self._decoded.get(frame) or self._decode(frame)
             if msg is None:
-                try:
-                    msg = decode_message(copy)
-                except FrameError:
-                    self.dropped += 1
-                    continue
-                if len(self._decoded) >= self._pairs:
-                    del self._decoded[next(iter(self._decoded))]
-                self._decoded[copy] = msg
-            if delay > 0:
-                self.scheduler.call_later(delay, partial(self._land, inbox, msg))
+                self.dropped += len(endpoint.peers)
+                return
+            self.delivered_total += len(endpoint.peers)
+            for inbox in endpoint.peer_inboxes:
+                inbox.put(msg)
+            return
+        for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
+            d = Delivery(src=endpoint.name, dst=dst, frame=frame, index=index)
+            for hook in self.hooks:
+                hook(d)
+                if d.drop:
+                    break
+            msg = None if d.drop else (self._decoded.get(d.frame) or self._decode(d.frame))
+            if msg is None:
+                self.dropped += 1
+            elif d.delay > 0:
+                self.scheduler.call_later(d.delay, partial(self._land, inbox, msg))
             else:
                 self.delivered_total += 1
                 inbox.put(msg)
+
+    def _decode(self, frame: bytes) -> Message | None:
+        """Decode and memoize a frame the memo lacks (a hit is looked up at
+        the call site), evicting the oldest when full; None if it does not parse."""
+        try:
+            msg = decode_message(frame)
+        except FrameError:
+            return None
+        if len(self._decoded) >= self._pairs:
+            del self._decoded[next(iter(self._decoded))]
+        self._decoded[frame] = msg
+        return msg
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
         """Encode `msg` once and send that frame from `endpoint` in the

@@ -106,8 +106,15 @@ def _representative(
     slots: Slots, members: tuple[int, ...], metric: Metric
 ) -> VoteValue:
     """The class member's value minimizing total distance to the other
-    members; ties go to the lowest slot index."""
-    totals = _distance_totals([slots[i] for i in members], metric)
+    members; ties go to the lowest slot index.  A class whose members all
+    equal its leader is its own representative: under the `Metric` axioms
+    every total is the same (0, or NaN), so the leader wins and nothing is
+    measured."""
+    values = [slots[i] for i in members]
+    # count() passes the leader by identity: only the later members are compared
+    if values.count(values[0]) == len(values):
+        return values[0]
+    totals = _distance_totals(values, metric)
     # min() replaces its pick only on a strict `<`: the lowest index wins a
     # tie, and a NaN first total is never displaced.
     return slots[members[min(range(len(totals)), key=totals.__getitem__)]]

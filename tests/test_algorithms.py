@@ -89,6 +89,7 @@ def test_median_nothing_valid():
 
 
 NAN = float("nan")
+INF = math.inf
 
 
 @pytest.mark.parametrize(
@@ -280,16 +281,18 @@ def test_register_metric_roundtrip():
 
 
 class CountingMetric:
-    """euclidean_metric that records the slot indices of every pair it is
-    passed; `index` maps each payload object back to its slot."""
+    """A metric, euclidean_metric by default, that records the slot indices
+    of every pair it is passed; `index` maps each payload object back to
+    its slot."""
 
-    def __init__(self, sv):
+    def __init__(self, sv, metric=euclidean_metric):
         self.index = {id(s): i for i, s in enumerate(sv) if s is not None}
         self.pairs = []
+        self.metric = metric
 
     def __call__(self, a, b):
         self.pairs.append((self.index[id(a)], self.index[id(b)]))
-        return euclidean_metric(a, b)
+        return self.metric(a, b)
 
     def assert_each_pair_once(self, pairs):
         assert all(i != j for i, j in pairs)  # d(a, a) = 0 is never measured
@@ -338,12 +341,57 @@ def test_weighted_average_measures_each_valid_pair_once(n):
 def test_unanimous_majority_work_count(k):
     sv = slots(*([42.0] * k))
     metric = CountingMetric(sv)
-    assert first_float(vote_majority(sv, 0.0, metric)) == 42.0
-    # the leader scan compares each later slot with the leader, then the
-    # representative measures every pair of the class once
-    assert len(metric.pairs) == (k - 1) + k * (k - 1) // 2
-    assert metric.pairs[: k - 1] == [(i, 0) for i in range(1, k)]
-    metric.assert_each_pair_once(metric.pairs[k - 1 :])
+    out = vote_majority(sv, 0.0, metric)
+    assert first_float(out) == 42.0 and out.value is sv[0]
+    # the leader scan compares each later slot with the leader; a class of
+    # equal values is its own representative, so nothing more is measured
+    assert metric.pairs == [(i, 0) for i in range(1, k)]
+
+
+ODD_ONE_OUT = [
+    # an epsilon-neighbour of the other members
+    (slots(42.0, 42.0, 42.5, 42.0, 42.0), 1.0, euclidean_metric),
+    # the same bytes without the numeric flag: at distance 0, yet not equal
+    ((*slots(42.0, 42.0), VoteValue(slots(42.0)[0].data)), 0.0, default_metric),
+]
+
+
+@pytest.mark.parametrize("sv,epsilon,base", ODD_ONE_OUT)
+def test_a_class_with_one_unequal_member_measures_every_pair(sv, epsilon, base):
+    """One member that differs from the leader, though within epsilon of
+    it, makes the representative measure every pair of the class once."""
+    k = len(sv)
+    for vote_fn in (vote_majority, vote_plurality):
+        metric = CountingMetric(sv, base)
+        assert vote_fn(sv, epsilon, metric).value is sv[0]
+        assert len(metric.pairs) == (k - 1) + k * (k - 1) // 2
+        assert metric.pairs[: k - 1] == [(i, 0) for i in range(1, k)]
+        metric.assert_each_pair_once(metric.pairs[k - 1 :])
+
+
+NON_FINITE = [
+    (NAN, NAN, NAN),
+    (INF, INF, INF),
+    (-INF, -INF, -INF, NAN),
+    (NAN, INF, NAN, INF, NAN),
+    (INF, -INF, INF, NAN, INF),
+]
+
+
+@pytest.mark.parametrize("xs", NON_FINITE)
+@pytest.mark.parametrize("metric", ["default", "euclidean"])
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, INF])
+def test_majority_and_plurality_over_non_finite_values_match_the_oracle(xs, metric, epsilon):
+    """Every value NaN or inf.  Under byte equality equal ones form a class
+    whose leader wins; under euclidean every distance is NaN or inf, so two
+    share a class only at an infinite epsilon.  Majority and plurality
+    agree with the oracle."""
+    sv = slots(*xs)
+    fn, _ = resolve_metric(metric)
+    want = oracle_vote(VoteKind.MAJORITY, sv, epsilon, metric=metric)
+    assert vote_majority(sv, epsilon, fn) == want
+    want = oracle_vote(VoteKind.PLURALITY, sv, epsilon, metric=metric)
+    assert vote_plurality(sv, epsilon, fn) == want
 
 
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4),

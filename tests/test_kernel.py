@@ -43,7 +43,7 @@ def test_fault_free_virtual_farm_ends_at_time_zero():
     world, outcomes = fault_free_farm()
     world.run()
     assert [o.value.data for o in outcomes.values()] == [V7.data] * 3
-    assert not world.scheduler.live_activities()
+    assert not [a for a in world.scheduler.activities.values() if a.live]
     assert world.scheduler.now == 0.0
     assert world.scheduler._heap == []
 
@@ -61,7 +61,7 @@ def record_real_clock(monkeypatch):
 
     class TimeShim:
         def sleep(self, seconds):
-            live = len(worlds[-1].scheduler.live_activities())
+            live = sum(a.live for a in worlds[-1].scheduler.activities.values())
             sleeps.append((seconds, live))
             time.sleep(seconds)
 
@@ -82,7 +82,7 @@ def test_real_clock_world_does_not_sleep_after_its_work(monkeypatch):
     assert len(worlds) == 3  # one world per repetition, the dropped one included
     for world in worlds:
         assert world.scheduler.clock_mode == REAL
-        assert not world.scheduler.live_activities()
+        assert not [a for a in world.scheduler.activities.values() if a.live]
     assert [s for s in sleeps if s[1] == 0] == []
 
 

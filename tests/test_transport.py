@@ -605,6 +605,38 @@ def test_the_decode_memo_holds_one_frame_per_sender_receiver_pair(monkeypatch):
     assert len(decoded) == 6
 
 
+def test_a_hook_free_send_decodes_once_for_all_its_peers(monkeypatch):
+    """With no hook, a send from a four-party mesh end decodes its frame
+    once: an unparseable frame is dropped for all three peers, and a good
+    one lands as one Message on every peer.  Once a hook is added, each
+    copy is shown to it under the send's index, and decoded and counted on
+    its own."""
+    decoded = counting_decodes(monkeypatch)
+    _, fabric, ends = make_mesh()
+    p1 = ends[0]
+    queues = [fabric.inboxes[name].queue for name in p1.peers]
+    bad = corrupt_raw(encode_message(value_msg(1.0)), b"\xff", offset=0)
+    good = encode_message(value_msg(2.0, sender=1, tag=Tag.BROADCAST_VALUE))
+    fabric.send_from(p1, bad)
+    assert len(decoded) == 1
+    assert (fabric.dropped, fabric.delivered_total) == (3, 0)
+    fabric.send_from(p1, good)
+    assert len(decoded) == 2
+    assert (fabric.dropped, fabric.delivered_total) == (3, 3)
+    msg = queues[0][0]
+    assert msg == value_msg(2.0, sender=1, tag=Tag.BROADCAST_VALUE)
+    assert all(list(q) == [msg] and q[0] is msg for q in queues)
+
+    seen = []
+    fabric.add_hook(lambda d: seen.append((d.src, d.dst, d.index)))
+    fabric.send_from(p1, bad)
+    fabric.send_from(p1, good)
+    assert seen == [("p1", dst, k) for k in (2, 3) for dst in ("p2", "p3", "p4")]
+    assert len(decoded) == 2 + 3  # the bad frame once per copy; the good one is held
+    assert (fabric.dropped, fabric.delivered_total) == (6, 6)
+    assert all(list(q) == [msg, msg] and q[1] is msg for q in queues)
+
+
 @pytest.mark.parametrize("nodes", [(1, 1, 2, 2, 2), (3, 1, 3, 1, 3, 2), (1,) * 4, (1, 2)])
 def test_the_census_of_a_mesh_counts_every_pair_by_placement(nodes):
     """A link of k parties with s same-node pairs is s local and
