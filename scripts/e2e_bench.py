@@ -117,9 +117,8 @@ def counted(owner, attr: str, counts: dict, key: str, weight=None):
 
 
 def copies(fabric, endpoint, frame) -> int:
-    """The frames one Fabric.send_from sends: one per peer of the end; an
-    end of a source tree from before multi-party links has one peer."""
-    return len(endpoint.peers) if hasattr(endpoint, "peers") else 1
+    """The frames one Fabric.send_from sends: one per peer of the end."""
+    return len(endpoint.peers)
 
 
 def count_work(spec: ExperimentSpec) -> dict:
@@ -145,18 +144,10 @@ def count_work(spec: ExperimentSpec) -> dict:
     vote = voter.vote
     voter.vote = counted_vote
     voting.register_metric(spec.metric, counted_metric)
-    # a source tree from before Scheduler._push pushes through heapq directly
-    push = (sim.Scheduler, "_push") if hasattr(sim.Scheduler, "_push") else (sim.heapq, "heappush")
-    # a source tree from before Fabric.post sends through Outbox.send_to
-    post = (
-        (transport.Fabric, "post")
-        if hasattr(transport.Fabric, "post")
-        else (transport.Outbox, "send_to")
-    )
     wrapped = [
         (sim.Scheduler, "_step", "scheduler_steps", None),
-        (*push, "heap_pushes", None),
-        (*post, "outbox_items", None),
+        (sim.Scheduler, "_push", "heap_pushes", None),
+        (transport.Fabric, "post", "outbox_items", None),
         (transport.Fabric, "send_from", "frames_sent", copies),
         (transport, "decode_message", "decodes", None),
         (transport, "encode_message", "encodes", None),

@@ -163,9 +163,6 @@ class ScalingFactor:
     value: float
 
 
-ControlRequest = Input | Output | Algorithm | ScalingFactor
-
-
 class FarmHandle:
     """One user's connection to a farm, with a per-handle error register."""
 

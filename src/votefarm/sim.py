@@ -285,11 +285,11 @@ class Scheduler:
 
     @staticmethod
     def _stale(entry) -> bool:
-        """A timer whose activity no longer waits on the wait that armed it."""
+        """A timer whose activity no longer waits on the wait that armed it.
+        A finished activity is unbound, so `waiting_on` is None, and a halted
+        one never ran, so it armed no timer."""
         _, _, kind, act, wait_seq = entry
-        return kind == _T_TIMER and (
-            act.finished or act.halted or act.waiting_on is None or act.wait_seq != wait_seq
-        )
+        return kind == _T_TIMER and (act.waiting_on is None or act.wait_seq != wait_seq)
 
     def _fire(self, entry) -> None:
         if entry[2] == _T_CALL:

@@ -4,12 +4,16 @@ marked otherwise is exact equality.
 """
 
 import itertools
+import json
 import math
 import random
 import struct
 import sys
 import time
 
+import pytest
+
+from votefarm.cli import main
 from votefarm.client import Input, World, open_farm
 from votefarm.core import AlgorithmId, ErrorCode, VoteKind, VoteValue
 from votefarm.harness import (
@@ -88,6 +92,33 @@ def test_criterion_01_masking_bound():
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget is 10s"
     passed(1, f"{runs} fault assignments masked exactly in {elapsed:.1f}s")
+
+
+# Within the bound at N = 7, with drop, delay and crash faults that criterion
+# 1 does not inject.  Both specs mask only while the users' refused GET polls
+# restart the voters' slot timers: with users that wait for the DONE push
+# instead, a late broadcast opens a phantom round and both end NO_MAJORITY.
+GUARD_SPECS = (
+    (
+        "pipeline --n 7 --metric euclidean --seed 864 --fault delay_message:2.3"
+        " --fault crash_voter:2.6 --fault drop_message:2.4"
+    ),
+    (
+        "run --n 7 --delta-t 0.5 --seed 777 --fault drop_message:7:1"
+        " --fault delay_message:4 --fault crash_voter:5"
+    ),
+)
+
+
+@pytest.mark.parametrize("argv", GUARD_SPECS)
+def test_masking_with_drop_delay_and_crash_at_n7(argv, capsys):
+    assert main(argv.split()) == 0
+    voters = json.loads(capsys.readouterr().out)["repetitions"][0]["voters"]
+    last = max(v["stage"] for v in voters)
+    finals = [v for v in voters if v["stage"] == last and v["live"]]
+    assert len(finals) == 6  # each spec crashes one final-stage voter
+    for v in finals:
+        assert v["ok"] and v["value"] == list(DEFAULT_INPUT.floats()), (argv, v["voter"])
 
 
 # -- criterion 2: failure beyond the bound ---------------------------------------
