@@ -126,7 +126,7 @@ class World:
                 algorithm=algorithm,
                 output_target=(output_targets or {}).get(vid),
             )
-            self.scheduler.spawn(vname, voter.main(), role="voter")
+            self.scheduler.spawn(vname, None, "voter", voter.on_event, voter_end.inbox)
 
         runtime = self.farms[farm] = FarmRuntime(
             farm=farm,

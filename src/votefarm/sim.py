@@ -1,20 +1,23 @@
 """Cooperative activity scheduler with virtual- and real-time clocks.
 
-Activities are generators that yield Wait requests; everything else (sends,
-spawns) is an ordinary call, so the only scheduling points are message
-waits, sleeps, and timeouts.  Ready activities and `call_soon` callbacks run
-FIFO, in one queue, and all ties on the timer heap break by a global
-sequence number, which makes virtual-time runs fully deterministic.  A timer
-only fires once every runnable activity has blocked, so in virtual time a
-timeout means genuine silence, not scheduling luck.  A waiting activity has
-one heap entry, as a rule: a timed wait pushes its deadline `(when, seq)`
-only if the activity has no entry due at or before `when`, and otherwise
-keeps it until that entry pops, then pushes it with its own `seq`.  Nothing
-keyed after the deadline can have popped by then, so timers fire in
-`(time, seq)` order as if each wait pushed its own.  An entry whose wait has
-ended is stale, and at the top of the heap it is retired without advancing
-the clock (or, on the real clock, sleeping until it is due), so a run ends
-when its last live work ends.
+An activity is a generator that yields Wait requests, or a handler that
+waits on one inbox only: called with each item (or TIMED_OUT), it returns
+its next wait's timeout, or FINISHED.  Both block and arm timers through one
+tail of `Scheduler._step`.  Everything else (sends, spawns) is an ordinary
+call, so the only scheduling points are message waits, sleeps, and timeouts.
+Ready activities and `call_soon` callbacks run FIFO, in one queue, and all
+ties on the timer heap break by a global sequence number, which makes
+virtual-time runs fully deterministic.  A timer only fires once every
+runnable activity has blocked, so in virtual time a timeout means genuine
+silence, not scheduling luck.  A waiting activity has one heap entry, as a
+rule: a timed wait pushes its deadline `(when, seq)` only if the activity
+has no entry due at or before `when`, and otherwise keeps it until that
+entry pops, then pushes it with its own `seq`.  Nothing keyed after the
+deadline can have popped by then, so timers fire in `(time, seq)` order as
+if each wait pushed its own.  An entry whose wait has ended is stale, and at
+the top of the heap it is retired without advancing the clock (or, on the
+real clock, sleeping until it is due), so a run ends when its last live work
+ends.
 
 Each wait names at most one source, a FIFO of items (a sleep names
 none).  The first time an activity waits on a source, the source is bound
@@ -34,17 +37,21 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable
 
 
-class _TimedOut:
-    __slots__ = ()
+class _Signal:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self) -> str:
-        return "TIMED_OUT"
+        return self.name
 
 
-TIMED_OUT = _TimedOut()
+TIMED_OUT = _Signal("TIMED_OUT")
+FINISHED = _Signal("FINISHED")  # a handler's return once it is done
 
 VIRTUAL = "virtual"
 REAL = "real"
@@ -100,7 +107,8 @@ def sleep(duration: float):
 class Activity:
     __slots__ = (
         "name",
-        "gen",
+        "body",
+        "inbox",
         "role",
         "finished",
         "halted",
@@ -111,9 +119,10 @@ class Activity:
         "timer_at",
     )
 
-    def __init__(self, name: str, gen: Generator, role: str):
+    def __init__(self, name: str, body, role: str, inbox: WaitSource | None = None):
         self.name = name
-        self.gen = gen
+        self.body = body  # the generator, or with an inbox the handler
+        self.inbox = inbox
         self.role = role
         self.finished = False
         self.halted = False
@@ -173,10 +182,12 @@ class Scheduler:
 
     # -- activities -----------------------------------------------------------
 
-    def spawn(self, name: str, gen: Generator, role: str = "activity") -> Activity:
+    def spawn(self, name: str, gen, role: str = "activity", handler=None, inbox=None) -> Activity:
+        """Start the generator `gen`, or `handler`: its first step binds
+        `inbox`, and each later one calls it with the head of `inbox` or TIMED_OUT."""
         if name in self.activities and self.activities[name].live:
             raise ValueError(f"activity {name!r} already running")
-        act = Activity(name, gen, role)
+        act = Activity(name, gen if inbox is None else handler, role, inbox)
         self.activities[name] = act
         if name in self.kill_names:
             act.halted = True
@@ -208,14 +219,14 @@ class Scheduler:
 
     def close(self) -> None:
         """Drop the ready queue, the heap and every unfinished activity's
-        generator, which can all hold the scheduler, and unbind its source,
-        which points back at it, so that reference counting alone frees a
-        world left with activities that never resume or by a run that raised."""
+        generator or handler, which can all hold the scheduler, and unbind its
+        source, which points back at it, so that reference counting alone frees
+        a world left with activities that never resume or by a run that raised."""
         self._ready.clear()
         self._heap.clear()
         for act in self.activities.values():
             if not act.finished:
-                act.gen = None
+                act.body = act.inbox = None
                 self._unbind(act)
 
     def _push(self, entry) -> None:
@@ -241,47 +252,59 @@ class Scheduler:
 
     def _step(self, act: Activity) -> None:
         # Only a live activity is ever ready: a halted one never is, and a
-        # finished one is unbound and its timers are stale.
+        # finished one is unbound and its timers are stale.  Either kind runs
+        # until its wait finds nothing queued, then blocks in the one tail.
         bound = act.waiting_on
-        if bound is None:
-            value = None  # the first step starts the generator
-        elif bound and bound[0].queue:
-            src = bound[0]
-            value = (src, src.queue.popleft())
+        if act.inbox is not None:
+            handler, queue = act.body, act.inbox.queue
+            if bound is None:  # the first step binds the inbox and waits on it
+                self._bind(act, (act.inbox,))
+            timeout = None if bound is None else handler(queue.popleft() if queue else TIMED_OUT)
+            while queue and timeout is not FINISHED:
+                timeout = handler(queue.popleft())
         else:
-            value = TIMED_OUT
-
-        while True:
-            try:
-                eff = act.gen.send(value)
-            except StopIteration:
-                act.finished = True
-                self._unbind(act)
-                return
-            if not isinstance(eff, Wait):
-                raise TypeError(f"{act.name} yielded {eff!r}, expected Wait")
-            sources = eff.sources
-            if sources is not bound and sources != bound:
-                self._bind(act, sources)
-                bound = act.waiting_on
-            if bound:
+            if bound is None:
+                value = None  # the first step starts the generator
+            elif bound and bound[0].queue:
                 src = bound[0]
-                if src.queue:
-                    value = (src, src.queue.popleft())
-                    continue
-            act.blocked = True
-            act.wait_seq += 1
-            timeout = eff.timeout
-            if timeout is not None:
-                # push the deadline, or keep it while `act` has an entry due no later
-                now = self._vnow if self.clock_mode == VIRTUAL else time.monotonic() - self._epoch
-                when = now + timeout
-                if act.timer_at <= when:
-                    act.deadline = (when, next(self._seq))
-                else:
-                    self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
-                    act.timer_at = when
+                value = (src, src.queue.popleft())
+            else:
+                value = TIMED_OUT
+            while True:
+                try:
+                    eff = act.body.send(value)
+                except StopIteration:
+                    timeout = FINISHED
+                    break
+                if not isinstance(eff, Wait):
+                    raise TypeError(f"{act.name} yielded {eff!r}, expected Wait")
+                sources = eff.sources
+                if sources is not bound and sources != bound:
+                    self._bind(act, sources)
+                    bound = act.waiting_on
+                if bound:
+                    src = bound[0]
+                    if src.queue:
+                        value = (src, src.queue.popleft())
+                        continue
+                timeout = eff.timeout
+                break
+        if timeout is FINISHED:
+            act.finished = True
+            act.body = act.inbox = None
+            self._unbind(act)
             return
+        act.blocked = True
+        act.wait_seq += 1
+        if timeout is not None:
+            # push the deadline, or keep it while `act` has an entry due no later
+            now = self._vnow if self.clock_mode == VIRTUAL else time.monotonic() - self._epoch
+            when = now + timeout
+            if act.timer_at <= when:
+                act.deadline = (when, next(self._seq))
+            else:
+                self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
+                act.timer_at = when
 
     @staticmethod
     def _stale(entry) -> bool:

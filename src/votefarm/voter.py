@@ -1,6 +1,7 @@
 """The server side of a voting farm.
 
-Each voter is one sequential activity owning one round automaton.  It
+Each voter is one round automaton, a scheduler activity that takes one
+event per `Voter.on_event` call and keeps all its state on the object.  It
 collects one value per participant into a slot vector in voter-id order:
 its own user's input arrives on a local link, fellow voters' values
 arrive as broadcasts, both on the voter's one inbox and told apart by
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AlgorithmId, Message, Tag, VoteOutcome
-from .sim import TIMED_OUT, Wait
+from .sim import FINISHED, TIMED_OUT
 from .transport import Endpoint, Fabric
 from .voting import Metric, Slots, vote
 
 _OPEN = object()  # a slot of the open round not yet resolved
 
-# The tags main() tests on every delivered frame and those a voter builds, bound
+# The tags on_event() tests on every delivered frame and those a voter builds, bound
 # once: on CPython 3.10 and 3.11 each `Tag.X` goes through the enum's slow getattr hook.
 _INPUT, _VALUE, _INVALID = Tag.INPUT, Tag.BROADCAST_VALUE, Tag.BROADCAST_INVALID
 _SET_ALGORITHM, _SET_OUTPUT, _GET, _CLOSE = Tag.SET_ALGORITHM, Tag.SET_OUTPUT, Tag.GET, Tag.CLOSE
@@ -32,17 +33,17 @@ _DONE, _REFUSED, _VOTED_VALUE = Tag.DONE, Tag.REFUSED, Tag.VOTED_VALUE
 
 
 class Voter:
-    """One voter: its settings, counters, results and open round; `main()`
-    is the activity body.
+    """One voter: its settings, counters, results and open round; the
+    scheduler calls `on_event` with each event.
 
-    Everything is written only by the voter activity itself and kept
-    outside the generator, so experiments can read results and counters
-    after the run without sending messages (a crashed user has nobody
-    left to ask on its behalf).  `algorithm` and `output_target` move
-    with SET_*.  Between rounds `slots` is None; in a round, slots[i-1]
-    holds participant i's entry: `_OPEN` until resolved, then its value,
-    or None for an invalid slot.  `resolved` counts the resolved entries.
-    The voter's own slot is the only record of its user's input.
+    Everything is written only by `on_event` and kept on the object, so
+    experiments can read results and counters after the run without
+    sending messages (a crashed user has nobody left to ask on its behalf).
+    `algorithm` and `output_target` move with SET_*.  Between rounds
+    `slots` is None; in a round, slots[i-1] holds participant i's entry:
+    `_OPEN` until resolved, then its value, or None for an invalid slot.
+    `resolved` counts the resolved entries.  The voter's own slot is the
+    only record of its user's input.
     """
 
     def __init__(
@@ -68,12 +69,7 @@ class Voter:
         self.user_ep = user_ep
         self.mesh_ep = mesh_ep  # the farm's mesh, fellows in id order; None alone
         self.memo = memo
-        # the two waits main() makes, between rounds and inside one, both on
-        # the voter's one inbox; one shared tuple lets the scheduler see the
-        # same source by identity
-        inbox = (user_ep.inbox,)
-        self.idle_wait = Wait(inbox, None)
-        self.round_wait = Wait(inbox, delta_t)
+        self.delta_t = delta_t
 
         self.last_outcome: VoteOutcome | None = None
         self.last_slots: tuple | None = None
@@ -151,90 +147,89 @@ class Voter:
         memo[key] = outcome
         return outcome
 
-    # -- main loop ---------------------------------------------------------------
+    # -- the round automaton -----------------------------------------------------
 
-    def main(self):
-        """Receive without a time limit between rounds and with a fresh
-        delta_t limit for every receive inside one; silence invalidates
-        the lowest unresolved slot.  Rounds are fed here alone: an INPUT or
-        broadcast (opening a round if none is) or a timeout names a slot and
-        its value, and one resolve fills it, broadcasts when `voter_id` slots
-        are resolved (the turn rule) and finishes the round at N."""
+    def on_event(self, got):
+        """Take one message or TIMED_OUT and return the next wait's timeout:
+        None between rounds, a fresh delta_t inside one, FINISHED once closed.
+        Silence invalidates the lowest unresolved slot.  Rounds are fed here
+        alone: an INPUT or broadcast (opening a round if none is) or a timeout
+        names a slot and its value, and one resolve fills it, broadcasts when
+        `voter_id` slots are resolved (the turn rule) and finishes the round
+        at N."""
         me, n = self.voter_id, self.n
-        while True:
-            got = yield self.idle_wait if self.slots is None else self.round_wait
-            slots = self.slots
-            if got is TIMED_OUT:
-                self.timeouts += 1
-                origin, value = slots.index(_OPEN) + 1, None
-            else:
-                msg = got[1]
-                tag = msg.tag
-                self.messages_received += 1
-                if tag is not _INPUT and tag is not _VALUE and tag is not _INVALID:
-                    if tag is _SET_ALGORITHM:
-                        self.algorithm = msg.payload
-                    elif tag is _SET_OUTPUT:
-                        self.output_target = msg.payload
-                    elif tag is _GET:
-                        if slots is None and self.last_outcome is not None:
-                            self._reply(_VOTED_VALUE, self.last_outcome)
-                        else:
-                            self._refuse()
-                    elif tag is _CLOSE:
-                        if slots is not None:
-                            self._refuse()
-                        else:
-                            self._reply(_DONE)
-                            return
+        slots = self.slots
+        if got is TIMED_OUT:
+            self.timeouts += 1
+            origin, value = slots.index(_OPEN) + 1, None
+        else:
+            tag = got.tag
+            self.messages_received += 1
+            if tag is not _INPUT and tag is not _VALUE and tag is not _INVALID:
+                if tag is _SET_ALGORITHM:
+                    self.algorithm = got.payload
+                elif tag is _SET_OUTPUT:
+                    self.output_target = got.payload
+                elif tag is _GET:
+                    if slots is None and self.last_outcome is not None:
+                        self._reply(_VOTED_VALUE, self.last_outcome)
                     else:
-                        self.stray_messages += 1
-                    continue
-                origin = msg.sender
-                if tag is not _INPUT and (origin == me or not 1 <= origin <= n):
-                    # a broadcast that names no fellow fills no slot and opens no round
-                    self.stray_messages += 1
-                    continue
-                if slots is None:
-                    if tag is _INVALID:
-                        # A straggler from a round that already closed here; a
-                        # fresh round never starts with an invalidation.
-                        self.stray_messages += 1
-                        continue
-                    self.slots = slots = [_OPEN] * n
-                    self.resolved = 0
-                    self.round_started_at = self.fabric.scheduler.now
-                if tag is _INPUT:
-                    origin = me
-                slot = slots[origin - 1]
-                if slot is not _OPEN:
-                    if tag is _INPUT and slot is not None:
-                        # A second input during an open round is a protocol
-                        # violation by the user, not a late arrival.
+                        self._refuse()
+                elif tag is _CLOSE:
+                    if slots is not None:
                         self._refuse()
                     else:
-                        # The slot is resolved already; an input whose slot went
-                        # invalid (timeout or own turn passed) is useless now.
-                        self.late_arrivals += 1
-                    continue
-                # a BROADCAST_INVALID carries no payload: its slot becomes None
-                value = msg.payload
-            slots[origin - 1] = value
-            self.resolved = resolved = self.resolved + 1
-            if resolved == me:
-                own = slots[me - 1]
-                if own is _OPEN or own is None:
-                    # Our user has said nothing by our turn: tell fellows to
-                    # invalidate our slot now instead of waiting a full timeout,
-                    # and mirror that invalidation locally.
-                    self._broadcast(Message(_INVALID, me))
-                    if own is _OPEN:
-                        slots[me - 1] = None
-                        self.resolved = resolved = resolved + 1
+                        self._reply(_DONE)
+                        return FINISHED
                 else:
-                    self._broadcast(Message(_VALUE, me, own))
-            if resolved == n:
-                self._finish_round()
+                    self.stray_messages += 1
+                return None if slots is None else self.delta_t
+            origin = got.sender
+            if tag is not _INPUT and (origin == me or not 1 <= origin <= n):
+                # a broadcast that names no fellow fills no slot and opens no round
+                self.stray_messages += 1
+                return None if slots is None else self.delta_t
+            if slots is None:
+                if tag is _INVALID:
+                    # A straggler from a round that already closed here; a
+                    # fresh round never starts with an invalidation.
+                    self.stray_messages += 1
+                    return None
+                self.slots = slots = [_OPEN] * n
+                self.resolved = 0
+                self.round_started_at = self.fabric.scheduler.now
+            if tag is _INPUT:
+                origin = me
+            slot = slots[origin - 1]
+            if slot is not _OPEN:
+                if tag is _INPUT and slot is not None:
+                    # A second input during an open round is a protocol
+                    # violation by the user, not a late arrival.
+                    self._refuse()
+                else:
+                    # The slot is resolved already; an input whose slot went
+                    # invalid (timeout or own turn passed) is useless now.
+                    self.late_arrivals += 1
+                return self.delta_t
+            # a BROADCAST_INVALID carries no payload: its slot becomes None
+            value = got.payload
+        slots[origin - 1] = value
+        self.resolved = resolved = self.resolved + 1
+        if resolved == me:
+            own = slots[me - 1]
+            if own is _OPEN or own is None:
+                # Our user has said nothing by our turn: tell fellows to
+                # invalidate our slot now instead of waiting a full timeout,
+                # and mirror that invalidation locally.
+                self._broadcast(Message(_INVALID, me))
+                if own is _OPEN:
+                    slots[me - 1] = None
+                    self.resolved = resolved = resolved + 1
+            else:
+                self._broadcast(Message(_VALUE, me, own))
+        if resolved == n:
+            self._finish_round()
+        return None if self.slots is None else self.delta_t
 
 
 # -- farm names and runtime -------------------------------------------------------

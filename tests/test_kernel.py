@@ -469,6 +469,84 @@ def test_step_budget_counts_callbacks(monkeypatch):
     assert len(calls) == 51
 
 
+handler_spawn = Scheduler.spawn
+
+
+def generator_spawn(self, name, gen, role="activity", handler=None, inbox=None):
+    """Scheduler.spawn, but a handler runs as a generator over the same calls:
+    each resume passes the item it waited for to `handler`, and the timeout
+    `handler` returns is the next wait's."""
+
+    def as_generator():
+        timeout = None
+        while True:
+            got = yield Wait((inbox,), timeout)
+            timeout = handler(got if got is TIMED_OUT else got[1])
+            if timeout is sim.FINISHED:
+                return
+
+    return handler_spawn(self, name, as_generator() if handler else gen, role)
+
+
+def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
+    """Users that send two GETs at a time forever never let the run go
+    quiescent.  With MAX_STEPS cut short, the run raises after the same
+    steps and callbacks, in the same order, with the same handler calls in
+    each voter step, whether the voters run as handlers or as generators
+    over the same automaton: a handler step counts once toward MAX_STEPS,
+    however many items it takes, as a generator's resume does."""
+    monkeypatch.setattr(sim, "MAX_STEPS", 400)
+
+    def raise_point(spawn_fn):
+        trace, calls = [], 0
+        on_event, step, call_soon = voter.Voter.on_event, Scheduler._step, Scheduler.call_soon
+
+        def counted_on_event(self, got):
+            nonlocal calls
+            calls += 1
+            return on_event(self, got)
+
+        def traced_step(self, act):
+            nonlocal calls
+            calls = 0
+            step(self, act)
+            trace.append((act.name, calls))
+
+        def traced_call_soon(self, fn):
+            call_soon(self, lambda: (trace.append("call"), fn()))
+
+        def poller(world, ep, uid):
+            send = lambda msg: world.fabric.send_from(ep, encode_message(msg))
+            send(Message(Tag.INPUT, USER, VoteValue.from_floats([uid])))
+            while True:
+                send(Message(Tag.GET, USER))
+                send(Message(Tag.GET, USER))
+                yield Wait((ep.inbox,), 1.0)
+                yield Wait((ep.inbox,), 1.0)
+
+        with monkeypatch.context() as m:
+            m.setattr(voter.Voter, "on_event", counted_on_event)
+            m.setattr(Scheduler, "_step", traced_step)
+            m.setattr(Scheduler, "call_soon", traced_call_soon)
+            m.setattr(Scheduler, "spawn", spawn_fn)
+            world = World()
+            runtime = world.activate_farm("f", (1, 2, 3))
+            for uid, ep in runtime.user_endpoints.items():
+                world.spawn_user("f", uid, poller(world, ep, uid))
+            with pytest.raises(RuntimeError, match="^scheduler step budget exhausted$"):
+                world.run()
+        return trace, runtime.states.values()
+
+    trace, voters = raise_point(handler_spawn)
+    assert trace == raise_point(generator_spawn)[0]
+    assert len(trace) == sim.MAX_STEPS + 1
+    voter_steps = [step[1] for step in trace if step != "call" and "/voter" in step[0]]
+    assert voter_steps[:3] == [0, 0, 0]  # a first step binds the inbox and waits
+    assert min(voter_steps[3:]) == 1 and max(voter_steps) == 3  # a step drains its queue
+    assert voter_steps[-1] == 2  # still receiving at the raise
+    assert all(v.rounds_completed == 1 for v in voters)
+
+
 def test_a_fault_free_two_stage_run_pushes_one_timer_per_waiting_activity(monkeypatch):
     """Inside a fault-free virtual round the clock stands still, so each of
     a voter's receive waits has the deadline of the first: only that first

@@ -1,6 +1,7 @@
 """Round protocol: turn taking, timeout accounting, and request handling."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from votefarm.core import (
 from votefarm.sim import TIMED_OUT, VIRTUAL, Wait, sleep
 from votefarm.transport import delay_hook, drop_hook
 from votefarm.voter import Voter, user_name, voter_name
-from votefarm.voting import vote
+from votefarm.voting import default_metric, vote
 
 
 V42 = VoteValue.from_floats([42.0])
@@ -623,3 +624,68 @@ def test_the_memo_matches_equal_vectors_and_forgets_evicted_ones(vote_calls):
     again = rt.states[1]._vote(fresh(1.0))
     assert again is not first and again == first
     assert len(vote_calls) == 5
+
+
+# -- the round automaton without a scheduler --------------------------------------
+
+
+class RecordingFabric:
+    """Stands in for the fabric: records each post with its voter's resolved
+    count at the time, and schedules nothing."""
+
+    def __init__(self):
+        self.scheduler = SimpleNamespace(now=0.0)
+        self.voter = None
+        self.posts = []
+
+    def post(self, endpoint, msg):
+        self.posts.append((endpoint, msg, self.voter.resolved))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("input", "a", "b"))))
+@pytest.mark.parametrize("me", [1, 2, 3])
+def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
+    """Voter `me` of three, called directly with its user's INPUT and its
+    fellows a's and b's broadcasts in `order`, a GET before each until the
+    round closes: one round closes, with one broadcast at the voter's turn
+    and one vote on the closed vector, and every GET before the close is
+    refused.  An input fed after the close (its slot went invalid at the
+    turn) opens a new round, on which nothing is checked here."""
+    a, b = (vid for vid in (1, 2, 3) if vid != me)
+    values = {vid: VoteValue.from_floats([float(vid)]) for vid in (1, 2, 3)}
+    events = {
+        "input": Message(Tag.INPUT, USER, values[me]),
+        "a": Message(Tag.BROADCAST_VALUE, a, values[a]),
+        "b": Message(Tag.BROADCAST_VALUE, b, values[b]),
+    }
+    majority = AlgorithmId(VoteKind.MAJORITY)
+    fabric = RecordingFabric()
+    user_ep, mesh_ep = SimpleNamespace(name="user"), SimpleNamespace(peers=(a, b))
+    fabric.voter = v = Voter(voter_name("f", me), me, fabric, user_ep, mesh_ep, {}, 1.0,
+                             default_metric, majority)
+    closed_at = None
+    for event in order:
+        if closed_at is None:
+            start = len(fabric.posts)
+            assert v.on_event(Message(Tag.GET, USER)) == (None if v.slots is None else 1.0)
+            assert [m for _, m, _ in fabric.posts[start:]] == [Message(Tag.REFUSED, me)]
+        timeout = v.on_event(events[event])
+        if closed_at is None:
+            assert timeout == (1.0 if v.rounds_completed == 0 else None)
+            if v.rounds_completed:
+                closed_at = len(fabric.posts)
+                assert fabric.posts[-1][:2] == (user_ep, Message(Tag.DONE, me))
+                assert v.on_event(Message(Tag.GET, USER)) is None
+                assert fabric.posts[-1][1] == Message(Tag.VOTED_VALUE, me, v.last_outcome)
+    assert v.rounds_completed == 1
+    heard = order.index("input") < me  # the input came by the voter's turn
+    broadcasts = [(m, resolved) for end, m, resolved in fabric.posts[:closed_at] if end is mesh_ep]
+    if heard:
+        own = Message(Tag.BROADCAST_VALUE, me, values[me])
+    else:
+        own = Message(Tag.BROADCAST_INVALID, me)
+    assert broadcasts == [(own, me)]  # posted when `me` slots were resolved
+    closed = tuple(values[vid] if vid != me or heard else None for vid in (1, 2, 3))
+    assert v.last_slots == closed
+    assert vote_calls == [(majority, closed)]
+    assert v.last_outcome == vote(majority, closed, default_metric)
