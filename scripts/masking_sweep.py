@@ -2,8 +2,9 @@
 """Exhaustive single/double fault sweep over small farm sizes.
 
 For every farm size and every subset of injectable positions up to the
-masking bound, runs one experiment per fault kind and reports whether the
-surviving voters still agreed on the uncorrupted input.
+masking bound, runs one experiment per assignment of the five fault kinds
+and reports whether the surviving voters still agreed on the uncorrupted
+input.
 """
 from __future__ import annotations
 
@@ -21,9 +22,6 @@ from votefarm.harness import (
     run_experiment,
 )
 
-KINDS = (FaultKind.CORRUPT_INPUT, FaultKind.CRASH_USER, FaultKind.CRASH_VOTER)
-
-
 def masked(spec: ExperimentSpec) -> bool:
     report = run_experiment(spec)
     rep = report.repetitions[0]
@@ -33,7 +31,7 @@ def masked(spec: ExperimentSpec) -> bool:
     return all(
         r.outcome is not None
         and r.outcome.ok
-        and r.outcome.value.data == DEFAULT_INPUT.data
+        and r.outcome.value == DEFAULT_INPUT
         for r in final
     )
 
@@ -44,11 +42,11 @@ def sweep(n: int, seed: int) -> tuple[int, int]:
     passed = failed = 0
     for m in range(1, bound + 1):
         for positions in itertools.combinations(range(1, n + 1), m):
-            for kinds in itertools.product(KINDS, repeat=m):
+            for kinds in itertools.product(FaultKind, repeat=m):
                 faults = []
                 for pos, kind in zip(positions, kinds):
                     # a voter crash only matters one stage before the
-                    # observed one; input corruption hits the stage itself
+                    # observed one; every other kind hits the stage itself
                     stage_no = 1 if kind is FaultKind.CRASH_VOTER else 2
                     faults.append(FaultSpec(kind=kind, voter=pos, stage=stage_no))
                 spec = ExperimentSpec(

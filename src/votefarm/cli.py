@@ -155,7 +155,7 @@ def _agreement_holds(report: Report) -> bool:
         finals = [v.outcome for v in rep.voters if v.stage == last and v.live]
         if not all(o is not None and o.ok for o in finals):
             return False
-        if len({o.value.data for o in finals}) != 1:  # no live voter, or two values
+        if len({o.value for o in finals}) != 1:  # no live voter, or two values
             return False
     return True
 
@@ -226,7 +226,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--scaling", type=float)
     p.add_argument("--delta-t", type=float)
-    p.add_argument("--metric", help="registered distance name (default: byte equality)")
+    p.add_argument("--metric", help="registered distance name (default: value equality)")
     p.add_argument(
         "--input",
         action="append",

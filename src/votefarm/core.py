@@ -146,13 +146,13 @@ class VoteOutcome:
 
 # --- wire format -----------------------------------------------------------
 #
-# frame := tag(1) | sender(2, LE) | payload kind(1) | payload length(4, LE)
-#          | payload
+# frame := tag(1) | sender(2, LE) | round(4, LE) | payload kind(1)
+#          | payload length(4, LE) | payload
 #
 # The layout is fixed so frames stay bit-stable across runs and corruption
 # can be injected at known byte offsets.
 
-_HEADER = struct.Struct("<BHBI")
+_HEADER = struct.Struct("<BHIBI")
 _ALGO = struct.Struct("<Bdd")
 
 HEADER_SIZE = _HEADER.size
@@ -183,6 +183,7 @@ class Message:
     tag: Tag
     sender: int
     payload: object = None
+    round: int = 0  # a broadcast names its sender's round; every other message 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.tag, Tag):
@@ -233,7 +234,7 @@ def encode_message(msg: Message) -> bytes:
             body = bytes([0]) + _encode_value(o.value)
         else:
             body = bytes([o.failure.value])
-    return _HEADER.pack(msg.tag, msg.sender, kind, len(body)) + body  # an IntEnum packs as is
+    return _HEADER.pack(msg.tag, msg.sender, msg.round, kind, len(body)) + body  # tags pack as is
 
 
 def decode_message(frame: bytes) -> Message:
@@ -244,7 +245,7 @@ def decode_message(frame: bytes) -> Message:
     becomes a FrameError.  Only the rules of the wire itself are here."""
     if len(frame) < HEADER_SIZE:
         raise FrameError("frame shorter than header")
-    raw_tag, sender, kind, length = _HEADER.unpack_from(frame, 0)
+    raw_tag, sender, round_, kind, length = _HEADER.unpack_from(frame, 0)
     body = frame[HEADER_SIZE:]
     if len(body) != length:
         raise FrameError("declared payload length does not match frame")
@@ -270,7 +271,7 @@ def decode_message(frame: bytes) -> Message:
             payload = VoteOutcome(failure=ErrorCode(body[0]))
         else:
             raise FrameError("a failure outcome is exactly one byte")
-        return Message(tag, sender, payload)
+        return Message(tag, sender, payload, round_)
     except FrameError:
         raise
     except (ValueError, struct.error) as exc:

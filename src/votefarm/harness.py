@@ -242,8 +242,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
 
 
 def check_spec(spec: ExperimentSpec) -> None:
-    bad = validate_spec(spec)
-    if bad:
+    if bad := validate_spec(spec):
         raise SpecError(bad)
 
 
@@ -773,7 +772,7 @@ def bench(
 
 def _oracle_metric(metric):
     if metric is None or metric == "default":
-        return lambda a, b: 0.0 if a.data == b.data else 1.0
+        return lambda a, b: 0.0 if a == b else 1.0
     if metric == "euclidean":
         def euclid(a, b):
             xs, ys = a.floats(), b.floats()

@@ -96,10 +96,11 @@ class Voter:
         self.refusals += 1
         self._reply(_REFUSED)
 
-    def _broadcast(self, msg: Message) -> None:
+    def _broadcast(self, tag: Tag, payload=None) -> None:
         if self.mesh_ep is None:
             return
         self.broadcasts_sent += 1
+        msg = Message(tag, self.voter_id, payload, self.rounds_completed + 1)  # the open round
         self.fabric.post(self.mesh_ep, msg)
 
     def _push_outcome(self, outcome: VoteOutcome) -> None:
@@ -153,10 +154,10 @@ class Voter:
         """Take one message or TIMED_OUT and return the next wait's timeout:
         None between rounds, a fresh delta_t inside one, FINISHED once closed.
         Silence invalidates the lowest unresolved slot.  Rounds are fed here
-        alone: an INPUT or broadcast (opening a round if none is) or a timeout
-        names a slot and its value, and one resolve fills it, broadcasts when
-        `voter_id` slots are resolved (the turn rule) and finishes the round
-        at N."""
+        alone: an INPUT or a broadcast of round `rounds_completed + 1` (either
+        opening that round if none is open) or a timeout names a slot and its
+        value, and one resolve fills it, broadcasts when `voter_id` slots are
+        resolved (the turn rule) and finishes the round at N."""
         me, n = self.voter_id, self.n
         slots = self.slots
         if got is TIMED_OUT:
@@ -184,22 +185,20 @@ class Voter:
                 else:
                     self.stray_messages += 1
                 return None if slots is None else self.delta_t
-            origin = got.sender
-            if tag is not _INPUT and (origin == me or not 1 <= origin <= n):
+            if tag is _INPUT:
+                origin = me
+            elif (origin := got.sender) == me or not 1 <= origin <= n:
                 # a broadcast that names no fellow fills no slot and opens no round
                 self.stray_messages += 1
                 return None if slots is None else self.delta_t
+            elif got.round != self.rounds_completed + 1:
+                # the round rule: a broadcast of neither the open nor the next round is late
+                self.late_arrivals += 1
+                return None if slots is None else self.delta_t
             if slots is None:
-                if tag is _INVALID:
-                    # A straggler from a round that already closed here; a
-                    # fresh round never starts with an invalidation.
-                    self.stray_messages += 1
-                    return None
                 self.slots = slots = [_OPEN] * n
                 self.resolved = 0
                 self.round_started_at = self.fabric.scheduler.now
-            if tag is _INPUT:
-                origin = me
             slot = slots[origin - 1]
             if slot is not _OPEN:
                 if tag is _INPUT and slot is not None:
@@ -221,12 +220,12 @@ class Voter:
                 # Our user has said nothing by our turn: tell fellows to
                 # invalidate our slot now instead of waiting a full timeout,
                 # and mirror that invalidation locally.
-                self._broadcast(Message(_INVALID, me))
+                self._broadcast(_INVALID)
                 if own is _OPEN:
                     slots[me - 1] = None
                     self.resolved = resolved = resolved + 1
             else:
-                self._broadcast(Message(_VALUE, me, own))
+                self._broadcast(_VALUE, own)
         if resolved == n:
             self._finish_round()
         return None if self.slots is None else self.delta_t

@@ -16,7 +16,8 @@ from .core import AlgorithmId, ErrorCode, VoteKind, VoteOutcome, VoteValue
 
 # Voting assumes d(a, a) == 0 and d(a, b) == d(b, a): it measures each
 # unordered pair once and never a value against itself.  `default_metric`
-# meets both exactly, `euclidean_metric` on values without inf or NaN.
+# meets both exactly, and d(a, b) == 0 only if a == b (equal bytes and flag);
+# `euclidean_metric` meets both on values without inf or NaN.
 # A metric must also be pure: the same values give the same distance (or
 # the same exception), with no side effects.  The voters of a farm share
 # one outcome per distinct slot vector, which is sound only under this.
@@ -27,8 +28,8 @@ Slots = Sequence[VoteValue | None]
 
 
 def default_metric(a: VoteValue, b: VoteValue) -> float:
-    """Discrete distance: 0 if the byte sequences are identical, else 1."""
-    return 0.0 if a.data == b.data else 1.0
+    """Discrete distance: 0 if the values are equal in bytes and flag, else 1."""
+    return 0.0 if a.data == b.data and a.numeric == b.numeric else 1.0
 
 
 def euclidean_metric(a: VoteValue, b: VoteValue) -> float:

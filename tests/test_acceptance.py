@@ -26,6 +26,7 @@ from votefarm.harness import (
     bench,
     oracle_vote,
     run_experiment,
+    spec_from_json,
 )
 from votefarm.sim import VIRTUAL, Scheduler, sleep
 from votefarm.transport import LinkCensus
@@ -44,10 +45,11 @@ def single(n: int, faults=(), delta_t: float = 1.0, **kw) -> ExperimentSpec:
     )
 
 
-def chained(n: int, faults=()) -> ExperimentSpec:
+def chained(n: int, faults=(), seed: int = 0) -> ExperimentSpec:
     return ExperimentSpec(
         pipeline=PipelineSpec((StageSpec(n=n), StageSpec(n=n))),
         faults=tuple(faults),
+        seed=seed,
     )
 
 
@@ -56,12 +58,12 @@ def chained(n: int, faults=()) -> ExperimentSpec:
 MASKABLE = (FaultKind.CORRUPT_INPUT, FaultKind.CRASH_USER, FaultKind.CRASH_VOTER)
 
 
-def observed_stage_fault(kind: FaultKind, position: int) -> FaultSpec:
+def observed_stage_fault(kind: FaultKind, position: int, index: int = 0) -> FaultSpec:
     """Faults as seen by the observed (second) stage: crashing the matching
     voter one stage earlier is the same symptom as losing the input."""
     if kind is FaultKind.CRASH_VOTER:
-        return FaultSpec(kind, voter=position, stage=1)
-    return FaultSpec(kind, voter=position, stage=2)
+        return FaultSpec(kind, voter=position, stage=1, index=index)
+    return FaultSpec(kind, voter=position, stage=2, index=index)
 
 
 def test_criterion_01_masking_bound():
@@ -94,10 +96,38 @@ def test_criterion_01_masking_bound():
     passed(1, f"{runs} fault assignments masked exactly in {elapsed:.1f}s")
 
 
+def test_masking_bound_with_drop_and_delay(honest_slots):
+    """Criterion 1's sweep over all five fault kinds: at N = 3 and 5, every
+    set of up to (N - 1) // 2 positions, each with any kind, at message
+    index 0 and 1 and seeds 0 and 1 (the seed draws a delay).  Every live
+    final-stage voter holds the input, and in each stage every honest voter
+    holds every honest replica's value in its slot.  A dropped or delayed
+    broadcast that lands after its round closed is a late arrival, never a
+    round of its own."""
+    runs = 0
+    for n in (3, 5):
+        for size in range(1, (n - 1) // 2 + 1):
+            for positions in itertools.combinations(range(1, n + 1), size):
+                for kinds in itertools.product(FaultKind, repeat=size):
+                    for index, seed in itertools.product((0, 1), (0, 1)):
+                        faults = [
+                            observed_stage_fault(k, p, index) for k, p in zip(kinds, positions)
+                        ]
+                        spec = chained(n, faults, seed)
+                        voters = run_experiment(spec).repetitions[0].voters
+                        runs += 1
+                        for v in voters:
+                            if v.stage == 2 and v.live:
+                                assert v.outcome is not None and v.outcome.ok, (spec, v.voter)
+                                assert v.outcome.value == DEFAULT_INPUT, (spec, v.voter)
+                        assert honest_slots(spec) == [], spec
+    assert runs == 1160
+
+
 # Within the bound at N = 7, with drop, delay and crash faults that criterion
-# 1 does not inject.  Both specs mask only while the users' refused GET polls
-# restart the voters' slot timers: with users that wait for the DONE push
-# instead, a late broadcast opens a phantom round and both end NO_MAJORITY.
+# 1 does not inject.  Each also masks with users that wait for the voter's
+# DONE push instead of polling with GET (ROADMAP item 18), as long as a late
+# broadcast opens no round of its own.
 GUARD_SPECS = (
     (
         "pipeline --n 7 --metric euclidean --seed 864 --fault delay_message:2.3"
@@ -111,9 +141,11 @@ GUARD_SPECS = (
 
 
 @pytest.mark.parametrize("argv", GUARD_SPECS)
-def test_masking_with_drop_delay_and_crash_at_n7(argv, capsys):
+def test_masking_with_drop_delay_and_crash_at_n7(argv, capsys, honest_slots):
     assert main(argv.split()) == 0
-    voters = json.loads(capsys.readouterr().out)["repetitions"][0]["voters"]
+    report = json.loads(capsys.readouterr().out)
+    assert honest_slots(spec_from_json(report["spec"])) == []
+    voters = report["repetitions"][0]["voters"]
     last = max(v["stage"] for v in voters)
     finals = [v for v in voters if v["stage"] == last and v["live"]]
     assert len(finals) == 6  # each spec crashes one final-stage voter

@@ -241,6 +241,20 @@ def test_default_metric_is_byte_equality():
     assert default_metric(a, b) == 1.0
 
 
+def test_a_copy_with_a_flipped_flag_does_not_win():
+    """The same bytes without the numeric flag are another value, at
+    distance 1 under the default metric and its oracle, so the opaque copy
+    in slot 1 neither joins nor leads the class of the two numeric ones."""
+    numeric = VoteValue.from_floats([42.0])
+    opaque = VoteValue.from_bytes(numeric.data)
+    assert default_metric(numeric, opaque) == default_metric(opaque, numeric) == 1.0
+    sv = (opaque, numeric, numeric)
+    for kind, vote_fn in ((VoteKind.MAJORITY, vote_majority), (VoteKind.PLURALITY, vote_plurality)):
+        out = vote_fn(sv, 0.0, default_metric)
+        assert out.value is numeric
+        assert out == oracle_vote(kind, sv, metric="default")
+
+
 def test_euclidean_on_vectors():
     a = VoteValue.from_floats([0.0, 3.0])
     b = VoteValue.from_floats([4.0, 0.0])
@@ -351,8 +365,8 @@ def test_unanimous_majority_work_count(k):
 ODD_ONE_OUT = [
     # an epsilon-neighbour of the other members
     (slots(42.0, 42.0, 42.5, 42.0, 42.0), 1.0, euclidean_metric),
-    # the same bytes without the numeric flag: at distance 0, yet not equal
-    ((*slots(42.0, 42.0), VoteValue(slots(42.0)[0].data)), 0.0, default_metric),
+    # the same bytes without the numeric flag: at distance 1, within epsilon 1
+    ((*slots(42.0, 42.0), VoteValue(slots(42.0)[0].data)), 1.0, default_metric),
 ]
 
 
@@ -382,7 +396,7 @@ NON_FINITE = [
 @pytest.mark.parametrize("metric", ["default", "euclidean"])
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, INF])
 def test_majority_and_plurality_over_non_finite_values_match_the_oracle(xs, metric, epsilon):
-    """Every value NaN or inf.  Under byte equality equal ones form a class
+    """Every value NaN or inf.  Under value equality equal ones form a class
     whose leader wins; under euclidean every distance is NaN or inf, so two
     share a class only at an infinite epsilon.  Majority and plurality
     agree with the oracle."""

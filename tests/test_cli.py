@@ -59,6 +59,24 @@ def test_run_masks_a_crashed_user(capsys):
     assert all(v["value"] == [42.0] for v in report["repetitions"][0]["voters"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run --n 3 --fault drop_message:2",
+        "run --n 5 --algorithm median --fault drop_message:4 --fault corrupt_input:5",
+    ],
+)
+def test_run_masks_a_dropped_broadcast(capsys, argv):
+    """The faulty voter's first broadcast is dropped.  It closes its round
+    on a timeout at the instant a fellow's broadcast lands; that broadcast,
+    now late, opens no second round, so every voter, the faulty one too,
+    holds the input."""
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    voters = json.loads(out)["repetitions"][0]["voters"]
+    assert [v["value"] for v in voters] == [[42.0]] * len(voters)
+
+
 def test_run_exit_one_when_the_farm_cannot_agree(capsys):
     code, out, err = run_cli(
         capsys,

@@ -77,6 +77,12 @@ def test_report_digest_is_unchanged(name):
     assert digest == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_honest_voters_hold_every_honest_value(name, honest_slots):
+    run_experiment(SPECS[name])
+    assert honest_slots(SPECS[name]) == []
+
+
 def test_a_voter_post_is_sent_after_its_step_and_before_its_next(monkeypatch):
     """The send order the digests rest on, over the run with every fault
     kind: no frame a voter posts is sent inside that voter's step, and

@@ -33,21 +33,23 @@ def roundtrip(msg):
 
 def test_input_frame_bytes():
     frame = encode_message(Message(Tag.INPUT, 0, VoteValue.from_floats([42.0])))
-    assert frame == bytes.fromhex("0100000109000000") + b"\x01" + struct.pack("<d", 42.0)
+    header = bytes.fromhex("01 0000 00000000 01 09000000")
+    assert frame == header + b"\x01" + struct.pack("<d", 42.0)
 
 
 def test_get_frame_bytes():
-    assert encode_message(Message(Tag.GET, 0)) == bytes.fromhex("0600000000000000")
+    assert encode_message(Message(Tag.GET, 0)) == bytes.fromhex("06 0000 00000000 00 00000000")
 
 
 def test_broadcast_invalid_frame_bytes():
-    assert encode_message(Message(Tag.BROADCAST_INVALID, 3)) == bytes.fromhex(
-        "0303000000000000"
+    """A broadcast names its round after the sender."""
+    assert encode_message(Message(Tag.BROADCAST_INVALID, 3, round=2)) == bytes.fromhex(
+        "03 0300 02000000 00 00000000"
     )
 
 
-def test_header_is_eight_bytes():
-    assert HEADER_SIZE == 8
+def test_header_is_twelve_bytes():
+    assert HEADER_SIZE == 12
 
 
 # -- round trips ---------------------------------------------------------------
@@ -63,6 +65,7 @@ values = st.one_of(
 )
 
 senders = st.integers(min_value=0, max_value=0xFFFF)
+rounds = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
 
 @given(senders, values)
@@ -79,6 +82,13 @@ def test_bare_roundtrip(sender):
     for tag in (Tag.BROADCAST_INVALID, Tag.GET, Tag.CLOSE, Tag.DONE, Tag.REFUSED):
         msg = roundtrip(Message(tag, sender))
         assert msg.tag == tag and msg.payload is None
+
+
+@given(senders, rounds, values)
+def test_broadcast_round_roundtrip(sender, rnd, value):
+    for msg in (Message(Tag.BROADCAST_VALUE, sender, value, rnd),
+                Message(Tag.BROADCAST_INVALID, sender, round=rnd)):
+        assert roundtrip(msg) == msg
 
 
 @given(
@@ -119,7 +129,7 @@ def test_truncated_header_rejected():
 
 def test_wrong_payload_kind_rejected():
     frame = bytearray(encode_message(Message(Tag.GET, 0)))
-    frame[3] = 1  # claims a value payload on a GET
+    frame[7] = 1  # claims a value payload on a GET
     with pytest.raises(FrameError):
         decode_message(bytes(frame))
 
@@ -148,7 +158,7 @@ def test_bad_value_flag_rejected():
 
 def test_ragged_numeric_value_rejected():
     body = b"\x01" + b"\x00" * 9  # 9 is not a multiple of 8
-    frame = struct.pack("<BHBI", Tag.INPUT.value, 0, 1, len(body)) + body
+    frame = struct.pack("<BHIBI", Tag.INPUT.value, 0, 0, 1, len(body)) + body
     with pytest.raises(FrameError):
         decode_message(frame)
 
@@ -158,7 +168,7 @@ def test_ragged_numeric_value_rejected():
 )
 def test_bad_algorithm_parameters_rejected(epsilon, scaling):
     body = struct.pack("<Bdd", VoteKind.WEIGHTED_AVERAGE.value, epsilon, scaling)
-    frame = struct.pack("<BHBI", Tag.SET_ALGORITHM.value, 0, 2, len(body)) + body
+    frame = struct.pack("<BHIBI", Tag.SET_ALGORITHM.value, 0, 0, 2, len(body)) + body
     bad = "epsilon" if epsilon != 0.0 else "scaling_factor"
     with pytest.raises(FrameError, match=f"{bad} must be >= 0"):
         decode_message(frame)
@@ -166,7 +176,7 @@ def test_bad_algorithm_parameters_rejected(epsilon, scaling):
 
 @pytest.mark.parametrize("code", [0xEE, 5])
 def test_unknown_failure_code_rejected(code):
-    frame = struct.pack("<BHBI", Tag.VOTED_VALUE.value, 1, 4, 1) + bytes([code])
+    frame = struct.pack("<BHIBI", Tag.VOTED_VALUE.value, 1, 0, 4, 1) + bytes([code])
     with pytest.raises(FrameError):
         decode_message(frame)
 
@@ -189,15 +199,16 @@ LEADS = st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 255))
 
 @st.composite
 def header_over_body(draw):
-    """A frame whose declared length is right but whose tag, kind, sender
-    and body are arbitrary, sized to the payloads the decoder knows."""
+    """A frame whose declared length is right but whose tag, kind, sender,
+    round and body are arbitrary, sized to the payloads the decoder knows."""
     tag = draw(st.one_of(st.sampled_from(list(Tag)), st.integers(0, 255)))
     kind = draw(st.one_of(st.just(KIND_OF_TAG.get(tag, 0)), st.integers(0, 255)))
     sender = draw(st.integers(0, 0xFFFF))
+    rnd = draw(st.one_of(st.just(0), rounds))
     size = draw(st.one_of(st.sampled_from((0, 1, 2, 9, 10, 17)), st.integers(0, 40)))
     lead = bytes(draw(st.lists(LEADS, min_size=min(size, 2), max_size=min(size, 2))))
     body = lead + draw(st.binary(min_size=size - len(lead), max_size=size - len(lead)))
-    return struct.pack("<BHBI", tag, sender, kind, size) + body
+    return struct.pack("<BHIBI", tag, sender, rnd, kind, size) + body
 
 
 @settings(max_examples=300)

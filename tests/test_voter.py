@@ -158,7 +158,9 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     timers go off at the same instant that recovery broadcast is born:
     everyone has already written slot 2 off by the time the frame lands.
     One delayed link therefore costs the whole round, and every voter
-    must agree it did.
+    must agree it did.  Voter 3's invalidation of its own slot lands on
+    voter 1 after voter 1 closed the round on its own timeout: a broadcast
+    of a closed round, so voter 1 counts a second late arrival.
     """
     world, rt, recs = launch(3, crashed=(3,))
     world.fabric.add_hook(delay_hook(voter_name("f", 1), voter_name("f", 2), delay=1.2))
@@ -168,8 +170,9 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     assert slot_flags(v2) == (False, True, False)
     assert slot_flags(v1) == (True, False, False)
     assert slot_flags(v3) == (True, False, False)
-    for state in (v1, v2, v3):
-        assert state.late_arrivals == 1
+    for state, late in ((v1, 2), (v2, 1), (v3, 1)):
+        assert (state.late_arrivals, state.stray_messages) == (late, 0)
+        assert state.rounds_completed == 1
         assert state.last_outcome.failure == ErrorCode.NO_MAJORITY
 
 
@@ -297,20 +300,34 @@ USER1 = (("user", 1), 1)  # user 1 to voter 1
 FELLOW = (2, 1)  # voter 2 to voter 1
 
 
-def test_invalid_broadcast_between_rounds_is_a_stray():
-    rt = quiet_farm([(0.0, FELLOW, Message(Tag.BROADCAST_INVALID, 2))])
+@pytest.mark.parametrize("rnd", [0, 2])
+def test_invalid_broadcast_between_rounds_for_another_round_is_late(rnd):
+    """Between rounds a broadcast counts only for the next round: one for a
+    round that is not next changes nothing but the late count."""
+    rt = quiet_farm([(0.0, FELLOW, Message(Tag.BROADCAST_INVALID, 2, round=rnd))])
     v1 = rt.states[1]
-    assert (v1.stray_messages, v1.messages_received) == (1, 1)
+    assert (v1.late_arrivals, v1.stray_messages, v1.messages_received) == (1, 0, 1)
     assert v1.round_started_at is None
     assert v1.rounds_completed == v1.timeouts == 0
+
+
+def test_invalid_broadcast_between_rounds_for_the_next_round_opens_it():
+    """An invalidation of the next round opens it like a value would: voter
+    1 takes its turn at once and times out on the silent third slot."""
+    rt = quiet_farm([(0.0, FELLOW, Message(Tag.BROADCAST_INVALID, 2, round=1))])
+    v1 = rt.states[1]
+    assert (v1.late_arrivals, v1.stray_messages, v1.messages_received) == (0, 0, 1)
+    assert v1.round_started_at == 0.0
+    assert (v1.rounds_completed, v1.timeouts) == (1, 1)
+    assert v1.last_slots == (None, None, None)
 
 
 @pytest.mark.parametrize("sender", [1, 4])
 def test_broadcast_from_own_or_unknown_id_is_a_stray(sender):
     """Voter 1 of three: its own id and an id above N own no slot."""
     strays = [
-        Message(Tag.BROADCAST_VALUE, sender, V42),
-        Message(Tag.BROADCAST_INVALID, sender),
+        Message(Tag.BROADCAST_VALUE, sender, V42, round=1),
+        Message(Tag.BROADCAST_INVALID, sender, round=1),
     ]
     # between rounds the value broadcast is the first arrival
     rt = quiet_farm([(0.0, FELLOW, strays[0])])
@@ -349,7 +366,7 @@ def test_own_slot_refuses_a_second_input_and_counts_a_late_one():
     # and invalidates its own slot, so the input that follows is late
     rt = quiet_farm(
         [
-            (0.0, FELLOW, Message(Tag.BROADCAST_VALUE, 2, V42)),
+            (0.0, FELLOW, Message(Tag.BROADCAST_VALUE, 2, V42, round=1)),
             (0.5, USER1, Message(Tag.INPUT, USER, v7)),
         ]
     )
@@ -462,20 +479,6 @@ def vote_calls(monkeypatch):
 
     monkeypatch.setattr(votefarm.voter, "vote", counted)
     return calls
-
-
-@pytest.fixture
-def voters(monkeypatch):
-    """Every Voter built while the test runs, in build order."""
-    built = []
-    init = Voter.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(Voter, "__init__", recording_init)
-    return built
 
 
 def rounds_user(world, rt, uid, values, set_before=None):
@@ -642,6 +645,17 @@ class RecordingFabric:
         self.posts.append((endpoint, msg, self.voter.resolved))
 
 
+def direct_voter(me, algorithm=AlgorithmId(VoteKind.MAJORITY)):
+    """Voter `me` of three on a RecordingFabric, with stand-in user and mesh
+    ends; returns the voter, its fabric and the two ends."""
+    fabric = RecordingFabric()
+    user_ep = SimpleNamespace(name="user")
+    mesh_ep = SimpleNamespace(peers=tuple(vid for vid in (1, 2, 3) if vid != me))
+    fabric.voter = v = Voter(voter_name("f", me), me, fabric, user_ep, mesh_ep, {}, 1.0,
+                             default_metric, algorithm)
+    return v, fabric, user_ep, mesh_ep
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations(("input", "a", "b"))))
 @pytest.mark.parametrize("me", [1, 2, 3])
 def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
@@ -655,14 +669,11 @@ def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
     values = {vid: VoteValue.from_floats([float(vid)]) for vid in (1, 2, 3)}
     events = {
         "input": Message(Tag.INPUT, USER, values[me]),
-        "a": Message(Tag.BROADCAST_VALUE, a, values[a]),
-        "b": Message(Tag.BROADCAST_VALUE, b, values[b]),
+        "a": Message(Tag.BROADCAST_VALUE, a, values[a], round=1),
+        "b": Message(Tag.BROADCAST_VALUE, b, values[b], round=1),
     }
     majority = AlgorithmId(VoteKind.MAJORITY)
-    fabric = RecordingFabric()
-    user_ep, mesh_ep = SimpleNamespace(name="user"), SimpleNamespace(peers=(a, b))
-    fabric.voter = v = Voter(voter_name("f", me), me, fabric, user_ep, mesh_ep, {}, 1.0,
-                             default_metric, majority)
+    v, fabric, user_ep, mesh_ep = direct_voter(me, majority)
     closed_at = None
     for event in order:
         if closed_at is None:
@@ -681,11 +692,69 @@ def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
     heard = order.index("input") < me  # the input came by the voter's turn
     broadcasts = [(m, resolved) for end, m, resolved in fabric.posts[:closed_at] if end is mesh_ep]
     if heard:
-        own = Message(Tag.BROADCAST_VALUE, me, values[me])
+        own = Message(Tag.BROADCAST_VALUE, me, values[me], round=1)
     else:
-        own = Message(Tag.BROADCAST_INVALID, me)
+        own = Message(Tag.BROADCAST_INVALID, me, round=1)
     assert broadcasts == [(own, me)]  # posted when `me` slots were resolved
     closed = tuple(values[vid] if vid != me or heard else None for vid in (1, 2, 3))
     assert v.last_slots == closed
     assert vote_calls == [(majority, closed)]
     assert v.last_outcome == vote(majority, closed, default_metric)
+
+
+def value_of(vid):
+    return VoteValue.from_floats([float(vid)])
+
+
+def test_a_late_value_of_a_closed_round_opens_no_round():
+    """Voter 2 of three: fellow 3's round-1 value opens round 1, a timeout
+    invalidates slot 1, which makes it voter 2's turn with no input, so it
+    invalidates its own slot and closes the round.  Fellow 1's round-1
+    value lands after that close: a late arrival, not a second round."""
+    v, fabric, _, mesh_ep = direct_voter(2)
+    assert v.on_event(Message(Tag.BROADCAST_VALUE, 3, value_of(3), round=1)) == 1.0
+    assert v.on_event(TIMED_OUT) is None
+    assert (v.rounds_completed, v.last_slots) == (1, (None, None, value_of(3)))
+    posts = len(fabric.posts)
+    assert v.on_event(Message(Tag.BROADCAST_VALUE, 1, value_of(1), round=1)) is None
+    assert (v.rounds_completed, v.late_arrivals, v.stray_messages) == (1, 1, 0)
+    assert v.slots is None and v.last_slots == (None, None, value_of(3))
+    assert len(fabric.posts) == posts  # nothing posted for a late arrival
+    broadcasts = [m for end, m, _ in fabric.posts if end is mesh_ep]
+    assert broadcasts == [Message(Tag.BROADCAST_INVALID, 2, round=1)]
+
+
+def voter_one_after_round_one():
+    """Voter 1 of three, its first round closed on every participant's value."""
+    v, fabric, _, mesh_ep = direct_voter(1)
+    v.on_event(Message(Tag.INPUT, USER, value_of(1)))
+    for vid in (2, 3):
+        v.on_event(Message(Tag.BROADCAST_VALUE, vid, value_of(vid), round=1))
+    assert v.rounds_completed == 1 and v.slots is None
+    return v, fabric, mesh_ep
+
+
+def test_an_invalidation_of_the_next_round_opens_it_between_rounds():
+    """After round 1 closed, fellow 3's round-2 invalidation opens round 2
+    with slot 3 invalid; voter 1's own turn then comes at once."""
+    v, fabric, mesh_ep = voter_one_after_round_one()
+    assert v.on_event(Message(Tag.BROADCAST_INVALID, 3, round=2)) == 1.0
+    assert v.slots == [None, votefarm.voter._OPEN, None]
+    assert (v.rounds_completed, v.late_arrivals, v.stray_messages) == (1, 0, 0)
+    broadcasts = [m for end, m, _ in fabric.posts if end is mesh_ep]
+    assert broadcasts == [
+        Message(Tag.BROADCAST_VALUE, 1, value_of(1), round=1),
+        Message(Tag.BROADCAST_INVALID, 1, round=2),
+    ]
+
+
+@pytest.mark.parametrize("rnd", [0, 1, 3])
+def test_a_broadcast_for_a_round_neither_open_nor_next_is_late(rnd):
+    """In round 2, a broadcast of any round but 2 fills no slot."""
+    v, _, _ = voter_one_after_round_one()
+    assert v.on_event(Message(Tag.INPUT, USER, value_of(1))) == 1.0
+    opened = list(v.slots)
+    assert v.on_event(Message(Tag.BROADCAST_VALUE, 2, value_of(2), round=rnd)) == 1.0
+    assert v.on_event(Message(Tag.BROADCAST_INVALID, 3, round=rnd)) == 1.0
+    assert v.slots == opened and v.resolved == 1
+    assert (v.late_arrivals, v.stray_messages, v.rounds_completed) == (2, 0, 1)
