@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 
+from votefarm.core import VoteValue
 from votefarm.harness import (
     ExperimentSpec,
     FaultKind,
@@ -18,7 +19,6 @@ from votefarm.harness import (
     run_experiment,
     value_to_json,
 )
-from votefarm.voting import VoteValue
 
 
 def main() -> int:

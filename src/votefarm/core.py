@@ -146,35 +146,69 @@ class VoteOutcome:
 
 # --- wire format -----------------------------------------------------------
 #
-# frame := tag(1) | sender(2, LE) | round(4, LE) | payload kind(1)
-#          | payload length(4, LE) | payload
+# frame := tag(1) | sender(2, LE) | round(4, LE) | payload
 #
-# The layout is fixed so frames stay bit-stable across runs and corruption
-# can be injected at known byte offsets.
+# A frame arrives whole and its tag fixes what the payload is, so the header
+# states neither.  The layout is fixed so frames stay bit-stable across runs
+# and corruption can be injected at known byte offsets.
 
-_HEADER = struct.Struct("<BHIBI")
+_HEADER = struct.Struct("<BHI")
 _ALGO = struct.Struct("<Bdd")
 
 HEADER_SIZE = _HEADER.size
 VALUE_FLAG_SIZE = 1  # leading opaque/numeric flag inside a value payload
 
-_P_NONE = 0
-_P_VALUE = 1
-_P_ALGO = 2
-_P_TARGET = 3
-_P_OUTCOME = 4
 
-_TAG_PAYLOAD = {
-    Tag.INPUT: _P_VALUE,
-    Tag.BROADCAST_VALUE: _P_VALUE,
-    Tag.BROADCAST_INVALID: _P_NONE,
-    Tag.SET_ALGORITHM: _P_ALGO,
-    Tag.SET_OUTPUT: _P_TARGET,
-    Tag.GET: _P_NONE,
-    Tag.CLOSE: _P_NONE,
-    Tag.DONE: _P_NONE,
-    Tag.REFUSED: _P_NONE,
-    Tag.VOTED_VALUE: _P_OUTCOME,
+def _encode_value(value: VoteValue) -> bytes:
+    return bytes([1 if value.numeric else 0]) + value.data
+
+
+def _decode_value(body: bytes) -> VoteValue:
+    if body[:1] not in (b"\x00", b"\x01"):
+        raise FrameError("bad value flag")
+    return VoteValue(body[1:], numeric=body[0] == 1)
+
+
+def _decode_none(body: bytes) -> None:
+    if body:
+        raise FrameError("a payload-free tag must not carry payload bytes")
+
+
+def _encode_outcome(o: VoteOutcome) -> bytes:
+    return b"\x00" + _encode_value(o.value) if o.ok else bytes([o.failure.value])
+
+
+def _decode_outcome(body: bytes) -> VoteOutcome:
+    if body[:1] == b"\x00":
+        return VoteOutcome(value=_decode_value(body[1:]))
+    if len(body) != 1:
+        raise FrameError("a failure outcome is exactly one byte")
+    return VoteOutcome(failure=ErrorCode(body[0]))
+
+
+def _decode_algorithm(body: bytes) -> AlgorithmId:
+    raw_kind, epsilon, scaling = _ALGO.unpack(body)
+    return AlgorithmId(VoteKind(raw_kind), epsilon, scaling)
+
+
+# Each tag's payload: its type, its encoder and its decoder.
+_NONE = (type(None), lambda _: b"", _decode_none)
+_VALUE = (VoteValue, _encode_value, _decode_value)
+_PAYLOAD = {
+    Tag.INPUT: _VALUE,
+    Tag.BROADCAST_VALUE: _VALUE,
+    Tag.BROADCAST_INVALID: _NONE,
+    Tag.SET_ALGORITHM: (
+        AlgorithmId,
+        lambda a: _ALGO.pack(a.kind, a.epsilon, a.scaling_factor),
+        _decode_algorithm,
+    ),
+    Tag.SET_OUTPUT: (str, lambda target: target.encode("utf-8"), lambda b: b.decode("utf-8")),
+    Tag.GET: _NONE,
+    Tag.CLOSE: _NONE,
+    Tag.DONE: _NONE,
+    Tag.REFUSED: _NONE,
+    Tag.VOTED_VALUE: (VoteOutcome, _encode_outcome, _decode_outcome),
 }
 
 
@@ -190,51 +224,17 @@ class Message:
             raise TypeError("tag must be a Tag")
         if not isinstance(self.sender, int) or self.sender < 0:
             raise ValueError("sender must be USER (0) or a voter id (>= 1)")
-        kind = _TAG_PAYLOAD[self.tag]
-        p = self.payload
-        if kind == _P_NONE and p is not None:
-            raise ValueError(f"{self.tag.name} carries no payload")
-        if kind == _P_VALUE and not isinstance(p, VoteValue):
-            raise ValueError(f"{self.tag.name} requires a VoteValue payload")
-        if kind == _P_ALGO and not isinstance(p, AlgorithmId):
-            raise ValueError(f"{self.tag.name} requires an AlgorithmId payload")
-        if kind == _P_TARGET and not isinstance(p, str):
-            raise ValueError(f"{self.tag.name} requires a target identifier")
-        if kind == _P_OUTCOME and not isinstance(p, VoteOutcome):
-            raise ValueError(f"{self.tag.name} requires a VoteOutcome payload")
-
-
-def _encode_value(value: VoteValue) -> bytes:
-    return bytes([1 if value.numeric else 0]) + value.data
-
-
-def _decode_value(body: bytes) -> VoteValue:
-    if body[:1] not in (b"\x00", b"\x01"):
-        raise FrameError("bad value flag")
-    return VoteValue(body[1:], numeric=body[0] == 1)
+        kind = _PAYLOAD[self.tag][0]
+        if not isinstance(self.payload, kind):
+            raise ValueError(f"{self.tag.name} requires a {kind.__name__} payload")
 
 
 def encode_message(msg: Message) -> bytes:
-    """Serialize a message to one self-delimiting frame."""
+    """Serialize a message to one frame; the fabric delivers it whole."""
     if msg.sender > MAX_SENDER_ID:
         raise ValueError("sender id does not fit the frame")
-    kind = _TAG_PAYLOAD[msg.tag]
-    if kind == _P_NONE:
-        body = b""
-    elif kind == _P_VALUE:
-        body = _encode_value(msg.payload)
-    elif kind == _P_ALGO:
-        a = msg.payload
-        body = _ALGO.pack(a.kind.value, a.epsilon, a.scaling_factor)
-    elif kind == _P_TARGET:
-        body = msg.payload.encode("utf-8")
-    else:  # _P_OUTCOME
-        o = msg.payload
-        if o.ok:
-            body = bytes([0]) + _encode_value(o.value)
-        else:
-            body = bytes([o.failure.value])
-    return _HEADER.pack(msg.tag, msg.sender, msg.round, kind, len(body)) + body  # tags pack as is
+    body = _PAYLOAD[msg.tag][1](msg.payload)
+    return _HEADER.pack(msg.tag, msg.sender, msg.round) + body  # tags pack as is
 
 
 def decode_message(frame: bytes) -> Message:
@@ -245,33 +245,10 @@ def decode_message(frame: bytes) -> Message:
     becomes a FrameError.  Only the rules of the wire itself are here."""
     if len(frame) < HEADER_SIZE:
         raise FrameError("frame shorter than header")
-    raw_tag, sender, round_, kind, length = _HEADER.unpack_from(frame, 0)
-    body = frame[HEADER_SIZE:]
-    if len(body) != length:
-        raise FrameError("declared payload length does not match frame")
+    raw_tag, sender, round_ = _HEADER.unpack_from(frame, 0)
     try:
         tag = Tag(raw_tag)
-        if kind != _TAG_PAYLOAD[tag]:
-            raise FrameError(f"payload kind {kind} not allowed for {tag.name}")
-        payload: object
-        if kind == _P_NONE:
-            if body:
-                raise FrameError(f"{tag.name} must not carry payload bytes")
-            payload = None
-        elif kind == _P_VALUE:
-            payload = _decode_value(body)
-        elif kind == _P_ALGO:
-            raw_kind, epsilon, scaling = _ALGO.unpack(body)
-            payload = AlgorithmId(VoteKind(raw_kind), epsilon, scaling)
-        elif kind == _P_TARGET:
-            payload = body.decode("utf-8")
-        elif body[:1] == b"\x00":  # _P_OUTCOME holding a value
-            payload = VoteOutcome(value=_decode_value(body[1:]))
-        elif len(body) == 1:
-            payload = VoteOutcome(failure=ErrorCode(body[0]))
-        else:
-            raise FrameError("a failure outcome is exactly one byte")
-        return Message(tag, sender, payload, round_)
+        return Message(tag, sender, _PAYLOAD[tag][2](frame[HEADER_SIZE:]), round_)
     except FrameError:
         raise
     except (ValueError, struct.error) as exc:

@@ -8,8 +8,10 @@ call, so the only scheduling points are message waits, sleeps, and timeouts.
 Ready activities and `call_soon` callbacks run FIFO, in one queue, and all
 ties on the timer heap break by a global sequence number, which makes
 virtual-time runs fully deterministic.  A timer only fires once every
-runnable activity has blocked, so in virtual time a timeout means genuine
-silence, not scheduling luck.  A waiting activity has one heap entry, as a
+runnable activity has blocked, and all heap entries due at one instant pop
+together before any activity they wake runs: a frame that lands before a
+woken activity steps (due then, or sent by one run first) is taken instead
+of the timeout.  A waiting activity has one heap entry, as a
 rule: a timed wait pushes its deadline `(when, seq)` only if the activity
 has no entry due at or before `when`, and otherwise keeps it until that
 entry pops, then pushes it with its own `seq`.  Nothing keyed after the

@@ -33,9 +33,13 @@ def default_metric(a: VoteValue, b: VoteValue) -> float:
 
 
 def euclidean_metric(a: VoteValue, b: VoteValue) -> float:
-    """Euclidean distance between the numeric views of two values; a
-    dimension mismatch raises ValueError."""
-    return math.dist(a.floats(), b.floats())
+    """Euclidean distance between the numeric views of two values, +inf
+    between different dimensions; a value with no numeric view raises."""
+    xs, ys = a.floats(), b.floats()
+    try:
+        return math.dist(xs, ys)
+    except ValueError:  # math.dist takes only points of one dimension
+        return math.inf
 
 
 _METRICS: dict[str, Metric] = {

@@ -1,5 +1,6 @@
 """Voting algorithms against frozen examples and their invariants."""
 
+import itertools
 import math
 import random
 import struct
@@ -268,9 +269,8 @@ def test_a_huge_replica_neither_overflows_nor_wins():
     assert first_float(vote_majority(sv, 0.0, euclidean_metric)) == 42.0
     assert first_float(vote_plurality(sv, 0.0, euclidean_metric)) == 42.0
     assert first_float(vote_median(sv, euclidean_metric)) == 42.0
-    # a dimension mismatch still raises
-    with pytest.raises(ValueError):
-        euclidean_metric(sv[0], VoteValue.from_floats([42.0, 42.0]))
+    # values of different dimensions are infinitely far apart
+    assert euclidean_metric(sv[0], VoteValue.from_floats([42.0, 42.0])) == math.inf
 
 
 def test_resolve_metric_names():
@@ -406,6 +406,20 @@ def test_majority_and_plurality_over_non_finite_values_match_the_oracle(xs, metr
     assert vote_majority(sv, epsilon, fn) == want
     want = oracle_vote(VoteKind.PLURALITY, sv, epsilon, metric=metric)
     assert vote_plurality(sv, epsilon, fn) == want
+
+
+MIXED_DIMENSIONS = (None, *map(VoteValue.from_floats, ([0.0], [1.0], [0.0, 0.0], [1.0, 2.0])))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_mixed_dimensions_vote_as_the_oracle_does(n):
+    """Under euclidean, values of different dimensions are +inf apart, as
+    in the oracle, so every algorithm votes over them without raising."""
+    for sv in itertools.product(MIXED_DIMENSIONS, repeat=n):
+        for kind in VoteKind:
+            for epsilon in (0.0, 1.5):
+                want = oracle_vote(kind, sv, epsilon, metric="euclidean")
+                assert vote(AlgorithmId(kind, epsilon), sv, euclidean_metric) == want, sv
 
 
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4),

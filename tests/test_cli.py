@@ -94,6 +94,28 @@ def test_run_exit_one_when_the_farm_cannot_agree(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "algorithm,code,want",
+    [
+        ("majority", 0, {"value": [1.0], "failure": None}),
+        ("median", 0, {"value": [1.0], "failure": None}),
+        ("plurality", 0, {"value": [1.0], "failure": None}),
+        ("weighted_average", 1, {"value": None, "failure": "BAD_STATE"}),
+    ],
+)
+def test_euclidean_run_over_mixed_dimensions(capsys, algorithm, code, want):
+    """A replica of another dimension is +inf from the rest: the others
+    outvote it, and only the weighted average, which needs one dimension,
+    fails."""
+    got, out, _ = run_cli(
+        capsys, *f"run --n 3 --metric euclidean --algorithm {algorithm}".split(),
+        "--input", "1.0", "--input", "1.0", "--input", "1.0,2.0",
+    )
+    assert got == code
+    voters = json.loads(out)["repetitions"][0]["voters"]
+    assert [{k: v[k] for k in want} for v in voters] == [want] * 3
+
+
 def test_inputs_algorithm_and_metric_flags(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -33,23 +33,22 @@ def roundtrip(msg):
 
 def test_input_frame_bytes():
     frame = encode_message(Message(Tag.INPUT, 0, VoteValue.from_floats([42.0])))
-    header = bytes.fromhex("01 0000 00000000 01 09000000")
+    header = bytes.fromhex("01 0000 00000000")
     assert frame == header + b"\x01" + struct.pack("<d", 42.0)
 
 
 def test_get_frame_bytes():
-    assert encode_message(Message(Tag.GET, 0)) == bytes.fromhex("06 0000 00000000 00 00000000")
+    assert encode_message(Message(Tag.GET, 0)) == bytes.fromhex("06 0000 00000000")
 
 
 def test_broadcast_invalid_frame_bytes():
     """A broadcast names its round after the sender."""
-    assert encode_message(Message(Tag.BROADCAST_INVALID, 3, round=2)) == bytes.fromhex(
-        "03 0300 02000000 00 00000000"
-    )
+    frame = encode_message(Message(Tag.BROADCAST_INVALID, 3, round=2))
+    assert frame == bytes.fromhex("03 0300 02000000")
 
 
-def test_header_is_twelve_bytes():
-    assert HEADER_SIZE == 12
+def test_header_is_seven_bytes():
+    assert HEADER_SIZE == 7
 
 
 # -- round trips ---------------------------------------------------------------
@@ -127,19 +126,13 @@ def test_truncated_header_rejected():
         decode_message(b"\x01\x00\x00")
 
 
-def test_wrong_payload_kind_rejected():
-    frame = bytearray(encode_message(Message(Tag.GET, 0)))
-    frame[7] = 1  # claims a value payload on a GET
-    with pytest.raises(FrameError):
-        decode_message(bytes(frame))
-
-
-def test_length_mismatch_rejected():
-    frame = encode_message(Message(Tag.INPUT, 0, VoteValue.from_floats([1.0])))
-    with pytest.raises(FrameError):
+@pytest.mark.parametrize(
+    "tag", [Tag.BROADCAST_INVALID, Tag.GET, Tag.CLOSE, Tag.DONE, Tag.REFUSED]
+)
+def test_payload_free_tag_with_a_byte_rejected(tag):
+    frame = encode_message(Message(tag, 0))
+    with pytest.raises(FrameError, match="must not carry payload bytes"):
         decode_message(frame + b"\x00")
-    with pytest.raises(FrameError):
-        decode_message(frame[:-1])
 
 
 def test_unknown_tag_rejected():
@@ -158,7 +151,7 @@ def test_bad_value_flag_rejected():
 
 def test_ragged_numeric_value_rejected():
     body = b"\x01" + b"\x00" * 9  # 9 is not a multiple of 8
-    frame = struct.pack("<BHIBI", Tag.INPUT.value, 0, 0, 1, len(body)) + body
+    frame = struct.pack("<BHI", Tag.INPUT.value, 0, 0) + body
     with pytest.raises(FrameError):
         decode_message(frame)
 
@@ -168,7 +161,7 @@ def test_ragged_numeric_value_rejected():
 )
 def test_bad_algorithm_parameters_rejected(epsilon, scaling):
     body = struct.pack("<Bdd", VoteKind.WEIGHTED_AVERAGE.value, epsilon, scaling)
-    frame = struct.pack("<BHIBI", Tag.SET_ALGORITHM.value, 0, 0, 2, len(body)) + body
+    frame = struct.pack("<BHI", Tag.SET_ALGORITHM.value, 0, 0) + body
     bad = "epsilon" if epsilon != 0.0 else "scaling_factor"
     with pytest.raises(FrameError, match=f"{bad} must be >= 0"):
         decode_message(frame)
@@ -176,7 +169,7 @@ def test_bad_algorithm_parameters_rejected(epsilon, scaling):
 
 @pytest.mark.parametrize("code", [0xEE, 5])
 def test_unknown_failure_code_rejected(code):
-    frame = struct.pack("<BHIBI", Tag.VOTED_VALUE.value, 1, 0, 4, 1) + bytes([code])
+    frame = struct.pack("<BHI", Tag.VOTED_VALUE.value, 1, 0) + bytes([code])
     with pytest.raises(FrameError):
         decode_message(frame)
 
@@ -189,9 +182,6 @@ def test_decoder_never_crashes(blob):
         pass
 
 
-# The payload kind byte each tag's frames carry: none 0, value 1,
-# algorithm 2, target 3, outcome 4.
-KIND_OF_TAG = dict(zip(Tag, (1, 1, 0, 2, 3, 0, 0, 0, 0, 4)))
 # Bytes that steer a body into the decoder's branches: value flags, the
 # outcome status and the algorithm kinds.
 LEADS = st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 255))
@@ -199,16 +189,15 @@ LEADS = st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 255))
 
 @st.composite
 def header_over_body(draw):
-    """A frame whose declared length is right but whose tag, kind, sender,
-    round and body are arbitrary, sized to the payloads the decoder knows."""
+    """A 7-byte header with an arbitrary tag, sender and round over an
+    arbitrary body, sized to the payloads the decoder knows."""
     tag = draw(st.one_of(st.sampled_from(list(Tag)), st.integers(0, 255)))
-    kind = draw(st.one_of(st.just(KIND_OF_TAG.get(tag, 0)), st.integers(0, 255)))
     sender = draw(st.integers(0, 0xFFFF))
     rnd = draw(st.one_of(st.just(0), rounds))
     size = draw(st.one_of(st.sampled_from((0, 1, 2, 9, 10, 17)), st.integers(0, 40)))
     lead = bytes(draw(st.lists(LEADS, min_size=min(size, 2), max_size=min(size, 2))))
     body = lead + draw(st.binary(min_size=size - len(lead), max_size=size - len(lead)))
-    return struct.pack("<BHIBI", tag, sender, rnd, kind, size) + body
+    return struct.pack("<BHI", tag, sender, rnd) + body
 
 
 @settings(max_examples=300)

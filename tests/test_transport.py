@@ -175,8 +175,9 @@ def test_corrupt_value_payload_stays_parseable():
     msg = decode_message(bent)
     assert msg.tag == Tag.INPUT
     assert msg.payload.floats()[0] != 42.0
-    # header and flag byte untouched
-    assert bent[:9] == frame[:9]
+    # the 7-byte header and the flag byte untouched, every value byte flipped
+    assert bent[:8] == frame[:8]
+    assert all(b == f ^ 0xFF for b, f in zip(bent[8:], frame[8:], strict=True))
 
 
 def test_corrupt_hook_hits_chosen_frame_only():

@@ -1,6 +1,8 @@
 """Round protocol: turn taking, timeout accounting, and request handling."""
 
+import copy
 import itertools
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -758,3 +760,73 @@ def test_a_broadcast_for_a_round_neither_open_nor_next_is_late(rnd):
     assert v.on_event(Message(Tag.BROADCAST_INVALID, 3, round=rnd)) == 1.0
     assert v.slots == opened and v.resolved == 1
     assert (v.late_arrivals, v.stray_messages, v.rounds_completed) == (2, 0, 1)
+
+
+def successors(v, ghosts):
+    """The events voter `v` of three can take next, with the ghost counts
+    after each: its user's inputs so far and each fellow's broadcasts so
+    far, two at most of each, so the search ends; a broadcast names its
+    fellow's ghost round, one past that fellow's count."""
+    inputs, sent = ghosts
+    me = v.voter_id
+    if inputs < 2:
+        yield Message(Tag.INPUT, USER, VoteValue.from_floats([me, inputs])), (inputs + 1, sent)
+    for i, vid in enumerate(vid for vid in (1, 2, 3) if vid != me):
+        if sent[i] < 2:
+            after = (inputs, sent[:i] + (sent[i] + 1,) + sent[i + 1 :])
+            rnd = sent[i] + 1
+            yield Message(Tag.BROADCAST_VALUE, vid, value_of(vid), round=rnd), after
+            yield Message(Tag.BROADCAST_INVALID, vid, round=rnd), after
+    yield Message(Tag.GET, USER), ghosts
+    if v.slots is not None:
+        yield TIMED_OUT, ghosts
+
+
+@pytest.mark.parametrize("me", [1, 2, 3])
+def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_calls):
+    """Breadth-first over every event order voter `me` of three can see,
+    each state a copy of the voter: a broadcast of a closed round opens no
+    round, a slot resolves once per round, the voter broadcasts once per
+    round, when `me` slots are resolved, and a closed round votes on
+    exactly the vector it resolved."""
+    OPEN = votefarm.voter._OPEN
+    start, fabric, _, mesh_ep = direct_voter(me)
+    frontier, seen = deque([(start, (0, (0, 0)))]), set()
+    while frontier:
+        v, ghosts = frontier.popleft()
+        for event, after in successors(v, ghosts):
+            w = copy.copy(v)
+            w.slots = None if v.slots is None else list(v.slots)
+            w.memo = {}
+            fabric.voter, fabric.posts, calls = w, [], len(vote_calls)
+            w.on_event(event)
+            rnd = v.rounds_completed + 1  # the round open, or the next one
+            before = [OPEN] * 3 if v.slots is None else v.slots
+            closed = w.rounds_completed > v.rounds_completed
+            now = w.last_slots if closed else w.slots
+            if event is not TIMED_OUT and event.tag is not Tag.INPUT and event.round < rnd:
+                assert (w.slots, w.resolved, closed) == (v.slots, v.resolved, False)
+            if now is not None:
+                assert all(b is OPEN or a is b for b, a in zip(before, now))
+            if w.slots is not None:
+                assert w.resolved == sum(s is not OPEN for s in w.slots)
+            # the round's resolved count before and after the event
+            was = 0 if v.slots is None else v.resolved
+            reached = 3 if closed else 0 if w.slots is None else w.resolved
+            broadcasts = [(m, r) for end, m, r in fabric.posts if end is mesh_ep]
+            if was < me <= reached:
+                own = now[me - 1]
+                tag = Tag.BROADCAST_INVALID if own is None else Tag.BROADCAST_VALUE
+                assert broadcasts == [(Message(tag, me, own, rnd), me)]
+            else:
+                assert broadcasts == []
+            assert w.rounds_completed - v.rounds_completed in (0, 1)
+            assert vote_calls[calls:] == ([(w.algorithm, now)] if closed else [])
+            if closed:
+                assert OPEN not in now and w.slots is None
+            key = (None if w.slots is None else tuple(w.slots), w.resolved,
+                   w.rounds_completed, after)
+            if key not in seen:
+                seen.add(key)
+                frontier.append((w, after))
+    assert 200 < len(seen) < 400
