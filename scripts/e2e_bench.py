@@ -27,8 +27,11 @@ append), which `py_calls` cannot see (the events differ across
 interpreter versions, so compare the columns on one).  One more untimed
 run gives `py_calls_setup`, the same events from the entry of
 `run_experiment` until `World.run` is entered: the cost of checking the
-spec and building the world, counted in calls.  Beside the `rows`, the
-`crash_heavy` row gives the same columns for one two-stage N = 7 farm in
+spec and building the world, counted in calls.  One more untimed run,
+with the garbage collector disabled, gives `setup_objects`: the net
+change of `gc.get_count()[0]` over the same span, the container objects
+set-up leaves allocated, which decide how soon a collection runs.
+Beside the `rows`, the `crash_heavy` row gives the same columns for one two-stage N = 7 farm in
 which two voters and a user never start, so its worlds end with
 activities left blocked or never run.  A top-level `src_lines` gives the line count of the package's
 modules (`src/votefarm/*.py`), the size a simplification is measured by.
@@ -238,6 +241,28 @@ def py_calls_setup(spec: ExperimentSpec) -> int:
     return calls
 
 
+def setup_objects(spec: ExperimentSpec) -> int:
+    """Net generation-0 allocations from the entry of run_experiment until
+    World.run is entered, with the collector disabled."""
+    counts = []
+    run = client.World.run
+
+    def counted_run(world):
+        counts.append(gc.get_count()[0])
+        run(world)
+
+    client.World.run = counted_run
+    gc.collect()
+    gc.disable()
+    try:
+        start = gc.get_count()[0]
+        run_experiment(spec)
+    finally:
+        gc.enable()
+        client.World.run = run
+    return counts[0] - start
+
+
 def time_runs(spec: ExperimentSpec) -> tuple[list[float], list[float]]:
     """The milliseconds of each timed run, and of its set-up: the time
     until its world starts to run."""
@@ -269,6 +294,7 @@ def bench_row(metric: str, n: int, faults=()) -> dict:
         "cyclic_garbage": cyclic_garbage(spec),
         **run_calls(spec),
         "py_calls_setup": py_calls_setup(spec),
+        "setup_objects": setup_objects(spec),
         "ms_p50": statistics.median(times),
         "ms_setup_p50": statistics.median(setups),
         "ms_min": min(times),

@@ -68,10 +68,6 @@ class World:
     def run(self) -> None:
         self.scheduler.run()
 
-    def close(self) -> None:
-        """Free the world once its results are read (see Scheduler.close)."""
-        self.scheduler.close()
-
     def activate_farm(
         self,
         farm: str,
@@ -79,7 +75,6 @@ class World:
         metric: Metric | str | None = None,
         delta_t: float = 1.0,
         algorithm: AlgorithmId = AlgorithmId(VoteKind.MAJORITY),
-        output_targets: dict[int, str] | None = None,
     ) -> FarmRuntime:
         """Bring a farm to life: place and start one voter, with its inbox,
         per node, link every user to its voter on the same node and all
@@ -124,7 +119,6 @@ class World:
                 delta_t=delta_t,
                 metric=metric_fn,
                 algorithm=algorithm,
-                output_target=(output_targets or {}).get(vid),
             )
             self.scheduler.spawn(vname, None, "voter", voter.on_event, voter_end.inbox)
 

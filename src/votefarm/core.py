@@ -222,17 +222,19 @@ class Message:
     def __post_init__(self) -> None:
         if not isinstance(self.tag, Tag):
             raise TypeError("tag must be a Tag")
-        if not isinstance(self.sender, int) or self.sender < 0:
-            raise ValueError("sender must be USER (0) or a voter id (>= 1)")
+        if not isinstance(self.sender, int) or not 0 <= self.sender <= MAX_SENDER_ID:
+            raise ValueError("sender must be USER (0) or a voter id, 1 to MAX_SENDER_ID")
+        if not 0 <= self.round <= 0xFFFFFFFF:
+            raise ValueError("round must fit the frame's 4 bytes")
         kind = _PAYLOAD[self.tag][0]
         if not isinstance(self.payload, kind):
             raise ValueError(f"{self.tag.name} requires a {kind.__name__} payload")
+        if kind is str:
+            self.payload.encode("utf-8")  # a lone surrogate: UnicodeEncodeError, a ValueError
 
 
 def encode_message(msg: Message) -> bytes:
     """Serialize a message to one frame; the fabric delivers it whole."""
-    if msg.sender > MAX_SENDER_ID:
-        raise ValueError("sender id does not fit the frame")
     body = _PAYLOAD[msg.tag][1](msg.payload)
     return _HEADER.pack(msg.tag, msg.sender, msg.round) + body  # tags pack as is
 

@@ -604,10 +604,6 @@ def _run_single_repetition(
 
     runtimes: list[FarmRuntime] = []
     for k, st in enumerate(stages, start=1):
-        targets = None
-        if k < last:
-            farm = _stage_farm(k + 1)
-            targets = {i: user_name(farm, i) for i in range(1, st.n + 1)}
         runtimes.append(
             world.activate_farm(
                 _stage_farm(k),
@@ -615,7 +611,6 @@ def _run_single_repetition(
                 metric=spec.metric,
                 delta_t=st.delta_t,
                 algorithm=st.algorithm_id(),
-                output_targets=targets,
             )
         )
 
@@ -630,7 +625,9 @@ def _run_single_repetition(
                 source = None
             else:
                 value = None
-                _, source = world.fabric.connect(runtimes[k - 2].states[i].name, user)
+                upstream = runtimes[k - 2].states[i]
+                upstream.output_target = user  # its voted value goes down the link made next
+                _, source = world.fabric.connect(upstream.name, user)
             handle = FarmHandle(world, rt.farm, i)
             handle.attach(rt)
             world.scheduler.spawn(user, _stage_user(handle, value, rec, source, budget), "user")
@@ -640,7 +637,7 @@ def _run_single_repetition(
     try:
         world.run()
     finally:
-        world.close()  # also after a raise; the results below stay readable
+        world.scheduler.close()  # also after a raise; the results below stay readable
 
     voters: list[VoterResult] = []
     for k, (rt, recs) in enumerate(zip(runtimes, records), start=1):
@@ -774,11 +771,10 @@ def _oracle_metric(metric):
     if metric is None or metric == "default":
         return lambda a, b: 0.0 if a == b else 1.0
     if metric == "euclidean":
-        def euclid(a, b):
-            xs, ys = a.floats(), b.floats()
-            if len(xs) != len(ys):
-                return float("inf")
-            return math.sqrt(sum((x - y) ** 2 for x, y in zip(xs, ys)))
+        def euclid(a, b):  # values with no numeric view or of two dimensions: equal or inf
+            if not (a.numeric and b.numeric) or a.dimension != b.dimension:
+                return 0.0 if a == b else float("inf")
+            return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.floats(), b.floats())))
         return euclid
     return metric
 

@@ -83,16 +83,15 @@ FaultHook = Callable[[Delivery], None]
 
 
 class Fabric:
-    """Owns placements, link ends, inboxes and delivery (including fault
-    injection).  `links` holds each link as the set of its parties,
-    `ends[(owner, peers)]` is `owner`'s end of the link it shares with
-    `peers`, and `inboxes[name]` the one queue of a party that has an inbox."""
+    """Owns placements, links, inboxes and delivery (including fault
+    injection).  `links` maps each link, the set of its parties, to their
+    ends in `connect` order, and `inboxes[name]` is the one queue of a
+    party that has an inbox."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.placements: dict[str, int] = {}
-        self.ends: dict[tuple[str, tuple[str, ...]], Endpoint] = {}
-        self.links: set[frozenset[str]] = set()
+        self.links: dict[frozenset[str], tuple[Endpoint, ...]] = {}
         self.inboxes: dict[str, WaitSource] = {}
         self.hooks: list[FaultHook] = []
         self.dropped = 0
@@ -130,18 +129,19 @@ class Fabric:
         inboxes = tuple([self.inboxes.get(name) or WaitSource(self.scheduler) for name in names])
         ends = []
         for i, name in enumerate(names):
-            peers = names[:i] + names[i + 1 :]
-            end = Endpoint(name, peers, inboxes[i], inboxes[:i] + inboxes[i + 1 :])
-            self.ends[name, peers] = end
-            ends.append(end)
-        self.links.add(link)
+            peer_inboxes = inboxes[:i] + inboxes[i + 1 :]
+            ends.append(Endpoint(name, names[:i] + names[i + 1 :], inboxes[i], peer_inboxes))
+        ends = self.links[link] = tuple(ends)
         self._pairs += len(names) * (len(names) - 1)
-        return tuple(ends)
+        return ends
 
     def endpoint(self, owner: str, peer: str) -> Endpoint | None:
         """`owner`'s end of its two-party link with `peer`, or None when
         they share none (a link of three or more parties is not one)."""
-        return self.ends.get((owner, (peer,)))
+        ends = self.links.get(frozenset((owner, peer)))
+        if ends is None:
+            return None
+        return ends[0] if ends[0].name == owner else ends[1]
 
     def add_hook(self, hook: FaultHook) -> None:
         self.hooks.append(hook)

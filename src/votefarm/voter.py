@@ -39,11 +39,12 @@ class Voter:
     Everything is written only by `on_event` and kept on the object, so
     experiments can read results and counters after the run without
     sending messages (a crashed user has nobody left to ask on its behalf).
-    `algorithm` and `output_target` move with SET_*.  Between rounds
-    `slots` is None; in a round, slots[i-1] holds participant i's entry:
-    `_OPEN` until resolved, then its value, or None for an invalid slot.
-    `resolved` counts the resolved entries.  The voter's own slot is the
-    only record of its user's input.
+    `algorithm` and `output_target` move with SET_*; the target starts as
+    None, no push, and an experiment that links the voter downstream may
+    set it there.  Between rounds `slots` is None; in a round, slots[i-1]
+    holds participant i's entry: `_OPEN` until resolved, then its value,
+    or None for an invalid slot.  `resolved` counts the resolved entries.
+    The voter's own slot is the only record of its user's input.
     """
 
     def __init__(
@@ -57,14 +58,13 @@ class Voter:
         delta_t: float,
         metric: Metric,
         algorithm: AlgorithmId,
-        output_target: str | None = None,
     ):
         self.name = name
         self.voter_id = voter_id
         self.n = 1 if mesh_ep is None else len(mesh_ep.peers) + 1
         self.metric = metric
         self.algorithm = algorithm
-        self.output_target = output_target
+        self.output_target: str | None = None
         self.fabric = fabric
         self.user_ep = user_ep
         self.mesh_ep = mesh_ep  # the farm's mesh, fellows in id order; None alone

@@ -17,7 +17,8 @@ from .core import AlgorithmId, ErrorCode, VoteKind, VoteOutcome, VoteValue
 # Voting assumes d(a, a) == 0 and d(a, b) == d(b, a): it measures each
 # unordered pair once and never a value against itself.  `default_metric`
 # meets both exactly, and d(a, b) == 0 only if a == b (equal bytes and flag);
-# `euclidean_metric` meets both on values without inf or NaN.
+# `euclidean_metric` meets both on values without inf or NaN, and a value
+# with no numeric view is 0 from an equal value and +inf from any other.
 # A metric must also be pure: the same values give the same distance (or
 # the same exception), with no side effects.  The voters of a farm share
 # one outcome per distinct slot vector, which is sound only under this.
@@ -34,12 +35,12 @@ def default_metric(a: VoteValue, b: VoteValue) -> float:
 
 def euclidean_metric(a: VoteValue, b: VoteValue) -> float:
     """Euclidean distance between the numeric views of two values, +inf
-    between different dimensions; a value with no numeric view raises."""
-    xs, ys = a.floats(), b.floats()
+    between different dimensions; a value with no numeric view is 0 from
+    an equal value and +inf from any other."""
     try:
-        return math.dist(xs, ys)
-    except ValueError:  # math.dist takes only points of one dimension
-        return math.inf
+        return math.dist(a.floats(), b.floats())
+    except ValueError:  # no numeric view, or points of two dimensions
+        return 0.0 if a == b else math.inf
 
 
 _METRICS: dict[str, Metric] = {

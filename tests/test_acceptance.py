@@ -265,7 +265,8 @@ def outcomes_match(got, want) -> bool:
 def test_criterion_06_oracle_equivalence():
     started = time.monotonic()
     checked = 0
-    pool = [None] + [VoteValue.from_floats([float(x)]) for x in (0, 1, 2)]
+    pool = [None, VoteValue.from_bytes(b"\x00")]
+    pool += [VoteValue.from_floats([float(x)]) for x in (0, 1, 2)]
     for n in range(1, 6):
         for combo in itertools.product(pool, repeat=n):
             for kind in VoteKind:

@@ -408,13 +408,18 @@ def test_majority_and_plurality_over_non_finite_values_match_the_oracle(xs, metr
     assert vote_plurality(sv, epsilon, fn) == want
 
 
-MIXED_DIMENSIONS = (None, *map(VoteValue.from_floats, ([0.0], [1.0], [0.0, 0.0], [1.0, 2.0])))
+MIXED_DIMENSIONS = (
+    None,
+    VoteValue.from_bytes(b"\x00"),
+    *map(VoteValue.from_floats, ([0.0], [1.0], [0.0, 0.0], [1.0, 2.0])),
+)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_mixed_dimensions_vote_as_the_oracle_does(n):
-    """Under euclidean, values of different dimensions are +inf apart, as
-    in the oracle, so every algorithm votes over them without raising."""
+    """Under euclidean, values of different dimensions are +inf apart, and
+    so is a value with no numeric view from any other, as in the oracle,
+    so every algorithm votes over them without raising."""
     for sv in itertools.product(MIXED_DIMENSIONS, repeat=n):
         for kind in VoteKind:
             for epsilon in (0.0, 1.5):
@@ -438,6 +443,17 @@ def test_builtin_metrics_meet_the_axioms(xs, ys):
         assert struct.pack("<d", ab) == struct.pack("<d", metric(b, a))
         if all(math.isfinite(x) for x in xs):
             assert metric(a, a) == 0.0
+
+
+@given(st.binary(min_size=1, max_size=16), st.binary(min_size=1, max_size=16))
+def test_euclidean_puts_a_value_with_no_numeric_view_at_zero_or_inf(x, y):
+    """An opaque value is 0 from an equal value and +inf from any other,
+    numeric or opaque, in both orders."""
+    a, b = VoteValue.from_bytes(x), VoteValue.from_bytes(y)
+    for other in (b, VoteValue.from_floats([1.0]), VoteValue(x * 8, numeric=True)):
+        want = 0.0 if a == other else math.inf
+        assert euclidean_metric(a, other) == euclidean_metric(other, a) == want
+    assert euclidean_metric(a, a) == euclidean_metric(a, VoteValue.from_bytes(x)) == 0.0
 
 
 # -- exactness beyond the oracle's size limit ----------------------------------------

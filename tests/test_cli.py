@@ -116,6 +116,22 @@ def test_euclidean_run_over_mixed_dimensions(capsys, algorithm, code, want):
     assert [{k: v[k] for k in want} for v in voters] == [want] * 3
 
 
+@pytest.mark.parametrize("algorithm", ["majority", "median", "plurality"])
+def test_euclidean_run_outvotes_a_value_with_no_numeric_view(capsys, tmp_path, algorithm):
+    """An opaque replica is +inf from every numeric one under euclidean, so
+    the other two outvote it instead of crashing the farm."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "stages": [{"n": 3, "algorithm": algorithm}],
+        "inputs": [{"hex": "00"}, [1], [1]],
+        "metric": "euclidean",
+    }))
+    code, out, _ = run_cli(capsys, "run", "--spec", str(spec_path))
+    assert code == 0
+    voters = json.loads(out)["repetitions"][0]["voters"]
+    assert [v["value"] for v in voters] == [[1.0]] * 3
+
+
 def test_inputs_algorithm_and_metric_flags(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -260,6 +260,7 @@ def test_control_rejects_foreign_requests():
     [
         ([Input(V42), ScalingFactor(-1.0)], ValueError),
         ([Input(V42), Algorithm(AlgorithmId(VoteKind.MEDIAN)), object()], TypeError),
+        ([Input(V42), Output("\ud800")], ValueError),
     ],
 )
 def test_a_batch_with_a_bad_request_sends_nothing(batch, error):

@@ -571,6 +571,55 @@ def test_fault_free_report():
         assert v.client_messages == 2  # one input, one get
 
 
+REPLICA_VALUES = st.one_of(
+    st.lists(st.floats(width=64), min_size=1, max_size=3).map(VoteValue.from_floats),
+    st.binary(min_size=1, max_size=8).map(VoteValue.from_bytes),
+)
+
+
+@st.composite
+def whole_specs(draw):
+    """A virtual-clock spec of 1 to 3 stages of N = 1 to 6 with any
+    algorithm and metric, inputs of any kind, and up to four faults."""
+    n, depth = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    stages = tuple(
+        StageSpec(
+            n,
+            draw(st.sampled_from(VoteKind)),
+            epsilon=draw(st.sampled_from((0.0, 0.5, 2.0, math.inf))),
+        )
+        for _ in range(depth)
+    )
+    faults = draw(st.lists(st.builds(
+        FaultSpec,
+        st.sampled_from(FaultKind),
+        voter=st.integers(1, n),
+        stage=st.integers(1, depth),
+        pattern=st.binary(min_size=1, max_size=3),
+        delay=st.none() | st.floats(0.0, 5.0),
+        index=st.integers(0, 3),
+    ), max_size=4))
+    return ExperimentSpec(
+        PipelineSpec(stages),
+        inputs=draw(st.none() | st.tuples(*[REPLICA_VALUES] * n)),
+        faults=tuple(faults),
+        seed=draw(st.integers(0, 2**32)),
+        repetitions=draw(st.integers(1, 2)),
+        metric=draw(st.sampled_from(("default", "euclidean"))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_specs())
+def test_every_valid_spec_runs_to_a_report(spec):
+    """Below or beyond the masking bound, whatever the inputs: a spec that
+    validates runs without raising, to one result per voter."""
+    assert validate_spec(spec) == []
+    report = run_experiment(spec)
+    for rep in report.repetitions:
+        assert len(rep.voters) == sum(stage.n for stage in spec.pipeline.stages)
+
+
 def test_explicit_inputs_and_algorithm():
     spec = tmr(
         algorithm=VoteKind.MEDIAN,
@@ -740,6 +789,32 @@ def test_pipeline_census_counts_both_stages():
     assert report.census == [LinkCensus(virtual=3, local=3, voters=3)] * 2
     # makespan spans both stages: 1.0 to ferry the values, 0 faults
     assert report.repetitions[0].duration == report.mean_duration
+
+
+def test_each_upstream_voter_targets_the_downstream_user_it_is_linked_to(monkeypatch):
+    """A farm's voters start with no output target; the harness gives
+    stage-k voter i stage-(k + 1) user i, over the link it makes for that
+    push, and the last stage's voters keep none."""
+    worlds = []
+    init = World.__init__
+
+    def recording_init(world, clock):
+        worlds.append(world)
+        init(world, clock)
+
+    monkeypatch.setattr(World, "__init__", recording_init)
+    fresh = World(VIRTUAL).activate_farm("f", (1, 2))
+    assert [v.output_target for v in fresh.states.values()] == [None, None]
+    spec = ExperimentSpec(PipelineSpec((StageSpec(n=3),) * 3))
+    assert all(one_float(v.outcome) == 42.0 for v in run_experiment(spec).repetitions[0].voters)
+    world = worlds[-1]
+    farms = list(world.farms.values())
+    for up, down in zip(farms, farms[1:]):
+        for i, voter in up.states.items():
+            user = down.user_endpoints[i].name
+            assert voter.output_target == user
+            assert world.fabric.endpoint(voter.name, user).peers == (user,)
+    assert all(v.output_target is None for v in farms[-1].states.values())
 
 
 # -- repetitions and determinism -------------------------------------------------

@@ -154,8 +154,9 @@ def test_a_two_stage_world_holds_linearly_many_link_ends(monkeypatch):
     (rep,) = harness.run_experiment(spec).repetitions
     assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
     (fabric,) = fabrics
-    assert len(fabric.ends) == 8 * n
-    assert sum(len(end.peers) == n - 1 for end in fabric.ends.values()) == 2 * n
+    ends = [end for link in fabric.links.values() for end in link]
+    assert len(ends) == 8 * n
+    assert sum(len(end.peers) == n - 1 for end in ends) == 2 * n
 
 
 def test_each_broadcast_is_one_post_from_the_voters_mesh_end(monkeypatch):

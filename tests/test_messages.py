@@ -224,6 +224,25 @@ def test_message_payload_types_enforced():
         Message(Tag.INPUT, -1, VoteValue.from_floats([1.0]))
 
 
+@pytest.mark.parametrize(
+    "tag, sender, payload, rnd",
+    [
+        (Tag.GET, 0x10000, None, 0),
+        (Tag.BROADCAST_INVALID, 1, None, -1),
+        (Tag.BROADCAST_INVALID, 1, None, 2**32),
+        (Tag.SET_OUTPUT, 0, "\ud800", 0),
+    ],
+)
+def test_a_message_the_codec_cannot_encode_is_refused_at_construction(tag, sender, payload, rnd):
+    """A sender above MAX_SENDER_ID, a round outside 32 bits and a target
+    UTF-8 cannot encode raise ValueError when the Message is built, so
+    every Message that exists encodes; the edges themselves do."""
+    with pytest.raises(ValueError):
+        Message(tag, sender, payload, rnd)
+    for msg in (Message(Tag.GET, 0xFFFF), Message(Tag.BROADCAST_INVALID, 1, round=2**32 - 1)):
+        assert roundtrip(msg) == msg
+
+
 def test_outcome_exactly_one_side():
     with pytest.raises(ValueError):
         VoteOutcome()

@@ -73,6 +73,7 @@ def test_e2e_bench_pairs_two_source_trees_side_by_side():
         }
         assert before["ok"] and before["ms_min"] <= before["ms_p50"]
         assert before["c_calls"] > 0
+        assert before["setup_objects"] == after["setup_objects"] > 0
         assert 0 <= r["after_faster"] <= pairs
     crash = doc["crash_heavy"]
     assert crash["before"]["frames_sent"] == crash["after"]["frames_sent"] > 0

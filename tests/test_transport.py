@@ -46,6 +46,11 @@ def value_msg(x, sender=0, tag=Tag.INPUT):
     return Message(tag, sender, VoteValue.from_floats([x]))
 
 
+def all_ends(fabric):
+    """Every end of every link, link by link in connect order."""
+    return [end for ends in fabric.links.values() for end in ends]
+
+
 def test_link_kind_follows_placement():
     _, fabric, _, _ = make_pair(same_node=True)
     assert fabric.census() == LinkCensus(virtual=0, local=1, voters=0)
@@ -85,10 +90,10 @@ def test_connect_refuses_a_group_already_linked_in_any_order():
     for order in (("c", "b", "a"), ("b", "c", "a")):
         with pytest.raises(ValueError, match="already exists"):
             fabric.connect(*order)
-    assert len(fabric.ends) == 3
+    assert len(all_ends(fabric)) == 3
     assert fabric.census() == LinkCensus(virtual=3, local=0, voters=0)
     fabric.connect("b", "a")
-    assert len(fabric.ends) == 5
+    assert len(all_ends(fabric)) == 5
     assert fabric.census() == LinkCensus(virtual=4, local=0, voters=0)
     with pytest.raises(ValueError, match="already exists"):
         fabric.connect("a", "b")
@@ -102,8 +107,11 @@ def test_connect_returns_both_ends_and_fabric_finds_them_by_name():
     assert fabric.endpoint("a", "b") is a_end
     assert fabric.endpoint("b", "a") is b_end
     assert fabric.endpoint("a", "ghost") is None
+    assert fabric.endpoint("a", "a") is None
+    assert fabric.links == {frozenset("ab"): (a_end, b_end)}
     with pytest.raises(ValueError):
         fabric.connect("b", "a")
+    assert fabric.links == {frozenset("ab"): (a_end, b_end)}
 
 
 def test_place_is_idempotent_for_same_node():
@@ -275,7 +283,7 @@ def test_the_decode_memo_keeps_at_most_one_frame_per_link_end(monkeypatch):
     lands right."""
     decoded = counting_decodes(monkeypatch)
     sched, fabric, a_end, b_end = make_pair()
-    assert len(fabric.ends) == 2
+    assert len(all_ends(fabric)) == 2
     xs = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0]
     for x in xs:
         fabric.send_from(a_end, encode_message(value_msg(x)))
@@ -556,6 +564,7 @@ def test_a_link_joins_each_of_its_parties_to_all_the_others():
         assert end.inbox is fabric.inboxes[end.name]
         assert end.peer_inboxes == tuple(fabric.inboxes[p] for p in end.peers)
     assert fabric.endpoint("p1", "p2") is None  # a mesh end is no pair end
+    assert fabric.links == {frozenset(end.name for end in ends): ends}
 
 
 @pytest.mark.parametrize(
@@ -568,7 +577,7 @@ def test_connect_refuses_a_repeated_or_unplaced_name_in_a_group(names):
         fabric.place(name, node)
     with pytest.raises(ValueError):
         fabric.connect(*names)
-    assert fabric.ends == {}
+    assert fabric.links == {}
 
 
 def test_a_hook_on_one_mesh_pair_drops_only_that_copy_at_the_senders_send_count():
@@ -602,7 +611,7 @@ def test_the_decode_memo_holds_one_frame_per_sender_receiver_pair(monkeypatch):
     for _ in range(2):
         for frame in frames:
             fabric.send_from(ends[0], frame)
-    assert len(fabric.ends) == 3
+    assert len(all_ends(fabric)) == 3
     assert len(decoded) == 6
 
 
@@ -677,7 +686,7 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     def brute(named):
         """Each pair of a link once per direction, from the ends."""
         same = other = 0
-        for end in fabric.ends.values():
+        for end in all_ends(fabric):
             for peer in end.peers:
                 if end.name in named and peer in named:
                     if fabric.placements[end.name] == fabric.placements[peer]:
@@ -696,7 +705,7 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     expected = [brute(fabric.placements), brute(a.members), brute(b.members)]
     assert counts() == expected
     assert expected[1].voters == n - 1 and expected[2].voters == n
-    before = dict(fabric.ends), fabric._pairs
+    before = dict(fabric.links), fabric._pairs
     voter, user = a.states[1].name, a.user_endpoints[1].name
     refused = [(voter, voter), (voter, "ghost"), (voter, user)]
     if n > 1:
@@ -704,5 +713,5 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     for names in refused:
         with pytest.raises(ValueError):
             fabric.connect(*names)
-        assert (dict(fabric.ends), fabric._pairs) == before
+        assert (dict(fabric.links), fabric._pairs) == before
         assert counts() == expected

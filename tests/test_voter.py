@@ -787,8 +787,11 @@ def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_c
     """Breadth-first over every event order voter `me` of three can see,
     each state a copy of the voter: a broadcast of a closed round opens no
     round, a slot resolves once per round, the voter broadcasts once per
-    round, when `me` slots are resolved, and a closed round votes on
-    exactly the vector it resolved."""
+    round, when `me` slots are resolved, a closed round votes on exactly
+    the vector it resolved, and an INPUT keeps its rule: it opens the next
+    round or fills an open own slot with the input, is refused with no
+    change when the own slot holds a value, and is a late arrival with no
+    refusal when the own slot was invalidated."""
     OPEN = votefarm.voter._OPEN
     start, fabric, _, mesh_ep = direct_voter(me)
     frontier, seen = deque([(start, (0, (0, 0)))]), set()
@@ -824,6 +827,19 @@ def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_c
             assert vote_calls[calls:] == ([(w.algorithm, now)] if closed else [])
             if closed:
                 assert OPEN not in now and w.slots is None
+            if event is not TIMED_OUT and event.tag is Tag.INPUT:
+                own = before[me - 1]
+                refused = [m for _, m, _ in fabric.posts if m.tag is Tag.REFUSED]
+                late = w.late_arrivals - v.late_arrivals
+                if own is OPEN:  # no round open, or the own slot of the open one
+                    assert now[me - 1] is event.payload and (refused, late) == ([], 0)
+                    assert v.slots is not None or w.slots is not None
+                else:
+                    assert (w.slots, w.resolved, closed) == (v.slots, v.resolved, False)
+                    if own is None:
+                        assert (refused, late) == ([], 1)
+                    else:
+                        assert (refused, late) == ([Message(Tag.REFUSED, me)], 0)
             key = (None if w.slots is None else tuple(w.slots), w.resolved,
                    w.rounds_completed, after)
             if key not in seen:
