@@ -824,15 +824,15 @@ def oracle_vote(
             left = [i for i in left if i not in pair]
         return VoteOutcome(value=values[min(left)])
 
-    if kind == VoteKind.WEIGHTED_AVERAGE:
-        if not valid:
-            return VoteOutcome(failure=ErrorCode.BAD_STATE)
+    if kind == VoteKind.WEIGHTED_AVERAGE:  # no valid slot: no dimension, BAD_STATE
         if any(not values[i].numeric for i in valid):
             return VoteOutcome(failure=ErrorCode.BAD_STATE)
         dims = {values[i].dimension for i in valid}
         if len(dims) != 1:
             return VoteOutcome(failure=ErrorCode.BAD_STATE)
         dim = dims.pop()
+        # a value with a NaN or infinite component weighs 0 (none left: z = 0)
+        valid = [i for i in valid if all(math.isfinite(x) for x in values[i].floats())]
         raw = {}
         for i in valid:
             total = 0.0

@@ -2,11 +2,12 @@
 
 An activity is a generator that yields Wait requests, or a handler that
 waits on one inbox only: called with each item (or TIMED_OUT), it returns
-its next wait's timeout, or FINISHED.  Both block and arm timers through one
-tail of `Scheduler._step`.  Everything else (sends, spawns) is an ordinary
-call, so the only scheduling points are message waits, sleeps, and timeouts.
-Ready activities and `call_soon` callbacks run FIFO, in one queue, and all
-ties on the timer heap break by a global sequence number, which makes
+its next wait's timeout, KEEP to wait until its last fresh timeout's
+deadline, or FINISHED.  Both block and arm timers through one tail of
+`Scheduler._step`.  Everything else (sends, spawns) is an ordinary call
+that takes effect at once, so the only scheduling points are message
+waits, sleeps, and timeouts.  Ready activities run FIFO, in one queue, and
+all ties on the timer heap break by a global sequence number, which makes
 virtual-time runs fully deterministic.  A timer only fires once every
 runnable activity has blocked, and all heap entries due at one instant pop
 together before any activity they wake runs: a frame that lands before a
@@ -54,6 +55,7 @@ class _Signal:
 
 TIMED_OUT = _Signal("TIMED_OUT")
 FINISHED = _Signal("FINISHED")  # a handler's return once it is done
+KEEP = _Signal("KEEP")  # a handler's return: the next wait ends at the last one's deadline
 
 VIRTUAL = "virtual"
 REAL = "real"
@@ -119,6 +121,7 @@ class Activity:
         "blocked",
         "deadline",
         "timer_at",
+        "due",
     )
 
     def __init__(self, name: str, body, role: str, inbox: WaitSource | None = None):
@@ -138,6 +141,7 @@ class Activity:
         # heap; the due time of one of its heap entries (inf: maybe none).
         self.deadline: tuple | None = None
         self.timer_at = math.inf
+        self.due: float | None = None  # the last timed wait's deadline, which KEEP reuses
 
     @property
     def live(self) -> bool:
@@ -159,7 +163,7 @@ class Scheduler:
         self._vnow = 0.0
         self._epoch = time.monotonic()
         self._seq = itertools.count()
-        self._ready: deque[Activity | Callable[[], None]] = deque()
+        self._ready: deque[Activity] = deque()
         self._heap: list = []
         self.activities: dict[str, Activity] = {}
         # Names to spawn pre-halted (silent-crash fault injection).
@@ -234,10 +238,6 @@ class Scheduler:
     def _push(self, entry) -> None:
         heapq.heappush(self._heap, entry)
 
-    def call_soon(self, fn: Callable[[], None]) -> None:
-        """Call `fn` in its turn on the ready queue, as if it were an activity."""
-        self._ready.append(fn)
-
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         if not 0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
@@ -263,7 +263,8 @@ class Scheduler:
                 self._bind(act, (act.inbox,))
             timeout = None if bound is None else handler(queue.popleft() if queue else TIMED_OUT)
             while queue and timeout is not FINISHED:
-                timeout = handler(queue.popleft())
+                if (later := handler(queue.popleft())) is not KEEP:
+                    timeout = later  # a KEEP keeps the step's last fresh timeout
         else:
             if bound is None:
                 value = None  # the first step starts the generator
@@ -298,10 +299,13 @@ class Scheduler:
             return
         act.blocked = True
         act.wait_seq += 1
-        if timeout is not None:
-            # push the deadline, or keep it while `act` has an entry due no later
+        if timeout is None:
+            act.due = None
+        elif timeout is not KEEP:
             now = self._vnow if self.clock_mode == VIRTUAL else time.monotonic() - self._epoch
-            when = now + timeout
+            act.due = now + timeout
+        if (when := act.due) is not None:
+            # push the deadline, or keep it while `act` has an entry due no later
             if act.timer_at <= when:
                 act.deadline = (when, next(self._seq))
             else:
@@ -328,20 +332,15 @@ class Scheduler:
             self._ready.append(act)
 
     def run(self) -> None:
-        """Step activities and call callbacks until quiescence: nothing is
-        ready and no live timer or delayed call is pending, i.e. every
-        surviving activity is blocked without timeout.  More than MAX_STEPS
-        steps and calls raise RuntimeError.
+        """Step activities until quiescence: nothing is ready and no live
+        timer or delayed call is pending, i.e. every surviving activity is
+        blocked without timeout.  More than MAX_STEPS steps raise RuntimeError.
         """
         heap = self._heap
         steps = 0
         while True:
             while self._ready:
-                item = self._ready.popleft()
-                if isinstance(item, Activity):
-                    self._step(item)
-                else:
-                    item()
+                self._step(self._ready.popleft())
                 steps += 1
                 if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")

@@ -19,13 +19,12 @@ builds no Delivery: it decodes its frame once and lands that one Message
 on every peer.  An undelayed copy lands at once, with one put on its
 receiver's queue that wakes the receiver if it is blocked; a delayed one
 lands when its delay has passed, and is counted delivered only then.  A
-post encodes a message once and sends it from its end in the post's own
-turn on the scheduler's ready queue, never inside the poster's step.  Each
-distinct frame is decoded once per world: the fabric memoizes Messages by
-frame content, at most one per (sender, receiver) pair, oldest evicted
-first.  A frame corrupted beyond parseability is never kept but silently
-discarded on every send, so the receiver only ever notices the silence
-through its timeout.
+post encodes a message once and sends it from its end at once, inside the
+poster's step, as every send does.  Each distinct frame is decoded once per
+world: the fabric memoizes Messages by frame content, at most one per
+(sender, receiver) pair, oldest evicted first.  A frame corrupted beyond
+parseability is never kept but silently discarded on every send, so the
+receiver only ever notices the silence through its timeout.
 """
 
 from __future__ import annotations
@@ -191,9 +190,9 @@ class Fabric:
         return msg
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
-        """Encode `msg` once and send that frame from `endpoint` in the
-        call's own turn on the scheduler's ready queue."""
-        self.scheduler.call_soon(partial(self.send_from, endpoint, encode_message(msg)))
+        """Encode `msg` once and send that frame from `endpoint` at once,
+        inside the caller's step."""
+        self.send_from(endpoint, encode_message(msg))
 
     def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1

@@ -6,10 +6,10 @@ collects one value per participant into a slot vector in voter-id order:
 its own user's input arrives on a local link, fellow voters' values
 arrive as broadcasts, both on the voter's one inbox and told apart by
 their tag, and silence is converted into invalid (None) slots by a
-per-receive timeout.  Broadcast turns are serialized by the message
-counter: voter k broadcasts its user's value exactly when k slots have
-been resolved, so in a fault-free round the k-th broadcast on the wire
-is voter k's.
+timeout on the lowest open slot.  Broadcast turns are serialized by the
+message counter: voter k broadcasts its user's value exactly when k slots
+have been resolved, so in a fault-free round the k-th broadcast on the
+wire is voter k's.
 When all N slots are resolved the voter notifies its user, votes on the
 slot vector, and keeps the outcome for queries.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AlgorithmId, Message, Tag, VoteOutcome
-from .sim import FINISHED, TIMED_OUT
+from .sim import FINISHED, KEEP, TIMED_OUT
 from .transport import Endpoint, Fabric
 from .voting import Metric, Slots, vote
 
@@ -43,7 +43,8 @@ class Voter:
     None, no push, and an experiment that links the voter downstream may
     set it there.  Between rounds `slots` is None; in a round, slots[i-1]
     holds participant i's entry: `_OPEN` until resolved, then its value,
-    or None for an invalid slot.  `resolved` counts the resolved entries.
+    or None for an invalid slot.  `resolved` counts the resolved entries
+    and `lowest` indexes the lowest open one, the slot the timer waits on.
     The voter's own slot is the only record of its user's input.
     """
 
@@ -85,7 +86,7 @@ class Voter:
         self.round_finished_at: float | None = None
 
         self.slots: list | None = None
-        self.resolved = 0
+        self.resolved = self.lowest = 0
 
     # -- small helpers --------------------------------------------------------
 
@@ -152,8 +153,9 @@ class Voter:
 
     def on_event(self, got):
         """Take one message or TIMED_OUT and return the next wait's timeout:
-        None between rounds, a fresh delta_t inside one, FINISHED once closed.
-        Silence invalidates the lowest unresolved slot.  Rounds are fed here
+        None between rounds, FINISHED once closed, and in a round a fresh
+        delta_t only when it opens or its lowest open slot is resolved, by a
+        frame or by silence, else KEEP (the timer rule).  Rounds are fed here
         alone: an INPUT or a broadcast of round `rounds_completed + 1` (either
         opening that round if none is open) or a timeout names a slot and its
         value, and one resolve fills it, broadcasts when `voter_id` slots are
@@ -162,7 +164,7 @@ class Voter:
         slots = self.slots
         if got is TIMED_OUT:
             self.timeouts += 1
-            origin, value = slots.index(_OPEN) + 1, None
+            origin, value = self.lowest + 1, None
         else:
             tag = got.tag
             self.messages_received += 1
@@ -184,20 +186,20 @@ class Voter:
                         return FINISHED
                 else:
                     self.stray_messages += 1
-                return None if slots is None else self.delta_t
+                return None if slots is None else KEEP
             if tag is _INPUT:
                 origin = me
             elif (origin := got.sender) == me or not 1 <= origin <= n:
                 # a broadcast that names no fellow fills no slot and opens no round
                 self.stray_messages += 1
-                return None if slots is None else self.delta_t
+                return None if slots is None else KEEP
             elif got.round != self.rounds_completed + 1:
                 # the round rule: a broadcast of neither the open nor the next round is late
                 self.late_arrivals += 1
-                return None if slots is None else self.delta_t
+                return None if slots is None else KEEP
             if slots is None:
                 self.slots = slots = [_OPEN] * n
-                self.resolved = 0
+                self.resolved = self.lowest = 0
                 self.round_started_at = self.fabric.scheduler.now
             slot = slots[origin - 1]
             if slot is not _OPEN:
@@ -209,7 +211,7 @@ class Voter:
                     # The slot is resolved already; an input whose slot went
                     # invalid (timeout or own turn passed) is useless now.
                     self.late_arrivals += 1
-                return self.delta_t
+                return KEEP
             # a BROADCAST_INVALID carries no payload: its slot becomes None
             value = got.payload
         slots[origin - 1] = value
@@ -228,7 +230,14 @@ class Voter:
                 self._broadcast(_VALUE, own)
         if resolved == n:
             self._finish_round()
-        return None if self.slots is None else self.delta_t
+            return None
+        lowest = self.lowest
+        if slots[lowest] is _OPEN and resolved > 1:  # the slot the timer waits on is open
+            return KEEP
+        while slots[lowest] is not _OPEN:  # `is`, so no VoteValue.__eq__ call
+            lowest += 1
+        self.lowest = lowest
+        return self.delta_t
 
 
 # -- farm names and runtime -------------------------------------------------------

@@ -185,9 +185,10 @@ def vote_weighted_average(
 ) -> VoteOutcome:
     """Distance-damped average of the numeric views.
 
-    Each valid slot gets raw weight 1 / (1 + s * sum of its distances to the
-    other valid slots); invalid slots get exactly zero.  Weights are
-    normalized to sum to one, so s = 0 degenerates to the arithmetic mean.
+    Each finite valid slot gets raw weight 1 / (1 + s * sum of its distances
+    to the others); invalid slots and those with a NaN or infinite component
+    get exactly zero, unmeasured.  Weights are normalized to sum to one, so
+    s = 0 degenerates to the arithmetic mean of the finite values.
     """
     values = [v for v in slots if v is not None]
     if not values or not all(v.numeric for v in values):
@@ -195,6 +196,7 @@ def vote_weighted_average(
     dim = values[0].dimension
     if any(v.dimension != dim for v in values):
         return VoteOutcome(failure=ErrorCode.BAD_STATE)
+    values = [v for v in values if all(map(math.isfinite, v.floats()))]  # none left: z = 0
 
     raw = [1.0 / (1.0 + scaling_factor * t) for t in _distance_totals(values, metric)]
     z = sum(raw)

@@ -153,6 +153,38 @@ def test_masking_with_drop_delay_and_crash_at_n7(argv, capsys, honest_slots):
         assert v["ok"] and v["value"] == list(DEFAULT_INPUT.floats()), (argv, v["voter"])
 
 
+# Within the bound, and masked only under the timer rule: a slot's timer
+# restarts when that slot is resolved, not on any frame.  Under the old rule
+# the first two left an honest stage-2 voter on NO_MAJORITY, missing an
+# honest fellow's slot; the third masked under both, but not under a rule
+# that only kept the deadline on frames that fill no slot.
+TIMER_SPECS = (
+    (
+        "pipeline --n 5 --seed 339 --fault delay_message:1.4 --fault drop_message:2.1"
+        " --fault crash_voter:2.4"
+    ),
+    (
+        "pipeline --n 7 --seed 2 --fault delay_message:1.5 --fault crash_voter:2.1"
+        " --fault drop_message:2.5 --fault crash_user:2.6"
+    ),
+    (
+        "pipeline --n 7 --seed 641 --fault delay_message:1.4 --fault crash_voter:1.6"
+        " --fault crash_voter:2.4 --fault crash_user:2.5 --fault crash_voter:2.6"
+    ),
+)
+
+
+@pytest.mark.parametrize("argv", TIMER_SPECS)
+def test_a_slot_timer_restarts_only_when_its_slot_changes(argv, capsys, honest_slots):
+    assert main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert honest_slots(spec_from_json(report["spec"])) == []
+    finals = [v for v in report["repetitions"][0]["voters"] if v["stage"] == 2 and v["live"]]
+    assert finals
+    for v in finals:
+        assert v["ok"] and v["value"] == list(DEFAULT_INPUT.floats()), (argv, v["voter"])
+
+
 # -- criterion 2: failure beyond the bound ---------------------------------------
 
 
@@ -383,7 +415,11 @@ def test_criterion_08_frames_per_round_grow_with_n():
 
 def test_criterion_08_scheduler_steps_per_round(monkeypatch):
     """Scheduler steps of one round: a 4-round run minus a 3-round run of
-    the same farm, so the steps of starting and ending the world cancel."""
+    the same farm, so the steps of starting and ending the world cancel.
+    Each user steps six times.  Each voter steps once when its user's input
+    wakes it, once more for the fellows' broadcasts still to come, which
+    all land before its second turn as every send lands at once, and once
+    for the GET; a lone voter has no fellows, so it steps twice."""
     steps = 0
     step = Scheduler._step
 
@@ -401,7 +437,7 @@ def test_criterion_08_scheduler_steps_per_round(monkeypatch):
             client_farm(n, rounds).run()
             counts.append(steps)
         per_round.append(counts[1] - counts[0])
-    assert per_round == [n * n + 7 * n for n in (1, 2, 3, 4)]  # 8, 18, 30, 44
+    assert per_round == [6 * n + (2 if n == 1 else 3) * n for n in (1, 2, 3, 4)]  # 8, 18, 27, 36
 
 
 # -- criterion 9: replication transparency ----------------------------------------------

@@ -427,6 +427,27 @@ def test_mixed_dimensions_vote_as_the_oracle_does(n):
                 assert vote(AlgorithmId(kind, epsilon), sv, euclidean_metric) == want, sv
 
 
+NON_FINITE_COMPONENTS = (
+    None,
+    *map(VoteValue.from_floats, ([0.0, 1.0], [2.0, 3.0], [NAN, 1.0], [1.0, INF], [-INF, -INF])),
+)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("metric", ["default", "euclidean"])
+def test_weighted_average_leaves_non_finite_values_out_as_the_oracle_does(n, metric):
+    """A valid slot with a NaN or infinite component weighs 0 and is not
+    measured; with no slot left the vote is BAD_STATE.  The weighted
+    average agrees with the oracle on every vector over the pool."""
+    fn, _ = resolve_metric(metric)
+    for sv in itertools.product(NON_FINITE_COMPONENTS, repeat=n):
+        for scaling in (0.0, 1.0):
+            want = oracle_vote(VoteKind.WEIGHTED_AVERAGE, sv, metric=metric, scaling=scaling)
+            assert vote_weighted_average(sv, scaling, fn) == want, sv
+            finite = [v for v in sv if v is not None and all(map(math.isfinite, v.floats()))]
+            assert want.ok == bool(finite), sv
+
+
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4),
        st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4))
 def test_builtin_metrics_meet_the_axioms(xs, ys):

@@ -116,6 +116,31 @@ def test_euclidean_run_over_mixed_dimensions(capsys, algorithm, code, want):
     assert [{k: v[k] for k in want} for v in voters] == [want] * 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("metric", ["default", "euclidean"])
+def test_weighted_average_leaves_a_non_finite_replica_out(capsys, metric, bad):
+    """A replica with a NaN or infinite value weighs nothing in the weighted
+    average, under either metric: the two finite replicas decide."""
+    code, out, _ = run_cli(
+        capsys, *f"run --n 3 --metric {metric} --algorithm weighted_average".split(),
+        f"--input={bad}", "--input", "1", "--input", "1",
+    )
+    assert code == 0
+    voters = json.loads(out)["repetitions"][0]["voters"]
+    assert [(v["ok"], v["value"]) for v in voters] == [(True, [1.0])] * 3
+
+
+@pytest.mark.parametrize("metric", ["default", "euclidean"])
+def test_weighted_average_of_only_non_finite_replicas_is_bad_state(capsys, metric):
+    code, out, _ = run_cli(
+        capsys, *f"run --n 3 --metric {metric} --algorithm weighted_average".split(),
+        "--input=nan", "--input=inf", "--input=-inf",
+    )
+    assert code == 1
+    voters = json.loads(out)["repetitions"][0]["voters"]
+    assert {v["failure"] for v in voters} == {"BAD_STATE"}
+
+
 @pytest.mark.parametrize("algorithm", ["majority", "median", "plurality"])
 def test_euclidean_run_outvotes_a_value_with_no_numeric_view(capsys, tmp_path, algorithm):
     """An opaque replica is +inf from every numeric one under euclidean, so

@@ -233,36 +233,6 @@ def test_post_encodes_once_for_every_endpoint(monkeypatch):
         assert got == msg
 
 
-def test_call_soon_takes_its_turn_in_the_one_ready_fifo():
-    """A callback queued by a step runs after the activities already ready
-    and before an activity woken after it was queued."""
-    sched = Scheduler(VIRTUAL)
-    source = WaitSource(sched)
-    order = []
-
-    def a():
-        order.append("a")
-        sched.call_soon(lambda: order.append("fn"))
-        source.put("go")  # wakes c
-        return
-        yield
-
-    def b():
-        order.append("b")
-        return
-        yield
-
-    def c():
-        yield Wait((source,), None)
-        order.append("c")
-
-    sched.spawn("c", c())  # blocks on `source` before a runs
-    sched.spawn("a", a())
-    sched.spawn("b", b())
-    sched.run()
-    assert order == ["a", "b", "fn", "c"]
-
-
 def test_a_wait_on_two_sources_raises():
     sched = Scheduler(VIRTUAL)
     a, b = WaitSource(sched), WaitSource(sched)
@@ -453,38 +423,26 @@ def test_step_budget_ends_a_run_that_never_blocks(monkeypatch):
     assert sched.now == 0.0
 
 
-def test_step_budget_counts_callbacks(monkeypatch):
-    """A callback that queues itself again never lets the run go quiescent
-    either; each call counts toward MAX_STEPS as a step does."""
-    monkeypatch.setattr(sim, "MAX_STEPS", 50)
-    sched = Scheduler(VIRTUAL)
-    calls = []
-
-    def again():
-        calls.append(sched.now)
-        sched.call_soon(again)
-
-    sched.call_soon(again)
-    with pytest.raises(RuntimeError, match="^scheduler step budget exhausted$"):
-        sched.run()
-    assert len(calls) == 51
-
-
 handler_spawn = Scheduler.spawn
 
 
 def generator_spawn(self, name, gen, role="activity", handler=None, inbox=None):
     """Scheduler.spawn, but a handler runs as a generator over the same calls:
     each resume passes the item it waited for to `handler`, and the timeout
-    `handler` returns is the next wait's."""
+    `handler` returns is the next wait's; after KEEP the next wait ends at
+    the last fresh timeout's deadline."""
 
     def as_generator():
-        timeout = None
+        timeout = due = None
         while True:
             got = yield Wait((inbox,), timeout)
             timeout = handler(got if got is TIMED_OUT else got[1])
             if timeout is sim.FINISHED:
                 return
+            if timeout is sim.KEEP:
+                timeout = None if due is None else max(due - self.now, 0.0)
+            else:
+                due = None if timeout is None else self.now + timeout
 
     return handler_spawn(self, name, as_generator() if handler else gen, role)
 
@@ -492,7 +450,7 @@ def generator_spawn(self, name, gen, role="activity", handler=None, inbox=None):
 def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
     """Users that send two GETs at a time forever never let the run go
     quiescent.  With MAX_STEPS cut short, the run raises after the same
-    steps and callbacks, in the same order, with the same handler calls in
+    steps, in the same order, with the same handler calls in
     each voter step, whether the voters run as handlers or as generators
     over the same automaton: a handler step counts once toward MAX_STEPS,
     however many items it takes, as a generator's resume does."""
@@ -500,7 +458,7 @@ def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
 
     def raise_point(spawn_fn):
         trace, calls = [], 0
-        on_event, step, call_soon = voter.Voter.on_event, Scheduler._step, Scheduler.call_soon
+        on_event, step = voter.Voter.on_event, Scheduler._step
 
         def counted_on_event(self, got):
             nonlocal calls
@@ -512,9 +470,6 @@ def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
             calls = 0
             step(self, act)
             trace.append((act.name, calls))
-
-        def traced_call_soon(self, fn):
-            call_soon(self, lambda: (trace.append("call"), fn()))
 
         def poller(world, ep, uid):
             send = lambda msg: world.fabric.send_from(ep, encode_message(msg))
@@ -528,7 +483,6 @@ def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(voter.Voter, "on_event", counted_on_event)
             m.setattr(Scheduler, "_step", traced_step)
-            m.setattr(Scheduler, "call_soon", traced_call_soon)
             m.setattr(Scheduler, "spawn", spawn_fn)
             world = World()
             runtime = world.activate_farm("f", (1, 2, 3))
@@ -541,9 +495,12 @@ def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
     trace, voters = raise_point(handler_spawn)
     assert trace == raise_point(generator_spawn)[0]
     assert len(trace) == sim.MAX_STEPS + 1
-    voter_steps = [step[1] for step in trace if step != "call" and "/voter" in step[0]]
+    voter_steps = [step[1] for step in trace if "/voter" in step[0]]
     assert voter_steps[:3] == [0, 0, 0]  # a first step binds the inbox and waits
-    assert min(voter_steps[3:]) == 1 and max(voter_steps) == 3  # a step drains its queue
+    # a step drains its queue: voter k's first takes its input, two GETs and
+    # the k - 1 broadcasts that landed in the steps before it; then two GETs
+    assert voter_steps[3:6] == [3, 4, 5]
+    assert min(voter_steps[3:]) == 2 and max(voter_steps) == 5
     assert voter_steps[-1] == 2  # still receiving at the raise
     assert all(v.rounds_completed == 1 for v in voters)
 
@@ -551,7 +508,9 @@ def test_a_handler_step_counts_once_toward_the_step_budget(monkeypatch):
 def test_a_fault_free_two_stage_run_pushes_one_timer_per_waiting_activity(monkeypatch):
     """Inside a fault-free virtual round the clock stands still, so each of
     a voter's receive waits has the deadline of the first: only that first
-    wait pushes a heap entry, not every receive."""
+    wait pushes a heap entry, not every receive.  Stage-1 voter N pushes
+    none: every fellow's broadcast has landed by its first step after its
+    user's input, so its round closes inside that step."""
     kinds = []
     push = Scheduler._push
 
@@ -565,7 +524,7 @@ def test_a_fault_free_two_stage_run_pushes_one_timer_per_waiting_activity(monkey
         harness.ExperimentSpec(harness.PipelineSpec((stage, stage)))
     ).repetitions
     assert all(v.outcome.ok for v in rep.voters)
-    assert len(kinds) == 465  # 2,263 when every timed wait pushed its own entry
+    assert len(kinds) == 464  # 2,263 when every timed wait pushed its own entry
     assert set(kinds) == {sim._T_TIMER}
 
 
@@ -626,6 +585,34 @@ def test_a_kept_deadline_ends_with_its_wait():
     assert got == ["one", "two"]
     assert sched.activities["a"].blocked
     assert sched.now == 0.0 and sched._heap == []
+
+
+def test_keep_waits_on_until_the_last_fresh_timeout_runs_out():
+    """A handler's KEEP reuses the deadline of its last fresh timeout.  Its
+    first step drains two items: the first returns 2.0, the second KEEP,
+    and the step keeps the fresh 2.0.  An item at 0.5 returns KEEP too, so
+    the handler times out at 2.0, not 2.5."""
+    sched = Scheduler(VIRTUAL)
+    inbox = WaitSource(sched)
+    seen = []
+
+    def handler(item):
+        seen.append((sched.now, item))
+        if item is TIMED_OUT:
+            return sim.FINISHED
+        return 2.0 if item == "fresh" else sim.KEEP
+
+    def poke():
+        yield from sim.sleep(0.5)
+        inbox.put("keep")
+
+    inbox.put("fresh")
+    inbox.put("keep")
+    sched.spawn("h", None, handler=handler, inbox=inbox)
+    sched.spawn("poke", poke())
+    sched.run()
+    assert seen == [(0.0, "fresh"), (0.0, "keep"), (0.5, "keep"), (2.0, TIMED_OUT)]
+
 
 def test_a_real_clock_world_sleeps_only_toward_the_live_deadline(monkeypatch):
     """An activity blocks for 0.05, is woken at once, then blocks for 0.3

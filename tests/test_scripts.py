@@ -161,8 +161,9 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["frames_sent"] == 2 * n * n + 11 * n
         assert 0 < r["ms_setup_p50"] <= r["ms_p50"]
         # one pending timer per waiting activity, not one per receive: the
-        # heap pushes grow linearly in n, the frames received as n squared
-        assert r["heap_pushes"] == 15 * n
+        # heap pushes grow linearly in n, the frames received as n squared;
+        # stage-1 voter n closes its round in its first step and pushes none
+        assert r["heap_pushes"] == 15 * n - 1
         # a finished fault-free world is freed by reference counting alone
         assert r["cyclic_garbage"] == 0
         assert r["py_calls"] > r["scheduler_steps"]

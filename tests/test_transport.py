@@ -431,37 +431,10 @@ def test_hooks_are_direction_scoped():
     assert got == [True]
 
 
-def test_post_decouples_sender():
-    """A post never blocks and sends nothing inside the poster's step; the
-    frames land, in post order, when the posts take their turns on the
-    ready queue."""
-    sched, fabric, a_end, b_end = make_pair()
-    got = []
-
-    def producer():
-        for i in range(3):
-            msg = value_msg(float(i), sender=1, tag=Tag.BROADCAST_VALUE)
-            fabric.post(a_end, msg)
-        assert fabric.delivered_total == 0 and not b_end.inbox.queue
-        return
-        yield
-
-    def receiver():
-        eps = (b_end.inbox,)
-        for _ in range(3):
-            arrived = yield Wait(eps, 5.0)
-            got.append(arrived[1].payload.floats()[0])
-
-    sched.spawn("producer", producer())
-    sched.spawn("recv", receiver())
-    sched.run()
-    assert got == [0.0, 1.0, 2.0]
-
-
-def test_each_post_is_one_ready_entry_in_post_order():
-    """A post from an end with three peers is one ready-queue entry, and so
-    is each further post; run, they send in post order, each in peer
-    order."""
+def test_a_post_lands_before_it_returns():
+    """A post sends at once, inside the caller's step, as `send_from` does:
+    each post lands on every peer, in peer order, before it returns, and
+    wakes a blocked receiver; it queues nothing else on the ready queue."""
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
     for node, name in enumerate("abcd", start=1):
@@ -474,12 +447,11 @@ def test_each_post_is_one_ready_entry_in_post_order():
     first = value_msg(3.0, sender=1, tag=Tag.BROADCAST_VALUE)
     second = value_msg(4.0, sender=1, tag=Tag.BROADCAST_VALUE)
     fabric.post(mesh_end, first)
-    assert len(sched._ready) == 1
+    assert sent == ["b", "c", "d"] and fabric.delivered_total == 3
     fabric.post(pair_end, second)
-    assert len(sched._ready) == 2 and not sent
-    sched.run()
     assert sent == ["b", "c", "d", "c"]
     assert list(fabric.inboxes["c"].queue) == [first, second]
+    assert not sched._ready
 
 
 def test_a_hook_added_later_sees_the_index_of_every_frame_sent():

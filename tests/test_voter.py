@@ -21,7 +21,7 @@ from votefarm.core import (
     decode_message,
     encode_message,
 )
-from votefarm.sim import TIMED_OUT, VIRTUAL, Wait, sleep
+from votefarm.sim import KEEP, TIMED_OUT, VIRTUAL, Wait, sleep
 from votefarm.transport import delay_hook, drop_hook
 from votefarm.voter import Voter, user_name, voter_name
 from votefarm.voting import default_metric, vote
@@ -155,14 +155,16 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     """A frame landing after its slot timed out is counted and discarded.
 
     Delaying voter 1's frame to voter 2 past delta_t makes voter 2 miss
-    slot 1, so voter 2 only broadcasts after its own timeout fires.  The
-    fellows armed their windows when the round opened, which means their
-    timers go off at the same instant that recovery broadcast is born:
-    everyone has already written slot 2 off by the time the frame lands.
-    One delayed link therefore costs the whole round, and every voter
-    must agree it did.  Voter 3's invalidation of its own slot lands on
-    voter 1 after voter 1 closed the round on its own timeout: a broadcast
-    of a closed round, so voter 1 counts a second late arrival.
+    slot 1, so voter 2 only broadcasts after its own timeout fires, at 1.0.
+    Voter 1 waits on slot 2 from the round's open and times out at that
+    same instant, first: voter 2's broadcast lands on it after that, late.
+    Voter 3 had heard slot 1 at once, and takes voter 2's broadcast, which
+    lands before its own timer's turn.  The delayed frame reaches voter 2
+    at 1.2, late.  Voter 3's user is silent, so at 2.0 voter 3 times out on
+    its own slot and invalidates it; that frame lands on voters 1 and 2
+    before their timers on slot 3 take their turns.  The run is past the
+    bound (a crash and a delay at N = 3): voters 1 and 2 lose the majority,
+    and voter 3 keeps it.
     """
     world, rt, recs = launch(3, crashed=(3,))
     world.fabric.add_hook(delay_hook(voter_name("f", 1), voter_name("f", 2), delay=1.2))
@@ -171,11 +173,12 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     assert v2.late_arrivals == 1
     assert slot_flags(v2) == (False, True, False)
     assert slot_flags(v1) == (True, False, False)
-    assert slot_flags(v3) == (True, False, False)
-    for state, late in ((v1, 2), (v2, 1), (v3, 1)):
+    assert slot_flags(v3) == (True, True, False)
+    for state, late, timeouts in ((v1, 1, 1), (v2, 1, 1), (v3, 0, 1)):
         assert (state.late_arrivals, state.stray_messages) == (late, 0)
-        assert state.rounds_completed == 1
-        assert state.last_outcome.failure == ErrorCode.NO_MAJORITY
+        assert (state.rounds_completed, state.timeouts) == (1, timeouts)
+    assert v1.last_outcome.failure == v2.last_outcome.failure == ErrorCode.NO_MAJORITY
+    assert v3.last_outcome.value == V42
 
 
 def asking_user(world, rt, uid, log):
@@ -527,7 +530,9 @@ def test_split_vectors_get_one_vote_each(vote_calls):
         world.fabric.add_hook(drop_hook(voter_name("f", 1), voter_name("f", dst)))
     world.run()
     seen = {(st.algorithm, st.last_slots) for st in rt.states.values()}
-    assert len(seen) == 2  # the drops split the voters in two
+    # the drops split the voters in three: voters 2 and 4 miss slot 1, and
+    # voter 1 times out on slot 2 just before voter 2's broadcast lands
+    assert len(seen) == 3
     assert len(vote_calls) == len(seen)
     assert set(vote_calls) == seen
     for state in rt.states.values():
@@ -647,6 +652,21 @@ class RecordingFabric:
         self.posts.append((endpoint, msg, self.voter.resolved))
 
 
+def lowest_open(slots):
+    """The index of the lowest open slot, the one the voter's timer waits on."""
+    return next(i for i, slot in enumerate(slots) if slot is votefarm.voter._OPEN)
+
+
+def timer_rule(before, after):
+    """What `on_event` returns by the timer rule, given the voter's slots
+    before and after an event that left a round open: a fresh delta_t (1.0
+    here) if the event opened the round or resolved its lowest open slot,
+    else KEEP."""
+    if before is None or lowest_open(after) != lowest_open(before):
+        return 1.0
+    return KEEP
+
+
 def direct_voter(me, algorithm=AlgorithmId(VoteKind.MAJORITY)):
     """Voter `me` of three on a RecordingFabric, with stand-in user and mesh
     ends; returns the voter, its fabric and the two ends."""
@@ -665,7 +685,9 @@ def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
     fellows a's and b's broadcasts in `order`, a GET before each until the
     round closes: one round closes, with one broadcast at the voter's turn
     and one vote on the closed vector, and every GET before the close is
-    refused.  An input fed after the close (its slot went invalid at the
+    refused and keeps the deadline.  Each event of the open round returns
+    a fresh delta_t only when it opens the round or resolves the lowest
+    open slot (the timer rule).  An input fed after the close (its slot went invalid at the
     turn) opens a new round, on which nothing is checked here."""
     a, b = (vid for vid in (1, 2, 3) if vid != me)
     values = {vid: VoteValue.from_floats([float(vid)]) for vid in (1, 2, 3)}
@@ -680,11 +702,12 @@ def test_the_round_automaton_runs_on_direct_calls(me, order, vote_calls):
     for event in order:
         if closed_at is None:
             start = len(fabric.posts)
-            assert v.on_event(Message(Tag.GET, USER)) == (None if v.slots is None else 1.0)
+            assert v.on_event(Message(Tag.GET, USER)) is (None if v.slots is None else KEEP)
             assert [m for _, m, _ in fabric.posts[start:]] == [Message(Tag.REFUSED, me)]
+        before = None if v.slots is None else list(v.slots)
         timeout = v.on_event(events[event])
         if closed_at is None:
-            assert timeout == (1.0 if v.rounds_completed == 0 else None)
+            assert timeout == (timer_rule(before, v.slots) if v.rounds_completed == 0 else None)
             if v.rounds_completed:
                 closed_at = len(fabric.posts)
                 assert fabric.posts[-1][:2] == (user_ep, Message(Tag.DONE, me))
@@ -752,12 +775,13 @@ def test_an_invalidation_of_the_next_round_opens_it_between_rounds():
 
 @pytest.mark.parametrize("rnd", [0, 1, 3])
 def test_a_broadcast_for_a_round_neither_open_nor_next_is_late(rnd):
-    """In round 2, a broadcast of any round but 2 fills no slot."""
+    """In round 2, a broadcast of any round but 2 fills no slot and keeps
+    the deadline."""
     v, _, _ = voter_one_after_round_one()
     assert v.on_event(Message(Tag.INPUT, USER, value_of(1))) == 1.0
     opened = list(v.slots)
-    assert v.on_event(Message(Tag.BROADCAST_VALUE, 2, value_of(2), round=rnd)) == 1.0
-    assert v.on_event(Message(Tag.BROADCAST_INVALID, 3, round=rnd)) == 1.0
+    assert v.on_event(Message(Tag.BROADCAST_VALUE, 2, value_of(2), round=rnd)) is KEEP
+    assert v.on_event(Message(Tag.BROADCAST_INVALID, 3, round=rnd)) is KEEP
     assert v.slots == opened and v.resolved == 1
     assert (v.late_arrivals, v.stray_messages, v.rounds_completed) == (2, 0, 1)
 
@@ -778,6 +802,7 @@ def successors(v, ghosts):
             yield Message(Tag.BROADCAST_VALUE, vid, value_of(vid), round=rnd), after
             yield Message(Tag.BROADCAST_INVALID, vid, round=rnd), after
     yield Message(Tag.GET, USER), ghosts
+    yield Message(Tag.BROADCAST_VALUE, me, value_of(me), round=1), ghosts  # a stray
     if v.slots is not None:
         yield TIMED_OUT, ghosts
 
@@ -791,7 +816,10 @@ def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_c
     the vector it resolved, and an INPUT keeps its rule: it opens the next
     round or fills an open own slot with the input, is refused with no
     change when the own slot holds a value, and is a late arrival with no
-    refusal when the own slot was invalidated."""
+    refusal when the own slot was invalidated.  Inside a round the timer
+    rule holds: a GET, a stray or a late arrival keeps the deadline, and any
+    event returns a fresh delta_t only if it opens the round or resolves its
+    lowest open slot."""
     OPEN = votefarm.voter._OPEN
     start, fabric, _, mesh_ep = direct_voter(me)
     frontier, seen = deque([(start, (0, (0, 0)))]), set()
@@ -802,7 +830,7 @@ def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_c
             w.slots = None if v.slots is None else list(v.slots)
             w.memo = {}
             fabric.voter, fabric.posts, calls = w, [], len(vote_calls)
-            w.on_event(event)
+            timeout = w.on_event(event)
             rnd = v.rounds_completed + 1  # the round open, or the next one
             before = [OPEN] * 3 if v.slots is None else v.slots
             closed = w.rounds_completed > v.rounds_completed
@@ -813,6 +841,13 @@ def test_the_round_automaton_holds_its_rules_in_every_reachable_state(me, vote_c
                 assert all(b is OPEN or a is b for b, a in zip(before, now))
             if w.slots is not None:
                 assert w.resolved == sum(s is not OPEN for s in w.slots)
+                assert timeout == timer_rule(v.slots, w.slots)
+                idle = event is not TIMED_OUT and event.tag is Tag.GET
+                stray = w.stray_messages > v.stray_messages
+                if idle or stray or w.late_arrivals > v.late_arrivals:
+                    assert timeout is KEEP
+            else:
+                assert timeout is None
             # the round's resolved count before and after the event
             was = 0 if v.slots is None else v.resolved
             reached = 3 if closed else 0 if w.slots is None else w.resolved
