@@ -1,11 +1,12 @@
-"""Client-side farm protocol: handles, control requests, and polling.
+"""Client-side farm protocol: handles and control requests.
 
 A FarmHandle belongs to one user activity and talks to exactly one
 voter over one local link, no matter how large the farm is.  Handles
 never raise for protocol-level failures; they record an error code in
 `last_error` (cleared at the start of every operation) and return a
-falsy result, so callers can poll in the usual
-"while get() is refused and no error" style.
+falsy result.  A get refused while the round is open (last_error NONE)
+needs no polling: await_done() waits for the DONE the voter pushes when
+the round closes, and a get after it answers.
 
 All user activities of one farm are expected to execute the same
 lifecycle sequence (open, identical adds, run, control, get, close);
@@ -44,6 +45,7 @@ from .voter import FarmRuntime, Voter, user_name, voter_name
 _NO_ERROR, _REFUSED = ErrorCode.NONE, Tag.REFUSED
 _GET = (encode_message(Message(Tag.GET, USER)), (Tag.VOTED_VALUE, _REFUSED))
 _CLOSE = (encode_message(Message(Tag.CLOSE, USER)), (Tag.DONE, _REFUSED))
+_DONE = (Tag.DONE,)
 
 
 def _is_node(node) -> bool:
@@ -181,7 +183,7 @@ class FarmHandle:
         self.state = FarmState.DECLARED
         self.last_error = _NO_ERROR
         self.endpoint = None
-        self._drain_wait: Wait | None = None  # zero-timeout wait on the link, see attach
+        self._link_wait: Wait | None = None  # zero-timeout wait on the link, see attach
         self.messages_sent = 0
 
     # -- local lifecycle -----------------------------------------------------
@@ -242,7 +244,7 @@ class FarmHandle:
         self.delta_t = runtime.delta_t
         self.algorithm = runtime.algorithm
         self.endpoint = endpoint
-        self._drain_wait = Wait((endpoint.inbox,), 0.0)
+        self._link_wait = Wait((endpoint.inbox,), 0.0)
         self.state = FarmState.RUNNING
         return True
 
@@ -258,29 +260,18 @@ class FarmHandle:
         self.world.fabric.send_from(self.endpoint, frame)
         self.messages_sent += 1
 
-    def _drain(self):
-        """Consume everything already queued on the handle's link; returns
-        True when a REFUSED was among it (generator)."""
-        refused = False
-        while True:
-            got = yield self._drain_wait
-            if got is TIMED_OUT:
-                return refused
-            # got is (source, message); stale pushes are dropped here.
-            if got[1].tag is _REFUSED:
-                refused = True
-
-    def _request(self, frame: bytes, replies: tuple[Tag, ...], timeout: float | None):
-        """Drain the link, send the request `frame`, and wait for a reply
-        whose tag is in `replies`, skipping stale pushes (generator).
-        Returns that message, or None with last_error set when the handle
-        is not running or `timeout` (None: no limit) runs out."""
+    def _request(self, frame: bytes | None, replies: tuple[Tag, ...], timeout: float | None):
+        """Drop the stale pushes on the link and send the request `frame`, if
+        any, then wait for a frame whose tag is in `replies`, dropping others
+        (generator).  Returns that message, or None with last_error set when
+        the handle is not running or `timeout` (None: no limit) runs out."""
         self.last_error = _NO_ERROR
         if not self._require_running():
             return None
-        wait = Wait(self._drain_wait.sources, timeout)  # a bad timeout raises before the send
-        yield from self._drain()
-        self._send(frame)
+        wait = Wait(self._link_wait.sources, timeout)  # a bad timeout raises before the send
+        if frame is not None:
+            self.endpoint.inbox.queue.clear()  # stale pushes, dropped in place
+            self._send(frame)
         sched = self.world.scheduler
         deadline = None if timeout is None else sched.now + timeout
         while True:
@@ -289,7 +280,7 @@ class FarmHandle:
                 if remaining <= 0:
                     break
                 if remaining != timeout:
-                    wait = Wait(self._drain_wait.sources, remaining)
+                    wait = Wait(wait.sources, remaining)
             got = yield wait
             if got is TIMED_OUT:
                 break
@@ -327,9 +318,15 @@ class FarmHandle:
                 raise TypeError(f"not a control request: {req!r}")
             frames.append(encode_message(msg))
         self.algorithm = algorithm
+        queue = self.endpoint.inbox.queue
+        queue.clear()  # stale pushes: with the link empty, the wait below yields the floor
         for frame in frames:
             self._send(frame)
-        refused = yield from self._drain()
+        got = yield self._link_wait  # the voter takes the batch, and its replies land
+        refused = got is not TIMED_OUT and got[1].tag is _REFUSED
+        while queue:  # the replies that landed after the first, taken in place
+            if queue.popleft().tag is _REFUSED:
+                refused = True
         if refused:
             self.last_error = ErrorCode.REFUSED
             return False
@@ -339,21 +336,25 @@ class FarmHandle:
         """Ask for the voted outcome (generator).
 
         Returns the VoteOutcome after a completed round; None when the
-        voter refuses (round still open, last_error stays NONE) or when
-        nothing arrives within `timeout` (last_error = TIMEOUT).  Stale
-        DONE pushes are skipped.
+        voter refuses (round still open, last_error stays NONE: see
+        await_done) or when nothing arrives within `timeout` (TIMEOUT).
         """
         msg = yield from self._request(*_GET, timeout)
         if msg is None or msg.tag is _REFUSED:
             return None
         return msg.payload
 
+    def await_done(self, timeout: float | None):
+        """Wait for the DONE the voter pushes when its round closes, dropping
+        other frames (generator): True once it lands, else False, see _request."""
+        return (yield from self._request(None, _DONE, timeout)) is not None
+
     def close(self, timeout: float | None = None):
         """Shut down this handle's voter (generator).
 
         On DONE the handle moves to CLOSED; a REFUSED (round still open)
-        or a timeout leaves it RUNNING with last_error set so the caller
-        can poll and retry.  Stale VOTED_VALUE pushes are skipped.
+        or a timeout leaves it RUNNING with last_error set, so the caller
+        can retry, after await_done if refused.  Stale pushes are dropped.
         """
         msg = yield from self._request(*_CLOSE, timeout)
         if msg is None:

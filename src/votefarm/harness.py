@@ -33,7 +33,7 @@ from .core import (
     VoteOutcome,
     VoteValue,
 )
-from .sim import REAL, TIMED_OUT, VIRTUAL, Wait, sleep
+from .sim import REAL, TIMED_OUT, VIRTUAL, Wait
 from .transport import LinkCensus, corrupt_hook, delay_hook, drop_hook
 from .voter import FarmRuntime, user_name, voter_name
 from .voting import resolve_metric
@@ -447,32 +447,28 @@ def _stage_user(
 ):
     """One user module's whole life, on a handle attached to its farm:
     obtain an input (given directly or pushed by the previous stage), feed
-    it, poll for the outcome, close."""
+    it and ask once for the outcome, and if the round is still open, wait
+    for the voter's DONE push and ask again; close.  A user with no input
+    waits for the push before it closes, so that its voter takes part in
+    the round its fellows open."""
     if source_ep is not None:
         got = yield Wait((source_ep.inbox,), source_budget)
         if got is not TIMED_OUT:
             msg = got[1]
             if msg.tag == Tag.VOTED_VALUE and msg.payload.ok:
                 value = msg.payload.value
-    if value is not None:
+    timeout = 2 * handle.delta_t
+    budget = (3 * len(handle.nodes) + 8) * 3 * handle.delta_t  # 3N + 8 timeouts and sleeps
+    if value is None:
+        yield from handle.await_done(budget)
+    else:
         rec.injected_at = handle.world.scheduler.now
         yield from handle.control([Input(value)])
-        yield from _poll(handle, handle.get)
+        if (yield from handle.get(timeout)) is None and handle.last_error is ErrorCode.NONE:
+            yield from handle.await_done(budget)
+            yield from handle.get(timeout)
     rec.messages_sent = handle.messages_sent
-    rec.closed = yield from _poll(handle, handle.close)
-
-
-def _poll(handle: FarmHandle, request):
-    """Call `request`, the handle's get or close, with a 2 * delta_t
-    timeout until it answers or times out, at most 3 * N + 8 times,
-    sleeping `delta_t` after each refusal: the round is still open
-    (generator).  Returns the last answer."""
-    for _ in range(3 * len(handle.nodes) + 8):
-        answer = yield from request(timeout=2 * handle.delta_t)
-        if answer or handle.last_error == ErrorCode.TIMEOUT:
-            break
-        yield from sleep(handle.delta_t)
-    return answer
+    rec.closed = yield from handle.close(timeout)
 
 
 def _install_faults(world: World, spec: ExperimentSpec, rng: random.Random) -> None:

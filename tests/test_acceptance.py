@@ -185,6 +185,35 @@ def test_a_slot_timer_restarts_only_when_its_slot_changes(argv, capsys, honest_s
         assert v["ok"] and v["value"] == list(DEFAULT_INPUT.floats()), (argv, v["voter"])
 
 
+# Past the masking bound: four of the five replicas carry a fault (op 183 of
+# perfbench's seed-1 fault_churn pass).  Stage-3 user 5 gets no input: its
+# upstream voter, stage-2 voter 5, pushes NO_MAJORITY.  A user that closed its
+# voter at once, before the DONE push, shut it before the round its fellows
+# open, and the final stage lost a live voter's outcome.
+NO_INPUT_SPEC = ExperimentSpec(
+    pipeline=PipelineSpec((StageSpec(5),) * 3),
+    faults=(
+        FaultSpec(FaultKind.DROP_MESSAGE, voter=5, stage=1),
+        FaultSpec(FaultKind.CORRUPT_INPUT, voter=1, stage=1, pattern=b"\xfa"),
+        FaultSpec(FaultKind.CRASH_USER, voter=2, stage=2),
+        FaultSpec(FaultKind.CRASH_USER, voter=3, stage=2, index=1),
+        FaultSpec(FaultKind.DELAY_MESSAGE, voter=5, stage=3),
+        FaultSpec(FaultKind.CRASH_USER, voter=2, stage=3, index=1),
+    ),
+    seed=1163173132,
+    metric="euclidean",
+)
+
+
+def test_a_user_with_no_input_keeps_its_voter_for_the_round_its_fellows_open():
+    (rep,) = run_experiment(NO_INPUT_SPEC).repetitions
+    finals = {v.voter: v for v in rep.voters if v.stage == 3}
+    assert finals[5].client_messages == 0  # no input, so nothing sent before its CLOSE
+    assert finals[5].round_started is not None and finals[5].closed
+    for v in finals.values():
+        assert v.outcome.ok and v.outcome.value == DEFAULT_INPUT, v.voter
+
+
 # -- criterion 2: failure beyond the bound ---------------------------------------
 
 
@@ -416,7 +445,9 @@ def test_criterion_08_frames_per_round_grow_with_n():
 def test_criterion_08_scheduler_steps_per_round(monkeypatch):
     """Scheduler steps of one round: a 4-round run minus a 3-round run of
     the same farm, so the steps of starting and ending the world cancel.
-    Each user steps six times.  Each voter steps once when its user's input
+    Each user steps four times: at the end of each of its two sleeps, when
+    the DONE its voter pushes lands during control, which yields the floor
+    once, and when the reply to its GET lands.  Each voter steps once when its user's input
     wakes it, once more for the fellows' broadcasts still to come, which
     all land before its second turn as every send lands at once, and once
     for the GET; a lone voter has no fellows, so it steps twice."""
@@ -437,7 +468,7 @@ def test_criterion_08_scheduler_steps_per_round(monkeypatch):
             client_farm(n, rounds).run()
             counts.append(steps)
         per_round.append(counts[1] - counts[0])
-    assert per_round == [6 * n + (2 if n == 1 else 3) * n for n in (1, 2, 3, 4)]  # 8, 18, 27, 36
+    assert per_round == [4 * n + (2 if n == 1 else 3) * n for n in (1, 2, 3, 4)]  # 6, 14, 21, 28
 
 
 # -- criterion 9: replication transparency ----------------------------------------------

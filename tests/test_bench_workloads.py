@@ -52,3 +52,20 @@ def test_a_workload_pass_runs_and_repeats(workloads, name):
         assert verdicts == wl.OK * 2 * OPS, first.first_error or second.first_error
     if workload.virtual:
         assert first.digest == second.digest is not None
+
+
+def test_every_live_voter_of_a_fault_churn_stage_opens_a_round_if_one_does(workloads):
+    """Over the seed-1 fault_churn pass, past the masking bound included: a
+    voter takes part in every round its stage opens, even when its user has
+    no input and so sends nothing before it closes."""
+    wl, _ = workloads
+    vf = types.SimpleNamespace(**{m: importlib.import_module(f"votefarm.{m}") for m in MODULES})
+    workload = wl.WORKLOADS["fault_churn"]
+    missing = []
+    for i, op in enumerate(workload.make_pass(vf, SEED, workload.pass_size)):
+        (rep,) = vf.harness.run_experiment(op.spec).repetitions
+        for stage in {v.stage for v in rep.voters}:
+            live = [v for v in rep.voters if v.stage == stage and v.live]
+            if any(v.round_started is not None for v in live):
+                missing += [(i, stage, v.voter) for v in live if v.round_started is None]
+    assert workload.pass_size == 200 and missing == []

@@ -323,6 +323,51 @@ def test_a_request_answered_before_the_clock_moves_builds_one_wait(monkeypatch):
     assert [w.timeout for w in built if handle.endpoint.inbox in w.sources] == [2.0]
 
 
+def test_control_yields_the_floor_once_and_a_request_sends_before_it_yields():
+    """control() sends its batch, yields the floor once and takes the
+    voter's replies off the link in place; get() and close() drop the stale
+    pushes on the link in place and send before their one yield, for the
+    reply.  Each entry is (operation, frames sent when it yielded)."""
+    world = World(VIRTUAL)
+    handle = described_handle(world, "a", 1, n=1)
+    assert handle.run()
+    yields = []
+
+    def counted(name, gen):
+        value = None
+        while True:
+            try:
+                wait = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            yields.append((name, handle.messages_sent))
+            value = yield wait
+
+    def user():
+        assert (yield from counted("control", handle.control([Input(V42)])))
+        for _ in range(2):
+            handle.endpoint.inbox.put(Message(Tag.DONE, 1))  # stale pushes
+        got = yield from counted("get", handle.get(1.0))
+        handle.endpoint.inbox.put(Message(Tag.VOTED_VALUE, 1, got))
+        assert got.value == V42 and (yield from counted("close", handle.close(1.0)))
+
+    world.spawn_user("a", 1, user())
+    world.run()
+    assert yields == [("control", 1), ("get", 2), ("close", 3)]
+    assert handle.state == FarmState.CLOSED
+
+
+def test_a_get_with_no_time_left_sends_and_times_out_without_yielding():
+    """get(timeout=0) sends its GET and gives up before any wait."""
+    world = World(VIRTUAL)
+    handle = described_handle(world, "a", 1, n=1)
+    assert handle.run()
+    assert run_sync(handle.get(timeout=0)) is None
+    assert handle.last_error == ErrorCode.TIMEOUT and handle.messages_sent == 1
+    world.run()
+    assert world.farms["a"].states[1].refusals == 1  # the GET landed, before any round
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_first_handle_run_activates_a_farm_that_passes_the_census(n):
     """No activate_farm call here: the first run() brings the farm up and
