@@ -15,12 +15,12 @@ woken activity steps (due then, or sent by one run first) is taken instead
 of the timeout.  A waiting activity has one heap entry, as a
 rule: a timed wait pushes its deadline `(when, seq)` only if the activity
 has no entry due at or before `when`, and otherwise keeps it until that
-entry pops, then pushes it with its own `seq`.  Nothing keyed after the
-deadline can have popped by then, so timers fire in `(time, seq)` order as
-if each wait pushed its own.  An entry whose wait has ended is stale, and at
-the top of the heap it is retired without advancing the clock (or, on the
-real clock, sleeping until it is due), so a run ends when its last live work
-ends.
+entry pops, then pushes it.  Nothing keyed after the deadline can have
+popped by then, so timers fire in `(time, seq)` order as if each wait
+pushed its own; a KEEP keeps the `(when, seq)`, and its entry serves again.
+An entry whose wait has ended is stale, and at the top of the heap it is
+retired without advancing the clock (or, on the real clock, sleeping until
+it is due), so a run ends when its last live work ends.
 
 Each wait names at most one source, a FIFO of items (a sleep names
 none).  The first time an activity waits on a source, the source is bound
@@ -141,7 +141,7 @@ class Activity:
         # heap; the due time of one of its heap entries (inf: maybe none).
         self.deadline: tuple | None = None
         self.timer_at = math.inf
-        self.due: float | None = None  # the last timed wait's deadline, which KEEP reuses
+        self.due: tuple | None = None  # the last timed wait's (when, seq), which KEEP reuses
 
     @property
     def live(self) -> bool:
@@ -243,10 +243,10 @@ class Scheduler:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._push((self.now + delay, next(self._seq), _T_CALL, fn, 0))
 
-    def _rearm(self, act: Activity) -> None:
-        """One of `act`'s entries popped: push its wait's kept deadline, if any."""
+    def _rearm(self, act: Activity, seq: int) -> None:
+        """`act`'s entry `seq` popped: push its wait's kept deadline, if another."""
         deadline, act.deadline, act.timer_at = act.deadline, None, math.inf
-        if deadline is not None:
+        if deadline is not None and deadline[1] != seq:
             self._push((*deadline, _T_TIMER, act, act.wait_seq))
             act.timer_at = deadline[0]
 
@@ -303,30 +303,32 @@ class Scheduler:
             act.due = None
         elif timeout is not KEEP:
             now = self._vnow if self.clock_mode == VIRTUAL else time.monotonic() - self._epoch
-            act.due = now + timeout
-        if (when := act.due) is not None:
+            act.due = (now + timeout, next(self._seq))
+        if (due := act.due) is not None:
             # push the deadline, or keep it while `act` has an entry due no later
-            if act.timer_at <= when:
-                act.deadline = (when, next(self._seq))
+            if act.timer_at <= due[0]:
+                act.deadline = due
             else:
-                self._push((when, next(self._seq), _T_TIMER, act, act.wait_seq))
-                act.timer_at = when
+                self._push((*due, _T_TIMER, act, act.wait_seq))
+                act.timer_at = due[0]
 
     @staticmethod
     def _stale(entry) -> bool:
-        """A timer whose activity no longer waits on the wait that armed it.
-        A finished activity is unbound, so `waiting_on` is None, and a halted
-        one never ran, so it armed no timer."""
-        _, _, kind, act, wait_seq = entry
-        return kind == _T_TIMER and (act.waiting_on is None or act.wait_seq != wait_seq)
+        """A timer whose activity no longer waits on the wait that armed it,
+        nor keeps that wait's deadline.  A finished activity is unbound, so
+        `waiting_on` is None, and a halted one never ran, so it armed no timer."""
+        _, seq, kind, act, wait_seq = entry
+        if kind != _T_TIMER or act.deadline is not None and act.deadline[1] == seq:
+            return False  # a delayed call, or the first entry of a deadline a KEEP kept
+        return act.waiting_on is None or act.wait_seq != wait_seq
 
     def _fire(self, entry) -> None:
         if entry[2] == _T_CALL:
             entry[3]()
             return
-        act = entry[3]
-        self._rearm(act)  # clears the kept deadline
-        if not self._stale(entry):
+        act, stale = entry[3], self._stale(entry)
+        self._rearm(act, entry[1])  # clears the kept deadline
+        if not stale:
             act.blocked = False  # the wait timed out: wake `act` as a put would
             act.wait_seq += 1
             self._ready.append(act)
@@ -345,7 +347,8 @@ class Scheduler:
                 if steps > MAX_STEPS:
                     raise RuntimeError("scheduler step budget exhausted")
             while heap and self._stale(heap[0]):
-                self._rearm(heapq.heappop(heap)[3])
+                entry = heapq.heappop(heap)
+                self._rearm(entry[3], entry[1])
             if not heap:
                 return
             self._advance_to(heap[0][0])

@@ -65,7 +65,7 @@ SPECS = {
 DIGESTS = {
     "tmr_fault_free": "ed7a07ef2d4a9445d43023478b4ab0098ba32c78666ee356a31824c3e14c98f6",
     "median_then_majority": "d97edf40fd26bc5fbc386750c67a33b77740a736b7ff3efc442e130cb9237df7",
-    "every_fault_kind": "a51d8c67653dd1bf875468ae5edd4f38679253e9eb5d4440f166a16080bebd9a",
+    "every_fault_kind": "6571c32eb9c64b5f5c8957cf03bc3f5ff0b550a208f1f178ac66b290c9d506dc",
     "three_repetitions": "d2e83548aa71695541f27689192c4635a30699c08aa5fb7c985da0fc234fdb6d",
 }
 

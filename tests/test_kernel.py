@@ -618,6 +618,37 @@ def test_keep_waits_on_until_the_last_fresh_timeout_runs_out():
     assert seen == [(0.0, "fresh"), (0.0, "keep"), (0.5, "keep"), (2.0, TIMED_OUT)]
 
 
+def test_a_kept_deadline_keeps_its_first_entry_and_its_place(monkeypatch):
+    """A handler arms 2.0 at 0.0 and takes a KEEP item at 0.5, when a
+    sleeper arms its own 2.0 deadline.  The handler's first entry serves the
+    kept deadline: it times out first at 2.0, as it armed first, and no
+    second entry is pushed for it."""
+    sched = Scheduler(VIRTUAL)
+    inbox = WaitSource(sched)
+    pushed, fired = [], []
+    push = Scheduler._push
+    monkeypatch.setattr(Scheduler, "_push", lambda s, e: (pushed.append(e[3]), push(s, e)))
+
+    def handler(item):
+        if item is TIMED_OUT:
+            fired.append(("handler", sched.now))
+            return sim.FINISHED
+        return 2.0 if item == "fresh" else sim.KEEP
+
+    def sleeper():
+        yield from sim.sleep(0.5)
+        inbox.put("keep")
+        yield from sim.sleep(1.5)
+        fired.append(("sleeper", sched.now))
+
+    inbox.put("fresh")
+    handler_act = sched.spawn("h", None, handler=handler, inbox=inbox)
+    sched.spawn("s", sleeper())
+    sched.run()
+    assert fired == [("handler", 2.0), ("sleeper", 2.0)]
+    assert pushed.count(handler_act) == 1
+
+
 def test_a_real_clock_world_sleeps_only_toward_the_live_deadline(monkeypatch):
     """An activity blocks for 0.05, is woken at once, then blocks for 0.3
     and times out.  The superseded entry keeps the 0.3 deadline off the
