@@ -346,7 +346,7 @@ class FarmHandle:
 
     def await_done(self, timeout: float | None):
         """Wait for the DONE the voter pushes when its round closes, dropping
-        other frames (generator): True once it lands, else False, see _request."""
+        other frames (generator): True once it lands, else False (TIMEOUT)."""
         return (yield from self._request(None, _DONE, timeout)) is not None
 
     def close(self, timeout: float | None = None):

@@ -137,8 +137,8 @@ class Activity:
         self.wait_seq = 0
         # Blocked in a wait, hence not among the ready activities.
         self.blocked = False
-        # The (when, seq) of the timed wait it is in while that is not on the
-        # heap; the due time of one of its heap entries (inf: maybe none).
+        # The (when, seq) of the timed wait it is in while that is not live on
+        # the heap; the due time of one of its heap entries (inf: maybe none).
         self.deadline: tuple | None = None
         self.timer_at = math.inf
         self.due: tuple | None = None  # the last timed wait's (when, seq), which KEEP reuses
