@@ -13,8 +13,10 @@ in a separate untimed run: the vote() calls the voters make, the distinct
 the scheduler steps, the entries pushed onto the scheduler's timer heap,
 the voters' sends, counted as `outbox_items` (one `Fabric.post` per send,
 however many fellows a broadcast goes to), the frames the fabric sent,
-one per (sender, receiver) copy however many peers one send reaches, the
-frames it decoded and the messages the voters and handles encoded.  One
+one per (sender, receiver) copy however many peers one send reaches, read
+off the fabric's own counters as the copies it delivered or dropped (a
+copy still in flight when the run ends is left out), the frames it
+decoded and the messages the voters and handles encoded.  One
 more untimed run, made with the garbage collector disabled, gives
 `cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
@@ -95,17 +97,16 @@ def make_spec(n: int, metric: str, faults=()) -> ExperimentSpec:
     )
 
 
-def counted(owner, attr: str, counts: dict, key: str, weight=None):
-    """Replace owner.attr by a wrapper that counts its calls in counts[key],
-    each as weight(*args), or as 1 when `weight` is None; returns a function
-    that puts the original back (an inherited method is restored by
-    deleting the wrapper, not by shadowing the base class's)."""
+def counted(owner, attr: str, counts: dict, key: str):
+    """Replace owner.attr by a wrapper that counts its calls in counts[key];
+    returns a function that puts the original back (an inherited method is
+    restored by deleting the wrapper, not by shadowing the base class's)."""
     own = attr in vars(owner)
     fn = getattr(owner, attr)
     counts[key] = 0
 
     def wrapper(*args, **kwargs):
-        counts[key] += 1 if weight is None else weight(*args)
+        counts[key] += 1
         return fn(*args, **kwargs)
 
     setattr(owner, attr, wrapper)
@@ -117,11 +118,6 @@ def counted(owner, attr: str, counts: dict, key: str, weight=None):
             delattr(owner, attr)
 
     return restore
-
-
-def copies(fabric, endpoint, frame) -> int:
-    """The frames one Fabric.send_from sends: one per peer of the end."""
-    return len(endpoint.peers)
 
 
 def count_work(spec: ExperimentSpec) -> dict:
@@ -144,25 +140,30 @@ def count_work(spec: ExperimentSpec) -> dict:
         votes.append((farm, algorithm, tuple(slots)))
         return vote(algorithm, slots, fn)
 
-    vote = voter.vote
+    def fabric_run(world):
+        try:
+            run(world)
+        finally:
+            kernel["frames_sent"] += world.fabric.delivered_total + world.fabric.dropped
+
+    kernel["frames_sent"] = 0
+    vote, run = voter.vote, client.World.run
     voter.vote = counted_vote
+    client.World.run = fabric_run
     voting.register_metric(spec.metric, counted_metric)
     wrapped = [
-        (sim.Scheduler, "_step", "scheduler_steps", None),
-        (sim.Scheduler, "_push", "heap_pushes", None),
-        (transport.Fabric, "post", "outbox_items", None),
-        (transport.Fabric, "send_from", "frames_sent", copies),
-        (transport, "decode_message", "decodes", None),
-        (transport, "encode_message", "encodes", None),
-        (client, "encode_message", "encodes", None),
+        (sim.Scheduler, "_step", "scheduler_steps"),
+        (sim.Scheduler, "_push", "heap_pushes"),
+        (transport.Fabric, "post", "outbox_items"),
+        (transport, "decode_message", "decodes"),
+        (transport, "encode_message", "encodes"),
+        (client, "encode_message", "encodes"),
     ]
-    restores = [
-        counted(owner, attr, kernel, key, weight) for owner, attr, key, weight in wrapped
-    ]
+    restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
     try:
         report = run_experiment(spec)
     finally:
-        voter.vote = vote
+        voter.vote, client.World.run = vote, run
         voting.register_metric(spec.metric, metric)
         for restore in restores:
             restore()

@@ -577,9 +577,9 @@ def _stage_nodes(spec: ExperimentSpec, k: int) -> tuple[int, ...]:
 
 
 def _push_budget(spec: ExperimentSpec, k: int) -> float:
-    """How long a stage-k user waits for the upstream push: the worst-case
-    serial timeout cost of every earlier stage plus any injected delays."""
-    budget = 1.0
+    """How long a stage-k user waits for the upstream push: one timeout of
+    its own stage, the worst-case serial cost of every earlier one and any injected delays."""
+    budget = spec.pipeline.stages[k - 1].delta_t
     for j in range(1, k):
         st = spec.pipeline.stages[j - 1]
         budget += (st.n + 4) * st.delta_t

@@ -15,16 +15,19 @@ A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Hooks see each copy of a send by sender name, receiver name
 and message index, the count of sends before it from the same end, and
 each copy they see is decoded and landed on its own.  A send with no hook
-builds no Delivery: it decodes its frame once and lands that one Message
-on every peer.  An undelayed copy lands at once, with one put on its
-receiver's queue that wakes the receiver if it is blocked; a delayed one
-lands when its delay has passed, and is counted delivered only then.  A
-post encodes a message once and sends it from its end at once, inside the
-poster's step, as every send does.  Each distinct frame is decoded once per
-world: the fabric memoizes Messages by frame content, at most one per
-(sender, receiver) pair, oldest evicted first.  A frame corrupted beyond
-parseability is never kept but silently discarded on every send, so the
-receiver only ever notices the silence through its timeout.
+builds no Delivery.  There a post lands its Message itself on every peer,
+as a Message is frozen and its frame decodes to an equal one, and a frame
+sent by a user is decoded once and that one Message lands on every peer.
+With hooks, a post encodes its message once and sends that frame.  Every
+send leaves at once, inside the sender's step.  An undelayed copy lands at
+once, with one put on its receiver's queue that wakes the receiver if it
+is blocked; a delayed one lands when its delay has passed, and is counted
+delivered only then.  Only frames sent by users or through hooks are
+decoded, each distinct one once per world: the fabric memoizes Messages by
+frame content, at most one per (sender, receiver) pair, oldest evicted
+first.  A frame corrupted beyond parseability is never kept but silently
+discarded on every send, so the receiver only ever notices the silence
+through its timeout.
 """
 
 from __future__ import annotations
@@ -150,18 +153,11 @@ class Fabric:
         With no hook the frame is decoded once and that one Message lands
         on every peer; with hooks, each copy is shown to them, decoded and
         landed on its own."""
-        # Every send takes an index, so a hook added later counts right.
+        if not self.hooks:
+            self._fan_out(endpoint, self._decoded.get(frame) or self._decode(frame))
+            return
         index = endpoint.sent
         endpoint.sent = index + 1
-        if not self.hooks:
-            msg = self._decoded.get(frame) or self._decode(frame)
-            if msg is None:
-                self.dropped += len(endpoint.peers)
-                return
-            self.delivered_total += len(endpoint.peers)
-            for inbox in endpoint.peer_inboxes:
-                inbox.put(msg)
-            return
         for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
             d = Delivery(src=endpoint.name, dst=dst, frame=frame, index=index)
             for hook in self.hooks:
@@ -190,9 +186,24 @@ class Fabric:
         return msg
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
-        """Encode `msg` once and send that frame from `endpoint` at once,
-        inside the caller's step."""
-        self.send_from(endpoint, encode_message(msg))
+        """Send `msg` from `endpoint` at once, inside the caller's step: with
+        hooks as one encoded frame, with none as itself (frozen, it equals its frame's decode)."""
+        if self.hooks:
+            self.send_from(endpoint, encode_message(msg))
+        else:
+            self._fan_out(endpoint, msg)
+
+    def _fan_out(self, endpoint: Endpoint, msg: Message | None) -> None:
+        """One hook-free send from `endpoint`: `msg` lands on every peer, or
+        every copy is dropped when it is None (a frame that does not parse)."""
+        # Every send takes an index, so a hook added later counts right.
+        endpoint.sent += 1
+        if msg is None:
+            self.dropped += len(endpoint.peers)
+            return
+        self.delivered_total += len(endpoint.peers)
+        for inbox in endpoint.peer_inboxes:
+            inbox.put(msg)
 
     def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1

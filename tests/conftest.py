@@ -1,8 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
+
 import pytest
 
+from votefarm import harness
 from votefarm.harness import DEFAULT_INPUT
+from votefarm.transport import drop_hook
 from votefarm.voter import Voter
 
 
@@ -63,3 +67,27 @@ def honest_slots(voters):
         return bad
 
     return check
+
+
+@pytest.fixture(scope="session")
+def frame_path():
+    """A context manager: inside it, every world `run_experiment` builds gets
+    one more fault hook, one that never matches.  So each send there takes
+    the frame path (encoded, shown to the hooks, decoded), not the hook-free
+    one, and nothing else changes."""
+
+    @contextlib.contextmanager
+    def hooked():
+        install = harness._install_faults
+
+        def install_and_hook(world, spec, rng):
+            install(world, spec, rng)
+            world.fabric.add_hook(drop_hook("nobody", "nobody"))
+
+        harness._install_faults = install_and_hook
+        try:
+            yield
+        finally:
+            harness._install_faults = install
+
+    return hooked

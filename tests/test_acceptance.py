@@ -153,6 +153,16 @@ def test_masking_with_drop_delay_and_crash_at_n7(argv, capsys, honest_slots):
         assert v["ok"] and v["value"] == list(DEFAULT_INPUT.floats()), (argv, v["voter"])
 
 
+@pytest.mark.parametrize("argv", GUARD_SPECS)
+def test_guard_specs_report_the_same_bytes_with_one_more_hook(argv, capsys, frame_path):
+    """A hook that never matches, added to each world, changes no byte."""
+    assert main(argv.split()) == 0
+    plain = capsys.readouterr().out
+    with frame_path():
+        assert main(argv.split()) == 0
+    assert capsys.readouterr().out == plain
+
+
 # Within the bound, and masked only under the timer rule: a slot's timer
 # restarts when that slot is resolved, not on any frame.  Under the old rule
 # the first two left an honest stage-2 voter on NO_MAJORITY, missing an

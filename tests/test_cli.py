@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from votefarm import harness
-from votefarm.cli import main
+from votefarm.cli import _agreement_holds, main
+from votefarm.core import ErrorCode, VoteOutcome, VoteValue
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +93,39 @@ def test_run_exit_one_when_the_farm_cannot_agree(capsys):
     assert all(
         v["failure"] == "NO_MAJORITY" for v in report["repetitions"][0]["voters"]
     )
+
+
+def final_stage(*voters) -> harness.Report:
+    """A one-repetition report whose stage-2 voters are `voters`, each a
+    (live, outcome) pair, after one stage-1 voter that agrees with nothing."""
+
+    def result(stage, voter, live, outcome):
+        return harness.VoterResult(
+            stage, voter, live, outcome, None, None, None, 0, 0, 0, None, False
+        )
+
+    stray = result(1, 1, True, VoteOutcome(value=VoteValue.from_floats([-1.0])))
+    rest = [result(2, i, live, o) for i, (live, o) in enumerate(voters, start=1)]
+    rep = harness.RepetitionResult(0, [stray, *rest], None)
+    return harness.Report({}, [], [rep], None, None)
+
+
+ONE, TWO = (VoteOutcome(value=VoteValue.from_floats([x])) for x in (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "voters,holds",
+    [
+        (((True, ONE), (True, ONE), (False, None)), True),
+        (((True, ONE), (True, TWO)), False),  # two different final values
+        (((False, None), (False, TWO)), False),  # no live final voter
+        (((True, ONE), (True, VoteOutcome(failure=ErrorCode.NO_MAJORITY))), False),
+    ],
+)
+def test_agreement_holds_only_on_one_value_from_every_live_final_voter(voters, holds):
+    """Only the final stage counts, a dead voter's outcome is ignored, and a
+    stage with no live voter agrees on nothing."""
+    assert _agreement_holds(final_stage(*voters)) is holds
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,16 @@ def test_report_digest_is_unchanged(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
+def test_the_frame_path_reports_the_same_bytes(name, frame_path):
+    """A world with no fault hook lands each voter's Message itself; forced
+    onto the frame path by a hook that never matches, the same spec reports
+    the same bytes."""
+    with frame_path():
+        framed = run_experiment(SPECS[name]).to_json()
+    assert framed == run_experiment(SPECS[name]).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
 def test_honest_voters_hold_every_honest_value(name, honest_slots):
     run_experiment(SPECS[name])
     assert honest_slots(SPECS[name]) == []

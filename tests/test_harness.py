@@ -578,9 +578,10 @@ REPLICA_VALUES = st.one_of(
 
 
 @st.composite
-def whole_specs(draw):
+def whole_specs(draw, kinds=tuple(FaultKind)):
     """A virtual-clock spec of 1 to 3 stages of N = 1 to 6 with any
-    algorithm and metric, inputs of any kind, and up to four faults."""
+    algorithm and metric, inputs of any kind, and up to four faults of
+    `kinds`."""
     n, depth = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     stages = tuple(
         StageSpec(
@@ -592,7 +593,7 @@ def whole_specs(draw):
     )
     faults = draw(st.lists(st.builds(
         FaultSpec,
-        st.sampled_from(FaultKind),
+        st.sampled_from(kinds),
         voter=st.integers(1, n),
         stage=st.integers(1, depth),
         pattern=st.binary(min_size=1, max_size=3),
@@ -618,6 +619,27 @@ def test_every_valid_spec_runs_to_a_report(spec):
     report = run_experiment(spec)
     for rep in report.repetitions:
         assert len(rep.voters) == sum(stage.n for stage in spec.pipeline.stages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(whole_specs((FaultKind.CRASH_USER, FaultKind.CRASH_VOTER)))
+def test_a_crash_only_spec_reports_the_same_bytes_on_the_frame_path(frame_path, spec):
+    """Crashes install no hook, so these worlds land each voter's Message
+    itself; a hook that never matches forces the frame path and changes no
+    byte of the report."""
+    with frame_path():
+        framed = run_experiment(spec).to_json()
+    assert framed == run_experiment(spec).to_json()
+
+
+def test_the_push_budget_scales_with_delta_t():
+    """A stage-k user waits for its upstream push in units of the slot
+    timeout: one of its own stage and N + 4 of each earlier stage, so the
+    whole budget scales with delta_t."""
+    for delta_t in (0.01, 0.5, 1.0, 4.0):
+        spec = ExperimentSpec(PipelineSpec((StageSpec(3, delta_t=delta_t),) * 3))
+        assert harness._push_budget(spec, 2) == pytest.approx(8 * delta_t)
+        assert harness._push_budget(spec, 3) == pytest.approx(15 * delta_t)
 
 
 def test_explicit_inputs_and_algorithm():

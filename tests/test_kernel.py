@@ -11,7 +11,7 @@ from votefarm import client, harness, sim, transport, voter
 from votefarm.client import Input, World, open_farm
 from votefarm.core import USER, Message, Tag, VoteOutcome, VoteValue, encode_message
 from votefarm.sim import REAL, TIMED_OUT, VIRTUAL, Scheduler, Wait, WaitSource
-from votefarm.transport import Fabric, delay_hook
+from votefarm.transport import Fabric, delay_hook, drop_hook
 from votefarm.voter import user_name, voter_name
 
 V7 = VoteValue.from_floats([7.0])
@@ -103,6 +103,9 @@ def test_real_clock_sleeps_until_a_timeout_falls_due(monkeypatch):
 
 
 def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch):
+    """In a world with a fault hook, here one that never matches, every send
+    is a frame: each post is encoded once, every copy goes through
+    `send_from` and each distinct frame is decoded once."""
     counts = {"decode": 0, "broadcast_encodes": 0, "frames": 0}
     decode, encode = transport.decode_message, transport.encode_message
     send_from = Fabric.send_from
@@ -124,6 +127,7 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
     monkeypatch.setattr(Fabric, "send_from", counting_send_from)
     n = 4
     world, outcomes = fault_free_farm(n)
+    world.fabric.add_hook(drop_hook("nobody", "nobody"))
     world.run()
     assert len(outcomes) == n
     broadcasts = sum(s.broadcasts_sent for s in world.farms["f"].states.values())
@@ -213,24 +217,72 @@ def test_enum_lookups_on_the_frame_path_grow_linearly_in_n(monkeypatch):
     assert lookups == [6, 14, 30]
 
 
-def test_post_encodes_once_for_every_endpoint(monkeypatch):
+def post_to_three_peers(monkeypatch, *hooks):
+    """Post one broadcast from the first of four linked parties in a fabric
+    with `hooks`; returns the messages encoded, the message posted, the
+    fabric and the ends."""
     encodes = []
     monkeypatch.setattr(
         transport, "encode_message", lambda msg: encodes.append(msg) or encode_message(msg)
     )
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
+    for hook in hooks:
+        fabric.add_hook(hook)
     for name, node in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
         fabric.place(name, node)
-    a_end, *peer_ends = fabric.connect(*"abcd")
+    ends = fabric.connect(*"abcd")
     msg = Message(Tag.BROADCAST_VALUE, 1, V7)
-    fabric.post(a_end, msg)
+    fabric.post(ends[0], msg)
     sched.run()
+    return encodes, msg, fabric, ends
+
+
+def test_post_encodes_once_for_every_endpoint(monkeypatch):
+    """With a fault hook, here one that never matches, a post is encoded
+    once for all its copies."""
+    encodes, msg, fabric, (_, *peer_ends) = post_to_three_peers(
+        monkeypatch, drop_hook("nobody", "nobody")
+    )
     assert encodes == [msg]
     assert fabric.delivered_total == 3
     for peer_end in peer_ends:
         (got,) = peer_end.inbox.queue
         assert got == msg
+
+
+def test_a_hook_free_post_lands_its_own_message_on_every_peer(monkeypatch):
+    """With no fault hook, a post is never encoded: the Message itself lands
+    on every peer, counted delivered, and the send still takes an index."""
+    encodes, msg, fabric, (a_end, *peer_ends) = post_to_three_peers(monkeypatch)
+    assert encodes == [] and fabric._decoded == {}
+    assert fabric.delivered_total == 3 and a_end.sent == 1
+    for peer_end in peer_ends:
+        (got,) = peer_end.inbox.queue
+        assert got is msg
+
+
+def test_a_fault_free_two_stage_world_decodes_only_the_users_frames(monkeypatch):
+    """A hook-free world decodes and encodes only what users send.  At
+    N = 31 that is three distinct frames decoded, INPUT, GET and CLOSE
+    (every input is the same value, in both stages), and one INPUT encoded
+    per user and stage; GET and CLOSE are encoded once, at import."""
+    decodes, encodes = [], []
+
+    def counting(calls, fn):
+        return lambda arg: calls.append(arg) or fn(arg)
+
+    monkeypatch.setattr(transport, "decode_message", counting(decodes, transport.decode_message))
+    monkeypatch.setattr(transport, "encode_message", counting(encodes, transport.encode_message))
+    monkeypatch.setattr(client, "encode_message", counting(encodes, client.encode_message))
+    n = 31
+    spec = harness.ExperimentSpec(
+        harness.PipelineSpec((harness.StageSpec(n), harness.StageSpec(n)))
+    )
+    (rep,) = harness.run_experiment(spec).repetitions
+    assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
+    assert len(decodes) == 3
+    assert len(encodes) == 2 * n and {m.tag for m in encodes} == {Tag.INPUT}
 
 
 def test_a_wait_on_two_sources_raises():

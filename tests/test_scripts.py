@@ -146,14 +146,12 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         # stage; a class of equal values is its own representative
         n = r["n"]
         assert r["metric_calls"] == 2 * (n - 1)
-        # fault-free, each distinct frame is decoded once in the world: the
-        # users' one INPUT, GET and CLOSE, and each voter's broadcast, DONE
-        # and VOTED_VALUE, the same bytes in both stages
-        assert r["decodes"] == 3 * n + 3
-        # per stage and voter: its user's INPUT, its broadcast, two DONEs
-        # and the VOTED_VALUE it answers a GET with, and in stage 1 the
-        # VOTED_VALUE it pushes downstream; GET and CLOSE are built at import
-        assert r["encodes"] == doc["stages"] * 5 * n + n
+        # fault-free, no hook: a voter's post lands its own Message, so only
+        # the users' frames are decoded, each distinct one once in the world:
+        # one INPUT, GET and CLOSE, the same bytes in both stages
+        assert r["decodes"] == 3
+        # per stage, each user's INPUT; GET and CLOSE are built at import
+        assert r["encodes"] == doc["stages"] * n
         assert r["scheduler_steps"] > 0
         # one frame per (sender, receiver) copy: per stage each user's INPUT,
         # GET and CLOSE, its voter's two DONEs and VOTED_VALUE reply and

@@ -293,15 +293,17 @@ def test_the_decode_memo_keeps_at_most_one_frame_per_link_end(monkeypatch):
     assert list(fabric._decoded.values()) == [value_msg(3.0), value_msg(0.0)]
 
 
-def test_each_world_decodes_afresh(monkeypatch):
+def test_each_world_decodes_afresh(monkeypatch, frame_path):
     """The memo lives in a world's fabric: a new world starts with no
-    entry, so a spec run twice decodes as often the second time."""
+    entry, so a spec run twice decodes as often the second time.  The
+    worlds have a hook, one that never matches, so every send is a frame."""
     assert World(VIRTUAL).fabric._decoded == {}
     decoded = counting_decodes(monkeypatch)
     spec = ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3),)))
-    run_experiment(spec)
-    first = len(decoded)
-    run_experiment(spec)
+    with frame_path():
+        run_experiment(spec)
+        first = len(decoded)
+        run_experiment(spec)
     assert first == len(decoded) - first == 3 * 3 + 3
 
 
