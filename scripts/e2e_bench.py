@@ -16,7 +16,9 @@ however many fellows a broadcast goes to), the frames the fabric sent,
 one per (sender, receiver) copy however many peers one send reaches, read
 off the fabric's own counters as the copies it delivered or dropped (a
 copy still in flight when the run ends is left out), the frames it
-decoded and the messages the voters and handles encoded.  One
+decoded, the messages the voters and handles encoded, and
+`float_unpacks`: the calls of `struct.unpack`, which in the package only
+`VoteValue.floats` makes, so the times a value's bytes are unpacked.  One
 more untimed run, made with the garbage collector disabled, gives
 `cyclic_garbage`: the objects a full collection then finds, which
 reference counting alone could not free (0 when a finished world holds no
@@ -67,7 +69,7 @@ import time
 from pathlib import Path
 
 import votefarm
-from votefarm import client, sim, transport, voter, voting
+from votefarm import client, core, sim, transport, voter, voting
 from votefarm.harness import (
     ExperimentSpec,
     FaultKind,
@@ -122,8 +124,8 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    heap pushes, voter sends, frames sent, frame decodes and message
-    encodes of one run."""
+    heap pushes, voter sends, frames sent, frame decodes, message encodes
+    and float unpacks of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
@@ -158,6 +160,7 @@ def count_work(spec: ExperimentSpec) -> dict:
         (transport, "decode_message", "decodes"),
         (transport, "encode_message", "encodes"),
         (client, "encode_message", "encodes"),
+        (core.struct, "unpack", "float_unpacks"),
     ]
     restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
     try:

@@ -2,14 +2,17 @@
 
 Identifiers, vote payloads, farm lifecycle states, protocol messages, error
 codes, and the binary frame codec used on every link.  Everything here is
-an immutable value; behaviour lives in the other modules.
+an immutable value; behaviour lives in the other modules.  A Message is a
+validated immutable tuple, and a numeric VoteValue unpacks its floats once.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 # Sender id reserved for user modules; voter ids start at 1.
 USER = 0
@@ -102,6 +105,11 @@ class VoteValue:
     def floats(self) -> tuple[float, ...]:
         if not self.numeric:
             raise ValueError("VoteValue has no numeric view")
+        return self._view
+
+    @cached_property
+    def _view(self) -> tuple[float, ...]:
+        # unpacked once per value; kept in the instance dict, not a field
         return struct.unpack(f"<{len(self.data) >> 3}d", self.data)
 
     @property
@@ -212,25 +220,38 @@ _PAYLOAD = {
 }
 
 
-@dataclass(frozen=True)
-class Message:
-    tag: Tag
-    sender: int
-    payload: object = None
-    round: int = 0  # a broadcast names its sender's round; every other message 0
+class Message(namedtuple("Message", "tag sender payload round")):
+    """A validated immutable tuple (tag, sender, payload, round); a broadcast
+    names its sender's round, every other message 0.  Every way to build one,
+    `_make` and `_replace` included, runs the checks of `__new__`.  As with a
+    dataclass, a Message equals only a Message with equal fields (never a
+    plain tuple), and equal Messages hash alike."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tag, Tag):
+    __slots__ = ()
+
+    def __new__(cls, tag: Tag, sender: int, payload: object = None, round: int = 0):
+        if not isinstance(tag, Tag):
             raise TypeError("tag must be a Tag")
-        if not isinstance(self.sender, int) or not 0 <= self.sender <= MAX_SENDER_ID:
+        if not isinstance(sender, int) or not 0 <= sender <= MAX_SENDER_ID:
             raise ValueError("sender must be USER (0) or a voter id, 1 to MAX_SENDER_ID")
-        if not 0 <= self.round <= 0xFFFFFFFF:
+        if not 0 <= round <= 0xFFFFFFFF:
             raise ValueError("round must fit the frame's 4 bytes")
-        kind = _PAYLOAD[self.tag][0]
-        if not isinstance(self.payload, kind):
-            raise ValueError(f"{self.tag.name} requires a {kind.__name__} payload")
+        kind = _PAYLOAD[tag][0]
+        if not isinstance(payload, kind):
+            raise ValueError(f"{tag.name} requires a {kind.__name__} payload")
         if kind is str:
-            self.payload.encode("utf-8")  # a lone surrogate: UnicodeEncodeError, a ValueError
+            payload.encode("utf-8")  # a lone surrogate: UnicodeEncodeError, a ValueError
+        return tuple.__new__(cls, (tag, sender, payload, round))
+
+    @classmethod
+    def _make(cls, fields) -> "Message":
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field compare
+    __hash__ = tuple.__hash__
 
 
 def encode_message(msg: Message) -> bytes:

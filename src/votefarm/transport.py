@@ -16,7 +16,7 @@ a fault hook.  Hooks see each copy of a send by sender name, receiver name
 and message index, the count of sends before it from the same end, and
 each copy they see is decoded and landed on its own.  A send with no hook
 builds no Delivery.  There a post lands its Message itself on every peer,
-as a Message is frozen and its frame decodes to an equal one, and a frame
+as a Message is immutable and its frame decodes to an equal one, and a frame
 sent by a user is decoded once and that one Message lands on every peer.
 With hooks, a post encodes its message once and sends that frame.  Every
 send leaves at once, inside the sender's step.  An undelayed copy lands at
@@ -99,7 +99,7 @@ class Fabric:
         self.dropped = 0
         self.delivered_total = 0
         # Frames decoded and their Messages, oldest first, at most one per
-        # (sender, receiver) pair: decoding is pure and a Message frozen.
+        # (sender, receiver) pair: decoding is pure and a Message immutable.
         self._decoded: dict[bytes, Message] = {}
         self._pairs = 0
 
@@ -129,10 +129,14 @@ class Fabric:
         if link in self.links:
             raise ValueError(f"link {' <-> '.join(map(repr, names))} already exists")
         inboxes = tuple([self.inboxes.get(name) or WaitSource(self.scheduler) for name in names])
-        ends = []
-        for i, name in enumerate(names):
-            peer_inboxes = inboxes[:i] + inboxes[i + 1 :]
-            ends.append(Endpoint(name, names[:i] + names[i + 1 :], inboxes[i], peer_inboxes))
+        if len(names) == 2:  # a pair: each end mirrors the other
+            (a, b), (a_in, b_in) = names, inboxes
+            ends = (Endpoint(a, (b,), a_in, (b_in,)), Endpoint(b, (a,), b_in, (a_in,)))
+        else:  # a mesh: each end's peers keep `names` order
+            ends = []
+            for i, name in enumerate(names):
+                peer_inboxes = inboxes[:i] + inboxes[i + 1 :]
+                ends.append(Endpoint(name, names[:i] + names[i + 1 :], inboxes[i], peer_inboxes))
         ends = self.links[link] = tuple(ends)
         self._pairs += len(names) * (len(names) - 1)
         return ends
@@ -187,7 +191,7 @@ class Fabric:
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
         """Send `msg` from `endpoint` at once, inside the caller's step: with
-        hooks as one encoded frame, with none as itself (frozen, it equals its frame's decode)."""
+        hooks as one encoded frame, with none as itself, equal to its frame's decode."""
         if self.hooks:
             self.send_from(endpoint, encode_message(msg))
         else:

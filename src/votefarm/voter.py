@@ -166,13 +166,13 @@ class Voter:
             self.timeouts += 1
             origin, value = self.lowest + 1, None
         else:
-            tag = got.tag
+            tag, origin, value, rnd = got
             self.messages_received += 1
             if tag is not _INPUT and tag is not _VALUE and tag is not _INVALID:
                 if tag is _SET_ALGORITHM:
-                    self.algorithm = got.payload
+                    self.algorithm = value
                 elif tag is _SET_OUTPUT:
-                    self.output_target = got.payload
+                    self.output_target = value
                 elif tag is _GET:
                     if slots is None and self.last_outcome is not None:
                         self._reply(_VOTED_VALUE, self.last_outcome)
@@ -189,11 +189,11 @@ class Voter:
                 return None if slots is None else KEEP
             if tag is _INPUT:
                 origin = me
-            elif (origin := got.sender) == me or not 1 <= origin <= n:
+            elif origin == me or not 1 <= origin <= n:
                 # a broadcast that names no fellow fills no slot and opens no round
                 self.stray_messages += 1
                 return None if slots is None else KEEP
-            elif got.round != self.rounds_completed + 1:
+            elif rnd != self.rounds_completed + 1:
                 # the round rule: a broadcast of neither the open nor the next round is late
                 self.late_arrivals += 1
                 return None if slots is None else KEEP
@@ -212,8 +212,7 @@ class Voter:
                     # invalid (timeout or own turn passed) is useless now.
                     self.late_arrivals += 1
                 return KEEP
-            # a BROADCAST_INVALID carries no payload: its slot becomes None
-            value = got.payload
+        # the slot takes the payload: None for a BROADCAST_INVALID or a timeout
         slots[origin - 1] = value
         self.resolved = resolved = self.resolved + 1
         if resolved == me:

@@ -9,6 +9,7 @@ import pytest
 from votefarm import harness
 from votefarm.cli import _agreement_holds, main
 from votefarm.core import ErrorCode, VoteOutcome, VoteValue
+from votefarm.transport import Fabric
 
 
 def run_cli(capsys, *argv):
@@ -670,6 +671,28 @@ def test_selftest_passes(capsys):
     lines = out.splitlines()
     assert lines[0] == "oracle equivalence: 1360/1360 checks passed"
     assert lines[1] == "farm census: 8/8 sizes passed"
+
+
+def test_selftest_reports_a_census_that_misses_a_link(capsys, monkeypatch):
+    """A fabric that loses one user link of the n = 3 farm fails the census
+    self-test at that size alone, and says what it expected and found; the
+    other sizes' links, two-party and mesh, are counted as built."""
+    connect = Fabric.connect
+
+    def lossy_connect(fabric, *names):
+        ends = connect(fabric, *names)
+        if names == ("farm3/user2", "farm3/voter2"):
+            del fabric.links[frozenset(names)]
+        return ends
+
+    monkeypatch.setattr(Fabric, "connect", lossy_connect)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[1] == "farm census: 7/8 sizes passed"
+    assert err == (
+        "census n=3: expected LinkCensus(virtual=3, local=3, voters=3),"
+        " found LinkCensus(virtual=3, local=2, voters=3)\n"
+    )
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """Wire format and the farm description lifecycle of a handle."""
 
+import dataclasses
 import math
 import struct
 
@@ -257,15 +258,15 @@ def test_message_payload_types_enforced():
         Message(Tag.INPUT, -1, VoteValue.from_floats([1.0]))
 
 
-@pytest.mark.parametrize(
-    "tag, sender, payload, rnd",
-    [
-        (Tag.GET, 0x10000, None, 0),
-        (Tag.BROADCAST_INVALID, 1, None, -1),
-        (Tag.BROADCAST_INVALID, 1, None, 2**32),
-        (Tag.SET_OUTPUT, 0, "\ud800", 0),
-    ],
-)
+UNENCODABLE = [
+    (Tag.GET, 0x10000, None, 0),
+    (Tag.BROADCAST_INVALID, 1, None, -1),
+    (Tag.BROADCAST_INVALID, 1, None, 2**32),
+    (Tag.SET_OUTPUT, 0, "\ud800", 0),
+]
+
+
+@pytest.mark.parametrize("tag, sender, payload, rnd", UNENCODABLE)
 def test_a_message_the_codec_cannot_encode_is_refused_at_construction(tag, sender, payload, rnd):
     """A sender above MAX_SENDER_ID, a round outside 32 bits and a target
     UTF-8 cannot encode raise ValueError when the Message is built, so
@@ -274,6 +275,94 @@ def test_a_message_the_codec_cannot_encode_is_refused_at_construction(tag, sende
         Message(tag, sender, payload, rnd)
     for msg in (Message(Tag.GET, 0xFFFF), Message(Tag.BROADCAST_INVALID, 1, round=2**32 - 1)):
         assert roundtrip(msg) == msg
+
+
+# -- the Message contract: a validated immutable tuple ------------------------------
+
+
+def _refusal(build):
+    """The type and text of the exception `build()` raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        *UNENCODABLE,
+        ("GET", 0, None, 0),
+        (Tag.GET, 1.0, None, 0),
+        (Tag.INPUT, 0, "not a value", 0),
+        (Tag.BROADCAST_VALUE, 1, None, 1),
+        (Tag.VOTED_VALUE, 1, VoteValue.from_floats([1.0]), 0),
+    ],
+)
+def test_every_way_to_build_a_message_refuses_what_the_constructor_refuses(fields):
+    """Keywords, `_make` and `_replace` run the constructor's checks and
+    raise its exception, so no Message exists that the codec cannot encode."""
+    tag, sender, payload, rnd = fields
+    refused = _refusal(lambda: Message(*fields))
+    assert issubclass(refused[0], (TypeError, ValueError))
+    paths = [
+        lambda: Message(tag=tag, sender=sender, payload=payload, round=rnd),
+        lambda: Message._make(fields),
+        lambda: Message._make(iter(fields)),
+        lambda: Message(Tag.GET, 0)._replace(tag=tag, sender=sender, payload=payload, round=rnd),
+    ]
+    for build in paths:
+        assert _refusal(build) == refused
+
+
+def test_replace_checks_the_one_field_it_changes():
+    msg = Message(Tag.BROADCAST_INVALID, 1, round=2)
+    assert msg._replace(round=3) == Message(Tag.BROADCAST_INVALID, 1, round=3)
+    assert _refusal(lambda: msg._replace(sender=0x10000)) == _refusal(
+        lambda: Message(Tag.BROADCAST_INVALID, 0x10000, round=2)
+    )
+    with pytest.raises(ValueError, match="requires a VoteValue payload"):
+        msg._replace(tag=Tag.BROADCAST_VALUE)
+
+
+def test_a_message_field_cannot_be_set():
+    msg = Message(Tag.INPUT, 0, VoteValue.from_floats([1.0]))
+    for name in Message._fields:
+        with pytest.raises(AttributeError):
+            setattr(msg, name, None)
+    with pytest.raises(AttributeError):
+        msg.extra = 1  # no instance dict either
+    assert msg == Message(Tag.INPUT, 0, VoteValue.from_floats([1.0]))
+
+
+def test_a_message_equals_only_a_message():
+    """The rule the docstring states: equal fields make equal Messages with
+    equal hashes; a plain tuple of the same fields is never equal."""
+    fields = (Tag.BROADCAST_VALUE, 2, VoteValue.from_floats([1.5]), 7)
+    msg, twin = Message(*fields), Message(*fields)
+    assert msg == twin and not msg != twin and hash(msg) == hash(twin)
+    assert {msg: "seen"}[twin] == "seen"
+    assert msg != fields and fields != msg
+    assert not msg == fields and not fields == msg
+    assert msg != list(fields) and msg != object()
+    for k, other in enumerate([Tag.INPUT, 3, VoteValue.from_floats([2.5]), 8]):
+        changed = list(fields)
+        changed[k] = other
+        if k == 0:
+            changed[3] = 0
+        assert msg != Message(*changed)
+
+
+def test_a_message_unpacks_in_field_order():
+    """`Voter.on_event` unpacks each frame as (tag, sender, payload, round)."""
+    value = VoteValue.from_floats([3.0])
+    msg = Message(Tag.BROADCAST_VALUE, 4, value, 9)
+    tag, sender, payload, rnd = msg
+    assert (tag, sender, payload, rnd) == (msg.tag, msg.sender, msg.payload, msg.round)
+    assert (tag, sender, payload, rnd) == (Tag.BROADCAST_VALUE, 4, value, 9)
+    assert Message._fields == ("tag", "sender", "payload", "round")
+    assert repr(Message(Tag.GET, 0)) == (
+        "Message(tag=<Tag.GET: 6>, sender=0, payload=None, round=0)"
+    )
 
 
 def test_outcome_exactly_one_side():
@@ -331,8 +420,43 @@ def test_float_view_round_trips_bit_for_bit(dim):
 
 
 def test_float_view_needs_a_numeric_value():
-    with pytest.raises(ValueError, match="no numeric view"):
-        VoteValue.from_bytes(bytes(8)).floats()
+    opaque = VoteValue.from_bytes(bytes(8))
+    for _ in range(3):  # every call raises, not only the first
+        with pytest.raises(ValueError, match="no numeric view"):
+            opaque.floats()
+
+
+def test_a_float_view_is_unpacked_once(monkeypatch):
+    """The view is computed on the first call and the same tuple returned
+    after it; it matches struct.unpack bit for bit, NaN payloads and -0.0
+    included."""
+    unpacks = []
+    unpack = struct.unpack
+
+    def counted(fmt, data):
+        unpacks.append(data)
+        return unpack(fmt, data)
+
+    monkeypatch.setattr(struct, "unpack", counted)
+    v = VoteValue.from_floats(SPECIAL_FLOATS)
+    view = v.floats()
+    assert v.floats() is view and v.floats() is view
+    assert unpacks == [v.data]
+    monkeypatch.undo()
+    want = struct.unpack(f"<{len(SPECIAL_FLOATS)}d", v.data)
+    assert struct.pack(f"<{len(view)}d", *view) == struct.pack(f"<{len(want)}d", *want)
+
+
+def test_a_float_view_adds_no_field():
+    """The view is no dataclass field: equality, hash, repr and the fields
+    are what they were before it was computed."""
+    assert [f.name for f in dataclasses.fields(VoteValue)] == ["data", "numeric"]
+    v, twin = VoteValue.from_floats([1.0, -0.0]), VoteValue.from_floats([1.0, -0.0])
+    before = (hash(v), repr(v), dataclasses.asdict(v))
+    v.floats()
+    assert (hash(v), repr(v), dataclasses.asdict(v)) == before
+    assert v == twin and hash(v) == hash(twin)
+    assert v != VoteValue(v.data, numeric=False) and hash(v) == hash(v.data)
 
 
 # -- farm description lifecycle ---------------------------------------------------

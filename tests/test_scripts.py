@@ -152,6 +152,10 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["decodes"] == 3
         # per stage, each user's INPUT; GET and CLOSE are built at import
         assert r["encodes"] == doc["stages"] * n
+        # every user sends 42.0, the same INPUT frame in both stages, so the
+        # world decodes one value and every slot holds it: the euclidean
+        # metric unpacks its bytes once, the default metric never
+        assert r["float_unpacks"] == (r["metric"] == "euclidean")
         assert r["scheduler_steps"] > 0
         # one frame per (sender, receiver) copy: per stage each user's INPUT,
         # GET and CLOSE, its voter's two DONEs and VOTED_VALUE reply and
