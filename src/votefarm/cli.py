@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import json
 import sys
+from dataclasses import fields
 
 from .client import World
 from .core import AlgorithmId, VoteKind, VoteValue
@@ -20,6 +21,7 @@ from .harness import (
     FaultKind,
     Report,
     SpecError,
+    StageSpec,
     bench,
     bench_to_csv,
     bench_to_json,
@@ -32,9 +34,9 @@ from .sim import REAL, VIRTUAL
 from .transport import LinkCensus
 from .voting import euclidean_metric, vote
 
-# The inline experiment flags by argparse dest.  Their parsers default to
-# argparse.SUPPRESS, so only a flag that was given is in the namespace.
-_STAGE_FLAGS = ("n", "algorithm", "epsilon", "scaling", "delta_t")
+# The inline experiment flags by argparse dest, a stage flag's its field's name.
+# Their parsers default to argparse.SUPPRESS: only a given flag is in the namespace.
+_STAGE_FLAGS = tuple(f.name for f in fields(StageSpec))
 _INLINE_FLAGS = _STAGE_FLAGS + (
     "metric", "input", "fault", "seed", "repetitions", "clock", "stages",
 )

@@ -20,8 +20,10 @@ import json
 import math
 import random
 import statistics
-from dataclasses import astuple, dataclass, fields, is_dataclass
+import sys
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import partial
 
 from .client import FarmHandle, Input, World
 from .core import (
@@ -47,52 +49,6 @@ class FaultKind(Enum):
     DELAY_MESSAGE = "delay_message"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One injected fault.
-
-    Crashes are permanent and silent (the activity never runs, links stay
-    open).  CORRUPT_INPUT flips value bytes of one INPUT frame on the
-    user link; DROP/DELAY act on the target voter's broadcast frames, by
-    per-link message index.
-    """
-
-    kind: FaultKind
-    voter: int
-    stage: int = 1
-    pattern: bytes = b"\xff"
-    delay: float | None = None
-    index: int = 0
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    n: int
-    algorithm: VoteKind = VoteKind.MAJORITY
-    epsilon: float = 0.0
-    scaling: float = 1.0
-    delta_t: float = 1.0
-
-    def algorithm_id(self) -> AlgorithmId:
-        return AlgorithmId(self.algorithm, self.epsilon, self.scaling)
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    stages: tuple[StageSpec, ...]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    pipeline: PipelineSpec
-    inputs: tuple[VoteValue, ...] | None = None
-    faults: tuple[FaultSpec, ...] = ()
-    seed: int = 0
-    clock: str = VIRTUAL
-    repetitions: int = 1
-    metric: str = "default"
-
-
 class SpecError(ValueError):
     """Invalid experiment specification; `violations` lists every problem."""
 
@@ -101,143 +57,277 @@ class SpecError(ValueError):
         self.violations = violations
 
 
+# -- spec fields: the rules of each, declared beside it ---------------------------
+#
+# A field's type rule is its annotation's (see _TYPES); its range rule and its
+# JSON reader are its metadata (see _field).  A range rule takes the field's
+# name and a set value of its type, and returns the violation or None.  A
+# reader takes a JSON key, its value and the list of violations; it returns
+# the field's value or raises a SpecError, and lists its items' violations.
+
+_UNREAD = object()  # a value its reader refused; the walk skips it
+
+
+def _field(in_range, *, read=None, **default):
+    """A spec field with its range rule (None: any value of its type) and
+    its JSON reader (None: its type's)."""
+    return field(metadata={"range": in_range, "read": read}, **default)
+
+
+def _range(low, high=None, *, above=False, finite=False):
+    """The range rule of a number: at least `low` (above it, if `above`;
+    NaN is neither), at most `high`, and not inf if `finite`."""
+
+    def rule(name: str, value):
+        if not (value > low if above else value >= low):
+            return f"{name} must be {'>' if above else '>='} {low}, got {value}"
+        if high is not None and value > high:
+            return f"{name} must be <= {high}, got {value}"
+        if finite and value == math.inf:
+            return f"{name} must be finite, got {value}"
+
+    return rule
+
+
+def _clock(name: str, value):
+    return None if value in (VIRTUAL, REAL) else f"{name} must be virtual or real, got {value!r}"
+
+
+def _registered(name: str, value):
+    try:
+        resolve_metric(value)
+    except KeyError:
+        return f"unknown {name} {value!r}"
+
+
 def _is_number(obj) -> bool:
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
-def _float(key: str, value) -> float:
-    """A number (an int or a float, never a bool) as a float."""
-    if not _is_number(value):
-        raise SpecError([f"'{key}' must be a number, got {value!r}"])
+# The least int that float() refuses: half an ulp past the largest float.
+_FLOAT_LIMIT = int(sys.float_info.max) + int(math.ulp(sys.float_info.max)) // 2
+
+
+def _number(key: str, value, bad=None):
+    """A JSON number as a float; any other value, or an int too large for
+    a float, as it is, for the walk to refuse."""
+    return float(value) if _is_number(value) and abs(value) < _FLOAT_LIMIT else value
+
+
+def _hex(key: str, value, bad=None) -> bytes:
     try:
-        return float(value)
-    except OverflowError:
-        raise SpecError([f"'{key}' is too large for a float"]) from None
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise SpecError([f"'{key}' must be a hex string, got {value!r}"]) from None
 
 
-def _instance(cls: type, what: str):
-    def check(key: str, value):
-        if isinstance(value, cls) and not isinstance(value, bool):
-            return value
-        raise SpecError([f"'{key}' must be {what}, got {value!r}"])
-
-    return check
-
-
-# The rule of each declared type of a scalar spec field, by annotation: the
-# value the named field holds (a float field's as a float), or a SpecError.
-_TYPE_RULES = {
-    "int": _instance(int, "an integer"),
-    "float": _float,
-    "float | None": lambda key, value: None if value is None else _float(key, value),
-    "str": _instance(str, "a string"),
-    "bytes": _instance(bytes, "bytes"),
-    "VoteKind": _instance(VoteKind, "a VoteKind"),
-    "FaultKind": _instance(FaultKind, "a FaultKind"),
-}
-# The rule of each scalar field of each checked class, by field name.
-_FIELD_RULES = {
-    cls: {f.name: _TYPE_RULES[f.type] for f in fields(cls) if f.type in _TYPE_RULES}
-    for cls in (StageSpec, FaultSpec, ExperimentSpec, VoteValue)
-}
-
-
-def _type_errors(record, cls: type) -> list[str]:
-    """One violation if `record` is not a `cls`, else one per scalar field
-    whose value breaks the rule of its declared type."""
-    if not isinstance(record, cls):
-        return [f"must be a {cls.__name__}, got {record!r}"]
-    bad = []
-    for name, rule in _FIELD_RULES[cls].items():
+def _one_of(names: dict, what: str):
+    def read(key: str, value, bad=None):
         try:
-            rule(name, getattr(record, name))
+            return names[str(value).lower()]
+        except KeyError:
+            raise SpecError([f"unknown {what} {value!r}"]) from None
+
+    return read
+
+
+_ALGO_NAMES = {k.name.lower(): k for k in VoteKind}
+_ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
+_FAULT_NAMES = {k.value: k for k in FaultKind}
+
+
+def _read_object(cls: type, obj, bad: list[str], **given):
+    """The `cls` a JSON object describes, with the fields in `given`: each
+    other key is read by its field's reader, and a key left out takes the
+    field's default.  A value its reader refuses, and a required key left
+    out, is _UNREAD; every violation goes to `bad`."""
+    if not isinstance(obj, dict):
+        raise SpecError([f"must be an object, got {type(obj).__name__}"])
+    readers = {f.name: f.metadata["read"] or _TYPES[f.type][2] for f in fields(cls)}
+    for key, value in obj.items():
+        if key in given or key not in readers:
+            bad.append(f"unknown key {key!r}")
+            continue
+        try:
+            given[key] = value if readers[key] is None else readers[key](key, value, bad)
         except SpecError as exc:
             bad += exc.violations
-    return bad
+            given[key] = _UNREAD
+    for f in fields(cls):
+        if f.name not in given and f.default is MISSING:
+            bad.append(f"'{f.name}' is required")
+            given[f.name] = _UNREAD
+    return cls(**given)
 
 
-def _typed(items, cls: type, label: str, bad: list[str]) -> dict:
-    """The items without a type violation, by 1-based position; each other
-    item's violations go to `bad`, prefixed by `label` and its position."""
-    out = {}
-    for k, item in enumerate(items, start=1):
-        errs = _type_errors(item, cls)
-        bad += [f"{label} {k}: {err}" for err in errs]
-        if not errs:
-            out[k] = item
-    return out
+def _each(read, label: str, null=()):
+    """The reader of a JSON list (null reads as `null`) whose items `read`
+    reads, as `_read_object` reads an object; an item it refuses is
+    _UNREAD.  An item's violations are listed after `label` and its
+    1-based position."""
+
+    def read_list(key: str, value, bad: list[str]):
+        if value is None:
+            return null
+        if not isinstance(value, list):
+            raise SpecError([f"'{key}' must be a list, got {type(value).__name__}"])
+        out = []
+        for k, item in enumerate(value, start=1):
+            try:
+                out.append(read(item, errs := []))
+            except SpecError as exc:
+                out.append(_UNREAD)
+                errs += exc.violations
+            bad += [f"{label} {k}: {v}" for v in errs]
+        return tuple(out)
+
+    return read_list
 
 
-def _is(key: str, value, cls: type, bad: list[str]) -> bool:
-    """Whether `value` is a `cls`; if not, one violation goes to `bad`."""
-    if not (ok := isinstance(value, cls)):
-        bad.append(f"'{key}' must be a {cls.__name__}, got {value!r}")
-    return ok
+@dataclass(frozen=True)
+class FaultSpec:
+    """One injected fault.
+
+    Crashes are permanent and silent (the activity never runs, links stay
+    open).  CORRUPT_INPUT flips value bytes of one INPUT frame on the
+    user link; DROP/DELAY act on the target voter's broadcast frames, by
+    per-link message index.  The stage and voter must name a voter of
+    the pipeline, and CORRUPT_INPUT needs a pattern (see validate_spec).
+    """
+
+    kind: FaultKind = _field(None, read=_one_of(_FAULT_NAMES, "kind"))
+    voter: int = _field(None)
+    stage: int = _field(None, default=1)
+    pattern: bytes = _field(None, read=_hex, default=b"\xff")
+    delay: float | None = _field(_range(0, finite=True), default=None)
+    index: int = _field(_range(0), default=0)
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    n: int = _field(_range(1, MAX_SENDER_ID))
+    algorithm: VoteKind = _field(
+        None, read=_one_of(_ALGO_NAMES, "algorithm"), default=VoteKind.MAJORITY
+    )
+    delta_t: float = _field(_range(0, above=True, finite=True), default=1.0)
+    epsilon: float = _field(_range(0), default=0.0)
+    scaling: float = _field(_range(0, finite=True), default=1.0)
+
+    def algorithm_id(self) -> AlgorithmId:
+        return AlgorithmId(self.algorithm, self.epsilon, self.scaling)
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """At least one stage, all of one size (see validate_spec)."""
+
+    stages: tuple[StageSpec, ...] = _field(
+        None, read=_each(partial(_read_object, StageSpec), "stage")
+    )
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One input per stage-1 user (see validate_spec).  Its JSON object
+    holds its pipeline's stages under 'stages'."""
+
+    pipeline: PipelineSpec = _field(None)
+    inputs: tuple[VoteValue, ...] | None = _field(
+        None, read=_each(lambda obj, bad: value_from_json(obj), "input", None), default=None
+    )
+    faults: tuple[FaultSpec, ...] = _field(
+        None, read=_each(partial(_read_object, FaultSpec), "fault"), default=()
+    )
+    seed: int = _field(None, default=0)
+    repetitions: int = _field(_range(1), default=1)
+    clock: str = _field(_clock, default=VIRTUAL)
+    metric: str = _field(_registered, default="default")
+
+
+# The type rule of each declared type: the classes a value may have (never
+# bool), their name in a violation, and the JSON reader of a field of the
+# type with none of its own (None: the JSON value as it is).
+_TYPES = {
+    "int": ((int,), "an integer", None),
+    "float": ((int, float), "a number", _number),
+    "float | None": ((int, float, type(None)), "a number", _number),
+    "str": ((str,), "a string", None),
+    "bytes": ((bytes,), "bytes", None),
+    "VoteKind": ((VoteKind,), "a VoteKind", None),
+    "FaultKind": ((FaultKind,), "a FaultKind", None),
+    "PipelineSpec": ((PipelineSpec,), "a PipelineSpec", None),
+    "tuple[StageSpec, ...]": ((tuple,), "a tuple", None),
+    "tuple[VoteValue, ...] | None": ((tuple, type(None)), "a tuple", None),
+    "tuple[FaultSpec, ...]": ((tuple,), "a tuple", None),
+}
+# The walk's table: each field of each spec class, in declared order, with
+# its type's classes and name and its range rule.
+_RULES = {
+    cls: tuple((f.name, *_TYPES[f.type][:2], f.metadata.get("range")) for f in fields(cls))
+    for cls in (StageSpec, FaultSpec, PipelineSpec, ExperimentSpec)
+}
+_RULES[VoteValue] = ()  # a VoteValue checks its own fields when it is built
+
+
+def _check(record, cls: type, at: str, bad: list[str]) -> tuple[str, ...]:
+    """The walk of one record: the names of its fields that break their
+    type rule or are _UNREAD (all of them, if it is no `cls`).  Each broken
+    type rule, and each broken range rule of a field of the right type,
+    goes to `bad` after `at`.  What is _UNREAD its reader listed already."""
+    if record is _UNREAD or not isinstance(record, cls):
+        if record is not _UNREAD:
+            bad.append(f"{at}must be a {cls.__name__}, got {record!r}")
+        return tuple(row[0] for row in _RULES[cls])
+    broken = ()
+    for name, types, what, in_range in _RULES[cls]:
+        value = getattr(record, name)
+        if value is _UNREAD:
+            broken += (name,)
+        elif not isinstance(value, types) or value.__class__ is bool:
+            bad.append(f"{at}'{name}' must be {what}, got {value!r}")
+            broken += (name,)
+        elif value.__class__ is int and float in types and abs(value) >= _FLOAT_LIMIT:
+            bad.append(f"{at}'{name}' is too large for a float")
+            broken += (name,)
+        elif in_range and value is not None and (err := in_range(name, value)):
+            bad.append(at + err)
+    return broken
 
 
 def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Collect every violated constraint (empty list when valid).  A stage,
-    fault or input of the wrong type, or one with a field of the wrong
-    type, gets those violations in place of its range checks, and so does
-    the spec, its pipeline and a `stages`, `inputs` or `faults` not a tuple."""
+    """Collect every violated rule (empty list when valid): the walks of
+    the stages, the spec, its inputs and its faults, each record's fields
+    in declared order, with the rules that span records among them.  A
+    field that breaks its type rule takes no part in those."""
     bad: list[str] = []
-    pipeline, stages = spec.pipeline, ()
-    if _is("pipeline", pipeline, PipelineSpec, bad) and _is("stages", pipeline.stages, tuple, bad):
-        stages = pipeline.stages
-        if not stages:
+    stages = ()
+    pipeline = spec.pipeline
+    if isinstance(pipeline, PipelineSpec) and not _check(pipeline, PipelineSpec, "", bad):
+        if not (stages := pipeline.stages):
             bad.append("pipeline needs at least one stage")
-    typed = _typed(stages, StageSpec, "stage", bad)
-    ns = {s.n for s in typed.values()}
-    if len(ns) > 1:
-        bad.append(f"all stages must share one cardinality, got {sorted(ns)}")
-    for k, s in typed.items():
-        if s.n < 1:
-            bad.append(f"stage {k}: n must be >= 1, got {s.n}")
-        elif s.n > MAX_SENDER_ID:
-            bad.append(f"stage {k}: n must be <= {MAX_SENDER_ID}, got {s.n}")
-        if not (s.delta_t > 0):
-            bad.append(f"stage {k}: delta_t must be > 0, got {s.delta_t}")
-        elif s.delta_t == math.inf:
-            bad.append(f"stage {k}: delta_t must be finite, got {s.delta_t}")
-        if not (s.epsilon >= 0):
-            bad.append(f"stage {k}: epsilon must be >= 0, got {s.epsilon}")
-        if math.isnan(s.scaling):
-            bad.append(f"stage {k}: scaling must not be NaN")
-        elif s.scaling < 0:
-            bad.append(f"stage {k}: scaling must be >= 0, got {s.scaling}")
-        elif s.scaling == math.inf:
-            bad.append(f"stage {k}: scaling must be finite, got {s.scaling}")
-    bad += (spec_bad := _type_errors(spec, ExperimentSpec))
-    if not spec_bad and spec.repetitions < 1:
-        bad.append(f"repetitions must be >= 1, got {spec.repetitions}")
-    if not spec_bad and spec.clock not in (VIRTUAL, REAL):
-        bad.append(f"clock must be virtual or real, got {spec.clock!r}")
-    if spec.inputs is not None and _is("inputs", spec.inputs, tuple, bad):
-        _typed(spec.inputs, VoteValue, "input", bad)
-        if 1 in typed and len(spec.inputs) != (n := typed[1].n):
-            bad.append(f"inputs must list one value per user ({n}), got {len(spec.inputs)}")
-    faults = spec.faults if _is("faults", spec.faults, tuple, bad) else ()
-    for f in _typed(faults, FaultSpec, "fault", bad).values():
-        if not stages:
-            break
-        if not (1 <= f.stage <= len(stages)):
-            bad.append(f"fault stage {f.stage} out of range 1..{len(stages)}")
-            continue
-        if f.stage in typed and not (1 <= f.voter <= (n := typed[f.stage].n)):
-            bad.append(f"fault voter {f.voter} out of range 1..{n} (stage {f.stage})")
-        if f.kind is FaultKind.CORRUPT_INPUT and not f.pattern:
-            bad.append("corrupt_input needs a non-empty byte pattern")
-        if f.index < 0:
-            bad.append(f"fault message index must be >= 0, got {f.index}")
-        if f.delay is not None and not (f.delay >= 0):
-            bad.append(f"fault delay must be >= 0, got {f.delay}")
-        elif f.delay == math.inf:
-            bad.append(f"fault delay must be finite, got {f.delay}")
-    if not spec_bad:
-        try:
-            resolve_metric(spec.metric)
-        except KeyError:
-            bad.append(f"unknown metric {spec.metric!r}")
+    walked: list[str] = []
+    ns = {}  # each stage's n, where it keeps its type rule
+    for k, stage in enumerate(stages, start=1):
+        if "n" not in _check(stage, StageSpec, f"stage {k}: ", walked):
+            ns[k] = stage.n
+    if len(sizes := set(ns.values())) > 1:
+        bad.append(f"all stages must share one cardinality, got {sorted(sizes)}")
+    bad += walked
+    _check(spec, ExperimentSpec, "", bad)
+    if isinstance(spec.inputs, tuple):
+        for k, value in enumerate(spec.inputs, start=1):
+            _check(value, VoteValue, f"input {k}: ", bad)
+        if 1 in ns and len(spec.inputs) != ns[1]:
+            bad.append(f"inputs must list one value per user ({ns[1]}), got {len(spec.inputs)}")
+    for k, f in enumerate(spec.faults if isinstance(spec.faults, tuple) else (), start=1):
+        broken = _check(f, FaultSpec, (at := f"fault {k}: "), bad)
+        if "stage" not in broken and stages:
+            if not 1 <= f.stage <= len(stages):
+                bad.append(f"{at}stage {f.stage} out of range 1..{len(stages)}")
+            elif "voter" not in broken and f.stage in ns and not 1 <= f.voter <= ns[f.stage]:
+                bad.append(f"{at}voter {f.voter} out of range 1..{ns[f.stage]} (stage {f.stage})")
+        if "pattern" not in broken and f.kind is FaultKind.CORRUPT_INPUT and not f.pattern:
+            bad.append(f"{at}corrupt_input needs a non-empty byte pattern")
     return bad
 
 
@@ -315,112 +405,19 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
     return out
 
 
-_ALGO_NAMES = {k.name.lower(): k for k in VoteKind}
-_ALGO_NAMES["weighted-average"] = VoteKind.WEIGHTED_AVERAGE
-_FAULT_NAMES = {k.value: k for k in FaultKind}
-
-# Each reader takes a JSON key and its value and returns the spec field, or
-# raises a SpecError that names what is wrong with the value.  A field read
-# as it is written has no reader: its type rule reads it.
-
-
-def _hex(key: str, value) -> bytes:
-    try:
-        return bytes.fromhex(value)
-    except (TypeError, ValueError):
-        raise SpecError([f"'{key}' must be a hex string, got {value!r}"]) from None
-
-
-def _one_of(names: dict, what: str):
-    def read(key: str, value):
-        try:
-            return names[str(value).lower()]
-        except KeyError:
-            raise SpecError([f"unknown {what} {value!r}"]) from None
-
-    return read
-
-
-def _list(key: str, value) -> list:
-    """A JSON list; null reads as an empty one."""
-    if value is None or isinstance(value, list):
-        return value or []
-    raise SpecError([f"'{key}' must be a list, got {type(value).__name__}"])
-
-
-def _each(read, items: list, label: str) -> tuple:
-    """`read` applied to every item; one SpecError names each violation,
-    prefixed by the item's label and 1-based position."""
-    out, bad = [], []
-    for k, item in enumerate(items, start=1):
-        try:
-            out.append(read(item))
-        except SpecError as exc:
-            bad.extend(f"{label} {k}: {v}" for v in exc.violations)
-    if bad:
-        raise SpecError(bad)
-    return tuple(out)
-
-
-def _read_object(obj, cls: type, readers: dict, required: tuple[str, ...] = ()) -> dict:
-    """The keys of `obj`, each read by its reader in `readers`, else by
-    its field's type rule in `cls`.  Only the keys given are returned, so
-    an absent one takes the dataclass's default.  One SpecError names
-    every unknown key, missing required key and unreadable value."""
-    if not isinstance(obj, dict):
-        raise SpecError([f"must be an object, got {type(obj).__name__}"])
-    out, bad = {}, []
-    for key, value in obj.items():
-        if not (read := readers.get(key) or _FIELD_RULES[cls].get(key)):
-            bad.append(f"unknown key {key!r}")
-            continue
-        try:
-            out[key] = read(key, value)
-        except SpecError as exc:
-            bad.extend(exc.violations)
-    bad.extend(f"'{key}' is required" for key in required if key not in obj)
-    if bad:
-        raise SpecError(bad)
-    return out
-
-
-def _stage(obj) -> StageSpec:
-    return StageSpec(**_read_object(obj, StageSpec, _STAGE_READERS, required=("n",)))
-
-
-def _fault(obj) -> FaultSpec:
-    return FaultSpec(**_read_object(obj, FaultSpec, _FAULT_READERS, required=("kind", "voter")))
-
-
-def _stages(key: str, value) -> PipelineSpec:
-    if not isinstance(value, list) or not value:
-        raise SpecError(["spec needs a non-empty 'stages' list"])
-    return PipelineSpec(_each(_stage, value, "stage"))
-
-
-def _inputs(key: str, value) -> tuple[VoteValue, ...] | None:
-    return None if value is None else _each(value_from_json, _list(key, value), "input")
-
-
-_STAGE_READERS = {"algorithm": _one_of(_ALGO_NAMES, "algorithm")}
-_FAULT_READERS = {"kind": _one_of(_FAULT_NAMES, "kind"), "pattern": _hex}
-_SPEC_READERS = {
-    "stages": _stages,
-    "inputs": _inputs,
-    "faults": lambda key, value: _each(_fault, _list(key, value), "fault"),
-}
-
-
 def spec_from_json(obj: dict) -> ExperimentSpec:
     """The spec a JSON object describes (the form `spec_to_json` writes).
-    A key left out takes the spec dataclass's default; every violation,
-    an unknown key included, is listed in one SpecError."""
+    A key left out takes the spec dataclass's default.  The object is read
+    and the spec walked in one pass: every violation, a reader's, a field
+    rule's or a rule that spans records, is listed in one SpecError."""
     if not isinstance(obj, dict):
         raise SpecError([f"spec must be a JSON object, got {type(obj).__name__}"])
-    # an absent 'stages' reads as null, which its reader refuses
-    read = _read_object({"stages": None, **obj}, ExperimentSpec, _SPEC_READERS)
-    spec = ExperimentSpec(pipeline=read.pop("stages"), **read)
-    check_spec(spec)
+    bad: list[str] = []
+    pipeline = _read_object(PipelineSpec, {"stages": obj.get("stages")}, bad)
+    rest = {key: value for key, value in obj.items() if key != "stages"}
+    spec = _read_object(ExperimentSpec, rest, bad, pipeline=pipeline)
+    if bad := bad + validate_spec(spec):
+        raise SpecError(bad)
     return spec
 
 

@@ -8,10 +8,10 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from votefarm import harness, voting
+from votefarm import cli, harness, voting
 from votefarm.core import MAX_SENDER_ID, ErrorCode, VoteKind, VoteOutcome, VoteValue
 from votefarm.harness import (
     DEFAULT_INPUT,
@@ -83,24 +83,21 @@ def test_validation_collects_every_violation():
         metric="nope",
     )
     bad = validate_spec(spec)
-    text = "\n".join(bad)
-    for needle in (
-        "share one cardinality",
-        "stage 1: delta_t must be > 0",
-        "stage 2: epsilon must be >= 0",
-        "stage 2: scaling must not be NaN",
-        "repetitions must be >= 1",
-        "clock must be virtual or real",
-        "inputs must list one value per user (3), got 1",
-        "fault stage 7 out of range 1..2",
-        "fault voter 4 out of range 1..3 (stage 1)",
-        "non-empty byte pattern",
-        "index must be >= 0",
-        "delay must be >= 0",
+    assert bad == [
+        "all stages must share one cardinality, got [2, 3]",
+        "stage 1: delta_t must be > 0, got 0.0",
+        "stage 2: epsilon must be >= 0, got -1.0",
+        "stage 2: scaling must be >= 0, got nan",
+        "repetitions must be >= 1, got 0",
+        "clock must be virtual or real, got 'lunar'",
         "unknown metric 'nope'",
-    ):
-        assert needle in text, needle
-    assert len(bad) == 13
+        "inputs must list one value per user (3), got 1",
+        "fault 1: stage 7 out of range 1..2",
+        "fault 2: delay must be >= 0, got -0.5",
+        "fault 2: index must be >= 0, got -1",
+        "fault 2: corrupt_input needs a non-empty byte pattern",
+        "fault 3: voter 4 out of range 1..3 (stage 1)",
+    ]
     with pytest.raises(SpecError) as err:
         run_experiment(spec)
     assert err.value.violations == bad
@@ -153,7 +150,7 @@ def test_infinite_scaling_is_a_spec_error():
 
 def test_infinite_fault_delay_is_a_spec_error():
     spec = tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, voter=1, delay=math.inf),))
-    assert validate_spec(spec) == ["fault delay must be finite, got inf"]
+    assert validate_spec(spec) == ["fault 1: delay must be finite, got inf"]
     with pytest.raises(SpecError):
         run_experiment(spec)
 
@@ -219,22 +216,56 @@ def test_a_field_of_the_wrong_type_is_a_spec_error(spec, violation):
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize(
+    "spec,violations",
+    [
+        (ExperimentSpec(PipelineSpec(()), faults=(FaultSpec(FaultKind.DROP_MESSAGE, 1, index=-1),)),
+         ["pipeline needs at least one stage", "fault 1: index must be >= 0, got -1"]),
+        (tmr(faults=(FaultSpec(FaultKind.DELAY_MESSAGE, 1, stage=5, delay=-1.0, index=-2),)),
+         ["fault 1: delay must be >= 0, got -1.0", "fault 1: index must be >= 0, got -2",
+          "fault 1: stage 5 out of range 1..1"]),
+        (tmr(faults=(FaultSpec(FaultKind.CORRUPT_INPUT, 1, pattern=b""),) * 2),
+         ["fault 1: corrupt_input needs a non-empty byte pattern",
+          "fault 2: corrupt_input needs a non-empty byte pattern"]),
+        (tmr(faults=(FaultSpec(FaultKind.CRASH_VOTER, voter=0),)),
+         ["fault 1: voter 0 out of range 1..3 (stage 1)"]),
+        (ExperimentSpec(
+            PipelineSpec((StageSpec(n=3), StageSpec(n=5))),
+            faults=(FaultSpec(FaultKind.CRASH_VOTER, 9), FaultSpec(FaultKind.CRASH_VOTER, 0, 2)),
+        ),
+         ["all stages must share one cardinality, got [3, 5]",
+          "fault 1: voter 9 out of range 1..3 (stage 1)",
+          "fault 2: voter 0 out of range 1..5 (stage 2)"]),
+    ],
+    ids=["no-stage", "stage-out-of-range", "two-empty-patterns", "voter-0", "voter-0-stage-2"],
+)
+def test_every_fault_lists_its_own_violations_by_position(spec, violations):
+    """A fault's field rules run whatever the rules that span records find,
+    and each violation names its fault.  A voter below 1 is one violation
+    that names its own stage's size, never a traceback or another stage's."""
+    assert validate_spec(spec) == violations
+    with pytest.raises(SpecError) as err:
+        spec_from_json(spec_to_json(spec))
+    assert err.value.violations == violations
+
+
 COMPOSITE = {"pipeline", "inputs", "faults"}
+SPEC_CLASSES = (StageSpec, FaultSpec, PipelineSpec, ExperimentSpec)
 
 
-def test_every_scalar_spec_field_has_a_type_rule():
-    """A spec field added later is checked on both paths, or this fails:
-    validate_spec and the JSON reader both take a scalar field's rule from
-    its declared type, and a JSON reader only replaces it by another form."""
-    for cls, readers in (
-        (StageSpec, harness._STAGE_READERS),
-        (FaultSpec, harness._FAULT_READERS),
-        (ExperimentSpec, harness._SPEC_READERS),
-    ):
+def test_every_spec_field_declares_its_type_and_range_rule():
+    """A spec field added without its rules fails here: its annotation has
+    a type rule, and its metadata names its range rule (None when its type
+    is all it needs) and its JSON reader (None when its type's reads it).
+    The walk of validate_spec and the JSON reader both read this one table,
+    and the CLI's stage flags are StageSpec's fields."""
+    for cls in SPEC_CLASSES:
         for f in fields(cls):
-            assert f.name in COMPOSITE or f.type in harness._TYPE_RULES, (cls, f.name)
-        names = {f.name for f in fields(cls)} | ({"stages"} if cls is ExperimentSpec else set())
-        assert readers.keys() <= names, cls
+            assert f.type in harness._TYPES, (cls, f.name)
+            assert f.metadata.keys() == {"range", "read"}, (cls, f.name)
+            assert f.metadata["range"] is None or callable(f.metadata["range"]), (cls, f.name)
+        assert [row[0] for row in harness._RULES[cls]] == [f.name for f in fields(cls)]
+    assert cli._STAGE_FLAGS == tuple(f.name for f in fields(StageSpec))
 
 
 VALID = ExperimentSpec(
@@ -260,14 +291,15 @@ WRONG_FIELDS = [
 ]
 
 
-def with_field(cls, name: str, value) -> ExperimentSpec:
-    """VALID with one field of its stage, its fault or itself replaced."""
+def with_field(cls, name: str, value, spec: ExperimentSpec = VALID) -> ExperimentSpec:
+    """`spec` (VALID by default) with one field of its one stage, its one
+    fault or itself replaced."""
     if cls is StageSpec:
-        stage = replace(VALID.pipeline.stages[0], **{name: value})
-        return replace(VALID, pipeline=PipelineSpec((stage,)))
+        stage = replace(spec.pipeline.stages[0], **{name: value})
+        return replace(spec, pipeline=PipelineSpec((stage,)))
     if cls is FaultSpec:
-        return replace(VALID, faults=(replace(VALID.faults[0], **{name: value}),))
-    return replace(VALID, **{name: value})
+        return replace(spec, faults=(replace(spec.faults[0], **{name: value}),))
+    return replace(spec, **{name: value})
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,6 +313,67 @@ def test_a_wrong_type_in_any_scalar_field_is_one_violation_naming_it(case):
     with pytest.raises(SpecError) as err:
         run_experiment(spec)
     assert err.value.violations == [violation]
+
+
+# One break of each field that has a range rule.  None of them breaks a
+# rule that spans records in VALID, whose text would name the other field
+# (n = 0 would put the fault's voter out of range 1..0).
+RANGE_BREAKS = [
+    (StageSpec, "n", MAX_SENDER_ID + 1),
+    (StageSpec, "delta_t", 0.0),
+    (StageSpec, "epsilon", -1.0),
+    (StageSpec, "scaling", math.nan),
+    (FaultSpec, "delay", math.inf),
+    (FaultSpec, "index", -1),
+    (ExperimentSpec, "repetitions", 0),
+    (ExperimentSpec, "clock", "lunar"),
+    (ExperimentSpec, "metric", "nope"),
+]
+
+
+def listed(spec: ExperimentSpec) -> list[str]:
+    """What spec_from_json lists for the JSON document of `spec`."""
+    try:
+        spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    except SpecError as err:
+        return err.violations
+    return []
+
+
+def test_every_field_with_a_range_rule_has_a_range_break():
+    ranged = {(cls, f.name) for cls in SPEC_CLASSES for f in fields(cls) if f.metadata["range"]}
+    assert {(cls, name) for cls, name, _ in RANGE_BREAKS} == ranged
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(WRONG_FIELDS + RANGE_BREAKS), st.sampled_from(WRONG_FIELDS + RANGE_BREAKS))
+def test_violations_of_two_broken_fields_compose(first, second):
+    """A JSON document broken in two fields lists what each break lists
+    alone: no reader's refusal stops the read, and no field's rule waits
+    on another field's."""
+    assume(first[:2] != second[:2])
+    alone = [listed(with_field(*first)), listed(with_field(*second))]
+    assert alone[0] and alone[1]
+    both = listed(with_field(*second, spec=with_field(*first)))
+    assert sorted(both) == sorted(alone[0] + alone[1])
+
+
+@pytest.mark.parametrize(
+    "obj,violations",
+    [
+        ({"stages": [{"n": 3}], "faults": [{"kind": "crash_user", "voter": 9}], "seed": 1.5},
+         ["'seed' must be an integer, got 1.5", "fault 1: voter 9 out of range 1..3 (stage 1)"]),
+        ({"stages": [{"n": 3, "epsilon": "x"}, {"n": 0}]},
+         ["all stages must share one cardinality, got [0, 3]",
+          "stage 1: 'epsilon' must be a number, got 'x'",
+          "stage 2: n must be >= 1, got 0"]),
+    ],
+    ids=["seed-and-fault-voter", "two-stages"],
+)
+def test_reader_range_and_cross_record_violations_are_listed_together(obj, violations):
+    with pytest.raises(SpecError) as err:
+        spec_from_json(obj)
+    assert err.value.violations == violations
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -418,10 +511,19 @@ def test_spec_from_json_lists_every_shape_error():
     assert len(err.value.violations) == 5
 
 
-def test_spec_from_json_requires_stages():
+@pytest.mark.parametrize(
+    "obj,violations",
+    [
+        ({}, ["pipeline needs at least one stage"]),
+        ({"stages": None}, ["pipeline needs at least one stage"]),
+        ({"stages": []}, ["pipeline needs at least one stage"]),
+        ({"stages": {"n": 3}}, ["'stages' must be a list, got dict"]),
+    ],
+)
+def test_spec_from_json_requires_stages(obj, violations):
     with pytest.raises(SpecError) as err:
-        spec_from_json({})
-    assert "non-empty 'stages' list" in str(err.value)
+        spec_from_json(obj)
+    assert err.value.violations == violations
 
 
 CRASH = {"kind": "crash_user", "voter": 1}
