@@ -16,7 +16,9 @@ however many fellows a broadcast goes to), the frames the fabric sent,
 one per (sender, receiver) copy however many peers one send reaches, read
 off the fabric's own counters as the copies it delivered or dropped (a
 copy still in flight when the run ends is left out), the frames it
-decoded, the messages the voters and handles encoded, and
+decoded, the messages the voters and handles encoded, `hooked_copies`:
+the copies shown to fault hooks (one `transport.Delivery` each, counted by
+wrapping that name, which both sides of a pairing build), and
 `float_unpacks`: the calls of `struct.unpack`, which in the package only
 `VoteValue.floats` makes, so the times a value's bytes are unpacked.  One
 more untimed run, made with the garbage collector disabled, gives
@@ -37,7 +39,10 @@ change of `gc.get_count()[0]` over the same span, the container objects
 set-up leaves allocated, which decide how soon a collection runs.
 Beside the `rows`, the `crash_heavy` row gives the same columns for one two-stage N = 7 farm in
 which two voters and a user never start, so its worlds end with
-activities left blocked or never run.  A top-level `src_lines` gives the line count of the package's
+activities left blocked or never run, and the `hooked` row for a
+two-stage N = 31 pipeline with f = 15 faulty replicas, each dropping or
+delaying its broadcasts, so the cost of fault hooks shows there.
+A top-level `src_lines` gives the line count of the package's
 modules (`src/votefarm/*.py`), the size a simplification is measured by.
 Prints the rows as JSON, or writes them to the file named by --out
 (e.g. BENCH_e2e.json).
@@ -47,7 +52,7 @@ Prints the rows as JSON, or writes them to the file named by --out
 With --against SRC (the src/ directory of another checkout, such as the
 parent commit's), the script instead runs itself PAIRS times on each
 source tree, in child processes that alternate between SRC and the
-sources it imported, and writes each row, `crash_heavy` included, side
+sources it imported, and writes each row, `crash_heavy` and `hooked` included, side
 by side: `before` (SRC) and `after`, each with its work counts, the
 median of the children's ms_p50 and ms_setup_p50 and the best ms_min,
 and `after_faster`, the pairs whose `after` ms_p50 was the lower;
@@ -89,6 +94,14 @@ CRASH_FAULTS = (
     FaultSpec(FaultKind.CRASH_USER, 5),
     FaultSpec(FaultKind.CRASH_VOTER, 3, stage=2),
 )
+HOOKED_N = 31
+# f = (N - 1) / 2 faulty replicas: the odd ones drop in stage 2, the even ones delay in stage 1
+HOOKED_FAULTS = tuple(
+    FaultSpec(FaultKind.DROP_MESSAGE if v % 2 else FaultKind.DELAY_MESSAGE, v, stage=1 + v % 2)
+    for v in range(1, (HOOKED_N - 1) // 2 + 1)
+)
+# the rows beside `rows`: name -> (N, faults)
+FAULT_ROWS = {"crash_heavy": (CRASH_N, CRASH_FAULTS), "hooked": (HOOKED_N, HOOKED_FAULTS)}
 
 
 def make_spec(n: int, metric: str, faults=()) -> ExperimentSpec:
@@ -124,8 +137,8 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    heap pushes, voter sends, frames sent, frame decodes, message encodes
-    and float unpacks of one run."""
+    heap pushes, voter sends, frames sent, frame decodes, message encodes,
+    copies shown to hooks and float unpacks of one run."""
     votes: list = []
     metric_calls = 0
     metric, _ = voting.resolve_metric(spec.metric)
@@ -160,6 +173,7 @@ def count_work(spec: ExperimentSpec) -> dict:
         (transport, "decode_message", "decodes"),
         (transport, "encode_message", "encodes"),
         (client, "encode_message", "encodes"),
+        (transport, "Delivery", "hooked_copies"),
         (core.struct, "unpack", "float_unpacks"),
     ]
     restores = [counted(owner, attr, kernel, key) for owner, attr, key in wrapped]
@@ -305,10 +319,11 @@ def bench_row(metric: str, n: int, faults=()) -> dict:
     }
 
 
-def crash_heavy_row() -> dict:
+def fault_row(name: str) -> dict:
+    n, faults = FAULT_ROWS[name]
     return {
-        "faults": [f"{f.kind.value}:{f.stage}.{f.voter}" for f in CRASH_FAULTS],
-        **bench_row("default", CRASH_N, CRASH_FAULTS),
+        "faults": [f"{f.kind.value}:{f.stage}.{f.voter}" for f in faults],
+        **bench_row("default", n, faults),
     }
 
 
@@ -353,9 +368,11 @@ def paired_doc(before_src: str, sizes) -> dict:
         paired_row({side: [child["rows"][i] for child in runs[side]] for side in runs})
         for i in range(len(runs["before"][0]["rows"]))
     ]
-    crash = paired_row({side: [child["crash_heavy"] for child in runs[side]] for side in runs})
     lines = {side: runs[side][0]["src_lines"] for side in runs}
-    return {"src_lines": lines, "rows": rows, "crash_heavy": crash}
+    doc = {"src_lines": lines, "rows": rows}
+    for name in FAULT_ROWS:
+        doc[name] = paired_row({side: [child[name] for child in runs[side]] for side in runs})
+    return doc
 
 
 def main() -> int:
@@ -384,7 +401,7 @@ def main() -> int:
     else:
         doc["src_lines"] = src_lines()
         doc["rows"] = [bench_row(metric, n) for metric in METRICS for n in args.sizes]
-        doc["crash_heavy"] = crash_heavy_row()
+        doc.update({name: fault_row(name) for name in FAULT_ROWS})
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -191,7 +191,7 @@ class FaultSpec:
     Crashes are permanent and silent (the activity never runs, links stay
     open).  CORRUPT_INPUT flips value bytes of one INPUT frame on the
     user link; DROP/DELAY act on the target voter's broadcast frames, by
-    per-link message index.  The stage and voter must name a voter of
+    its mesh end's send index.  The stage and voter must name a voter of
     the pipeline, and CORRUPT_INPUT needs a pattern (see validate_spec).
     """
 
@@ -468,34 +468,28 @@ def _stage_user(
     rec.closed = yield from handle.close(timeout)
 
 
+_CRASH_NAME = {FaultKind.CRASH_USER: user_name, FaultKind.CRASH_VOTER: voter_name}
+
+
 def _install_faults(world: World, spec: ExperimentSpec, rng: random.Random) -> None:
-    """Pre-halt crash targets and register a hook per faulty sender and
-    receiver, by name.  Must run before any farm is activated."""
-    fabric = world.fabric
+    """On a world whose farms are all active, bind one hook per fault but a
+    crash to the end it touches: its user's end of the user link for a
+    corrupt_input, else its voter's mesh end, with one delay per fellow."""
     for f in spec.faults:
-        farm = _stage_farm(f.stage)
-        vname = voter_name(farm, f.voter)
-        uname = user_name(farm, f.voter)
-        if f.kind is FaultKind.CRASH_USER:
-            world.scheduler.kill_names.add(uname)
-        elif f.kind is FaultKind.CRASH_VOTER:
-            world.scheduler.kill_names.add(vname)
-        elif f.kind is FaultKind.CORRUPT_INPUT:
-            fabric.add_hook(corrupt_hook(uname, vname, f.pattern, index=f.index))
+        runtime = world.farms[_stage_farm(f.stage)]
+        if f.kind is FaultKind.CORRUPT_INPUT:
+            end, hook = runtime.user_endpoints[f.voter], corrupt_hook(f.pattern, f.index)
+        elif f.kind in _CRASH_NAME or (end := runtime.states[f.voter].mesh_ep) is None:
+            continue  # a crash is a pre-halt; a farm of one has no fellow
+        elif f.kind is FaultKind.DROP_MESSAGE:
+            hook = drop_hook(f.index)
         else:
-            # DROP/DELAY: the target voter's broadcast frames to every fellow.
-            stage = spec.pipeline.stages[f.stage - 1]
-            for other in range(1, stage.n + 1):
-                if other == f.voter:
-                    continue
-                peer = voter_name(farm, other)
-                if f.kind is FaultKind.DROP_MESSAGE:
-                    fabric.add_hook(drop_hook(vname, peer, index=f.index))
-                else:
-                    delay = f.delay
-                    if delay is None:
-                        delay = rng.uniform(0.1, 0.9) * stage.delta_t
-                    fabric.add_hook(delay_hook(vname, peer, delay, index=f.index))
+            delays = {
+                peer: rng.uniform(0.1, 0.9) * runtime.delta_t if f.delay is None else f.delay
+                for peer in end.peers  # fellow id order, so a seed draws the same delays
+            }
+            hook = delay_hook(delays, f.index)
+        end.hooks += (hook,)
 
 
 @dataclass
@@ -591,7 +585,9 @@ def _run_single_repetition(
 ) -> tuple[list[LinkCensus], RepetitionResult]:
     rng = random.Random(f"{spec.seed}:{rep}")
     world = World(spec.clock)
-    _install_faults(world, spec, rng)
+    for f in spec.faults:  # a crash is a pre-halt: the activity never runs
+        if f.kind in _CRASH_NAME:
+            world.scheduler.kill_names.add(_CRASH_NAME[f.kind](_stage_farm(f.stage), f.voter))
     stages = spec.pipeline.stages
     last = len(stages)
 
@@ -606,6 +602,7 @@ def _run_single_repetition(
                 algorithm=st.algorithm_id(),
             )
         )
+    _install_faults(world, spec, rng)
 
     records: list[list[_UserRecord]] = []  # per stage, in user order
     for k, (st, rt) in enumerate(zip(stages, runtimes), start=1):

@@ -12,22 +12,25 @@ source and sees its frames in arrival order; any other party hears each
 link on a queue of its own, and waits on the link it expects a frame from.
 
 A link never fails: a frame is only ever dropped, corrupted or delayed by
-a fault hook.  Hooks see each copy of a send by sender name, receiver name
-and message index, the count of sends before it from the same end, and
-each copy they see is decoded and landed on its own.  A send with no hook
-builds no Delivery.  There a post lands its Message itself on every peer,
-as a Message is immutable and its frame decodes to an equal one, and a frame
-sent by a user is decoded once and that one Message lands on every peer.
-With hooks, a post encodes its message once and sends that frame.  Every
-send leaves at once, inside the sender's step.  An undelayed copy lands at
-once, with one put on its receiver's queue that wakes the receiver if it
-is blocked; a delayed one lands when its delay has passed, and is counted
-delivered only then.  Only frames sent by users or through hooks are
-decoded, each distinct one once per world: the fabric memoizes Messages by
-frame content, at most one per (sender, receiver) pair, oldest evicted
-first.  A frame corrupted beyond parseability is never kept but silently
-discarded on every send, so the receiver only ever notices the silence
-through its timeout.
+a fault hook.  Each end carries its own hooks, in install order: those a
+fault binds to it, and those `Fabric.add_hook` puts on every end, made
+then or later.  A hook sees each copy sent from its end by receiver name
+and message index, the count of sends before it from that end, and each
+copy it sees is decoded and landed on its own.  A send from an end with no
+hook builds no Delivery.  There a post lands its Message itself on every
+peer, as a Message is immutable and its frame decodes to an equal one, and
+a frame sent by a user is decoded once and that one Message lands on every
+peer.  From a hooked end, a post encodes its message once and sends that
+frame.  So a fault costs only on the end it touches.  Every send leaves at
+once, inside the sender's step.  An undelayed copy lands at once, with one
+put on its receiver's queue that wakes the receiver if it is blocked; a
+delayed one lands when its delay has passed, and is counted delivered only
+then.  Only frames sent by users or from hooked ends are decoded, each
+distinct one once per world: the fabric memoizes Messages by frame content,
+at most one per (sender, receiver) pair, oldest evicted first.  A frame
+corrupted beyond parseability is never kept but silently discarded on
+every send, so the receiver only ever notices the silence through its
+timeout.
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ from .sim import Scheduler, WaitSource
 class Endpoint:
     """One party's end of a link: its sends to all its `peers`.  `inbox` is
     the queue the frames sent to the owner on the link land on, and
-    `peer_inboxes` the peers' queues, in `peers` order.  `sent` counts the
-    sends from here, the index fault hooks match on; as every send reaches
-    every peer, it also counts the frames sent to any one of them."""
+    `peer_inboxes` the peers' queues, in `peers` order.  `hooks` see, in
+    order, each copy sent from here, with its index: `sent`, the count of
+    sends from here, and so of the frames sent to any one peer."""
 
     name: str
     peers: tuple[str, ...]
     inbox: WaitSource
     peer_inboxes: tuple[WaitSource, ...]
+    hooks: tuple[FaultHook, ...] = ()
     sent: int = 0
 
 
@@ -71,9 +75,8 @@ class LinkCensus:
 
 @dataclass
 class Delivery:
-    """A frame in flight, shown to fault hooks before it lands."""
+    """A copy in flight from a hooked end, shown to its hooks before it lands."""
 
-    src: str
     dst: str
     frame: bytes
     index: int  # 0-based count of the sends before it from the sending end
@@ -95,7 +98,7 @@ class Fabric:
         self.placements: dict[str, int] = {}
         self.links: dict[frozenset[str], tuple[Endpoint, ...]] = {}
         self.inboxes: dict[str, WaitSource] = {}
-        self.hooks: list[FaultHook] = []
+        self.hooks: tuple[FaultHook, ...] = ()  # on every end, made now or later
         self.dropped = 0
         self.delivered_total = 0
         # Frames decoded and their Messages, oldest first, at most one per
@@ -138,6 +141,8 @@ class Fabric:
                 peer_inboxes = inboxes[:i] + inboxes[i + 1 :]
                 ends.append(Endpoint(name, names[:i] + names[i + 1 :], inboxes[i], peer_inboxes))
         ends = self.links[link] = tuple(ends)
+        for end in ends:
+            end.hooks = self.hooks
         self._pairs += len(names) * (len(names) - 1)
         return ends
 
@@ -150,21 +155,25 @@ class Fabric:
         return ends[0] if ends[0].name == owner else ends[1]
 
     def add_hook(self, hook: FaultHook) -> None:
-        self.hooks.append(hook)
+        """Put `hook` after the hooks of every end, made now or later."""
+        self.hooks += (hook,)
+        for ends in self.links.values():
+            for end in ends:
+                end.hooks += (hook,)
 
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
         """Ship one frame to every peer's inbox, in peer order; never blocks.
-        With no hook the frame is decoded once and that one Message lands
-        on every peer; with hooks, each copy is shown to them, decoded and
-        landed on its own."""
-        if not self.hooks:
+        From an end with no hook the frame is decoded once and that one
+        Message lands on every peer; from a hooked end, each copy is shown to
+        its hooks, decoded and landed on its own."""
+        if not endpoint.hooks:
             self._fan_out(endpoint, self._decoded.get(frame) or self._decode(frame))
             return
         index = endpoint.sent
         endpoint.sent = index + 1
         for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
-            d = Delivery(src=endpoint.name, dst=dst, frame=frame, index=index)
-            for hook in self.hooks:
+            d = Delivery(dst, frame, index)
+            for hook in endpoint.hooks:
                 hook(d)
                 if d.drop:
                     break
@@ -190,9 +199,9 @@ class Fabric:
         return msg
 
     def post(self, endpoint: Endpoint, msg: Message) -> None:
-        """Send `msg` from `endpoint` at once, inside the caller's step: with
-        hooks as one encoded frame, with none as itself, equal to its frame's decode."""
-        if self.hooks:
+        """Send `msg` from `endpoint` at once, inside the caller's step: from a
+        hooked end as one encoded frame, else as itself, equal to its frame's decode."""
+        if endpoint.hooks:
             self.send_from(endpoint, encode_message(msg))
         else:
             self._fan_out(endpoint, msg)
@@ -200,7 +209,7 @@ class Fabric:
     def _fan_out(self, endpoint: Endpoint, msg: Message | None) -> None:
         """One hook-free send from `endpoint`: `msg` lands on every peer, or
         every copy is dropped when it is None (a frame that does not parse)."""
-        # Every send takes an index, so a hook added later counts right.
+        # Every send takes an index, so a hook bound later counts right.
         endpoint.sent += 1
         if msg is None:
             self.dropped += len(endpoint.peers)
@@ -235,25 +244,21 @@ class Fabric:
         return LinkCensus(virtual=virtual, local=local, voters=voters)
 
 
-# -- fault hook constructors --------------------------------------------------
+# -- fault hook constructors: each acts on its end's copies at `index`, or all
 
 
-def _match(d: Delivery, src: str, dst: str, index: int | None) -> bool:
-    return d.src == src and d.dst == dst and (index is None or d.index == index)
-
-
-def drop_hook(src: str, dst: str, index: int | None = None) -> FaultHook:
+def drop_hook(index: int | None = None) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, src, dst, index):
+        if index is None or d.index == index:
             d.drop = True
 
     return hook
 
 
-def delay_hook(src: str, dst: str, delay: float, index: int | None = None) -> FaultHook:
+def delay_hook(delays: dict[str, float], index: int | None = None) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, src, dst, index):
-            d.delay += delay
+        if index is None or d.index == index:
+            d.delay += delays.get(d.dst, 0.0)  # one delay per peer, none if unnamed
 
     return hook
 
@@ -271,11 +276,9 @@ def corrupt_value_payload(frame: bytes, pattern: bytes) -> bytes:
     return bytes(body)
 
 
-def corrupt_hook(
-    src: str, dst: str, pattern: bytes, index: int | None = None
-) -> FaultHook:
+def corrupt_hook(pattern: bytes, index: int | None = None) -> FaultHook:
     def hook(d: Delivery) -> None:
-        if _match(d, src, dst, index):
+        if index is None or d.index == index:
             d.frame = corrupt_value_payload(d.frame, pattern)
 
     return hook

@@ -212,13 +212,11 @@ def vote_weighted_average(
 
 
 def vote(algorithm: AlgorithmId, slots: Slots, metric: Metric) -> VoteOutcome:
-    """Dispatch to the algorithm named by the AlgorithmId."""
+    """Dispatch to the algorithm named by the AlgorithmId: one of four kinds."""
     if algorithm.kind == VoteKind.MAJORITY:
         return vote_majority(slots, algorithm.epsilon, metric)
     if algorithm.kind == VoteKind.MEDIAN:
         return vote_median(slots, metric)
     if algorithm.kind == VoteKind.PLURALITY:
         return vote_plurality(slots, algorithm.epsilon, metric)
-    if algorithm.kind == VoteKind.WEIGHTED_AVERAGE:
-        return vote_weighted_average(slots, algorithm.scaling_factor, metric)
-    return VoteOutcome(failure=ErrorCode.BAD_STATE)
+    return vote_weighted_average(slots, algorithm.scaling_factor, metric)

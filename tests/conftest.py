@@ -72,17 +72,18 @@ def honest_slots(voters):
 @pytest.fixture(scope="session")
 def frame_path():
     """A context manager: inside it, every world `run_experiment` builds gets
-    one more fault hook, one that never matches.  So each send there takes
-    the frame path (encoded, shown to the hooks, decoded), not the hook-free
-    one, and nothing else changes."""
+    one more fault hook on every end, one that never matches (no send has
+    index -1).  So each send there, from any end, takes the frame path
+    (encoded, shown to the hooks, decoded), not the hook-free one, and
+    nothing else changes."""
 
     @contextlib.contextmanager
     def hooked():
         install = harness._install_faults
 
-        def install_and_hook(world, spec, rng):
-            install(world, spec, rng)
-            world.fabric.add_hook(drop_hook("nobody", "nobody"))
+        def install_and_hook(world, *args):
+            install(world, *args)
+            world.fabric.add_hook(drop_hook(index=-1))
 
         harness._install_faults = install_and_hook
         try:

@@ -39,16 +39,16 @@ def load_tracing():
     return module
 
 
-def test_tracer_counts_every_layer_and_restores_the_program():
+def traced_run(spec):
+    """The report of `spec` run plain, and run with the tracer installed on
+    the package; the tracer, and the program's own send_from and _step,
+    which it must have put back."""
     vf = types.SimpleNamespace(
         **{m: importlib.import_module(f"votefarm.{m}") for m in MODULES}
     )
     send_from = vf.transport.Fabric.send_from
+    add_hook = vf.transport.Fabric.add_hook
     step = vf.sim.Scheduler._step
-    spec = ExperimentSpec(
-        pipeline=PipelineSpec((StageSpec(n=3),)),
-        faults=(FaultSpec(FaultKind.CRASH_USER, voter=1),),
-    )
     plain = run_experiment(spec).to_json()
 
     tracer = load_tracing().Tracer(vf).install()
@@ -57,8 +57,36 @@ def test_tracer_counts_every_layer_and_restores_the_program():
     finally:
         tracer.uninstall()
 
+    assert vf.transport.Fabric.send_from is send_from
+    assert vf.transport.Fabric.add_hook is add_hook
+    assert vf.sim.Scheduler._step is step
+    return plain, traced, tracer
+
+
+def test_tracer_counts_every_layer_and_restores_the_program():
+    spec = ExperimentSpec(
+        pipeline=PipelineSpec((StageSpec(n=3),)),
+        faults=(FaultSpec(FaultKind.CRASH_USER, voter=1),),
+    )
+    plain, traced, tracer = traced_run(spec)
     counts = tracer.counts()
     assert [name for name in COUNTED if not counts.get(name)] == []
     assert traced == plain
-    assert vf.transport.Fabric.send_from is send_from
-    assert vf.sim.Scheduler._step is step
+
+
+def test_a_traced_world_with_fault_hooks_reports_the_same_bytes():
+    """Drop, delay and corrupt faults put hooks on some ends; the tracer
+    wraps the codec those ends use, and the report stays byte-identical."""
+    spec = ExperimentSpec(
+        pipeline=PipelineSpec((StageSpec(n=5), StageSpec(n=5))),
+        faults=(
+            FaultSpec(FaultKind.DROP_MESSAGE, voter=2),
+            FaultSpec(FaultKind.DELAY_MESSAGE, voter=2, stage=2),
+            FaultSpec(FaultKind.CORRUPT_INPUT, voter=4),
+        ),
+        seed=5,
+    )
+    plain, traced, tracer = traced_run(spec)
+    counts = tracer.counts()
+    assert counts.get("core.encode") and counts.get("core.decode")
+    assert traced == plain

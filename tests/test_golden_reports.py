@@ -95,11 +95,13 @@ def test_honest_voters_hold_every_honest_value(name, honest_slots):
 
 def test_a_voter_post_is_sent_inside_its_step(monkeypatch):
     """Every send lands at once, over the run with every fault kind: each
-    frame a voter posts is sent from its end inside that voter's step,
-    before the post returns."""
+    frame a voter posts, from a hooked end or a hook-free one alike, is sent
+    from its end inside that voter's step, before the post returns."""
     posted, sent = Counter(), Counter()  # frames, by the end they leave
+    hooked = set()  # the voters that posted from a hooked end
     stepping = None  # the voter whose step is running
     post, send_from, step = Fabric.post, Fabric.send_from, Scheduler._step
+    fan_out = Fabric._fan_out
 
     def counted_post(self, endpoint, msg):
         assert endpoint.name == stepping
@@ -107,10 +109,17 @@ def test_a_voter_post_is_sent_inside_its_step(monkeypatch):
         post(self, endpoint, msg)
         assert sent[endpoint.name] == before + len(endpoint.peers)
         posted[endpoint.name] += len(endpoint.peers)
+        if endpoint.hooks:
+            hooked.add(endpoint.name)
 
     def counted_send_from(self, endpoint, frame):
-        sent[endpoint.name] += len(endpoint.peers)
+        if endpoint.hooks:  # a hook-free send is counted in _fan_out
+            sent[endpoint.name] += len(endpoint.peers)
         send_from(self, endpoint, frame)
+
+    def counted_fan_out(self, endpoint, msg):
+        sent[endpoint.name] += len(endpoint.peers)
+        fan_out(self, endpoint, msg)
 
     def voter_step(self, act):
         nonlocal stepping
@@ -124,7 +133,9 @@ def test_a_voter_post_is_sent_inside_its_step(monkeypatch):
 
     monkeypatch.setattr(Fabric, "post", counted_post)
     monkeypatch.setattr(Fabric, "send_from", counted_send_from)
+    monkeypatch.setattr(Fabric, "_fan_out", counted_fan_out)
     monkeypatch.setattr(Scheduler, "_step", voter_step)
     run_experiment(SPECS["every_fault_kind"])
     assert len(posted) == 14  # 15 voters, one crashed before it ever posts
+    assert hooked == {"s2/voter3", "s3/voter5"}  # the dropping and the delaying voter
     assert {name: sent[name] for name in posted} == posted

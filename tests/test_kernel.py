@@ -127,7 +127,7 @@ def test_each_frame_is_decoded_once_and_each_broadcast_encoded_once(monkeypatch)
     monkeypatch.setattr(Fabric, "send_from", counting_send_from)
     n = 4
     world, outcomes = fault_free_farm(n)
-    world.fabric.add_hook(drop_hook("nobody", "nobody"))
+    world.fabric.add_hook(drop_hook(index=-1))
     world.run()
     assert len(outcomes) == n
     broadcasts = sum(s.broadcasts_sent for s in world.farms["f"].states.values())
@@ -242,7 +242,7 @@ def test_post_encodes_once_for_every_endpoint(monkeypatch):
     """With a fault hook, here one that never matches, a post is encoded
     once for all its copies."""
     encodes, msg, fabric, (_, *peer_ends) = post_to_three_peers(
-        monkeypatch, drop_hook("nobody", "nobody")
+        monkeypatch, drop_hook(index=-1)
     )
     assert encodes == [msg]
     assert fabric.delivered_total == 3
@@ -283,6 +283,60 @@ def test_a_fault_free_two_stage_world_decodes_only_the_users_frames(monkeypatch)
     assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
     assert len(decodes) == 3
     assert len(encodes) == 2 * n and {m.tag for m in encodes} == {Tag.INPUT}
+
+
+def run_watching_hooks(monkeypatch, fault):
+    """Run `fault` in a two-stage N = 5 world; returns the world, the
+    messages the fabric encoded and the copies shown to hooks."""
+    worlds, encodes, shown = [], [], []
+    init, encode, delivery = World.__init__, transport.encode_message, transport.Delivery
+    monkeypatch.setattr(
+        World, "__init__", lambda world, *a: init(world, *a) or worlds.append(world)
+    )
+    monkeypatch.setattr(transport, "encode_message", lambda m: encodes.append(m) or encode(m))
+    monkeypatch.setattr(
+        transport, "Delivery", lambda *a, **k: shown.append(d := delivery(*a, **k)) or d
+    )
+    spec = harness.ExperimentSpec(
+        harness.PipelineSpec((harness.StageSpec(5), harness.StageSpec(5))), faults=(fault,)
+    )
+    (rep,) = harness.run_experiment(spec).repetitions
+    assert all(v.outcome.value == harness.DEFAULT_INPUT for v in rep.voters)
+    (world,) = worlds
+    return world, encodes, shown
+
+
+def hooked_ends(world) -> list:
+    return [end for ends in world.fabric.links.values() for end in ends if end.hooks]
+
+
+def test_a_drop_costs_only_on_its_voters_mesh_end(monkeypatch):
+    """One drop_message on stage-1 voter 2 puts one hook on that voter's
+    mesh end and nowhere else: only its broadcasts are encoded, and the
+    copies shown to the hook are its N - 1 fellows' copies of each."""
+    fault = harness.FaultSpec(harness.FaultKind.DROP_MESSAGE, voter=2)
+    world, encodes, shown = run_watching_hooks(monkeypatch, fault)
+    dropper = world.farms["s1"].states[2]
+    assert [len(end.hooks) for end in hooked_ends(world)] == [1]
+    assert hooked_ends(world) == [dropper.mesh_ep]
+    assert encodes and all(m.sender == 2 and m.tag == Tag.BROADCAST_VALUE for m in encodes)
+    assert len(encodes) == dropper.broadcasts_sent == dropper.mesh_ep.sent
+    assert len(shown) == 4 * dropper.mesh_ep.sent
+    assert {d.dst for d in shown} == set(dropper.mesh_ep.peers)
+    assert world.fabric.dropped == 4  # index 0: the first broadcast, to every fellow
+
+
+def test_a_corrupt_input_hook_sees_only_its_users_copies(monkeypatch):
+    """One corrupt_input on stage-1 voter 3 puts one hook on its user's end
+    of the user link: the hook sees only that user's frames, and no voter
+    post is encoded."""
+    fault = harness.FaultSpec(harness.FaultKind.CORRUPT_INPUT, voter=3)
+    world, encodes, shown = run_watching_hooks(monkeypatch, fault)
+    user_end = world.farms["s1"].user_endpoints[3]
+    assert hooked_ends(world) == [user_end]
+    assert encodes == []
+    assert len(shown) == user_end.sent > 0
+    assert {d.dst for d in shown} == {voter_name("s1", 3)}
 
 
 def test_a_wait_on_two_sources_raises():
@@ -434,7 +488,7 @@ def test_message_landing_after_the_timeout_fired_still_wins():
     fabric.place("a", 1)
     fabric.place("b", 2)
     a_end, b_end = fabric.connect("a", "b")
-    fabric.add_hook(delay_hook("a", "b", delay=1.0))
+    a_end.hooks += (delay_hook({"b": 1.0}),)
     seen = {}
 
     def receiver():

@@ -77,6 +77,8 @@ def test_e2e_bench_pairs_two_source_trees_side_by_side():
         assert 0 <= r["after_faster"] <= pairs
     crash = doc["crash_heavy"]
     assert crash["before"]["frames_sent"] == crash["after"]["frames_sent"] > 0
+    hooked = doc["hooked"]
+    assert hooked["before"]["hooked_copies"] == hooked["after"]["hooked_copies"] > 0
 
 
 cpython_3_11 = pytest.mark.skipif(
@@ -173,6 +175,12 @@ def test_e2e_bench_writes_its_file_only_with_out(tmp_path):
         assert r["py_calls"] > r["scheduler_steps"]
         # one post per voter send: a broadcast's n - 1 copies count once
         assert 0 < r["outbox_items"] < r["frames_sent"]
+        assert r["hooked_copies"] == 0
+    # f = 15 voters drop or delay their one broadcast: each hook is on the
+    # faulty voter's mesh end alone and sees its N - 1 = 30 copies
+    hooked = doc["hooked"]
+    assert hooked["ok"] and len(hooked["faults"]) == 15
+    assert hooked["hooked_copies"] == 15 * 30
     crash = doc["crash_heavy"]
     assert crash["faults"] and crash["ok"] and crash["outbox_items"] > 0
     # a world left with blocked and never-run activities is freed too

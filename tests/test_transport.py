@@ -190,7 +190,7 @@ def test_corrupt_value_payload_stays_parseable():
 
 def test_corrupt_hook_hits_chosen_frame_only():
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(corrupt_hook("a", "b", b"\xff", index=1))
+    a_end.hooks += (corrupt_hook(b"\xff", index=1),)
     got = []
 
     def receiver():
@@ -208,20 +208,22 @@ def test_corrupt_hook_hits_chosen_frame_only():
 
 def test_a_hook_on_one_copy_of_a_broadcast_leaves_the_others_alone():
     """The copies of one broadcast share a frame and its decode; a copy a
-    hook bends is decoded on its own, and one bent past parsing is dropped
-    alone."""
+    hook on the sending end bends is decoded on its own, and one bent past
+    parsing is dropped alone."""
     sched = Scheduler(VIRTUAL)
     fabric = Fabric(sched)
     for node, name in enumerate("abcde", start=1):
         fabric.place(name, node)
     a_end, *peer_ends = fabric.connect(*"abcde")
-    fabric.add_hook(corrupt_hook("a", "c", b"\xff"))
+    corrupt = corrupt_hook(b"\xff")
 
-    def mangle(d):
-        if d.dst == "d":
+    def bend(d):  # the value of the copy to c, the header of the copy to d
+        if d.dst == "c":
+            corrupt(d)
+        elif d.dst == "d":
             d.frame = corrupt_raw(d.frame, b"\xff", offset=0)
 
-    fabric.add_hook(mangle)
+    a_end.hooks += (bend,)
     msg = value_msg(5.0, sender=1, tag=Tag.BROADCAST_VALUE)
     fabric.post(a_end, msg)
     sched.run()
@@ -309,7 +311,7 @@ def test_each_world_decodes_afresh(monkeypatch, frame_path):
 
 def test_drop_hook_by_index():
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(drop_hook("a", "b", index=0))
+    a_end.hooks += (drop_hook(index=0),)
     got = []
 
     def receiver():
@@ -329,7 +331,7 @@ def test_drop_hook_by_index():
 
 def test_delay_hook_shifts_arrival_time():
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(delay_hook("a", "b", delay=1.25))
+    a_end.hooks += (delay_hook({"b": 1.25}),)
     seen = {}
 
     def receiver():
@@ -346,7 +348,7 @@ def test_delay_hook_shifts_arrival_time():
 def test_a_delayed_copy_counts_and_wakes_its_receiver_only_when_it_lands():
     """A delayed copy is neither queued nor counted delivered at send time."""
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(delay_hook("a", "b", delay=2.0))
+    a_end.hooks += (delay_hook({"b": 2.0}),)
     seen = {}
 
     def receiver():
@@ -418,9 +420,11 @@ def test_two_puts_before_the_receiver_steps_queue_it_once(monkeypatch):
 
 
 def test_hooks_are_direction_scoped():
-    """A hook keyed on frames toward b must leave the a-bound flow alone."""
+    """A hook on a's end, which sees the frames toward b, must leave the
+    a-bound flow alone."""
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(drop_hook("a", "b"))
+    a_end.hooks += (drop_hook(),)
+    assert b_end.hooks == ()
     got = []
 
     def receiver_a():
@@ -458,11 +462,11 @@ def test_a_post_lands_before_it_returns():
 
 def test_a_hook_added_later_sees_the_index_of_every_frame_sent():
     """Frames sent while the fabric had no hook still take an index, so a
-    hook added after two of them drops exactly the third."""
+    hook added to every end after two of them drops exactly the third."""
     sched, fabric, a_end, b_end = make_pair()
     for x in (1.0, 2.0):
         fabric.send_from(a_end, encode_message(value_msg(x)))
-    fabric.add_hook(drop_hook("a", "b", index=2))
+    fabric.add_hook(drop_hook(index=2))
     for x in (3.0, 4.0):
         fabric.send_from(a_end, encode_message(value_msg(x)))
     got = [item.payload.floats()[0] for item in b_end.inbox.queue]
@@ -474,7 +478,7 @@ def test_each_end_counts_its_own_frames():
     """A hook's index counts the frames sent from one end only: frames b
     sends to a do not shift the index of a's frames to b."""
     sched, fabric, a_end, b_end = make_pair()
-    fabric.add_hook(drop_hook("a", "b", index=1))
+    a_end.hooks += (drop_hook(index=1),)
     for x in (1.0, 2.0, 3.0):
         fabric.send_from(b_end, encode_message(value_msg(x)))
     for x in (4.0, 5.0, 6.0):
@@ -557,17 +561,18 @@ def test_connect_refuses_a_repeated_or_unplaced_name_in_a_group(names):
 def test_a_hook_on_one_mesh_pair_drops_only_that_copy_at_the_senders_send_count():
     """A send from a mesh end is one copy per peer, each under the send's
     index: the sender's count of sends, which is also the count of copies
-    sent to any one peer.  A drop hook on (p2, p3) at index 1 takes p2's
-    second send to p3 alone."""
+    sent to any one peer.  A hook on p2's end that drops the copies to p3
+    at index 1 takes p2's second send to p3 alone."""
     sched, fabric, ends = make_mesh()
     seen = []
-    fabric.add_hook(lambda d: seen.append((d.src, d.dst, d.index)))
-    fabric.add_hook(drop_hook("p2", "p3", index=1))
+    fabric.add_hook(lambda d: seen.append((d.dst, d.index)))
     p2 = ends[1]
+    drop = drop_hook(index=1)
+    p2.hooks += (lambda d: d.dst == "p3" and drop(d),)
     for x in (1.0, 2.0, 3.0):
         fabric.send_from(p2, encode_message(value_msg(x, sender=2, tag=Tag.BROADCAST_VALUE)))
     assert p2.sent == 3
-    assert seen == [("p2", dst, k) for k in range(3) for dst in ("p1", "p3", "p4")]
+    assert seen == [(dst, k) for k in range(3) for dst in ("p1", "p3", "p4")]
     got = {
         name: [m.payload.floats()[0] for m in fabric.inboxes[name].queue]
         for name in ("p1", "p3", "p4")
@@ -612,10 +617,10 @@ def test_a_hook_free_send_decodes_once_for_all_its_peers(monkeypatch):
     assert all(list(q) == [msg] and q[0] is msg for q in queues)
 
     seen = []
-    fabric.add_hook(lambda d: seen.append((d.src, d.dst, d.index)))
+    fabric.add_hook(lambda d: seen.append((d.dst, d.index)))
     fabric.send_from(p1, bad)
     fabric.send_from(p1, good)
-    assert seen == [("p1", dst, k) for k in (2, 3) for dst in ("p2", "p3", "p4")]
+    assert seen == [(dst, k) for k in (2, 3) for dst in ("p2", "p3", "p4")]
     assert len(decoded) == 2 + 3  # the bad frame once per copy; the good one is held
     assert (fabric.dropped, fabric.delivered_total) == (6, 6)
     assert all(list(q) == [msg, msg] and q[1] is msg for q in queues)

@@ -169,7 +169,7 @@ def test_delayed_broadcast_arrives_late_and_stays_invalid():
     lose the majority, and voter 3 keeps it.
     """
     world, rt, recs = launch(3, crashed=(3,))
-    world.fabric.add_hook(delay_hook(voter_name("f", 1), voter_name("f", 2), delay=1.2))
+    rt.states[1].mesh_ep.hooks += (delay_hook({voter_name("f", 2): 1.2}),)
     world.run()
     v1, v2, v3 = (rt.states[i] for i in (1, 2, 3))
     assert slot_flags(v2) == (False, True, False)
@@ -447,10 +447,10 @@ def test_an_outcome_for_a_fellow_voter_is_undeliverable(n):
     stray, and the voter counts the outcome it could not push."""
     world = World(VIRTUAL)
     v1_to_v2 = []
-    world.fabric.add_hook(
-        lambda d: d.src == voter_name("f", 1)
-        and d.dst == voter_name("f", 2)
-        and v1_to_v2.append(decode_message(d.frame).tag)
+    world.fabric.add_hook(  # on every end; voter 1's frames name it their sender
+        lambda d: d.dst == voter_name("f", 2)
+        and (msg := decode_message(d.frame)).sender == 1
+        and v1_to_v2.append(msg.tag)
     )
 
     def user(uid, requests):
@@ -527,8 +527,9 @@ def test_fault_free_farm_votes_once_per_round(vote_calls):
 
 def test_split_vectors_get_one_vote_each(vote_calls):
     world, rt, _ = launch(5, inputs=[1, 2, 2, 2, 3])
-    for dst in (2, 4):
-        world.fabric.add_hook(drop_hook(voter_name("f", 1), voter_name("f", dst)))
+    drop = drop_hook()
+    to_2_and_4 = (voter_name("f", 2), voter_name("f", 4))
+    rt.states[1].mesh_ep.hooks += (lambda d: d.dst in to_2_and_4 and drop(d),)
     world.run()
     seen = {(st.algorithm, st.last_slots) for st in rt.states.values()}
     # the drops split the voters in three: voters 2 and 4 miss slot 1, and
