@@ -11,12 +11,12 @@ in a separate untimed run: the vote() calls the voters make, the distinct
 (farm, algorithm, slot vector) triples among them, the metric calls
 (each metric is wrapped in a counter, as scripts/vote_bench.py does),
 the scheduler steps, the entries pushed onto the scheduler's timer heap,
-the voters' sends, counted as `outbox_items` (one `Fabric.post` per send,
+every party's sends, counted as `outbox_items` (one `Fabric.post` per send,
 however many fellows a broadcast goes to), the frames the fabric sent,
 one per (sender, receiver) copy however many peers one send reaches, read
 off the fabric's own counters as the copies it delivered or dropped (a
 copy still in flight when the run ends is left out), the frames it
-decoded, the messages the voters and handles encoded, `hooked_copies`:
+decoded, the messages it encoded for hooked ends, `hooked_copies`:
 the copies shown to fault hooks (one `transport.Delivery` each, counted by
 wrapping that name, which both sides of a pairing build), and
 `float_unpacks`: the calls of `struct.unpack`, which in the package only
@@ -137,7 +137,7 @@ def counted(owner, attr: str, counts: dict, key: str):
 
 def count_work(spec: ExperimentSpec) -> dict:
     """vote() calls, distinct votes per farm, metric calls, scheduler steps,
-    heap pushes, voter sends, frames sent, frame decodes, message encodes,
+    heap pushes, sends, frames sent, frame decodes, message encodes,
     copies shown to hooks and float unpacks of one run."""
     votes: list = []
     metric_calls = 0
@@ -172,7 +172,6 @@ def count_work(spec: ExperimentSpec) -> dict:
         (transport.Fabric, "post", "outbox_items"),
         (transport, "decode_message", "decodes"),
         (transport, "encode_message", "encodes"),
-        (client, "encode_message", "encodes"),
         (transport, "Delivery", "hooked_copies"),
         (core.struct, "unpack", "float_unpacks"),
     ]

@@ -31,7 +31,7 @@ from .core import (
     VoteKind,
     VoteValue,
     decode_message,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
-    encode_message,
+    encode_message,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 )
 from .sim import TIMED_OUT, VIRTUAL, Scheduler, Wait
 from .transport import Endpoint, Fabric
@@ -40,11 +40,10 @@ from .voter import FarmRuntime, Voter, user_name, voter_name
 
 
 # The names every request reads, bound once: on CPython 3.10 and 3.11 each
-# enum member lookup goes through the enum's slow getattr hook.  A GET or a
-# CLOSE is the same frame from every handle, so each is encoded once, here.
+# enum member lookup goes through the enum's slow getattr hook.
 _NO_ERROR, _REFUSED = ErrorCode.NONE, Tag.REFUSED
-_GET = (encode_message(Message(Tag.GET, USER)), (Tag.VOTED_VALUE, _REFUSED))
-_CLOSE = (encode_message(Message(Tag.CLOSE, USER)), (Tag.DONE, _REFUSED))
+_GET = (Message(Tag.GET, USER), (Tag.VOTED_VALUE, _REFUSED))
+_CLOSE = (Message(Tag.CLOSE, USER), (Tag.DONE, _REFUSED))
 _DONE = (Tag.DONE,)
 
 
@@ -256,22 +255,19 @@ class FarmHandle:
             return False
         return True
 
-    def _send(self, frame: bytes) -> None:
-        self.world.fabric.send_from(self.endpoint, frame)
-        self.messages_sent += 1
-
-    def _request(self, frame: bytes | None, replies: tuple[Tag, ...], timeout: float | None):
-        """Drop the stale pushes on the link and send the request `frame`, if
-        any, then wait for a frame whose tag is in `replies`, dropping others
+    def _request(self, msg: Message | None, replies: tuple[Tag, ...], timeout: float | None):
+        """Drop the stale pushes on the link and send the request `msg`, if
+        any, then wait for a message whose tag is in `replies`, dropping others
         (generator).  Returns that message, or None with last_error set when
         the handle is not running or `timeout` (None: no limit) runs out."""
         self.last_error = _NO_ERROR
         if not self._require_running():
             return None
         wait = Wait(self._link_wait.sources, timeout)  # a bad timeout raises before the send
-        if frame is not None:
+        if msg is not None:
             self.endpoint.inbox.queue.clear()  # stale pushes, dropped in place
-            self._send(frame)
+            self.world.fabric.post(self.endpoint, msg)
+            self.messages_sent += 1
         sched = self.world.scheduler
         deadline = None if timeout is None else sched.now + timeout
         while True:
@@ -294,7 +290,7 @@ class FarmHandle:
     def control(self, requests) -> bool:
         """Send a batch of requests, one message each, in order (generator).
 
-        Every frame, and the algorithm the batch sets, is built before any
+        Every message, and the algorithm the batch sets, is built before any
         is sent.  Returns False with last_error=REFUSED if the voter turned
         any of them down (e.g. a second input while a round is still open).
         """
@@ -302,26 +298,26 @@ class FarmHandle:
         if not self._require_running():
             return False
         algorithm = self.algorithm
-        frames = []
+        msgs = []
         for req in requests:
             if isinstance(req, Input):
-                msg = Message(Tag.INPUT, USER, req.value)
+                msgs.append(Message(Tag.INPUT, USER, req.value))
             elif isinstance(req, Output):
-                msg = Message(Tag.SET_OUTPUT, USER, req.target)
+                msgs.append(Message(Tag.SET_OUTPUT, USER, req.target))
             elif isinstance(req, Algorithm):
                 algorithm = req.algorithm
-                msg = Message(Tag.SET_ALGORITHM, USER, algorithm)
+                msgs.append(Message(Tag.SET_ALGORITHM, USER, algorithm))
             elif isinstance(req, ScalingFactor):
                 algorithm = replace(algorithm, scaling_factor=req.value)
-                msg = Message(Tag.SET_ALGORITHM, USER, algorithm)
+                msgs.append(Message(Tag.SET_ALGORITHM, USER, algorithm))
             else:
                 raise TypeError(f"not a control request: {req!r}")
-            frames.append(encode_message(msg))
         self.algorithm = algorithm
         queue = self.endpoint.inbox.queue
         queue.clear()  # stale pushes: with the link empty, the wait below yields the floor
-        for frame in frames:
-            self._send(frame)
+        for msg in msgs:
+            self.world.fabric.post(self.endpoint, msg)
+        self.messages_sent += len(msgs)
         got = yield self._link_wait  # the voter takes the batch, and its replies land
         refused = got is not TIMED_OUT and got[1].tag is _REFUSED
         while queue:  # the replies that landed after the first, taken in place
@@ -346,7 +342,7 @@ class FarmHandle:
 
     def await_done(self, timeout: float | None):
         """Wait for the DONE the voter pushes when its round closes, dropping
-        other frames (generator): True once it lands, else False (TIMEOUT)."""
+        other messages (generator): True once it lands, else False (TIMEOUT)."""
         return (yield from self._request(None, _DONE, timeout)) is not None
 
     def close(self, timeout: float | None = None):

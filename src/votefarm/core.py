@@ -1,7 +1,7 @@
 """Shared domain types for voter farms.
 
 Identifiers, vote payloads, farm lifecycle states, protocol messages, error
-codes, and the binary frame codec used on every link.  Everything here is
+codes, and the binary frame codec of hooked links.  Everything here is
 an immutable value; behaviour lives in the other modules.  A Message is a
 validated immutable tuple, and a numeric VoteValue unpacks its floats once.
 """
@@ -128,10 +128,14 @@ class AlgorithmId:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, VoteKind):
             raise TypeError("kind must be a VoteKind")
-        if not (self.epsilon >= 0.0):
-            raise ValueError("epsilon must be >= 0")
-        if not (self.scaling_factor >= 0.0):
-            raise ValueError("scaling_factor must be >= 0")
+        for field in ("epsilon", "scaling_factor"):
+            value = getattr(self, field)
+            if not (value >= 0.0):
+                raise ValueError(f"{field} must be >= 0")
+            try:
+                _F64.pack(value)  # the frame carries it as a float64
+            except struct.error:
+                raise ValueError(f"{field} must fit a float64") from None
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,18 @@ link on a queue of its own, and waits on the link it expects a frame from.
 A link never fails: a frame is only ever dropped, corrupted or delayed by
 a fault hook.  Each end carries its own hooks, in install order: those a
 fault binds to it, and those `Fabric.add_hook` puts on every end, made
-then or later.  A hook sees each copy sent from its end by receiver name
-and message index, the count of sends before it from that end, and each
-copy it sees is decoded and landed on its own.  A send from an end with no
-hook builds no Delivery.  There a post lands its Message itself on every
-peer, as a Message is immutable and its frame decodes to an equal one, and
-a frame sent by a user is decoded once and that one Message lands on every
-peer.  From a hooked end, a post encodes its message once and sends that
-frame.  So a fault costs only on the end it touches.  Every send leaves at
-once, inside the sender's step.  An undelayed copy lands at once, with one
-put on its receiver's queue that wakes the receiver if it is blocked; a
-delayed one lands when its delay has passed, and is counted delivered only
-then.  Only frames sent by users or from hooked ends are decoded, each
-distinct one once per world: the fabric memoizes Messages by frame content,
-at most one per (sender, receiver) pair, oldest evicted first.  A frame
-corrupted beyond parseability is never kept but silently discarded on
-every send, so the receiver only ever notices the silence through its
-timeout.
+then or later.  Every party sends a Message with `Fabric.post`.  From an
+end with no hook that Message, immutable, lands on every peer and no frame
+exists; from a hooked end the post encodes it once and sends that frame.
+A hook sees each copy by receiver name and index, the count of sends
+before it from that end, and may drop or delay it or replace its frame.
+A send decodes its frame at most once, when a copy first lands with it,
+and a replaced frame on its own, so a fault costs only on the end it
+touches.  Every send leaves at once, inside the sender's step: an
+undelayed copy lands then, with one put that wakes its receiver if it is
+blocked, and a delayed one lands, and is counted delivered, when its
+delay has passed.  A frame corrupted beyond parseability is silently
+discarded; the receiver only notices the silence through its timeout.
 """
 
 from __future__ import annotations
@@ -75,7 +70,7 @@ class LinkCensus:
 
 @dataclass
 class Delivery:
-    """A copy in flight from a hooked end, shown to its hooks before it lands."""
+    """A copy of a sent frame in flight, shown to its end's hooks before it lands."""
 
     dst: str
     frame: bytes
@@ -101,10 +96,6 @@ class Fabric:
         self.hooks: tuple[FaultHook, ...] = ()  # on every end, made now or later
         self.dropped = 0
         self.delivered_total = 0
-        # Frames decoded and their Messages, oldest first, at most one per
-        # (sender, receiver) pair: decoding is pure and a Message immutable.
-        self._decoded: dict[bytes, Message] = {}
-        self._pairs = 0
 
     def place(self, name: str, node: int) -> None:
         if node < 1:
@@ -143,7 +134,6 @@ class Fabric:
         ends = self.links[link] = tuple(ends)
         for end in ends:
             end.hooks = self.hooks
-        self._pairs += len(names) * (len(names) - 1)
         return ends
 
     def endpoint(self, owner: str, peer: str) -> Endpoint | None:
@@ -161,23 +151,37 @@ class Fabric:
             for end in ends:
                 end.hooks += (hook,)
 
+    def post(self, endpoint: Endpoint, msg: Message) -> None:
+        """Send `msg` from `endpoint` at once, inside the caller's step: from a
+        hooked end as one encoded frame, else as itself on every peer."""
+        if endpoint.hooks:
+            self.send_from(endpoint, encode_message(msg))
+            return
+        endpoint.sent += 1  # every send takes an index, so a hook bound later counts right
+        self.delivered_total += len(endpoint.peers)
+        for inbox in endpoint.peer_inboxes:
+            inbox.put(msg)
+
     def send_from(self, endpoint: Endpoint, frame: bytes) -> None:
         """Ship one frame to every peer's inbox, in peer order; never blocks.
-        From an end with no hook the frame is decoded once and that one
-        Message lands on every peer; from a hooked end, each copy is shown to
-        its hooks, decoded and landed on its own."""
-        if not endpoint.hooks:
-            self._fan_out(endpoint, self._decoded.get(frame) or self._decode(frame))
-            return
+        Each copy is shown to the end's hooks and, unless dropped, lands as
+        its frame's decode, made once per send or, if a hook replaced it, alone."""
         index = endpoint.sent
         endpoint.sent = index + 1
+        sent = None  # the sent frame's decode, once a copy needs it
         for dst, inbox in zip(endpoint.peers, endpoint.peer_inboxes):
             d = Delivery(dst, frame, index)
             for hook in endpoint.hooks:
                 hook(d)
                 if d.drop:
                     break
-            msg = None if d.drop else (self._decoded.get(d.frame) or self._decode(d.frame))
+            if d.drop:
+                msg = None
+            elif d.frame is not frame:
+                msg = _decode(d.frame)
+            else:  # a 1-tuple, so a frame that does not parse is decoded once too
+                sent = sent or (_decode(frame),)
+                msg = sent[0]
             if msg is None:
                 self.dropped += 1
             elif d.delay > 0:
@@ -185,38 +189,6 @@ class Fabric:
             else:
                 self.delivered_total += 1
                 inbox.put(msg)
-
-    def _decode(self, frame: bytes) -> Message | None:
-        """Decode and memoize a frame the memo lacks (a hit is looked up at
-        the call site), evicting the oldest when full; None if it does not parse."""
-        try:
-            msg = decode_message(frame)
-        except FrameError:
-            return None
-        if len(self._decoded) >= self._pairs:
-            del self._decoded[next(iter(self._decoded))]
-        self._decoded[frame] = msg
-        return msg
-
-    def post(self, endpoint: Endpoint, msg: Message) -> None:
-        """Send `msg` from `endpoint` at once, inside the caller's step: from a
-        hooked end as one encoded frame, else as itself, equal to its frame's decode."""
-        if endpoint.hooks:
-            self.send_from(endpoint, encode_message(msg))
-        else:
-            self._fan_out(endpoint, msg)
-
-    def _fan_out(self, endpoint: Endpoint, msg: Message | None) -> None:
-        """One hook-free send from `endpoint`: `msg` lands on every peer, or
-        every copy is dropped when it is None (a frame that does not parse)."""
-        # Every send takes an index, so a hook bound later counts right.
-        endpoint.sent += 1
-        if msg is None:
-            self.dropped += len(endpoint.peers)
-            return
-        self.delivered_total += len(endpoint.peers)
-        for inbox in endpoint.peer_inboxes:
-            inbox.put(msg)
 
     def _land(self, inbox: WaitSource, msg: Message) -> None:
         self.delivered_total += 1
@@ -242,6 +214,14 @@ class Fabric:
             if act.role == "voter" and (names is None or act.name in names) and act.live:
                 voters += 1
         return LinkCensus(virtual=virtual, local=local, voters=voters)
+
+
+def _decode(frame: bytes) -> Message | None:
+    """The Message `frame` holds, or None when it does not parse."""
+    try:
+        return decode_message(frame)
+    except FrameError:
+        return None
 
 
 # -- fault hook constructors: each acts on its end's copies at `index`, or all

@@ -64,9 +64,14 @@ def traced_run(spec):
 
 
 def test_tracer_counts_every_layer_and_restores_the_program():
+    """A hook-free end sends no frame, so the corrupt_input fault gives
+    user 2's end a hook: its posts are encoded, sent and decoded."""
     spec = ExperimentSpec(
         pipeline=PipelineSpec((StageSpec(n=3),)),
-        faults=(FaultSpec(FaultKind.CRASH_USER, voter=1),),
+        faults=(
+            FaultSpec(FaultKind.CRASH_USER, voter=1),
+            FaultSpec(FaultKind.CORRUPT_INPUT, voter=2),
+        ),
     )
     plain, traced, tracer = traced_run(spec)
     counts = tracer.counts()

@@ -261,20 +261,21 @@ def test_control_rejects_foreign_requests():
         ([Input(V42), ScalingFactor(-1.0)], ValueError),
         ([Input(V42), Algorithm(AlgorithmId(VoteKind.MEDIAN)), object()], TypeError),
         ([Input(V42), Output("\ud800")], ValueError),
+        ([ScalingFactor(10**400)], ValueError),  # no float64 holds it
     ],
 )
 def test_a_batch_with_a_bad_request_sends_nothing(batch, error):
     """Every message of a batch, and the algorithm it sets, is built before
-    the first is sent: a request that cannot be built leaves no frame on
+    the first is sent: a request that cannot be built leaves nothing on
     the link and the handle's algorithm as it was."""
     world = World(VIRTUAL)
     handle = described_handle(world, "a", 1)
     assert handle.run()
-    frames = []
-    world.fabric.send_from = lambda endpoint, frame: frames.append(frame)
+    posted = []
+    world.fabric.post = lambda endpoint, msg: posted.append(msg)
     with pytest.raises(error):
         next(handle.control(batch))
-    assert frames == []
+    assert posted == []
     assert handle.messages_sent == 0
     assert handle.algorithm == AlgorithmId(VoteKind.MAJORITY)
 
@@ -562,6 +563,45 @@ def test_second_input_of_a_batch_is_refused_while_its_round_is_open():
     world.run()
     assert seen == {1: (False, ErrorCode.REFUSED)}
     assert world.farms["b"].states[1].refusals == 1
+
+
+def test_a_refusal_after_the_first_reply_of_a_batch_fails_it():
+    """Voter 1's broadcast has landed when user 2 sends three inputs: the
+    first closes the round (DONE), the second opens the next one without
+    a reply and the third is refused.  The drain finds that REFUSED behind
+    the DONE, so the batch fails."""
+    world = World(VIRTUAL)
+    seen = {}
+
+    def first():
+        handle = described_handle(world, "r", 1, n=2)
+        assert handle.run()
+        yield from handle.control([Input(V42)])
+
+    def second():
+        handle = described_handle(world, "r", 2, n=2)
+        assert handle.run()
+        yield from sleep(0.5)  # voter 1 broadcasts at once; voter 2 waits delta_t
+        voter2 = world.farms["r"].states[2]
+        seen["before"] = voter2.resolved
+        replies = []
+        post = world.fabric.post
+
+        def recording_post(end, msg):
+            if end is voter2.user_ep:
+                replies.append(msg.tag)
+            post(end, msg)
+
+        world.fabric.post = recording_post
+        ok = yield from handle.control([Input(V42)] * 3)
+        seen["batch"] = (ok, handle.last_error, list(replies))  # the replies so far
+
+    world.spawn_user("r", 1, first())
+    world.spawn_user("r", 2, second())
+    world.run()
+    assert seen["before"] == 1
+    assert seen["batch"] == (False, ErrorCode.REFUSED, [Tag.DONE, Tag.REFUSED])
+    assert world.farms["r"].states[2].refusals == 1
 
 
 def test_client_traffic_does_not_grow_with_the_farm():

@@ -95,36 +95,33 @@ def test_honest_voters_hold_every_honest_value(name, honest_slots):
 
 def test_a_voter_post_is_sent_inside_its_step(monkeypatch):
     """Every send lands at once, over the run with every fault kind: each
-    frame a voter posts, from a hooked end or a hook-free one alike, is sent
-    from its end inside that voter's step, before the post returns."""
-    posted, sent = Counter(), Counter()  # frames, by the end they leave
-    hooked = set()  # the voters that posted from a hooked end
-    stepping = None  # the voter whose step is running
+    message a party posts is sent from its end inside that party's step,
+    before the post returns.  From a hook-free end its copies are counted
+    delivered then; from a hooked end its frame goes through `send_from`."""
+    posted, sent = Counter(), Counter()  # copies, by the end they leave
+    hooked, stepped = set(), set()  # the parties that posted: from a hooked end, at all
+    stepping = None  # the party whose step is running
     post, send_from, step = Fabric.post, Fabric.send_from, Scheduler._step
-    fan_out = Fabric._fan_out
 
     def counted_post(self, endpoint, msg):
         assert endpoint.name == stepping
-        before = sent[endpoint.name]
+        index, framed, delivered = endpoint.sent, sent[id(endpoint)], self.delivered_total
         post(self, endpoint, msg)
-        assert sent[endpoint.name] == before + len(endpoint.peers)
-        posted[endpoint.name] += len(endpoint.peers)
+        assert endpoint.sent == index + 1
+        posted[id(endpoint)] += len(endpoint.peers)
+        stepped.add(stepping)
         if endpoint.hooks:
             hooked.add(endpoint.name)
+            assert sent[id(endpoint)] == framed + len(endpoint.peers)
+        else:
+            assert self.delivered_total == delivered + len(endpoint.peers)
 
     def counted_send_from(self, endpoint, frame):
-        if endpoint.hooks:  # a hook-free send is counted in _fan_out
-            sent[endpoint.name] += len(endpoint.peers)
+        sent[id(endpoint)] += len(endpoint.peers)
         send_from(self, endpoint, frame)
 
-    def counted_fan_out(self, endpoint, msg):
-        sent[endpoint.name] += len(endpoint.peers)
-        fan_out(self, endpoint, msg)
-
-    def voter_step(self, act):
+    def recording_step(self, act):
         nonlocal stepping
-        if act.role != "voter":
-            return step(self, act)
         stepping = act.name
         try:
             step(self, act)
@@ -133,9 +130,10 @@ def test_a_voter_post_is_sent_inside_its_step(monkeypatch):
 
     monkeypatch.setattr(Fabric, "post", counted_post)
     monkeypatch.setattr(Fabric, "send_from", counted_send_from)
-    monkeypatch.setattr(Fabric, "_fan_out", counted_fan_out)
-    monkeypatch.setattr(Scheduler, "_step", voter_step)
+    monkeypatch.setattr(Scheduler, "_step", recording_step)
     run_experiment(SPECS["every_fault_kind"])
-    assert len(posted) == 14  # 15 voters, one crashed before it ever posts
-    assert hooked == {"s2/voter3", "s3/voter5"}  # the dropping and the delaying voter
-    assert {name: sent[name] for name in posted} == posted
+    voters = {name for name in stepped if "/voter" in name}
+    assert len(voters) == 14  # 15 voters, one crashed before it ever posts
+    # the dropping and the delaying voter, and the user whose input is corrupted
+    assert hooked == {"s2/voter3", "s3/voter5", "s1/user4"}
+    assert set(sent) <= set(posted)  # nobody sends a frame but by a post

@@ -384,6 +384,19 @@ def test_algorithm_id_validation():
     assert AlgorithmId(VoteKind.WEIGHTED_AVERAGE, scaling_factor=0.0).scaling_factor == 0.0
 
 
+@pytest.mark.parametrize("field", ["epsilon", "scaling_factor"])
+def test_an_algorithm_id_holds_only_what_a_frame_can_carry(field):
+    """An AlgorithmId is carried as two float64s, so a number no float64
+    holds is refused when the AlgorithmId is built, not when it is encoded;
+    one that rounds to a float64 builds and encodes."""
+    with pytest.raises(ValueError, match=f"{field} must fit a float64"):
+        AlgorithmId(VoteKind.MAJORITY, **{field: 10**400})
+    algorithm = AlgorithmId(VoteKind.MAJORITY, **{field: 10**300})
+    assert roundtrip(Message(Tag.SET_ALGORITHM, 0, algorithm)) == Message(
+        Tag.SET_ALGORITHM, 0, AlgorithmId(VoteKind.MAJORITY, **{field: float(10**300)})
+    )
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1))
 def test_vote_value_float_view(xs):
     v = VoteValue.from_floats(xs)

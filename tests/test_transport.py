@@ -245,28 +245,6 @@ def counting_decodes(monkeypatch) -> list:
     return decoded
 
 
-def test_the_decode_memo_keys_on_frame_content_not_identity(monkeypatch):
-    """A hook that hands the fabric a fresh bytes object with the same
-    content lands the Message decoded for the first one."""
-    decoded = counting_decodes(monkeypatch)
-    sched, fabric, a_end, b_end = make_pair()
-    frame = encode_message(value_msg(1.0))
-    copies = []
-
-    def copy(d):
-        d.frame = bytes(bytearray(d.frame))
-        copies.append(d.frame)
-
-    fabric.add_hook(copy)
-    fabric.send_from(a_end, frame)
-    fabric.send_from(a_end, frame)
-    assert copies[0] is not copies[1] and copies[0] == copies[1]
-    first, second = b_end.inbox.queue
-    assert first is second
-    assert first == value_msg(1.0)
-    assert len(decoded) == 1
-
-
 def test_an_unparseable_frame_is_dropped_and_counted_each_time_it_is_sent(monkeypatch):
     decoded = counting_decodes(monkeypatch)
     sched, fabric, a_end, b_end = make_pair()
@@ -276,37 +254,6 @@ def test_an_unparseable_frame_is_dropped_and_counted_each_time_it_is_sent(monkey
     assert fabric.dropped == 2
     assert len(decoded) == 2
     assert fabric.delivered_total == 0
-    assert fabric._decoded == {}
-
-
-def test_the_decode_memo_keeps_at_most_one_frame_per_link_end(monkeypatch):
-    """More distinct frames than link ends: a repeat still held is not
-    decoded again, the oldest entry is evicted first, and every copy
-    lands right."""
-    decoded = counting_decodes(monkeypatch)
-    sched, fabric, a_end, b_end = make_pair()
-    assert len(all_ends(fabric)) == 2
-    xs = [0.0, 1.0, 0.0, 2.0, 3.0, 0.0]
-    for x in xs:
-        fabric.send_from(a_end, encode_message(value_msg(x)))
-        assert len(fabric._decoded) <= 2
-    assert list(b_end.inbox.queue) == [value_msg(x) for x in xs]
-    assert len(decoded) == 5  # all but the second 0.0, while still held
-    assert list(fabric._decoded.values()) == [value_msg(3.0), value_msg(0.0)]
-
-
-def test_each_world_decodes_afresh(monkeypatch, frame_path):
-    """The memo lives in a world's fabric: a new world starts with no
-    entry, so a spec run twice decodes as often the second time.  The
-    worlds have a hook, one that never matches, so every send is a frame."""
-    assert World(VIRTUAL).fabric._decoded == {}
-    decoded = counting_decodes(monkeypatch)
-    spec = ExperimentSpec(pipeline=PipelineSpec((StageSpec(n=3),)))
-    with frame_path():
-        run_experiment(spec)
-        first = len(decoded)
-        run_experiment(spec)
-    assert first == len(decoded) - first == 3 * 3 + 3
 
 
 def test_drop_hook_by_index():
@@ -581,25 +528,12 @@ def test_a_hook_on_one_mesh_pair_drops_only_that_copy_at_the_senders_send_count(
     assert (fabric.dropped, fabric.delivered_total) == (1, 8)
 
 
-def test_the_decode_memo_holds_one_frame_per_sender_receiver_pair(monkeypatch):
-    """Three parties on one link have three ends but six (sender, receiver)
-    pairs, and so six distinct frames all stay decoded."""
-    decoded = counting_decodes(monkeypatch)
-    _, fabric, ends = make_mesh((1, 2, 3))
-    frames = [encode_message(value_msg(float(x))) for x in range(6)]
-    for _ in range(2):
-        for frame in frames:
-            fabric.send_from(ends[0], frame)
-    assert len(all_ends(fabric)) == 3
-    assert len(decoded) == 6
-
-
-def test_a_hook_free_send_decodes_once_for_all_its_peers(monkeypatch):
-    """With no hook, a send from a four-party mesh end decodes its frame
-    once: an unparseable frame is dropped for all three peers, and a good
-    one lands as one Message on every peer.  Once a hook is added, each
-    copy is shown to it under the send's index, and decoded and counted on
-    its own."""
+def test_a_send_decodes_its_frame_once_for_all_its_peers(monkeypatch):
+    """A send from a four-party mesh end decodes its frame once, with a hook
+    or without: an unparseable frame is dropped for all three peers, and a
+    good one lands as one Message on every peer.  The same frame sent again
+    is decoded again, and each copy is shown to a hook under its send's
+    index."""
     decoded = counting_decodes(monkeypatch)
     _, fabric, ends = make_mesh()
     p1 = ends[0]
@@ -621,9 +555,81 @@ def test_a_hook_free_send_decodes_once_for_all_its_peers(monkeypatch):
     fabric.send_from(p1, bad)
     fabric.send_from(p1, good)
     assert seen == [(dst, k) for k in (2, 3) for dst in ("p2", "p3", "p4")]
-    assert len(decoded) == 2 + 3  # the bad frame once per copy; the good one is held
+    assert len(decoded) == 4
     assert (fabric.dropped, fabric.delivered_total) == (6, 6)
-    assert all(list(q) == [msg, msg] and q[1] is msg for q in queues)
+    again = queues[0][1]
+    assert again == msg and again is not msg
+    assert all(list(q) == [msg, again] and q[1] is again for q in queues)
+
+
+def send_with_hooks(monkeypatch, *hooks):
+    """Send one broadcast frame from the first end of a four-party mesh with
+    `hooks`; returns the frames decoded, the fabric and the peers' queues."""
+    decoded = counting_decodes(monkeypatch)
+    _, fabric, ends = make_mesh()
+    ends[0].hooks += hooks
+    frame = encode_message(value_msg(6.0, sender=1, tag=Tag.BROADCAST_VALUE))
+    fabric.send_from(ends[0], frame)
+    return decoded, fabric, {name: fabric.inboxes[name].queue for name in ends[0].peers}
+
+
+def test_a_send_whose_every_copy_is_dropped_decodes_nothing(monkeypatch):
+    decoded, fabric, queues = send_with_hooks(monkeypatch, drop_hook())
+    assert decoded == []
+    assert (fabric.dropped, fabric.delivered_total) == (3, 0)
+    assert not any(queues.values())
+
+
+def test_a_delayed_send_decodes_its_frame_once_when_it_is_sent(monkeypatch):
+    """The frame is decoded at send time, once, and each delayed copy lands
+    that one Message when its own delay has passed."""
+    delays = {"p2": 1.0, "p3": 2.0, "p4": 3.0}
+    decoded, fabric, queues = send_with_hooks(monkeypatch, delay_hook(delays))
+    assert len(decoded) == 1 and fabric.delivered_total == 0
+    sched = fabric.scheduler
+    landed = []
+
+    def receiver(name):
+        _, msg = yield Wait((fabric.inboxes[name],), None)
+        landed.append((name, sched.now, msg))
+
+    for name in delays:
+        sched.spawn(name, receiver(name))
+    sched.run()
+    assert len(decoded) == 1 and fabric.delivered_total == 3
+    assert [(name, at) for name, at, _ in landed] == list(delays.items())
+    assert len({id(m) for _, _, m in landed}) == 1
+    assert landed[0][2] == value_msg(6.0, sender=1, tag=Tag.BROADCAST_VALUE)
+
+
+def test_a_frame_a_hook_replaced_is_decoded_on_its_own(monkeypatch):
+    """A copy whose frame a hook replaced, even by fresh bytes of the same
+    content, is decoded apart from the sent frame; a replaced frame that
+    does not parse drops that copy alone, and the sent frame is decoded
+    only when a copy lands with it."""
+    sent = value_msg(6.0, sender=1, tag=Tag.BROADCAST_VALUE)
+
+    def replace(d):
+        if d.dst == "p2":
+            d.frame = bytes(bytearray(d.frame))  # equal content, another object
+        elif d.dst == "p3":
+            d.frame = corrupt_value_payload(d.frame, b"\xff")
+        elif d.dst == "p4":
+            d.frame = corrupt_raw(d.frame, b"\xff", offset=0)
+
+    decoded, fabric, queues = send_with_hooks(monkeypatch, replace)
+    assert len(decoded) == 3  # the three replaced frames, not the sent one
+    (p2,), (p3,) = queues["p2"], queues["p3"]
+    assert p2 == sent and p3.payload.floats()[0] != 6.0
+    assert not queues["p4"]
+    assert (fabric.dropped, fabric.delivered_total) == (1, 2)
+
+    decoded, fabric, queues = send_with_hooks(
+        monkeypatch, lambda d: d.dst == "p3" and replace(d)
+    )
+    assert len(decoded) == 2  # the sent frame once for p2 and p4, p3's on its own
+    assert queues["p2"][0] is queues["p4"][0] == sent
+    assert queues["p3"][0] != sent
 
 
 @pytest.mark.parametrize("nodes", [(1, 1, 2, 2, 2), (3, 1, 3, 1, 3, 2), (1,) * 4, (1, 2)])
@@ -650,8 +656,7 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     link from one to the other and, where the mesh has more than two
     voters, a pair link inside it: the whole fabric's census and each
     farm's equal a count of every linked pair, end by end.  A refused
-    connect changes neither the ends, nor the census, nor the decode
-    memo's cap."""
+    connect changes neither the ends nor the census."""
     world = World(VIRTUAL)
     fabric = world.fabric
     world.scheduler.kill_names.add("a/voter1")
@@ -684,7 +689,7 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     expected = [brute(fabric.placements), brute(a.members), brute(b.members)]
     assert counts() == expected
     assert expected[1].voters == n - 1 and expected[2].voters == n
-    before = dict(fabric.links), fabric._pairs
+    before = dict(fabric.links)
     voter, user = a.states[1].name, a.user_endpoints[1].name
     refused = [(voter, voter), (voter, "ghost"), (voter, user)]
     if n > 1:
@@ -692,5 +697,5 @@ def test_the_census_of_farms_counts_every_linked_pair_by_placement(nodes):
     for names in refused:
         with pytest.raises(ValueError):
             fabric.connect(*names)
-        assert (dict(fabric.links), fabric._pairs) == before
+        assert dict(fabric.links) == before
         assert counts() == expected
